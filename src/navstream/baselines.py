@@ -8,13 +8,18 @@ Variants:
   inf-lm              landmark structure costed under an infinite buffer
                       where every previously transmitted MDU is a free
                       predictor and revisits are free
+
+flex-ga, fixed-ga and flex-lm-i all run on refine's one greedy engine
+(`greedy_search`): flex-ga scans add-edge then add-pair moves, fixed-ga
+add-edge moves, and flex-lm-i goes through greedy_refine (add-edge) and
+greedy_subtract (remove-edge).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,18 +31,19 @@ from .costs import (
     zero_hop_sources,
 )
 from .errors import InvalidInputError, OracleRefusalError
-from .evaluate import CostTables
+from .evaluate import CostTables, evaluate
 from .landmarks import PlannerParams, build_initial_structure, tsvq
 from .refine import (
     RefinerParams,
     RefineLog,
     TradeoffRow,
-    _EdgeFilter,
-    _objective_cost,
+    add_edges,
+    add_reverse_pairs,
     greedy_refine,
+    greedy_search,
     greedy_subtract,
 )
-from .scenario import START, Scenario, aggregate_switch_probabilities
+from .scenario import START, Scenario, aggregate_switch_probabilities, session_tables
 
 VARIANTS = ("flex-ga", "fixed-ga", "flex-lm-i", "inf-lm")
 
@@ -52,57 +58,6 @@ class BaselineResult:
     expected_cost: float
     storage_bits: float
     log: RefineLog | None = None
-
-
-def _greedy_add_ga(
-    scenario: Scenario,
-    sizes: SizeTable,
-    initial: Structure,
-    params: RefinerParams,
-    allow_pairs: bool,
-) -> tuple[Structure, RefineLog]:
-    """Greedy exact-evaluation addition of single edges or reverse pairs."""
-    n = scenario.graph.n
-    structure = initial
-    log = RefineLog()
-    lam = params.lam
-
-    j_min = _objective_cost(scenario, sizes, structure, params.buffer)
-    j_min += lam * storage_cost(structure, sizes)
-    iteration = 0
-    while True:
-        iteration += 1
-        usable = _EdgeFilter(scenario, sizes, structure)
-        relevant = usable.relevant
-        b_base = storage_cost(structure, sizes)
-        best_edges = None
-        candidates = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and (i, j) not in structure.p_edges:
-                    candidates.append(((i, j),))
-        if allow_pairs:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    fwd, rev = (i, j), (j, i)
-                    if fwd not in structure.p_edges and rev not in structure.p_edges:
-                        candidates.append((fwd, rev))
-        for edges in candidates:
-            if not any(relevant(i, j) for (i, j) in edges):
-                log.candidates_skipped += 1
-                continue
-            log.candidates_total += 1
-            cand = structure.with_edges(edges)
-            j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
-            j_cand += lam * (b_base + sum(sizes.p(i, j) for (i, j) in edges))
-            if j_cand < j_min:
-                j_min = j_cand
-                best_edges = edges
-        if best_edges is None:
-            break
-        structure = structure.with_edges(best_edges)
-        log.steps.append((iteration, best_edges, j_min))
-    return structure, log
 
 
 def _landmark_structure(
@@ -210,16 +165,12 @@ def inf_buffer_estimate(
     Greedy per-request choices make this an upper bound on the exact
     infinite-buffer optimum; used where the exact recursion refuses.
     """
-    graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
+    graph = scenario.graph
     tables = CostTables(structure, sizes, graph.n)
     r_p, preds = tables.r_p, tables.preds
     sources = [zero_hop_sources(structure, sizes, j) for j in range(graph.n)]
     rng = np.random.default_rng(seed)
-    pmf = np.asarray(lt.pmf)
-    lifetime_cdf = np.cumsum(pmf / pmf.sum())
-
-    start_targets = sorted(j for j, p in nav.p_start.items() if p > 0.0)
-    start_cdf = np.cumsum([nav.p_start[j] for j in start_targets])
+    rows, lifetime_cdf = session_tables(scenario)
 
     total = 0.0
     s = graph.start
@@ -230,16 +181,10 @@ def inf_buffer_estimate(
         k, i = START, s
         t_total = int(np.searchsorted(lifetime_cdf, rng.random()))
         for t in range(t_total):
-            if k == START:
-                targets, cdf = start_targets, start_cdf
-            else:
-                targets = [j for j in graph.neighbors[i]]
-                probs = [nav.p_switch.get((k, i, j), 0.0) for j in targets]
-                if sum(probs) <= 0.0:
-                    break
-                cdf = np.cumsum(probs)
-            if not targets:
+            row = rows.get((k, i))
+            if row is None:
                 break
+            targets, cdf = row
             j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
             if j not in avail:
                 best, best_new = math.inf, frozenset()
@@ -278,33 +223,24 @@ def run_baseline(
             f"unknown baseline variant {variant!r}; pick one of {VARIANTS}"
         )
     n = scenario.graph.n
-    if variant in ("flex-ga", "fixed-ga"):
-        buffer = "flex" if variant == "flex-ga" else "fixed"
-        run = RefinerParams(lam=params.lam, buffer=buffer, enable_pruning=False)
-        structure, log = _greedy_add_ga(
-            scenario,
-            sizes,
-            all_i_structure(n),
-            run,
-            allow_pairs=(variant == "flex-ga"),
-        )
-        cost = _objective_cost(scenario, sizes, structure, buffer)
+    if variant == "inf-lm":
+        lm = _landmark_structure(scenario, sizes, params.lam)
+        try:
+            cost = inf_buffer_cost(scenario, sizes, lm)
+        except OracleRefusalError:
+            cost = inf_buffer_estimate(scenario, sizes, lm)
         return BaselineResult(
             variant=variant,
-            structure=structure,
+            structure=lm,
             expected_cost=cost,
-            storage_bits=storage_cost(structure, sizes),
-            log=log,
+            storage_bits=storage_cost(lm, sizes),
         )
     if variant == "flex-lm-i":
+        buffer = "flex"
         lm = _landmark_structure(scenario, sizes, params.lam)
-        init = Structure(
-            i_set=frozenset(range(n)),
-            p_edges=lm.p_edges,
-            landmarks=lm.landmarks,
-        )
+        init = replace(lm, i_set=frozenset(range(n)))
         run = RefinerParams(
-            lam=params.lam, buffer="flex", enable_pruning=params.enable_pruning
+            lam=params.lam, buffer=buffer, enable_pruning=params.enable_pruning
         )
         added, log_add = greedy_refine(scenario, sizes, init, run)
         final, log_sub = greedy_subtract(scenario, sizes, added, run)
@@ -315,25 +251,17 @@ def run_baseline(
             candidates_skipped=log_add.candidates_skipped
             + log_sub.candidates_skipped,
         )
-        cost = _objective_cost(scenario, sizes, final, "flex")
-        return BaselineResult(
-            variant=variant,
-            structure=final,
-            expected_cost=cost,
-            storage_bits=storage_cost(final, sizes),
-            log=log,
-        )
-    # inf-lm
-    lm = _landmark_structure(scenario, sizes, params.lam)
-    try:
-        cost = inf_buffer_cost(scenario, sizes, lm)
-    except OracleRefusalError:
-        cost = inf_buffer_estimate(scenario, sizes, lm)
+    else:
+        buffer = "flex" if variant == "flex-ga" else "fixed"
+        run = RefinerParams(lam=params.lam, buffer=buffer, enable_pruning=False)
+        moves = (add_edges, add_reverse_pairs) if buffer == "flex" else (add_edges,)
+        final, log = greedy_search(scenario, sizes, all_i_structure(n), run, moves)
     return BaselineResult(
         variant=variant,
-        structure=lm,
-        expected_cost=cost,
-        storage_bits=storage_cost(lm, sizes),
+        structure=final,
+        expected_cost=evaluate(scenario, sizes, final, buffer).expected_cost,
+        storage_bits=storage_cost(final, sizes),
+        log=log,
     )
 
 

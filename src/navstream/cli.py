@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import adapters, baselines, merge
-from .costs import load_sizes, load_structure, save_sizes, save_structure
+from .costs import load_sizes, load_structure, save_sizes, save_structure, uniform_sizes
 from .errors import (
     InfeasibleStructureError,
     InvalidInputError,
@@ -55,7 +55,7 @@ def _cmd_gen(args) -> int:
     else:  # viewport
         traj = adapters.TrajectoryLog.load(args.log)
         graph, nav = adapters.build_viewport_scenario(traj, args.n)
-        sizes = _uniform_sizes(graph.n, args.p_unit)
+        sizes = uniform_sizes(graph.n, args.p_unit)
         lifetime = build_lifetime_tail(
             args.mu if args.mu is not None else 3.0,
             args.t_max if args.t_max is not None else 8,
@@ -69,18 +69,6 @@ def _cmd_gen(args) -> int:
     print(f"scenario: {args.out_scenario} (n={graph.n}, start={graph.start})")
     print(f"sizes: {args.out_sizes}")
     return 0
-
-
-def _uniform_sizes(n: int, p_unit: float):
-    import numpy as np
-
-    from .costs import SizeTable
-
-    p = np.full((n, n), float(p_unit))
-    np.fill_diagonal(p, np.nan)
-    return SizeTable(
-        np.full(n, 11.0 * p_unit), np.full(n, 3.5 * p_unit), p
-    )
 
 
 def _cmd_eval(args) -> int:

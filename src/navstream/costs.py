@@ -84,6 +84,15 @@ def grid_sizes(rows: int, cols: int, p_unit: float = 1.0) -> SizeTable:
     return SizeTable(i_size, m_size, p)
 
 
+def uniform_sizes(n: int, p_unit: float = 1.0) -> SizeTable:
+    """Paper-ratio sizes for any graph: |I| = 11x, |M| = 3.5x, |P| = 1x p_unit."""
+    if p_unit <= 0:
+        raise InvalidInputError("uniform_sizes needs p_unit > 0")
+    p = np.full((n, n), float(p_unit))
+    np.fill_diagonal(p, np.nan)
+    return SizeTable(np.full(n, 11.0 * p_unit), np.full(n, 3.5 * p_unit), p)
+
+
 @dataclass(frozen=True)
 class LandmarkGroup:
     """A landmark and the member MDUs it predicts."""

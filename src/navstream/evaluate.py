@@ -122,9 +122,6 @@ class CostTables:
         for (i, j) in sorted(structure.p_edges):
             self.preds[j].append(i)
 
-    def rp(self, i: int, j: int) -> float:
-        return self.r_p.get((i, j), math.inf)
-
 
 def eval_fixed(
     scenario: Scenario,
@@ -135,7 +132,7 @@ def eval_fixed(
     """Expected session cost under the fixed one-MDU reference buffer."""
     graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
     tables = CostTables(structure, sizes, graph.n)
-    r_i, rp = tables.r_i, tables.rp
+    r_i, r_p = tables.r_i, tables.r_p
     neighbors = graph.neighbors
     prob = nav.prob
     g = lt.g
@@ -154,7 +151,7 @@ def eval_fixed(
         for j in neighbors[i]:
             cont = g_next * cost(t + 1, i, j) if g_next > 0.0 else 0.0
             h0 = r_i[j] + cont
-            h1 = rp(i, j) + cont
+            h1 = r_p.get((i, j), math.inf) + cont
             if h1 <= h0:  # ties prefer 1-hop
                 actions[(t, k, i, j)] = ("1hop", i)
                 total += prob(k, i, j) * h1
@@ -279,8 +276,3 @@ def evaluate(
     if buffer == "flex":
         return eval_flexible(scenario, sizes, structure, weight_first_switch)
     raise InvalidInputError(f"unknown buffer model {buffer!r}")
-
-
-def extract_policy(result: EvalResult) -> Policy:
-    """The deterministic action table the simulator consumes."""
-    return result.policy

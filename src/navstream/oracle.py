@@ -17,7 +17,7 @@ import numpy as np
 from .costs import SizeTable, Structure, zero_hop_overhead
 from .errors import InvalidInputError, OracleRefusalError, PolicyGapError
 from .evaluate import EMPTY, CostTables, Policy
-from .scenario import START, Scenario
+from .scenario import START, Scenario, session_tables
 
 _UNMEMO_MAX_N = 8
 _UNMEMO_MAX_TMAX = 5
@@ -43,24 +43,6 @@ class SimResult:
     traces: list[SessionTrace] = field(default_factory=list)
 
 
-def _draw_rows(scenario: Scenario):
-    """Cumulative switch distributions keyed (prev, cur) for fast sampling."""
-    nav, graph = scenario.nav, scenario.graph
-    rows: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
-    s = graph.start
-    targets = sorted(j for j, p in nav.p_start.items() if p > 0.0)
-    if targets:
-        rows[(START, s)] = (targets, np.cumsum([nav.p_start[j] for j in targets]))
-    for k in range(graph.n):
-        for i in graph.neighbors[k]:
-            targets = [j for j in graph.neighbors[i]]
-            probs = [nav.p_switch.get((k, i, j), 0.0) for j in targets]
-            total = sum(probs)
-            if total > 0.0:
-                rows[(k, i)] = (targets, np.cumsum(probs))
-    return rows
-
-
 def simulate_sessions(
     scenario: Scenario,
     sizes: SizeTable,
@@ -83,13 +65,10 @@ def simulate_sessions(
     graph, lt = scenario.graph, scenario.lifetime
     tables = CostTables(structure, sizes, graph.n)
     r_i, r_p = tables.r_i, tables.r_p
-    rows = _draw_rows(scenario)
+    rows, lifetime_cdf = session_tables(scenario)
     actions = policy.actions
     flex = policy.buffer == "flex"
     rng = np.random.default_rng(seed)
-
-    pmf = np.asarray(lt.pmf)
-    lifetime_cdf = np.cumsum(pmf / pmf.sum())
     g = lt.g
 
     def step_cost(t: int, k: int, i: int, gam: int, j: int):
@@ -121,38 +100,23 @@ def simulate_sessions(
         acts: list[tuple] = []
         k, i, gam = START, s, EMPTY
         if consistency_mode:
-            t = 0
-            while True:
-                if t == 0 and policy.weight_first_switch and rng.random() >= g(1):
-                    break
-                if t > 0 and rng.random() >= g(t):
-                    break
-                row = rows.get((k, i))
-                if row is None:
-                    break  # chain has no outgoing mass; session ends early
-                targets, cdf = row
-                j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
-                cost, nxt, act = step_cost(t, k, i, gam, j)
-                bits += cost
-                path.append(j)
-                acts.append(act)
-                k, i, gam = i, j, nxt
-                t += 1
-                if t > lt.t_max:
-                    break
+            t_total = lt.t_max + 1  # each switch is drawn against g below
         else:
             t_total = int(np.searchsorted(lifetime_cdf, rng.random()))
-            for t in range(t_total):
-                row = rows.get((k, i))
-                if row is None:
-                    break  # chain has no outgoing mass; session ends early
-                targets, cdf = row
-                j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
-                cost, nxt, act = step_cost(t, k, i, gam, j)
-                bits += cost
-                path.append(j)
-                acts.append(act)
-                k, i, gam = i, j, nxt
+        for t in range(t_total):
+            if consistency_mode and (t > 0 or policy.weight_first_switch):
+                if rng.random() >= g(max(t, 1)):
+                    break
+            row = rows.get((k, i))
+            if row is None:
+                break  # chain has no outgoing mass; session ends early
+            targets, cdf = row
+            j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
+            cost, nxt, act = step_cost(t, k, i, gam, j)
+            bits += cost
+            path.append(j)
+            acts.append(act)
+            k, i, gam = i, j, nxt
         totals[idx] = bits
         if len(traces) < TRACE_SAMPLE:
             traces.append(

@@ -1,15 +1,18 @@
 """Greedy structure refinement under the storage/transmission objective.
 
 The objective is J = c + lam * b where c is the expected session
-transmission cost of the current structure and b its stored bits.  Each
-iteration tries every absent P-edge, prunes candidates whose quick lower
-bound already exceeds the incumbent, exactly evaluates the survivors, and
-commits the best strict improvement.
+transmission cost of the current structure and b its stored bits.  One
+engine, `greedy_search`, serves the refiner and the baselines: each
+iteration scans its moves (add an edge, add a reverse pair, remove an
+edge), prunes candidates whose quick lower bound already exceeds the
+incumbent, exactly evaluates the survivors, and commits the best strict
+improvement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .costs import SizeTable, Structure, storage_cost
 from .errors import InfeasibleStructureError, InvalidInputError
@@ -144,11 +147,90 @@ def lower_bound_cost(
     return result.expected_cost
 
 
-def _candidate_edges(structure: Structure, n: int):
+def add_edges(structure: Structure, n: int):
+    """Moves that store one absent P-edge, in ascending (i, j) order."""
     for i in range(n):
         for j in range(n):
             if i != j and (i, j) not in structure.p_edges:
-                yield (i, j)
+                yield ((i, j),)
+
+
+def add_reverse_pairs(structure: Structure, n: int):
+    """Moves that store both directions of a pair where neither is stored."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in structure.p_edges and (j, i) not in structure.p_edges:
+                yield ((i, j), (j, i))
+
+
+def remove_edges(structure: Structure, n: int):
+    """Moves that drop one stored P-edge, in ascending (i, j) order."""
+    for edge in sorted(structure.p_edges):
+        yield (edge,)
+
+
+def greedy_search(
+    scenario: Scenario,
+    sizes: SizeTable,
+    initial: Structure,
+    params: RefinerParams,
+    moves,
+) -> tuple[Structure, RefineLog]:
+    """Commit the best strictly improving move per iteration until none is left.
+
+    `moves` is a sequence of move generators, scanned in order.  An added
+    move none of whose edges can enter a transmission plan is skipped; a
+    single added edge whose lower bound (flexible buffer, pruning on)
+    exceeds the running best is pruned, and so is a removal that leaves an
+    MDU without an independent reconstruction.  The rest are evaluated
+    exactly; ties keep the earlier move.  Steps record (iteration, edges, J).
+    """
+    n = scenario.graph.n
+    structure = initial
+    log = RefineLog()
+    lam = params.lam
+    prune = params.enable_pruning and params.buffer == "flex"
+
+    j_min = _objective_cost(scenario, sizes, structure, params.buffer)
+    j_min += lam * storage_cost(structure, sizes)
+    iteration = 0
+    while True:
+        iteration += 1
+        best = None
+        usable = _EdgeFilter(scenario, sizes, structure)
+        b_base = storage_cost(structure, sizes)
+        for edges in chain.from_iterable(gen(structure, n) for gen in moves):
+            if edges[0] in structure.p_edges:  # a stored edge: remove it
+                cand = structure.without_edge(edges[0])
+                log.candidates_total += 1
+                try:
+                    j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
+                except InfeasibleStructureError:
+                    log.candidates_pruned += 1
+                    continue
+                j_cand += lam * storage_cost(cand, sizes)
+            else:
+                if not any(usable.relevant(i, j) for (i, j) in edges):
+                    log.candidates_skipped += 1
+                    continue
+                cand = structure.with_edges(edges)
+                log.candidates_total += 1
+                b_cand = b_base + sum(sizes.p(i, j) for (i, j) in edges)
+                if prune and len(edges) == 1:
+                    j_low = lower_bound_cost(scenario, sizes, cand, edges[0])
+                    if j_low + lam * b_cand > j_min:
+                        log.candidates_pruned += 1
+                        continue
+                j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
+                j_cand += lam * b_cand
+            if j_cand < j_min:
+                j_min = j_cand
+                best = (edges, cand)
+        if best is None:
+            break
+        edges, structure = best
+        log.steps.append((iteration, edges, j_min))
+    return structure, log
 
 
 def greedy_refine(
@@ -162,47 +244,13 @@ def greedy_refine(
     Candidates are scanned in ascending (i, j) order; on ties the earlier
     candidate is kept, so runs are deterministic.  Pruning only applies to
     the flexible buffer (the bound is a flexible-recursion construct).
+    Steps record (iteration, edge, J).
     """
-    n = scenario.graph.n
-    problems = initial.validate(n)
+    problems = initial.validate(scenario.graph.n)
     if problems:
         raise InvalidInputError("; ".join(problems))
-    structure = initial
-    log = RefineLog()
-    lam = params.lam
-    prune = params.enable_pruning and params.buffer == "flex"
-
-    j_min = _objective_cost(scenario, sizes, structure, params.buffer)
-    j_min += lam * storage_cost(structure, sizes)
-    iteration = 0
-    while True:
-        iteration += 1
-        best_edge = None
-        usable = _EdgeFilter(scenario, sizes, structure)
-        b_base = storage_cost(structure, sizes)
-        for edge in _candidate_edges(structure, n):
-            i, j = edge
-            if not usable.relevant(i, j):
-                log.candidates_skipped += 1
-                continue
-            cand = structure.with_edge(edge)
-            log.candidates_total += 1
-            b_cand = b_base + sizes.p(i, j)
-            if prune:
-                j_low = lower_bound_cost(scenario, sizes, cand, edge)
-                j_low += lam * b_cand
-                if j_low > j_min:
-                    log.candidates_pruned += 1
-                    continue
-            j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
-            j_cand += lam * b_cand
-            if j_cand < j_min:
-                j_min = j_cand
-                best_edge = edge
-        if best_edge is None:
-            break
-        structure = structure.with_edge(best_edge)
-        log.steps.append((iteration, best_edge, j_min))
+    structure, log = greedy_search(scenario, sizes, initial, params, (add_edges,))
+    log.steps = [(it, edge, j) for it, (edge,), j in log.steps]
     return structure, log
 
 
@@ -215,33 +263,11 @@ def greedy_subtract(
     """Remove one stored P-edge per iteration while the objective improves.
 
     Removals that leave some MDU without an independent reconstruction are
-    skipped rather than evaluated.
+    counted as pruned rather than evaluated.  Steps record (iteration,
+    edge, J).
     """
-    structure = initial
-    log = RefineLog()
-    lam = params.lam
-    j_min = _objective_cost(scenario, sizes, structure, params.buffer)
-    j_min += lam * storage_cost(structure, sizes)
-    iteration = 0
-    while True:
-        iteration += 1
-        best_edge = None
-        for edge in sorted(structure.p_edges):
-            cand = structure.without_edge(edge)
-            log.candidates_total += 1
-            try:
-                j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
-            except InfeasibleStructureError:
-                log.candidates_pruned += 1
-                continue
-            j_cand += lam * storage_cost(cand, sizes)
-            if j_cand < j_min:
-                j_min = j_cand
-                best_edge = edge
-        if best_edge is None:
-            break
-        structure = structure.without_edge(best_edge)
-        log.steps.append((iteration, best_edge, j_min))
+    structure, log = greedy_search(scenario, sizes, initial, params, (remove_edges,))
+    log.steps = [(it, edge, j) for it, (edge,), j in log.steps]
     return structure, log
 
 
@@ -292,6 +318,6 @@ def sweep(
                     p_edges=len(final.p_edges),
                 )
             )
-        except Exception as exc:
+        except InvalidInputError as exc:
             raise InvalidInputError(f"sweep failed at lambda={lam}: {exc}") from exc
     return rows

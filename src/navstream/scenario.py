@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 # Distinguished "previous MDU" index for the first switch of a session.
@@ -209,6 +211,30 @@ def aggregate_switch_probabilities(
         if not state:
             break
     return AggregateSwitchProbs(q=q)
+
+
+def session_tables(scenario: Scenario):
+    """Cumulative tables for drawing sessions: switch rows and lifetime.
+
+    rows maps (prev, cur) to (targets, cumulative switch probabilities);
+    pairs without outgoing mass have no row.  The lifetime CDF is the
+    truncated Poisson renormalized over 0..t_max.
+    """
+    nav, graph = scenario.nav, scenario.graph
+    rows: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
+    s = graph.start
+    targets = sorted(j for j, p in nav.p_start.items() if p > 0.0)
+    if targets:
+        rows[(START, s)] = (targets, np.cumsum([nav.p_start[j] for j in targets]))
+    for k in range(graph.n):
+        for i in graph.neighbors[k]:
+            targets = [j for j in graph.neighbors[i]]
+            probs = [nav.p_switch.get((k, i, j), 0.0) for j in targets]
+            total = sum(probs)
+            if total > 0.0:
+                rows[(k, i)] = (targets, np.cumsum(probs))
+    pmf = np.asarray(scenario.lifetime.pmf)
+    return rows, np.cumsum(pmf / pmf.sum())
 
 
 # --- scenario file format ---------------------------------------------------

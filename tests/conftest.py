@@ -4,20 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from navstream.costs import SizeTable, Structure
+from navstream.costs import SizeTable, Structure, uniform_sizes
 from navstream.scenario import (
     MediaGraph,
     NavigationModel,
     Scenario,
     build_lifetime_tail,
 )
-
-
-def uniform_sizes(n: int, p_unit: float = 1.0) -> SizeTable:
-    """Paper-ratio sizes: |I| = 11x, |M| = 3.5x, |P| = 1x the P unit."""
-    p = np.full((n, n), p_unit)
-    np.fill_diagonal(p, np.nan)
-    return SizeTable(np.full(n, 11.0 * p_unit), np.full(n, 3.5 * p_unit), p)
 
 
 def random_sizes(rng: np.random.Generator, n: int) -> SizeTable:

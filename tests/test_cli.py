@@ -5,7 +5,7 @@ import pytest
 
 from navstream.cli import main
 from navstream.costs import load_structure, save_structure, Structure
-from navstream.errors import OracleRefusalError
+from navstream.errors import InfeasibleStructureError, OracleRefusalError
 from navstream.evaluate import Policy
 from navstream.scenario import load_scenario
 
@@ -55,6 +55,19 @@ def test_gen_viewport_flow(tmp_path):
     sc = load_scenario(tmp_path / "s.json")
     assert sc.graph.n == 3
     assert sc.lifetime.t_max == 8  # viewport defaults
+
+
+@pytest.mark.parametrize("p_unit", ["-1", "0"])
+def test_gen_viewport_rejects_nonpositive_p_unit(tmp_path, p_unit):
+    log = tmp_path / "traj.txt"
+    log.write_text("0 1 2 1\n1 2 1 0\n")
+    rc = main([
+        "gen", "viewport", "--log", str(log), "--n", "3", "--p-unit", p_unit,
+        "--out-scenario", str(tmp_path / "s.json"),
+        "--out-sizes", str(tmp_path / "z.csv"),
+    ])
+    assert rc == 2
+    assert not (tmp_path / "z.csv").exists()
 
 
 def test_plan_eval_simulate_round_trip(lf_files, tmp_path, capsys):
@@ -185,6 +198,19 @@ def test_exit_code_oracle_refusal(monkeypatch, tmp_path):
         "--structure", "z", "--buffer", "flex",
     ])
     assert rc == 4
+
+
+def test_sweep_keeps_infeasible_exit_code(lf_files, tmp_path, monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise InfeasibleStructureError("MDU 0 has no independent reconstruction")
+
+    monkeypatch.setattr("navstream.refine.greedy_refine", infeasible)
+    scenario, sizes = lf_files
+    rc = main([
+        "sweep", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--lambdas", "0.5", "--out", str(tmp_path / "tradeoff.csv"),
+    ])
+    assert rc == 3
 
 
 def test_gen_rejects_bad_trajectory(tmp_path):

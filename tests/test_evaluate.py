@@ -18,7 +18,6 @@ from navstream.evaluate import (
     eval_fixed,
     eval_flexible,
     evaluate,
-    extract_policy,
 )
 from navstream.scenario import (
     START,
@@ -226,8 +225,7 @@ def test_policy_load_rejects_garbage(tmp_path):
 def test_extract_policy_actions_are_feasible():
     sc, sz = pingpong_scenario(mu=2.0, t_max=3), pingpong_sizes()
     res = eval_flexible(sc, sz, SYM)
-    policy = extract_policy(res)
-    for act in policy.actions.values():
+    for act in res.policy.actions.values():
         if act[0] == "1hop":
             assert (act[1],) in {(0,), (1,)}
         elif act[0] == "2hop":
