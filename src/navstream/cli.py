@@ -146,7 +146,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     sizes = load_sizes(args.sizes)
-    lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
+    try:
+        lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed --lambdas: {exc}") from exc
     params = RefinerParams(
         lam=lambdas[0] if lambdas else 0.0,
         buffer=args.buffer,

@@ -173,15 +173,8 @@ def eval_flexible(
     sizes: SizeTable,
     structure: Structure,
     weight_first_switch: bool = False,
-    bound_edges: frozenset | None = None,
-    bound_value_at: list | None = None,
 ) -> EvalResult:
-    """Expected session cost under the flexible one-MDU reference buffer.
-
-    When `bound_edges` is given, any request that traverses one of those
-    edges short-circuits to bound_value_at[t] instead of the bracketed min
-    (the branch-and-bound relaxation); the result is then a lower bound.
-    """
+    """Expected session cost under the flexible one-MDU reference buffer."""
     graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
     tables = CostTables(structure, sizes, graph.n)
     r_i, r_p, preds = tables.r_i, tables.r_p, tables.preds
@@ -202,9 +195,6 @@ def eval_flexible(
         g_next = g(t + 1)
         total = 0.0
         for j in neighbors[i]:
-            if bound_edges is not None and (i, j) in bound_edges:
-                total += prob(k, i, j) * bound_value_at[t]
-                continue
             cont_cache: dict[int, float] = {}
 
             def cont(nxt_gam: int) -> float:

@@ -10,6 +10,7 @@ case.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class PlannerParams:
     max_lloyd_iters: int = 100
 
     def __post_init__(self):
-        if self.w < 0:
-            raise InvalidInputError("storage weight must be non-negative")
+        if not 0.0 <= self.w < math.inf:
+            raise InvalidInputError("storage weight must be finite and non-negative")
 
 
 def _pred_cost(sizes: SizeTable, l: int, j: int) -> float:

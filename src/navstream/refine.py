@@ -4,20 +4,21 @@ The objective is J = c + lam * b where c is the expected session
 transmission cost of the current structure and b its stored bits.  One
 engine, `greedy_search`, serves the refiner and the baselines: each
 iteration scans its moves (add an edge, add a reverse pair, remove an
-edge), prunes candidates whose quick lower bound already exceeds the
+edge), prunes additions whose DP-free lower bound already exceeds the
 incumbent, exactly evaluates the survivors, and commits the best strict
 improvement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
 from .costs import SizeTable, Structure, storage_cost
 from .errors import InfeasibleStructureError, InvalidInputError
 from .evaluate import CostTables, eval_fixed, eval_flexible
-from .scenario import Scenario
+from .scenario import START, Scenario
 
 
 @dataclass
@@ -27,8 +28,8 @@ class RefinerParams:
     enable_pruning: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidInputError("lambda must be non-negative")
+        if not 0.0 <= self.lam < math.inf:
+            raise InvalidInputError("lambda must be finite and non-negative")
         if self.buffer not in ("fixed", "flex"):
             raise InvalidInputError(f"unknown buffer model {self.buffer!r}")
 
@@ -117,34 +118,46 @@ def _objective_cost(scenario, sizes, structure, buffer: str) -> float:
     return eval_flexible(scenario, sizes, structure).expected_cost
 
 
-def lower_bound_cost(
-    scenario: Scenario,
-    sizes: SizeTable,
-    candidate: Structure,
-    new_edge: tuple[int, int],
-) -> float:
-    """Quick optimistic transmission cost of `candidate` = incumbent + edge.
+# Relative slack on the prune test: the bound is often tight, and in 35 of 800
+# random checks it came out above the exact cost, by up to 2.2e-16 relative.
+_BOUND_SLACK = 1e-12
 
-    Re-runs the flexible recursion, but any request routed over the new
-    edge at depth t is charged sum_{tau=t}^{t_max} g(tau) * p_min instead
-    of the bracketed min, where p_min is the smallest stored P size in the
-    candidate (including the new edge).  The recursion below the
-    substituted transition is skipped entirely, which is what makes the
-    bound cheap.
+
+def request_weights(scenario: Scenario) -> list[float]:
+    """W[j], the total DP weight of the requests for MDU j.
+
+    Navigation does not depend on the structure, so a request at depth t
+    (t = 0..t_max) weighs its path probability times g(1)...g(t) in c.
     """
-    if new_edge not in candidate.p_edges:
-        raise InvalidInputError("new_edge must be part of the candidate")
-    p_min = min(sizes.p(i, j) for (i, j) in candidate.p_edges)
-    lt = scenario.lifetime
-    bound_at = [p_min * lt.tail_sum(t) for t in range(lt.t_max + 1)]
-    result = eval_flexible(
-        scenario,
-        sizes,
-        candidate,
-        bound_edges=frozenset([new_edge]),
-        bound_value_at=bound_at,
-    )
-    return result.expected_cost
+    graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
+    weights = [0.0] * graph.n
+    mass = {(START, graph.start): 1.0}  # weighted (prev, cur) mass at depth t
+    for t in range(lt.t_max + 1):
+        g_next, nxt = lt.g(t + 1), {}
+        for (k, i), m in mass.items():
+            for j in graph.neighbors[i]:
+                w = m * nav.prob(k, i, j)
+                weights[j] += w
+                nxt[(i, j)] = nxt.get((i, j), 0.0) + g_next * w
+        mass = nxt
+    return weights
+
+
+def lower_bound_cost(
+    scenario: Scenario, sizes: SizeTable, structure: Structure, weights: list[float]
+) -> float:
+    """Expected cost of `structure` if each request took its cheapest option.
+
+    The options are independent reconstruction or any stored P-edge into
+    the target.  A 2-hop costs more than its own second hop and the fixed
+    buffer's options are a subset, so this bounds c under both buffers.
+    """
+    tables = CostTables(structure, sizes, scenario.graph.n)
+    cheapest = list(tables.r_i)
+    for (l, j), v in tables.r_p.items():
+        cheapest[j] = min(cheapest[j], v)
+    start_cost = tables.r_i[scenario.graph.start]
+    return sum((w * c for w, c in zip(weights, cheapest)), start_cost)
 
 
 def add_edges(structure: Structure, n: int):
@@ -179,8 +192,8 @@ def greedy_search(
     """Commit the best strictly improving move per iteration until none is left.
 
     `moves` is a sequence of move generators, scanned in order.  An added
-    move none of whose edges can enter a transmission plan is skipped; a
-    single added edge whose lower bound (flexible buffer, pruning on)
+    move none of whose edges can enter a transmission plan is skipped; an
+    added move whose lower_bound_cost objective (pruning on, either buffer)
     exceeds the running best is pruned, and so is a removal that leaves an
     MDU without an independent reconstruction.  The rest are evaluated
     exactly; ties keep the earlier move.  Steps record (iteration, edges, J).
@@ -189,7 +202,8 @@ def greedy_search(
     structure = initial
     log = RefineLog()
     lam = params.lam
-    prune = params.enable_pruning and params.buffer == "flex"
+    prune = params.enable_pruning
+    weights = request_weights(scenario) if prune else None
 
     j_min = _objective_cost(scenario, sizes, structure, params.buffer)
     j_min += lam * storage_cost(structure, sizes)
@@ -216,9 +230,9 @@ def greedy_search(
                 cand = structure.with_edges(edges)
                 log.candidates_total += 1
                 b_cand = b_base + sum(sizes.p(i, j) for (i, j) in edges)
-                if prune and len(edges) == 1:
-                    j_low = lower_bound_cost(scenario, sizes, cand, edges[0])
-                    if j_low + lam * b_cand > j_min:
+                if prune:
+                    j_low = lower_bound_cost(scenario, sizes, cand, weights)
+                    if (j_low + lam * b_cand) * (1.0 - _BOUND_SLACK) > j_min:
                         log.candidates_pruned += 1
                         continue
                 j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
@@ -242,8 +256,8 @@ def greedy_refine(
     """Add one P-edge per iteration while the objective strictly improves.
 
     Candidates are scanned in ascending (i, j) order; on ties the earlier
-    candidate is kept, so runs are deterministic.  Pruning only applies to
-    the flexible buffer (the bound is a flexible-recursion construct).
+    candidate is kept, so runs are deterministic.  Pruning drops, under
+    either buffer, candidates whose lower bound exceeds the best J so far.
     Steps record (iteration, edge, J).
     """
     problems = initial.validate(scenario.graph.n)

@@ -30,10 +30,6 @@ class MediaGraph:
     neighbors: tuple[tuple[int, ...], ...]
     start: int
 
-    @property
-    def k_max(self) -> int:
-        return max((len(nb) for nb in self.neighbors), default=0)
-
     def validate(self) -> list[str]:
         problems = []
         if self.n <= 0:
@@ -85,10 +81,6 @@ class LifetimeModel:
         if t < 0:
             raise InvalidInputError(f"g(t) undefined for t={t}")
         return self._tail[t]
-
-    def tail_sum(self, t_from: int) -> float:
-        """Sum of g(t) for t = t_from .. t_max."""
-        return sum(self._tail[max(t_from, 0):])
 
 
 def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:

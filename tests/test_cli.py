@@ -213,6 +213,25 @@ def test_sweep_keeps_infeasible_exit_code(lf_files, tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_sweep_rejects_malformed_lambdas(lf_files, tmp_path):
+    scenario, sizes = lf_files
+    rc = main([
+        "sweep", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--lambdas", "0.5,abc", "--out", str(tmp_path / "tradeoff.csv"),
+    ])
+    assert rc == 2
+
+
+def test_optimize_rejects_nan_lambda(lf_files, tmp_path, capsys):
+    scenario, sizes = lf_files
+    rc = main([
+        "optimize", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--lambda", "nan", "--init", "landmark", "--out", str(tmp_path / "o.json"),
+    ])
+    assert rc == 2
+    assert "lambda must be finite" in capsys.readouterr().err
+
+
 def test_gen_rejects_bad_trajectory(tmp_path):
     log = tmp_path / "traj.txt"
     log.write_text("0 nine\n")

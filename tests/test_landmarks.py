@@ -84,6 +84,12 @@ def test_delta_requires_disjoint():
         delta(p1, p2, uniform_sizes(2), _params(0.1))
 
 
+def test_planner_params_rejects_bad_weight():
+    for w in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            _params(w)
+
+
 def test_partition_validates():
     with pytest.raises(InvalidInputError):
         Partition(members=frozenset(), landmark=0)

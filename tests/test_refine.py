@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     pingpong_scenario,
@@ -11,12 +13,13 @@ from conftest import (
 from navstream.adapters import LfGridSpec, build_lf_scenario
 from navstream.costs import Structure, all_i_structure, storage_cost
 from navstream.errors import InvalidInputError
-from navstream.evaluate import eval_flexible
+from navstream.evaluate import eval_fixed, eval_flexible, evaluate
 from navstream.refine import (
     RefinerParams,
     greedy_refine,
     greedy_subtract,
     lower_bound_cost,
+    request_weights,
     sweep,
 )
 from navstream.scenario import Scenario, build_lifetime_tail
@@ -25,8 +28,9 @@ ASYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1)}))
 
 
 def test_refiner_params_validate():
-    with pytest.raises(InvalidInputError):
-        RefinerParams(lam=-1.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            RefinerParams(lam=lam)
     with pytest.raises(InvalidInputError):
         RefinerParams(lam=0.5, buffer="elastic")
 
@@ -79,30 +83,39 @@ def test_pruning_does_not_change_result():
         assert log_on.steps == log_off.steps
 
 
-def test_lower_bound_never_exceeds_exact():
-    rng = np.random.default_rng(47)
-    checked = 0
-    for _ in range(8):
-        n = 6
-        sc = random_scenario(rng, n, 3)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    t_max=st.integers(1, 3),
+    edge_prob=st.sampled_from([0.0, 0.2, 0.5]),
+    buffer=st.sampled_from(["fixed", "flex"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_lower_bound_never_exceeds_exact(seed, n, t_max, edge_prob, buffer):
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, n, t_max)
+    sz = random_sizes(rng, n)
+    structure = random_structure(rng, n, edge_prob=edge_prob)
+    lb = lower_bound_cost(sc, sz, structure, request_weights(sc))
+    exact = evaluate(sc, sz, structure, buffer).expected_cost
+    assert lb <= exact * (1 + 1e-12)
+
+
+def test_request_weights_reproduce_all_i_cost():
+    """With I-MDUs only, every request costs I[j]: c = I[start] + sum W[j] I[j]."""
+    rng = np.random.default_rng(53)
+    scenarios = [pingpong_scenario(1.5, 4)] + [
+        random_scenario(rng, int(rng.integers(3, 8)), int(rng.integers(1, 5)))
+        for _ in range(6)
+    ]
+    for sc in scenarios:
+        n = sc.graph.n
         sz = random_sizes(rng, n)
-        st = random_structure(rng, n, edge_prob=0.2)
-        for i in range(n):
-            for j in range(n):
-                if i == j or (i, j) in st.p_edges:
-                    continue
-                cand = st.with_edge((i, j))
-                lb = lower_bound_cost(sc, sz, cand, (i, j))
-                exact = eval_flexible(sc, sz, cand).expected_cost
-                assert lb <= exact + 1e-9
-                checked += 1
-    assert checked > 100
-
-
-def test_lower_bound_requires_edge_in_candidate():
-    sc, sz = pingpong_scenario(), pingpong_sizes()
-    with pytest.raises(InvalidInputError):
-        lower_bound_cost(sc, sz, ASYM, (1, 0))
+        weights = request_weights(sc)
+        want = sz.i(sc.graph.start) + sum(w * sz.i(j) for j, w in enumerate(weights))
+        for evaluator in (eval_fixed, eval_flexible):
+            got = evaluator(sc, sz, all_i_structure(n)).expected_cost
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_refine_rejects_invalid_initial():

@@ -68,13 +68,6 @@ def test_tail_monotone_and_bounded(mu, t_max):
     assert lt.g(t_max + 1) == 0.0
 
 
-def test_tail_sum_matches_direct_sum():
-    lt = build_lifetime_tail(2.0, 6)
-    for t0 in range(8):
-        direct = sum(lt.g(t) for t in range(t0, 7))
-        assert lt.tail_sum(t0) == pytest.approx(direct, abs=1e-15)
-
-
 def test_tail_large_mu_stays_finite():
     lt = build_lifetime_tail(50.0, 200)
     assert lt.g(0) == pytest.approx(1.0, abs=1e-9)
