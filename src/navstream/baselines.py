@@ -12,7 +12,9 @@ Variants:
 flex-ga, fixed-ga and flex-lm-i all run on refine's one greedy engine
 (`greedy_search`): flex-ga scans add-edge then add-pair moves, fixed-ga
 add-edge moves, and flex-lm-i goes through greedy_refine (add-edge) and
-greedy_subtract (remove-edge).
+greedy_subtract (remove-edge).  All three honour `enable_pruning`, so the
+engine's request bound prunes their moves, and each takes its final exact
+cost from the engine's log instead of evaluating the result again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .costs import (
     zero_hop_sources,
 )
 from .errors import InvalidInputError, OracleRefusalError
-from .evaluate import CostTables, evaluate
+from .evaluate import CostTables
 from .landmarks import PlannerParams, build_initial_structure, tsvq
 from .refine import (
     RefinerParams,
@@ -235,13 +237,13 @@ def run_baseline(
             expected_cost=cost,
             storage_bits=storage_cost(lm, sizes),
         )
+    buffer = "fixed" if variant == "fixed-ga" else "flex"
+    run = RefinerParams(
+        lam=params.lam, buffer=buffer, enable_pruning=params.enable_pruning
+    )
     if variant == "flex-lm-i":
-        buffer = "flex"
         lm = _landmark_structure(scenario, sizes, params.lam)
         init = replace(lm, i_set=frozenset(range(n)))
-        run = RefinerParams(
-            lam=params.lam, buffer=buffer, enable_pruning=params.enable_pruning
-        )
         added, log_add = greedy_refine(scenario, sizes, init, run)
         final, log_sub = greedy_subtract(scenario, sizes, added, run)
         log = RefineLog(
@@ -250,16 +252,15 @@ def run_baseline(
             candidates_pruned=log_add.candidates_pruned + log_sub.candidates_pruned,
             candidates_skipped=log_add.candidates_skipped
             + log_sub.candidates_skipped,
+            expected_cost=log_sub.expected_cost,
         )
     else:
-        buffer = "flex" if variant == "flex-ga" else "fixed"
-        run = RefinerParams(lam=params.lam, buffer=buffer, enable_pruning=False)
         moves = (add_edges, add_reverse_pairs) if buffer == "flex" else (add_edges,)
         final, log = greedy_search(scenario, sizes, all_i_structure(n), run, moves)
     return BaselineResult(
         variant=variant,
         structure=final,
-        expected_cost=evaluate(scenario, sizes, final, buffer).expected_cost,
+        expected_cost=log.expected_cost,
         storage_bits=storage_cost(final, sizes),
         log=log,
     )

@@ -4,21 +4,25 @@ The objective is J = c + lam * b where c is the expected session
 transmission cost of the current structure and b its stored bits.  One
 engine, `greedy_search`, serves the refiner and the baselines: each
 iteration scans its moves (add an edge, add a reverse pair, remove an
-edge), prunes additions whose DP-free lower bound already exceeds the
+edge), prunes every move whose DP-free lower bound already exceeds the
 incumbent, exactly evaluates the survivors, and commits the best strict
-improvement.
+improvement.  The bound of a move is the incumbent's bound updated at the
+heads of the move's edges, so it costs O(edges in the move).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from itertools import chain
 
 from .costs import SizeTable, Structure, storage_cost
-from .errors import InfeasibleStructureError, InvalidInputError
+from .errors import InvalidInputError
 from .evaluate import CostTables, eval_fixed, eval_flexible
 from .scenario import START, Scenario
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -40,6 +44,7 @@ class RefineLog:
     candidates_total: int = 0
     candidates_pruned: int = 0
     candidates_skipped: int = 0  # edges provably outside every session plan
+    expected_cost: float | None = None  # exact c of the returned structure
 
     @property
     def pruning_fraction(self) -> float:
@@ -75,17 +80,18 @@ class _EdgeFilter:
                         requestable target
       0-hop combo       i has a stored I-MDU and the I+P+M combo beats the
                         current independent reconstruction of j
-    Rebuild per committed edge: all sets depend on the incumbent.
+    Rebuild per committed edge: all sets depend on the incumbent, whose
+    CostTables it takes.
     """
 
-    def __init__(self, scenario: Scenario, sizes: SizeTable, structure: Structure):
+    def __init__(self, scenario: Scenario, tables: CostTables):
+        structure = tables.structure
         targets = _reachable_targets(scenario)
         hop_heads = {m for (m, j2) in structure.p_edges if j2 in targets}
         bufferable = {scenario.graph.start} | targets | hop_heads
         mid_ok = {
             m for (ref, m) in structure.p_edges if ref in bufferable
         }
-        tables = CostTables(structure, sizes, scenario.graph.n)
         self.start = scenario.graph.start
         self.targets = targets
         self.hop_heads = hop_heads
@@ -93,7 +99,7 @@ class _EdgeFilter:
         self.mid_ok = mid_ok
         self.r_i = tables.r_i
         self.i_set = structure.i_set
-        self.sizes = sizes
+        self.sizes = tables.sizes
 
     def _improves_0hop(self, i: int, j: int) -> bool:
         if i not in self.i_set:
@@ -143,6 +149,64 @@ def request_weights(scenario: Scenario) -> list[float]:
     return weights
 
 
+class _RequestBound:
+    """The request bound of one incumbent, and of each move away from it.
+
+    `lb` is lower_bound_cost of the incumbent.  A move changes only the
+    cheapest options of its edges' heads, and the start MDU's independent
+    reconstruction, so `added` costs O(edges in the move) and `removed`
+    O(in-degree of the edge's head).
+    """
+
+    def __init__(self, scenario: Scenario, tables: CostTables, weights: list[float]):
+        cheapest = list(tables.r_i)
+        for (l, j), v in tables.r_p.items():
+            cheapest[j] = min(cheapest[j], v)
+        self.start = scenario.graph.start
+        self.weights = weights
+        self.tables = tables
+        self.cheapest = cheapest
+        start_cost = tables.r_i[self.start]
+        self.lb = sum((w * c for w, c in zip(weights, cheapest)), start_cost)
+
+    def added(self, edges) -> float:
+        """Bound of the incumbent with `edges`, whose heads differ, stored too."""
+        tables, sizes = self.tables, self.tables.sizes
+        lb = self.lb
+        for (l, j) in edges:
+            v = sizes.p(l, j) + sizes.m(j)
+            lb += self.weights[j] * min(0.0, v - self.cheapest[j])
+            if j == self.start and l in tables.structure.i_set:
+                # the start MDU is sent independently once: I_l + P + M may beat it
+                combo = sizes.i(l) + sizes.p(l, j) + sizes.m(j)
+                lb += min(0.0, combo - tables.r_i[j])
+        return lb
+
+    def removed(self, edge: tuple[int, int]) -> float:
+        """Bound of the incumbent without `edge`; inf if that is infeasible.
+
+        Infeasible means the edge's head is left with no independent
+        reconstruction.
+        """
+        tables, sizes = self.tables, self.tables.sizes
+        i_set = tables.structure.i_set
+        l, j = edge
+        r_i = sizes.i(j) if j in i_set else math.inf
+        cheapest = math.inf
+        for k in tables.preds[j]:
+            if k == l:
+                continue
+            cheapest = min(cheapest, tables.r_p[(k, j)])
+            if k in i_set:
+                r_i = min(r_i, sizes.i(k) + sizes.p(k, j) + sizes.m(j))
+        if math.isinf(r_i):
+            return math.inf
+        lb = self.lb + self.weights[j] * (min(r_i, cheapest) - self.cheapest[j])
+        if j == self.start:
+            lb += r_i - tables.r_i[j]
+        return lb
+
+
 def lower_bound_cost(
     scenario: Scenario, sizes: SizeTable, structure: Structure, weights: list[float]
 ) -> float:
@@ -150,14 +214,11 @@ def lower_bound_cost(
 
     The options are independent reconstruction or any stored P-edge into
     the target.  A 2-hop costs more than its own second hop and the fixed
-    buffer's options are a subset, so this bounds c under both buffers.
+    buffer's options are a subset, so this bounds c under both buffers:
+    r_i[start] + sum_j W[j] * min(r_i[j], min stored r_p[(l, j)]).
     """
     tables = CostTables(structure, sizes, scenario.graph.n)
-    cheapest = list(tables.r_i)
-    for (l, j), v in tables.r_p.items():
-        cheapest[j] = min(cheapest[j], v)
-    start_cost = tables.r_i[scenario.graph.start]
-    return sum((w * c for w, c in zip(weights, cheapest)), start_cost)
+    return _RequestBound(scenario, tables, weights).lb
 
 
 def add_edges(structure: Structure, n: int):
@@ -192,58 +253,72 @@ def greedy_search(
     """Commit the best strictly improving move per iteration until none is left.
 
     `moves` is a sequence of move generators, scanned in order.  An added
-    move none of whose edges can enter a transmission plan is skipped; an
-    added move whose lower_bound_cost objective (pruning on, either buffer)
-    exceeds the running best is pruned, and so is a removal that leaves an
-    MDU without an independent reconstruction.  The rest are evaluated
-    exactly; ties keep the earlier move.  Steps record (iteration, edges, J).
+    move none of whose edges can enter a transmission plan is skipped.  A
+    move, added or removed, whose lower-bound objective (pruning on, either
+    buffer) exceeds the running best is pruned, and so is a removal that
+    leaves an MDU without an independent reconstruction.  The rest are
+    evaluated exactly; ties keep the earlier move.  Steps record
+    (iteration, edges, J); `expected_cost` is the exact c of the returned
+    structure.  Each iteration logs its candidate fates at DEBUG.
     """
     n = scenario.graph.n
     structure = initial
     log = RefineLog()
     lam = params.lam
     prune = params.enable_pruning
-    weights = request_weights(scenario) if prune else None
+    weights = request_weights(scenario)
 
-    j_min = _objective_cost(scenario, sizes, structure, params.buffer)
-    j_min += lam * storage_cost(structure, sizes)
+    c_min = _objective_cost(scenario, sizes, structure, params.buffer)
+    j_min = c_min + lam * storage_cost(structure, sizes)
     iteration = 0
     while True:
         iteration += 1
         best = None
-        usable = _EdgeFilter(scenario, sizes, structure)
+        seen = (log.candidates_skipped, log.candidates_pruned, log.candidates_total)
+        tables = CostTables(structure, sizes, n)
+        usable = _EdgeFilter(scenario, tables)
+        bound = _RequestBound(scenario, tables, weights)
         b_base = storage_cost(structure, sizes)
         for edges in chain.from_iterable(gen(structure, n) for gen in moves):
-            if edges[0] in structure.p_edges:  # a stored edge: remove it
-                cand = structure.without_edge(edges[0])
-                log.candidates_total += 1
-                try:
-                    j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
-                except InfeasibleStructureError:
-                    log.candidates_pruned += 1
-                    continue
-                j_cand += lam * storage_cost(cand, sizes)
-            else:
-                if not any(usable.relevant(i, j) for (i, j) in edges):
-                    log.candidates_skipped += 1
-                    continue
-                cand = structure.with_edges(edges)
-                log.candidates_total += 1
+            removal = edges[0] in structure.p_edges
+            if removal:
+                # inf (infeasible) is pruned whether or not pruning is on
+                j_low = bound.removed(edges[0])
+                b_cand = b_base - sizes.p(*edges[0])
+            elif any(usable.relevant(i, j) for (i, j) in edges):
+                j_low = bound.added(edges)
                 b_cand = b_base + sum(sizes.p(i, j) for (i, j) in edges)
-                if prune:
-                    j_low = lower_bound_cost(scenario, sizes, cand, weights)
-                    if (j_low + lam * b_cand) * (1.0 - _BOUND_SLACK) > j_min:
-                        log.candidates_pruned += 1
-                        continue
-                j_cand = _objective_cost(scenario, sizes, cand, params.buffer)
-                j_cand += lam * b_cand
+            else:
+                log.candidates_skipped += 1
+                continue
+            log.candidates_total += 1
+            if math.isinf(j_low) or (
+                prune and (j_low + lam * b_cand) * (1.0 - _BOUND_SLACK) > j_min
+            ):
+                log.candidates_pruned += 1
+                continue
+            if removal:
+                cand = structure.without_edge(edges[0])
+                b_cand = storage_cost(cand, sizes)
+            else:
+                cand = structure.with_edges(edges)
+            c_cand = _objective_cost(scenario, sizes, cand, params.buffer)
+            j_cand = c_cand + lam * b_cand
             if j_cand < j_min:
                 j_min = j_cand
-                best = (edges, cand)
+                best = (edges, cand, c_cand)
+        skipped = log.candidates_skipped - seen[0]
+        pruned = log.candidates_pruned - seen[1]
+        evaluated = log.candidates_total - seen[2] - pruned
+        logger.debug(
+            "iteration %d: skipped %d, pruned %d, evaluated %d, J %r",
+            iteration, skipped, pruned, evaluated, j_min,
+        )
         if best is None:
             break
-        edges, structure = best
+        edges, structure, c_min = best
         log.steps.append((iteration, edges, j_min))
+    log.expected_cost = c_min
     return structure, log
 
 
@@ -277,8 +352,9 @@ def greedy_subtract(
     """Remove one stored P-edge per iteration while the objective improves.
 
     Removals that leave some MDU without an independent reconstruction are
-    counted as pruned rather than evaluated.  Steps record (iteration,
-    edge, J).
+    counted as pruned rather than evaluated, and with pruning on so are
+    removals whose lower bound exceeds the best J so far.  Steps record
+    (iteration, edge, J).
     """
     structure, log = greedy_search(scenario, sizes, initial, params, (remove_edges,))
     log.steps = [(it, edge, j) for it, (edge,), j in log.steps]
@@ -320,14 +396,12 @@ def sweep(
                 buffer=params.buffer,
                 enable_pruning=params.enable_pruning,
             )
-            final, _ = greedy_refine(scenario, sizes, init, run)
+            final, log = greedy_refine(scenario, sizes, init, run)
             rows.append(
                 TradeoffRow(
                     lam=lam,
                     storage_bits=storage_cost(final, sizes),
-                    expected_bits=_objective_cost(
-                        scenario, sizes, final, params.buffer
-                    ),
+                    expected_bits=log.expected_cost,
                     landmarks=len(final.landmarks or ()),
                     p_edges=len(final.p_edges),
                 )

@@ -21,7 +21,7 @@ from navstream.baselines import (
 from navstream.costs import Structure, storage_cost
 from navstream.errors import InvalidInputError, OracleRefusalError
 from navstream.evaluate import eval_flexible
-from navstream.refine import RefinerParams, TradeoffRow
+from navstream.refine import RefinerParams, TradeoffRow, greedy_subtract
 from navstream.scenario import Scenario, build_lifetime_tail
 
 SYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1), (1, 0)}))
@@ -70,6 +70,41 @@ def test_flex_lm_i_keeps_all_i_mdus():
     sc, sz = _lf_scenario()
     res = run_baseline(sc, sz, RefinerParams(lam=0.5), "flex-lm-i")
     assert res.structure.i_set == frozenset(range(sc.graph.n))
+
+
+def _pruning_cases(count=20):
+    rng = np.random.default_rng(79)
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        sc = random_scenario(rng, n, int(rng.integers(1, 4)))
+        sz = random_sizes(rng, n)
+        init = random_structure(rng, n, edge_prob=0.3)
+        yield sc, sz, init, float(rng.uniform(0.02, 0.4))
+
+
+def test_pruning_keeps_greedy_baselines_identical():
+    for sc, sz, _, lam in _pruning_cases():
+        for variant in ("flex-ga", "fixed-ga", "flex-lm-i"):
+            on, off = (
+                run_baseline(sc, sz, RefinerParams(lam=lam, enable_pruning=p), variant)
+                for p in (True, False)
+            )
+            assert on.log.steps == off.log.steps
+            assert on.structure == off.structure
+            assert on.expected_cost == off.expected_cost
+            assert on.storage_bits == off.storage_bits
+
+
+def test_pruning_keeps_subtract_identical():
+    for sc, sz, init, lam in _pruning_cases():
+        for buffer in ("flex", "fixed"):
+            (on, log_on), (off, log_off) = (
+                greedy_subtract(sc, sz, init, RefinerParams(lam, buffer, p))
+                for p in (True, False)
+            )
+            assert log_on.steps == log_off.steps
+            assert on == off
+            assert log_on.expected_cost == log_off.expected_cost
 
 
 # --- infinite buffer --------------------------------------------------------

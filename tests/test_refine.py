@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,17 @@ from conftest import (
 )
 from navstream.adapters import LfGridSpec, build_lf_scenario
 from navstream.costs import Structure, all_i_structure, storage_cost
-from navstream.errors import InvalidInputError
-from navstream.evaluate import eval_fixed, eval_flexible, evaluate
+from navstream.errors import InfeasibleStructureError, InvalidInputError
+from navstream.evaluate import CostTables, eval_fixed, eval_flexible, evaluate
 from navstream.refine import (
     RefinerParams,
+    _RequestBound,
+    add_edges,
+    add_reverse_pairs,
     greedy_refine,
     greedy_subtract,
     lower_bound_cost,
+    remove_edges,
     request_weights,
     sweep,
 )
@@ -99,6 +105,75 @@ def test_lower_bound_never_exceeds_exact(seed, n, t_max, edge_prob, buffer):
     lb = lower_bound_cost(sc, sz, structure, request_weights(sc))
     exact = evaluate(sc, sz, structure, buffer).expected_cost
     assert lb <= exact * (1 + 1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    t_max=st.integers(1, 3),
+    edge_prob=st.sampled_from([0.0, 0.2, 0.5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_move_bound_matches_full_bound(seed, n, t_max, edge_prob):
+    """The engine's per-move bound is lower_bound_cost of the moved structure."""
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, n, t_max)
+    sz = random_sizes(rng, n)
+    structure = random_structure(rng, n, edge_prob=edge_prob)
+    weights = request_weights(sc)
+    bound = _RequestBound(sc, CostTables(structure, sz, n), weights)
+    assert bound.lb == lower_bound_cost(sc, sz, structure, weights)
+    for gen in (add_edges, add_reverse_pairs):
+        for edges in gen(structure, n):
+            want = lower_bound_cost(sc, sz, structure.with_edges(edges), weights)
+            assert bound.added(edges) == pytest.approx(want, rel=1e-12, abs=0)
+    for (edge,) in remove_edges(structure, n):
+        got = bound.removed(edge)
+        try:
+            want = lower_bound_cost(sc, sz, structure.without_edge(edge), weights)
+        except InfeasibleStructureError:
+            assert got == float("inf")
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_move_bound_counts_the_start_combo():
+    """Storing (l, start) from an I-MDU l lowers the start MDU's I + P + M term."""
+    sc, sz = pingpong_scenario(), pingpong_sizes()
+    st = Structure(i_set=frozenset({0, 1}), p_edges=frozenset())
+    sz.i_size[0] = 20.0  # start MDU 0: I_1 + P + M = 15.5 beats I_0 = 20
+    weights = request_weights(sc)
+    bound = _RequestBound(sc, CostTables(st, sz, 2), weights)
+    want = lower_bound_cost(sc, sz, st.with_edges([(1, 0)]), weights)
+    assert bound.added([(1, 0)]) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_move_bound_reports_infeasible_removal():
+    sc, sz = pingpong_scenario(), pingpong_sizes()
+    st = Structure(i_set=frozenset({0}), p_edges=frozenset({(0, 1), (1, 0)}))
+    bound = _RequestBound(sc, CostTables(st, sz, 2), request_weights(sc))
+    assert bound.removed((0, 1)) == float("inf")
+    assert bound.removed((1, 0)) < float("inf")
+
+
+def test_search_logs_one_debug_line_per_iteration(caplog):
+    sc, sz = pingpong_scenario(), pingpong_sizes()
+    with caplog.at_level(logging.DEBUG, logger="navstream.refine"):
+        _, log = greedy_refine(sc, sz, ASYM, RefinerParams(lam=0.01))
+    lines = [r.getMessage() for r in caplog.records if r.name == "navstream.refine"]
+    assert len(lines) == len(log.steps) + 1
+    assert lines[0].startswith("iteration 1: skipped 0, pruned 0, evaluated 1, J ")
+    assert lines[-1].endswith(f"J {log.steps[-1][2]!r}")
+
+
+def test_search_records_the_exact_cost_it_returns():
+    rng = np.random.default_rng(47)
+    for buffer in ("flex", "fixed"):
+        sc = random_scenario(rng, 5, 2)
+        sz = random_sizes(rng, 5)
+        init = random_structure(rng, 5, edge_prob=0.1)
+        final, log = greedy_refine(sc, sz, init, RefinerParams(0.05, buffer))
+        assert log.expected_cost == evaluate(sc, sz, final, buffer).expected_cost
 
 
 def test_request_weights_reproduce_all_i_cost():
