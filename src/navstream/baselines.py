@@ -15,11 +15,19 @@ add-edge moves, and flex-lm-i goes through greedy_refine (add-edge) and
 greedy_subtract (remove-edge).  All three honour `enable_pruning`, so the
 engine's request bound prunes their moves, and each takes its final exact
 cost from the engine's log instead of evaluating the result again.
+
+inf-lm's exact cost is a level-synchronous pass over states (prev, cur,
+avail), `avail` an int bitmask of the MDUs sent so far: a forward pass
+collects each level's reachable states, a backward pass values them.  More
+than `max_states` reachable states are refused before any is valued; the
+baseline then reports the Monte-Carlo estimate and logs at INFO which cost
+it used.  Both paths list a request's options with `_inf_options`.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -47,6 +55,8 @@ from .refine import (
 )
 from .scenario import START, Scenario, aggregate_switch_probabilities, session_tables
 
+logger = logging.getLogger(__name__)
+
 VARIANTS = ("flex-ga", "fixed-ga", "flex-lm-i", "inf-lm")
 
 _INF_MAX_STATES = 200_000
@@ -73,6 +83,49 @@ def _landmark_structure(
     return build_initial_structure(parts, sizes)
 
 
+def _inf_tables(scenario: Scenario, sizes: SizeTable, structure: Structure):
+    """Per target: zero-hop sources as (bits, mask), in-edges as (pred, bits)."""
+    n = scenario.graph.n
+    tables = CostTables(structure, sizes, n)
+    sources = [
+        [(c, sum(1 << m for m in src)) for c, src in zero_hop_sources(structure, sizes, j)]
+        for j in range(n)
+    ]
+    into = [[(l, tables.r_p[(l, j)]) for l in tables.preds[j]] for j in range(n)]
+    return sources, into
+
+
+def _from_buffer(avail: int, into_j: list) -> float:
+    """Cheapest 1-hop into a target from a predictor in the mask `avail`."""
+    best = math.inf
+    for l, c in into_j:
+        if c < best and avail >> l & 1:
+            best = c
+    return best
+
+
+def _inf_options(j: int, avail: int, sources: list, into: list) -> list:
+    """Every way to send target j to a client holding the MDU mask `avail`.
+
+    Returns (bits, next mask) pairs.  A target in `avail` costs nothing and
+    keeps the mask.  Otherwise the order is the tie order of both
+    infinite-buffer paths: each zero-hop source, then the cheapest 1-hop
+    from a predictor in `avail`, then a 2-hop through each stored predictor
+    `mid` of j that is not in `avail` but has a predictor there.
+    """
+    jbit = 1 << j
+    if avail & jbit:
+        return [(0.0, avail)]
+    opts = [(c, avail | m) for c, m in sources[j]]
+    if (hop := _from_buffer(avail, into[j])) < math.inf:
+        opts.append((hop, avail | jbit))
+    for mid, c2 in into[j]:
+        if mid != j and not avail >> mid & 1:
+            if (hop1 := _from_buffer(avail, into[mid])) < math.inf:
+                opts.append((hop1 + c2, avail | 1 << mid | jbit))
+    return opts
+
+
 def inf_buffer_cost(
     scenario: Scenario,
     sizes: SizeTable,
@@ -83,76 +136,57 @@ def inf_buffer_cost(
     """Exact expected cost with an unbounded reference buffer.
 
     Any MDU transmitted earlier in the session is a free predictor and a
-    free revisit.  The state carries the transmitted set, so this is only
-    viable on small instances; larger ones are refused.
+    free revisit, so a state is (prev, cur, avail), `avail` an int bitmask
+    of transmitted MDUs.  A forward pass collects the states reachable through
+    `_inf_options` level by level (t = 0 up to the last t with g(t) > 0); a
+    backward pass values them from the last level down, with no recursion.
+    More than `max_states` reachable states in all is refused with
+    `OracleRefusalError` before any state is valued, whatever the order.
     """
-    graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
-    tables = CostTables(structure, sizes, graph.n)
-    r_p, preds = tables.r_p, tables.preds
-    sources = [zero_hop_sources(structure, sizes, j) for j in range(graph.n)]
-    g = lt.g
-
-    memo: dict[tuple, float] = {}
-
-    def cost(t: int, k: int, i: int, avail: frozenset) -> float:
-        key = (t, k, i, avail)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) > max_states:
-            raise OracleRefusalError(
-                f"infinite-buffer recursion exceeds {max_states} states"
-            )
-        g_next = g(t + 1)
-        total = 0.0
-        for j in graph.neighbors[i]:
-            p = nav.prob(k, i, j)
-            if p <= 0.0:
-                continue
-
-            def cont(nxt: frozenset) -> float:
-                if g_next <= 0.0:
-                    return 0.0
-                return g_next * cost(t + 1, i, j, nxt)
-
-            if j in avail:
-                best = cont(avail)
-            else:
-                best = math.inf
-                for src_cost, src in sources[j]:
-                    v = src_cost + cont(avail | src)
-                    if v < best:
-                        best = v
-                for l in avail:
-                    v1 = r_p.get((l, j))
-                    if v1 is not None:
-                        v = v1 + cont(avail | {j})
-                        if v < best:
-                            best = v
-                for mid in preds[j]:
-                    if mid == j or mid in avail:
-                        continue  # mid in avail is covered by 1-hop above
-                    hop1 = min(
-                        (r_p[(l, mid)] for l in avail if (l, mid) in r_p),
-                        default=math.inf,
-                    )
-                    if math.isinf(hop1):
-                        continue
-                    v = hop1 + r_p[(mid, j)] + cont(avail | {mid, j})
-                    if v < best:
-                        best = v
-            total += p * best
-        memo[key] = total
-        return total
-
+    graph, nav, g = scenario.graph, scenario.nav, scenario.lifetime.g
+    sources, into = _inf_tables(scenario, sizes, structure)
     s = graph.start
+    pairs = [(START, s)] + [(k, i) for k in range(graph.n) for i in graph.neighbors[k]]
+    rows = {
+        (k, i): [(j, p) for j in graph.neighbors[i] if (p := nav.prob(k, i, j)) > 0.0]
+        for k, i in pairs
+    }
+
+    levels = [{(START, s, m) for _, m in sources[s]}]
+    count = len(levels[0])
+    logger.debug("infinite-buffer level 0: %d states", count)
+    while count <= max_states and g(len(levels)) > 0.0:
+        nxt: set = set()
+        for k, i, avail in levels[-1]:
+            for j, _ in rows[(k, i)]:
+                for _, m in _inf_options(j, avail, sources, into):
+                    nxt.add((i, j, m))
+            if count + len(nxt) > max_states:
+                break
+        count += len(nxt)
+        levels.append(nxt)
+        logger.debug("infinite-buffer level %d: %d states", len(levels) - 1, len(nxt))
+    if count > max_states:
+        raise OracleRefusalError(
+            f"infinite-buffer pass exceeds {max_states} reachable states "
+            f"at level {len(levels) - 1}"
+        )
+
+    values: dict[tuple, float] = {}
+    for t in range(len(levels) - 1, -1, -1):
+        g_next, cur = g(t + 1), {}
+        for k, i, avail in levels[t]:
+            total = 0.0
+            for j, p in rows[(k, i)]:
+                total += p * min(
+                    imm + g_next * values[(i, j, m)] if g_next > 0.0 else imm
+                    for imm, m in _inf_options(j, avail, sources, into)
+                )
+            cur[(k, i, avail)] = total
+        values = cur
+
     w1 = g(1) if weight_first_switch else 1.0
-    best = math.inf
-    for src_cost, src in sources[s]:
-        v = src_cost + w1 * cost(0, START, s, src)
-        if v < best:
-            best = v
-    return best
+    return min(c + w1 * values[(START, s, m)] for c, m in sources[s])
 
 
 def inf_buffer_estimate(
@@ -164,51 +198,29 @@ def inf_buffer_estimate(
 ) -> float:
     """Monte-Carlo myopic estimate of the infinite-buffer cost.
 
-    Greedy per-request choices make this an upper bound on the exact
-    infinite-buffer optimum; used where the exact recursion refuses.
+    Each request takes the first cheapest of `_inf_options`, and session
+    lengths are drawn from the renormalised lifetime pmf, not weighted by
+    g-products as in `inf_buffer_cost`, so this is no bound on that value.
+    Used where the exact pass refuses.
     """
-    graph = scenario.graph
-    tables = CostTables(structure, sizes, graph.n)
-    r_p, preds = tables.r_p, tables.preds
-    sources = [zero_hop_sources(structure, sizes, j) for j in range(graph.n)]
+    sources, into = _inf_tables(scenario, sizes, structure)
     rng = np.random.default_rng(seed)
     rows, lifetime_cdf = session_tables(scenario)
 
     total = 0.0
-    s = graph.start
+    s = scenario.graph.start
     for _ in range(n_sessions):
-        src_cost, src = min(sources[s], key=lambda cs: cs[0])
-        bits = src_cost
-        avail = set(src)
+        bits, avail = min(sources[s], key=lambda cm: cm[0])
         k, i = START, s
         t_total = int(np.searchsorted(lifetime_cdf, rng.random()))
-        for t in range(t_total):
+        for _ in range(t_total):
             row = rows.get((k, i))
             if row is None:
                 break
             targets, cdf = row
             j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
-            if j not in avail:
-                best, best_new = math.inf, frozenset()
-                for c0, src0 in sources[j]:
-                    if c0 < best:
-                        best, best_new = c0, src0
-                for l in avail:
-                    v1 = r_p.get((l, j))
-                    if v1 is not None and v1 < best:
-                        best, best_new = v1, frozenset([j])
-                for mid in preds[j]:
-                    if mid == j or mid in avail:
-                        continue
-                    hop1 = min(
-                        (r_p[(l, mid)] for l in avail if (l, mid) in r_p),
-                        default=math.inf,
-                    )
-                    v = hop1 + r_p[(mid, j)]
-                    if v < best:
-                        best, best_new = v, frozenset([mid, j])
-                bits += best
-                avail |= best_new
+            best, avail = min(_inf_options(j, avail, sources, into), key=lambda cm: cm[0])
+            bits += best
             k, i = i, j
         total += bits
     return total / n_sessions
@@ -229,8 +241,15 @@ def run_baseline(
         lm = _landmark_structure(scenario, sizes, params.lam)
         try:
             cost = inf_buffer_cost(scenario, sizes, lm)
-        except OracleRefusalError:
+        except OracleRefusalError as exc:
             cost = inf_buffer_estimate(scenario, sizes, lm)
+            logger.info(
+                "inf-lm cost: Monte-Carlo estimate %r over %d sessions after "
+                "the exact pass refused: %s",
+                cost, _INF_ESTIMATE_SESSIONS, exc,
+            )
+        else:
+            logger.info("inf-lm cost: exact infinite-buffer cost %r", cost)
         return BaselineResult(
             variant=variant,
             structure=lm,

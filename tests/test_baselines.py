@@ -1,4 +1,6 @@
 import csv
+import logging
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from conftest import (
     random_structure,
 )
 from navstream.adapters import LfGridSpec, build_lf_scenario
+from navstream import baselines
 from navstream.baselines import (
     VARIANTS,
     emit_tradeoff_csv,
@@ -18,11 +21,11 @@ from navstream.baselines import (
     inf_buffer_estimate,
     run_baseline,
 )
-from navstream.costs import Structure, storage_cost
+from navstream.costs import Structure, storage_cost, uniform_sizes, zero_hop_sources
 from navstream.errors import InvalidInputError, OracleRefusalError
 from navstream.evaluate import eval_flexible
 from navstream.refine import RefinerParams, TradeoffRow, greedy_subtract
-from navstream.scenario import Scenario, build_lifetime_tail
+from navstream.scenario import START, Scenario, build_lifetime_tail
 
 SYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1), (1, 0)}))
 
@@ -140,6 +143,144 @@ def test_inf_buffer_estimate_brackets_exact():
     sc, sz = pingpong_scenario(mu=2.0, t_max=4), pingpong_sizes()
     est = inf_buffer_estimate(sc, sz, SYM, n_sessions=5000, seed=2)
     assert 11.0 <= est <= 15.5 + 1e-9
+
+
+# inf_buffer_cost of _inf_pin_cases(), weight_first_switch False and True,
+# recorded from the recursive implementation this level pass replaced.
+_INF_PINS = [
+    (22.541494771772275, 18.402275158453598),
+    (17.14755839382253, 12.531645093027725),
+    (23.863255132416597, 21.07379972312454),
+    (16.87101612938066, 13.618847286913184),
+    (18.42017170705205, 17.25144068359469),
+    (21.613977848499616, 19.750437857296106),
+    (16.261600081260898, 14.46358318953186),
+    (23.049271253192693, 21.007862719515714),
+    (16.2338616378176, 15.980954338583343),
+    (12.683775176368973, 12.683775176368973),
+    (20.004143022076008, 16.048472481407813),
+    (21.476027687448315, 15.913771015352662),
+    (23.059727742069786, 21.666010046996654),
+    (23.946577814752473, 20.86727849114703),
+    (17.296175145496434, 14.895132369425792),
+    (21.40154379182168, 18.02377190059333),
+    (17.768635799038805, 14.868703906718231),
+    (23.518516191179106, 21.533432956459876),
+    (12.573939327288649, 11.884182549152099),
+    (29.523196483833573, 19.19515288917802),
+    (24.3749272405044, 21.968683470064313),
+    (19.623828573098194, 14.74149560014477),
+    (22.51303120532751, 20.901550769701913),
+    (19.435424140064285, 15.050036301357245),
+    (20.05238442768789, 19.083337502084095),
+    (15.393837810236626, 13.587433751412618),
+    (20.76252967704358, 18.725518879943273),
+    (21.284812930494084, 16.90604534839848),
+    (22.557773818808123, 20.136007497505396),
+    (15.541480122116415, 13.068259387223074),
+]
+
+
+def _inf_pin_cases():
+    rng = np.random.default_rng(83)
+    for _ in range(len(_INF_PINS)):
+        n = int(rng.integers(2, 8))
+        sc = random_scenario(rng, n, int(rng.integers(1, 6)))
+        sz = random_sizes(rng, n)
+        st = random_structure(rng, n, edge_prob=float(rng.uniform(0.1, 0.6)))
+        yield sc, sz, st
+
+
+def test_inf_buffer_cost_matches_pinned_values():
+    for (sc, sz, st), pins in zip(_inf_pin_cases(), _INF_PINS):
+        got = tuple(inf_buffer_cost(sc, sz, st, w) for w in (False, True))
+        assert got == pins
+
+
+def test_inf_lm_pinned_on_lf_landmarks():
+    sc, sz = _lf_scenario(rows=3, cols=3, mu=2.0, t_max=3)
+    res = run_baseline(sc, sz, RefinerParams(lam=0.5), "inf-lm")
+    assert res.expected_cost == 19.857941267102447
+    est = inf_buffer_estimate(sc, sz, res.structure, n_sessions=2000, seed=5)
+    assert est == 17.45075
+
+
+def test_inf_buffer_estimate_pins_tie_order():
+    # uniform sizes tie many options with different next buffers, so the
+    # value depends on the order sources, 1-hop, 2-hop by stored predictor
+    rng = np.random.default_rng(99)
+    sc = random_scenario(rng, 8, 5, max_deg=4)
+    st = random_structure(rng, 8, edge_prob=0.5)
+    assert inf_buffer_estimate(sc, uniform_sizes(8), st, n_sessions=500, seed=3) == 28.822
+
+
+def _reachable_states(sc, sz, st):
+    """States (t, prev, cur, held) reachable by the infinite buffer's options:
+    a held target keeps `held`, else each zero-hop source, a 1-hop from a held
+    predictor, and a 2-hop through each unheld stored predictor that has a
+    held predictor of its own, up to the last t with g(t) > 0."""
+    graph, nav, g = sc.graph, sc.nav, sc.lifetime.g
+    sources = [[src for _, src in zero_hop_sources(st, sz, j)] for j in range(graph.n)]
+    preds = [{l for (l, m) in st.p_edges if m == j} for j in range(graph.n)]
+    level = {(START, graph.start, src) for src in sources[graph.start]}
+    count, t = len(level), 0
+    while g(t + 1) > 0.0:
+        nxt = set()
+        for k, i, held in level:
+            for j in graph.neighbors[i]:
+                if nav.prob(k, i, j) <= 0.0:
+                    continue
+                if j in held:
+                    nxt.add((i, j, held))
+                    continue
+                nxt.update((i, j, held | src) for src in sources[j])
+                if preds[j] & held:
+                    nxt.add((i, j, held | {j}))
+                for mid in preds[j] - held:
+                    if preds[mid] & held:
+                        nxt.add((i, j, held | {mid, j}))
+        count += len(nxt)
+        level, t = nxt, t + 1
+    return count
+
+
+def test_inf_buffer_refuses_exactly_beyond_reachable_count():
+    for seed in (90, 93, 94, 97):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        sc = random_scenario(rng, n, int(rng.integers(2, 6)))
+        sz, st = random_sizes(rng, n), random_structure(rng, n)
+        reachable = _reachable_states(sc, sz, st)
+        assert inf_buffer_cost(sc, sz, st, max_states=reachable) > 0.0
+        with pytest.raises(OracleRefusalError, match=f"{reachable - 1} reachable"):
+            inf_buffer_cost(sc, sz, st, max_states=reachable - 1)
+
+
+def test_inf_buffer_long_lifetime_has_no_recursion_limit():
+    sc = pingpong_scenario(mu=600.0, t_max=1500)
+    assert inf_buffer_cost(sc, pingpong_sizes(), SYM) == pytest.approx(11.0 + 4.5)
+
+
+def test_inf_lm_logs_which_cost_it_reports(caplog, monkeypatch):
+    sc, sz = pingpong_scenario(mu=2.0, t_max=4), pingpong_sizes()
+    with caplog.at_level(logging.DEBUG, logger="navstream.baselines"):
+        exact = run_baseline(sc, sz, RefinerParams(lam=0.1), "inf-lm")
+    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert infos == [f"inf-lm cost: exact infinite-buffer cost {exact.expected_cost!r}"]
+    levels = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert levels[0] == "infinite-buffer level 0: 1 states"
+    assert len(levels) == 5  # t = 0..4
+
+    caplog.clear()
+    monkeypatch.setattr(
+        baselines, "inf_buffer_cost", partial(inf_buffer_cost, max_states=2)
+    )
+    with caplog.at_level(logging.INFO, logger="navstream.baselines"):
+        est = run_baseline(sc, sz, RefinerParams(lam=0.1), "inf-lm")
+    (info,) = [r.getMessage() for r in caplog.records]
+    assert info.startswith(f"inf-lm cost: Monte-Carlo estimate {est.expected_cost!r}")
+    assert f"over {baselines._INF_ESTIMATE_SESSIONS} sessions" in info
+    assert "exceeds 2 reachable states at level 2" in info
 
 
 # --- tradeoff CSV -----------------------------------------------------------
