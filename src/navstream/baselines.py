@@ -16,12 +16,12 @@ greedy_subtract (remove-edge).  All three honour `enable_pruning`, so the
 engine's request bound prunes their moves, and each takes its final exact
 cost from the engine's log instead of evaluating the result again.
 
-inf-lm's exact cost is a level-synchronous pass over states (prev, cur,
-avail), `avail` an int bitmask of the MDUs sent so far: a forward pass
-collects each level's reachable states, a backward pass values them.  More
-than `max_states` reachable states are refused before any is valued; the
-baseline then reports the Monte-Carlo estimate and logs at INFO which cost
-it used.  Both paths list a request's options with `_inf_options`.
+inf-lm's exact cost runs the evaluators' level pass (`evaluate._level_pass`)
+over states (prev, cur, avail), `avail` an int bitmask of the MDUs sent so
+far.  More than `max_states` reachable states are refused before any is
+valued; the baseline then reports the Monte-Carlo estimate and logs at INFO
+which cost it used.  Both paths list a request's options with the lister
+from `_inf_options`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .costs import (
     zero_hop_sources,
 )
 from .errors import InvalidInputError, OracleRefusalError
-from .evaluate import CostTables
+from .evaluate import CostTables, _level_pass, _Rows
 from .landmarks import PlannerParams, build_initial_structure, tsvq
 from .refine import (
     RefinerParams,
@@ -83,18 +83,6 @@ def _landmark_structure(
     return build_initial_structure(parts, sizes)
 
 
-def _inf_tables(scenario: Scenario, sizes: SizeTable, structure: Structure):
-    """Per target: zero-hop sources as (bits, mask), in-edges as (pred, bits)."""
-    n = scenario.graph.n
-    tables = CostTables(structure, sizes, n)
-    sources = [
-        [(c, sum(1 << m for m in src)) for c, src in zero_hop_sources(structure, sizes, j)]
-        for j in range(n)
-    ]
-    into = [[(l, tables.r_p[(l, j)]) for l in tables.preds[j]] for j in range(n)]
-    return sources, into
-
-
 def _from_buffer(avail: int, into_j: list) -> float:
     """Cheapest 1-hop into a target from a predictor in the mask `avail`."""
     best = math.inf
@@ -104,26 +92,39 @@ def _from_buffer(avail: int, into_j: list) -> float:
     return best
 
 
-def _inf_options(j: int, avail: int, sources: list, into: list) -> list:
-    """Every way to send target j to a client holding the MDU mask `avail`.
+def _inf_options(scenario: Scenario, sizes: SizeTable, structure: Structure):
+    """The zero-hop sources of each MDU and the infinite buffer's option lister.
 
-    Returns (bits, next mask) pairs.  A target in `avail` costs nothing and
-    keeps the mask.  Otherwise the order is the tie order of both
-    infinite-buffer paths: each zero-hop source, then the cheapest 1-hop
-    from a predictor in `avail`, then a 2-hop through each stored predictor
-    `mid` of j that is not in `avail` but has a predictor there.
+    sources[j] lists j's zero-hop sources as (bits, mask).  options(cur,
+    avail, j) lists every way to send target j to a client holding the MDU
+    mask `avail` as (bits, next mask, None).  A target in `avail` costs
+    nothing and keeps the mask.  Otherwise the order is the tie order of
+    both infinite-buffer paths: each zero-hop source, then the cheapest
+    1-hop from a predictor in `avail`, then a 2-hop through each stored
+    predictor `mid` of j that is not in `avail` but has a predictor there.
     """
-    jbit = 1 << j
-    if avail & jbit:
-        return [(0.0, avail)]
-    opts = [(c, avail | m) for c, m in sources[j]]
-    if (hop := _from_buffer(avail, into[j])) < math.inf:
-        opts.append((hop, avail | jbit))
-    for mid, c2 in into[j]:
-        if mid != j and not avail >> mid & 1:
-            if (hop1 := _from_buffer(avail, into[mid])) < math.inf:
-                opts.append((hop1 + c2, avail | 1 << mid | jbit))
-    return opts
+    n = scenario.graph.n
+    tables = CostTables(structure, sizes, n)
+    sources = [
+        [(c, sum(1 << m for m in src)) for c, src in zero_hop_sources(structure, sizes, j)]
+        for j in range(n)
+    ]
+    into = [[(l, tables.r_p[(l, j)]) for l in tables.preds[j]] for j in range(n)]
+
+    def options(_cur: int, avail: int, j: int) -> list:
+        jbit = 1 << j
+        if avail & jbit:
+            return [(0.0, avail, None)]
+        opts = [(c, avail | m, None) for c, m in sources[j]]
+        if (hop := _from_buffer(avail, into[j])) < math.inf:
+            opts.append((hop, avail | jbit, None))
+        for mid, c2 in into[j]:
+            if mid != j and not avail >> mid & 1:
+                if (hop1 := _from_buffer(avail, into[mid])) < math.inf:
+                    opts.append((hop1 + c2, avail | 1 << mid | jbit, None))
+        return opts
+
+    return sources, options
 
 
 def inf_buffer_cost(
@@ -137,55 +138,18 @@ def inf_buffer_cost(
 
     Any MDU transmitted earlier in the session is a free predictor and a
     free revisit, so a state is (prev, cur, avail), `avail` an int bitmask
-    of transmitted MDUs.  A forward pass collects the states reachable through
-    `_inf_options` level by level (t = 0 up to the last t with g(t) > 0); a
-    backward pass values them from the last level down, with no recursion.
+    of transmitted MDUs, valued by `evaluate`'s level pass over the options
+    of `_inf_options`; requests with zero probability are not followed.
     More than `max_states` reachable states in all is refused with
     `OracleRefusalError` before any state is valued, whatever the order.
     """
-    graph, nav, g = scenario.graph, scenario.nav, scenario.lifetime.g
-    sources, into = _inf_tables(scenario, sizes, structure)
-    s = graph.start
-    pairs = [(START, s)] + [(k, i) for k in range(graph.n) for i in graph.neighbors[k]]
-    rows = {
-        (k, i): [(j, p) for j in graph.neighbors[i] if (p := nav.prob(k, i, j)) > 0.0]
-        for k, i in pairs
-    }
-
-    levels = [{(START, s, m) for _, m in sources[s]}]
-    count = len(levels[0])
-    logger.debug("infinite-buffer level 0: %d states", count)
-    while count <= max_states and g(len(levels)) > 0.0:
-        nxt: set = set()
-        for k, i, avail in levels[-1]:
-            for j, _ in rows[(k, i)]:
-                for _, m in _inf_options(j, avail, sources, into):
-                    nxt.add((i, j, m))
-            if count + len(nxt) > max_states:
-                break
-        count += len(nxt)
-        levels.append(nxt)
-        logger.debug("infinite-buffer level %d: %d states", len(levels) - 1, len(nxt))
-    if count > max_states:
-        raise OracleRefusalError(
-            f"infinite-buffer pass exceeds {max_states} reachable states "
-            f"at level {len(levels) - 1}"
-        )
-
-    values: dict[tuple, float] = {}
-    for t in range(len(levels) - 1, -1, -1):
-        g_next, cur = g(t + 1), {}
-        for k, i, avail in levels[t]:
-            total = 0.0
-            for j, p in rows[(k, i)]:
-                total += p * min(
-                    imm + g_next * values[(i, j, m)] if g_next > 0.0 else imm
-                    for imm, m in _inf_options(j, avail, sources, into)
-                )
-            cur[(k, i, avail)] = total
-        values = cur
-
-    w1 = g(1) if weight_first_switch else 1.0
+    sources, options = _inf_options(scenario, sizes, structure)
+    s = scenario.graph.start
+    values, _ = _level_pass(
+        scenario, [(START, s, m) for _, m in sources[s]], _Rows(scenario, True),
+        options, None, logger, "infinite-buffer", max_states,
+    )
+    w1 = scenario.lifetime.g(1) if weight_first_switch else 1.0
     return min(c + w1 * values[(START, s, m)] for c, m in sources[s])
 
 
@@ -203,7 +167,7 @@ def inf_buffer_estimate(
     g-products as in `inf_buffer_cost`, so this is no bound on that value.
     Used where the exact pass refuses.
     """
-    sources, into = _inf_tables(scenario, sizes, structure)
+    sources, options = _inf_options(scenario, sizes, structure)
     rng = np.random.default_rng(seed)
     rows, lifetime_cdf = session_tables(scenario)
 
@@ -219,7 +183,7 @@ def inf_buffer_estimate(
                 break
             targets, cdf = row
             j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
-            best, avail = min(_inf_options(j, avail, sources, into), key=lambda cm: cm[0])
+            best, avail, _ = min(options(i, avail, j), key=lambda opt: opt[0])
             bits += best
             k, i = i, j
         total += bits

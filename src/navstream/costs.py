@@ -175,17 +175,6 @@ def storage_cost(structure: Structure, sizes: SizeTable) -> float:
     return total
 
 
-def one_hop_overhead(
-    structure: Structure, sizes: SizeTable, predictor: int, target: int
-) -> float:
-    """P + M bits for a stored edge, UNAVAILABLE (+inf) otherwise."""
-    if predictor == target:
-        raise InvalidInputError("one-hop predictor must differ from target")
-    if (predictor, target) not in structure.p_edges:
-        return UNAVAILABLE
-    return sizes.p(predictor, target) + sizes.m(target)
-
-
 def zero_hop_overhead(structure: Structure, sizes: SizeTable, target: int) -> float:
     """Cheapest independent reconstruction of the target.
 

@@ -1,8 +1,12 @@
-"""Expected transmission cost of a structure via memoized dynamic programming.
+"""Expected transmission cost of a structure by a level-synchronous DP.
 
-States are keyed (t, prev, cur) for the fixed one-MDU buffer and
-(t, prev, cur, buffered) for the flexible one-MDU buffer.  The previous MDU
-at t = 0 is the START sentinel; the flexible buffer starts EMPTY.
+One core, `_level_pass`, values the fixed and flexible one-MDU buffers here
+and the infinite buffer in `baselines`; each buffer model only lists a
+request's options.  A state is (prev, cur, buffer) at switch depth t: the
+fixed buffer holds the displayed MDU, the flexible one starts EMPTY, and
+the previous MDU at t = 0 is the START sentinel.  Policy keys are
+(t, prev, cur, target) for the fixed buffer and (t, prev, cur, buffered,
+target) for the flexible one.
 
 Per-request actions recorded in the policy:
   ("0hop",)                fixed-buffer independent reconstruction
@@ -15,24 +19,25 @@ Per-request actions recorded in the policy:
                            predicted from `pred`; `mid` becomes the buffer
 
 Tie-breaking is deterministic: fixed prefers 1-hop over 0-hop; flexible
-prefers 1-hop, then 2-hop, then 0-hop, then the lowest candidate indices.
+prefers 1-hop, then 2-hop, then 0-hop, then the lowest candidate indices,
+except that a 2-hop's first hop prefers the buffered MDU to the displayed one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
 from .costs import SizeTable, Structure
-from .errors import InfeasibleStructureError, InvalidInputError
+from .errors import InfeasibleStructureError, InvalidInputError, OracleRefusalError
 from .scenario import START, Scenario
 
-EMPTY = -2  # flexible-buffer sentinel for "nothing buffered yet"
+logger = logging.getLogger(__name__)
 
-_RANK_1HOP = 0
-_RANK_2HOP = 1
-_RANK_0HOP = 2
+EMPTY = -2  # flexible-buffer sentinel for "nothing buffered yet"
 
 
 @dataclass
@@ -123,6 +128,104 @@ class CostTables:
             self.preds[j].append(i)
 
 
+class _Rows(dict):
+    """(prev, cur) -> [(target, p)] in graph order, built on first use.
+
+    The fixed and flexible DPs charge every neighbour, p = 0 included; the
+    infinite buffer follows only requests with p > 0.
+    """
+
+    def __init__(self, scenario: Scenario, positive_only: bool):
+        self.neighbors = scenario.graph.neighbors
+        self.prob = scenario.nav.prob
+        self.positive_only = positive_only
+
+    def __missing__(self, key):
+        k, i = key
+        row = [(j, self.prob(k, i, j)) for j in self.neighbors[i]]
+        if self.positive_only:
+            row = [(j, p) for j, p in row if p > 0.0]
+        self[key] = row
+        return row
+
+
+def _level_pass(
+    scenario: Scenario,
+    roots,
+    rows: _Rows,
+    options,
+    actions: dict | None,
+    log: logging.Logger,
+    name: str,
+    max_states: float = math.inf,
+) -> tuple[dict, int]:
+    """Value every state reachable from `roots`, level by level, with no recursion.
+
+    A state is (prev, cur, buffer).  `options(cur, buffer, target)` lists a
+    request's options in tie order as (immediate bits, next buffer, action);
+    an option leads to the state (cur, target, next buffer) one level down.
+    A forward pass collects each level's states (t = 0 up to the last t with
+    g(t) > 0), following every option of every request in `rows`, and logs
+    its size at DEBUG as `name`.  More than `max_states` states in all raise
+    `OracleRefusalError` before any state is valued.  A backward pass then
+    values the states from the last level down.  A request takes the first
+    minimum of imm + g(t+1)·V(next), or just imm once g(t+1) = 0, computed
+    once per (t, cur, buffer, target): only p(prev, cur, target) reads prev.
+    Each request's action goes into `actions` under (t, prev, cur, buffer,
+    target) unless `actions` is None.  Returns the level-0 values and the
+    number of states.
+    """
+    g = scenario.lifetime.g
+    levels = [set(roots)]
+    count = len(levels[0])
+    log.debug("%s level 0: %d states", name, count)
+    while count <= max_states and g(len(levels)) > 0.0:
+        nxt: set = set()
+        for k, i, buf in levels[-1]:
+            for j, _ in rows[(k, i)]:
+                for _, b, _ in options(i, buf, j):
+                    nxt.add((i, j, b))
+            if count + len(nxt) > max_states:
+                break
+        count += len(nxt)
+        levels.append(nxt)
+        log.debug("%s level %d: %d states", name, len(levels) - 1, len(nxt))
+    if count > max_states:
+        raise OracleRefusalError(
+            f"{name} pass exceeds {max_states} reachable states "
+            f"at level {len(levels) - 1}"
+        )
+
+    values: dict[tuple, float] = {}
+    for t in range(len(levels) - 1, -1, -1):
+        g_next, cur, picks = g(t + 1), {}, {}
+        for k, i, buf in levels[t]:
+            total = 0.0
+            for j, p in rows[(k, i)]:
+                pick = picks.get((i, buf, j))
+                if pick is None:
+                    best = None
+                    for imm, b, act in options(i, buf, j):
+                        v = imm + g_next * values[(i, j, b)] if g_next > 0.0 else imm
+                        if best is None or v < best:
+                            best, best_act = v, act
+                    pick = picks[(i, buf, j)] = (best, best_act)
+                total += p * pick[0]
+                if actions is not None:
+                    actions[(t, k, i, buf, j)] = pick[1]
+            cur[(k, i, buf)] = total
+        values = cur
+    return values, count
+
+
+def _result(scenario, tables, root, policy, values, count) -> EvalResult:
+    """r_i[start] plus the (optionally g(1)-weighted) value of the root state."""
+    w1 = scenario.lifetime.g(1) if policy.weight_first_switch else 1.0
+    expected = tables.r_i[scenario.graph.start] + w1 * values[root]
+    stats = {"states": count, "actions": len(policy.actions)}
+    return EvalResult(expected_cost=expected, policy=policy, dp_stats=stats)
+
+
 def eval_fixed(
     scenario: Scenario,
     sizes: SizeTable,
@@ -130,42 +233,31 @@ def eval_fixed(
     weight_first_switch: bool = False,
 ) -> EvalResult:
     """Expected session cost under the fixed one-MDU reference buffer."""
-    graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
-    tables = CostTables(structure, sizes, graph.n)
+    tables = CostTables(structure, sizes, scenario.graph.n)
     r_i, r_p = tables.r_i, tables.r_p
-    neighbors = graph.neighbors
-    prob = nav.prob
-    g = lt.g
+    zero_hop = ("0hop",)
 
-    memo: dict[tuple, float] = {}
-    policy = Policy(buffer="fixed", weight_first_switch=weight_first_switch)
-    actions = policy.actions
+    @functools.cache  # options depend on neither t nor prev
+    def options(i, _buf, j):
+        # the displayed MDU is the reference; either way j is displayed next
+        v = r_p.get((i, j))
+        if v is None:
+            return [(r_i[j], j, zero_hop)]
+        return [(v, j, ("1hop", i)), (r_i[j], j, zero_hop)]
 
-    def cost(t: int, k: int, i: int) -> float:
-        key = (t, k, i)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        g_next = g(t + 1)
-        total = 0.0
-        for j in neighbors[i]:
-            cont = g_next * cost(t + 1, i, j) if g_next > 0.0 else 0.0
-            h0 = r_i[j] + cont
-            h1 = r_p.get((i, j), math.inf) + cont
-            if h1 <= h0:  # ties prefer 1-hop
-                actions[(t, k, i, j)] = ("1hop", i)
-                total += prob(k, i, j) * h1
-            else:
-                actions[(t, k, i, j)] = ("0hop",)
-                total += prob(k, i, j) * h0
-        memo[key] = total
-        return total
-
-    first = cost(0, START, graph.start)
-    w1 = g(1) if weight_first_switch else 1.0
-    expected = r_i[graph.start] + w1 * first
-    stats = {"states": len(memo), "actions": len(actions)}
-    return EvalResult(expected_cost=expected, policy=policy, dp_stats=stats)
+    s = scenario.graph.start
+    root = (START, s, s)
+    found: dict[tuple, tuple] = {}
+    values, count = _level_pass(
+        scenario, [root], _Rows(scenario, False), options, found,
+        logger, "fixed-buffer",
+    )
+    policy = Policy(
+        buffer="fixed",
+        weight_first_switch=weight_first_switch,
+        actions={(t, k, i, j): a for (t, k, i, _, j), a in found.items()},
+    )
+    return _result(scenario, tables, root, policy, values, count)
 
 
 def eval_flexible(
@@ -175,83 +267,41 @@ def eval_flexible(
     weight_first_switch: bool = False,
 ) -> EvalResult:
     """Expected session cost under the flexible one-MDU reference buffer."""
-    graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
-    tables = CostTables(structure, sizes, graph.n)
+    tables = CostTables(structure, sizes, scenario.graph.n)
     r_i, r_p, preds = tables.r_i, tables.r_p, tables.preds
-    neighbors = graph.neighbors
-    prob = nav.prob
-    g = lt.g
-    inf = math.inf
 
-    memo: dict[tuple, float] = {}
+    @functools.cache  # options depend on neither t nor prev
+    def options(i, gam, j):
+        # 1-hops and 0-hops go by ascending reference (EMPTY, first, predicts
+        # nothing); a 2-hop's first hop is the first cheapest in `scan` order
+        if gam == i or gam == EMPTY:
+            scan = (i,)
+            keeps = (i,) if gam == i else (EMPTY, i)
+        else:
+            scan = (gam, i)
+            keeps = (gam, i) if gam < i else (i, gam)
+        opts = [
+            (v, ref, ("1hop", ref))
+            for ref in keeps
+            if (v := r_p.get((ref, j))) is not None
+        ]
+        for mid in preds[j]:
+            hop1, hop1_ref = math.inf, -1
+            for ref in scan:
+                if ref != mid and (v := r_p.get((ref, mid))) is not None and v < hop1:
+                    hop1, hop1_ref = v, ref
+            if hop1_ref >= 0:
+                opts.append((hop1 + r_p[(mid, j)], mid, ("2hop", mid, hop1_ref)))
+        opts += [(r_i[j], keep, ("0hop", keep)) for keep in keeps]
+        return opts
+
+    root = (START, scenario.graph.start, EMPTY)
     policy = Policy(buffer="flex", weight_first_switch=weight_first_switch)
-    actions = policy.actions
-
-    def cost(t: int, k: int, i: int, gam: int) -> float:
-        key = (t, k, i, gam)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        g_next = g(t + 1)
-        total = 0.0
-        for j in neighbors[i]:
-            cont_cache: dict[int, float] = {}
-
-            def cont(nxt_gam: int) -> float:
-                if g_next <= 0.0:
-                    return 0.0
-                c = cont_cache.get(nxt_gam)
-                if c is None:
-                    c = g_next * cost(t + 1, i, j, nxt_gam)
-                    cont_cache[nxt_gam] = c
-                return c
-
-            refs = (gam, i) if gam != i else (i,)
-            # best = (cost, rank, index tuple, action)
-            best = None
-            for ref in refs:
-                if ref == EMPTY:
-                    continue
-                v = r_p.get((ref, j))
-                if v is None:
-                    continue
-                cand = (v + cont(ref), _RANK_1HOP, (ref,), ("1hop", ref))
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-            for mid in preds[j]:
-                hop1 = inf
-                hop1_ref = -1
-                for ref in refs:
-                    if ref == EMPTY or ref == mid:
-                        continue
-                    v = r_p.get((ref, mid))
-                    if v is not None and v < hop1:
-                        hop1 = v
-                        hop1_ref = ref
-                if hop1_ref < 0 or mid == j:
-                    continue
-                cand = (
-                    hop1 + r_p[(mid, j)] + cont(mid),
-                    _RANK_2HOP,
-                    (mid, hop1_ref),
-                    ("2hop", mid, hop1_ref),
-                )
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-            for keep in refs:
-                cand = (r_i[j] + cont(keep), _RANK_0HOP, (keep,), ("0hop", keep))
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-            actions[(t, k, i, gam, j)] = best[3]
-            total += prob(k, i, j) * best[0]
-        memo[key] = total
-        return total
-
-    first = cost(0, START, graph.start, EMPTY)
-    w1 = g(1) if weight_first_switch else 1.0
-    expected = r_i[graph.start] + w1 * first
-    stats = {"states": len(memo), "actions": len(actions)}
-    return EvalResult(expected_cost=expected, policy=policy, dp_stats=stats)
+    values, count = _level_pass(
+        scenario, [root], _Rows(scenario, False), options, policy.actions,
+        logger, "flexible-buffer",
+    )
+    return _result(scenario, tables, root, policy, values, count)
 
 
 def evaluate(

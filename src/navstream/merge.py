@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError
 
-SIDE_INFO_CONST_BITS = 2.0  # per-coefficient overhead besides the W payload
-
 
 @dataclass(frozen=True)
 class PwcParams:
@@ -52,16 +50,3 @@ def select_merge_params(values, target: int) -> PwcParams:
     w = max(1, 2 * (target - lo), 2 * (hi - target) + 1)
     c = (w / 2.0 - target) % w
     return PwcParams(w_step=w, shift=c)
-
-
-def merge_side_info_size(block) -> float:
-    """Coarse bits estimate for a block of (values, target) pairs.
-
-    Documentation-demo model only: ceil(log2 W) + a constant per
-    coefficient.  The optimizer always consumes measured M sizes instead.
-    """
-    total = 0.0
-    for values, target in block:
-        params = select_merge_params(values, target)
-        total += math.ceil(math.log2(params.w_step)) + SIDE_INFO_CONST_BITS
-    return total

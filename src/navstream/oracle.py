@@ -1,6 +1,6 @@
 """Independent checks of the evaluators.
 
-Three mechanisms, deliberately not sharing the memoized recursion:
+Three mechanisms, deliberately not sharing the evaluators' level pass:
 Monte-Carlo session simulation driven by an extracted policy, a plain
 (table-free) recursive evaluator for tiny instances, and brute-force
 enumeration of every deterministic policy on even tinier ones.

@@ -19,7 +19,7 @@ from itertools import chain
 
 from .costs import SizeTable, Structure, storage_cost
 from .errors import InvalidInputError
-from .evaluate import CostTables, eval_fixed, eval_flexible
+from .evaluate import CostTables, evaluate
 from .scenario import START, Scenario
 
 logger = logging.getLogger(__name__)
@@ -116,12 +116,6 @@ class _EdgeFilter:
         if j == self.start and self._improves_0hop(i, j):
             return True
         return i in self.bufferable and j in self.hop_heads
-
-
-def _objective_cost(scenario, sizes, structure, buffer: str) -> float:
-    if buffer == "fixed":
-        return eval_fixed(scenario, sizes, structure).expected_cost
-    return eval_flexible(scenario, sizes, structure).expected_cost
 
 
 # Relative slack on the prune test: the bound is often tight, and in 35 of 800
@@ -268,7 +262,7 @@ def greedy_search(
     prune = params.enable_pruning
     weights = request_weights(scenario)
 
-    c_min = _objective_cost(scenario, sizes, structure, params.buffer)
+    c_min = evaluate(scenario, sizes, structure, params.buffer).expected_cost
     j_min = c_min + lam * storage_cost(structure, sizes)
     iteration = 0
     while True:
@@ -302,7 +296,7 @@ def greedy_search(
                 b_cand = storage_cost(cand, sizes)
             else:
                 cand = structure.with_edges(edges)
-            c_cand = _objective_cost(scenario, sizes, cand, params.buffer)
+            c_cand = evaluate(scenario, sizes, cand, params.buffer).expected_cost
             j_cand = c_cand + lam * b_cand
             if j_cand < j_min:
                 j_min = j_cand

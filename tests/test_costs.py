@@ -1,18 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from conftest import random_sizes, random_structure, uniform_sizes
 from navstream.costs import (
-    UNAVAILABLE,
     SizeTable,
     Structure,
-    all_i_structure,
     grid_sizes,
     load_sizes,
     load_structure,
-    one_hop_overhead,
     save_sizes,
     save_structure,
     storage_cost,
@@ -106,27 +101,6 @@ def test_storage_strictly_increasing_under_edge_addition():
 
 
 # --- per-request overheads --------------------------------------------------
-
-def test_one_hop_stored_edge():
-    sz = _sizes(p=4.0)  # P = 4, but M scales too; build explicit instead
-    p = np.full((2, 2), 4.0)
-    np.fill_diagonal(p, np.nan)
-    sz = SizeTable([11.0, 11.0], [3.5, 3.5], p)
-    st = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1)}))
-    assert one_hop_overhead(st, sz, 0, 1) == pytest.approx(7.5)
-
-
-def test_one_hop_missing_edge_unavailable():
-    st = Structure(i_set=frozenset({0, 1}), p_edges=frozenset())
-    assert one_hop_overhead(st, _sizes(2), 0, 1) == UNAVAILABLE
-    assert math.isinf(one_hop_overhead(st, _sizes(2), 0, 1))
-
-
-def test_one_hop_self_prediction_error():
-    st = all_i_structure(2)
-    with pytest.raises(InvalidInputError):
-        one_hop_overhead(st, _sizes(2), 1, 1)
-
 
 def test_zero_hop_prefers_bare_i():
     sz = _sizes(3)

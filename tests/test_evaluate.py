@@ -9,7 +9,7 @@ from conftest import (
     random_structure,
     uniform_sizes,
 )
-from navstream.costs import Structure, all_i_structure
+from navstream.costs import SizeTable, Structure, all_i_structure
 from navstream.errors import InfeasibleStructureError, InvalidInputError
 from navstream.evaluate import (
     EMPTY,
@@ -19,6 +19,7 @@ from navstream.evaluate import (
     eval_flexible,
     evaluate,
 )
+from navstream.refine import request_weights
 from navstream.scenario import (
     START,
     MediaGraph,
@@ -155,6 +156,140 @@ def test_tie_prefers_one_hop():
     assert res.policy.actions[(0, START, 0, 1)] == ("1hop", 0)
     res = eval_flexible(sc, sz, ASYM)
     assert res.policy.actions[(0, START, 0, EMPTY, 1)] == ("1hop", 0)
+
+
+def _tie_scenario():
+    """K3 with uniform switching, t_max 1, I = 4, M = 1 and P = 1 except P(2, 1) = 3.
+
+    At the last level a request for 1 from cur 2 with nothing buffered ties
+    1-hop (from 2), 2-hop (2 -> 0 -> 1) and 0-hop at 4 bits, and a request
+    for 2 from cur 1 holding 2 routes through 0, whose first hop ties
+    between the buffered 2 and the displayed 1.
+    """
+    nb = ((1, 2), (0, 2), (0, 1))
+    p_switch = {(k, i, j): 0.5 for k in range(3) for i in nb[k] for j in nb[i]}
+    nav = NavigationModel(p_start={1: 0.5, 2: 0.5}, p_switch=p_switch)
+    sc = Scenario(MediaGraph(3, nb, 0), nav, build_lifetime_tail(1.0, 1))
+    p = np.ones((3, 3))
+    np.fill_diagonal(p, np.nan)
+    p[2, 1] = 3.0
+    sz = SizeTable([4.0] * 3, [1.0] * 3, p)
+    st = Structure(
+        i_set=frozenset({0, 1, 2}),
+        p_edges=frozenset({(0, 1), (0, 2), (1, 0), (2, 0), (2, 1)}),
+    )
+    return sc, sz, st
+
+
+def _zero_prob_scenario():
+    """K3 whose only zero switch probability is start 0 -> 2."""
+    nb = ((1, 2), (0, 2), (0, 1))
+    p_switch = {(k, i, j): 0.5 for k in range(3) for i in nb[k] for j in nb[i]}
+    nav = NavigationModel(p_start={1: 1.0, 2: 0.0}, p_switch=p_switch)
+    sc = Scenario(MediaGraph(3, nb, 0), nav, build_lifetime_tail(1.0, 2))
+    st = Structure(
+        i_set=frozenset({0}), p_edges=frozenset({(0, 1), (0, 2), (1, 2), (2, 1)})
+    )
+    return sc, uniform_sizes(3), st
+
+
+# (expected_cost without and with weight_first_switch, dp_stats, actions)
+_TIE_FIXED = (
+    (7.103638323514327, 5.141764732052723),
+    {'states': 3, 'actions': 6},
+    {
+        (0, -1, 0, 1): ('1hop', 0), (0, -1, 0, 2): ('1hop', 0),
+        (1, 0, 1, 0): ('1hop', 1), (1, 0, 1, 2): ('0hop',),
+        (1, 0, 2, 0): ('1hop', 2), (1, 0, 2, 1): ('1hop', 2),
+    },
+)
+_TIE_FLEX = (
+    (6.735758882342885, 5.00642944881611),
+    {'states': 6, 'actions': 12},
+    {
+        (0, -1, 0, -2, 1): ('1hop', 0), (0, -1, 0, -2, 2): ('1hop', 0),
+        (1, 0, 1, -2, 0): ('1hop', 1), (1, 0, 1, -2, 2): ('2hop', 0, 1),
+        (1, 0, 1, 0, 0): ('1hop', 1), (1, 0, 1, 0, 2): ('1hop', 0),
+        (1, 0, 1, 2, 0): ('1hop', 1), (1, 0, 1, 2, 2): ('2hop', 0, 2),
+        (1, 0, 2, -2, 0): ('1hop', 2), (1, 0, 2, -2, 1): ('1hop', 2),
+        (1, 0, 2, 0, 0): ('1hop', 2), (1, 0, 2, 0, 1): ('1hop', 0),
+    },
+)
+_ZERO_FIXED = (
+    (20.398294960986206, 16.18615924731798),
+    {'states': 7, 'actions': 14},
+    {
+        (0, -1, 0, 1): ('1hop', 0), (0, -1, 0, 2): ('1hop', 0),
+        (1, 0, 1, 0): ('0hop',), (1, 0, 1, 2): ('1hop', 1),
+        (1, 0, 2, 0): ('0hop',), (1, 0, 2, 1): ('1hop', 2),
+        (2, 1, 0, 1): ('1hop', 0), (2, 1, 0, 2): ('1hop', 0),
+        (2, 1, 2, 0): ('0hop',), (2, 1, 2, 1): ('1hop', 2),
+        (2, 2, 0, 1): ('1hop', 0), (2, 2, 0, 2): ('1hop', 0),
+        (2, 2, 1, 0): ('0hop',), (2, 2, 1, 2): ('1hop', 1),
+    },
+)
+_ZERO_FLEX = (
+    (20.398294960986206, 16.18615924731798),
+    {'states': 23, 'actions': 46},
+    {
+        (0, -1, 0, -2, 1): ('1hop', 0), (0, -1, 0, -2, 2): ('1hop', 0),
+        (1, 0, 1, -2, 0): ('0hop', -2), (1, 0, 1, -2, 2): ('1hop', 1),
+        (1, 0, 1, 0, 0): ('0hop', 0), (1, 0, 1, 0, 2): ('1hop', 0),
+        (1, 0, 1, 2, 0): ('0hop', 1), (1, 0, 1, 2, 2): ('1hop', 1),
+        (1, 0, 2, -2, 0): ('0hop', -2), (1, 0, 2, -2, 1): ('1hop', 2),
+        (1, 0, 2, 0, 0): ('0hop', 0), (1, 0, 2, 0, 1): ('1hop', 0),
+        (1, 0, 2, 1, 0): ('0hop', 1), (1, 0, 2, 1, 1): ('1hop', 2),
+        (2, 1, 0, -2, 1): ('1hop', 0), (2, 1, 0, -2, 2): ('1hop', 0),
+        (2, 1, 0, 0, 1): ('1hop', 0), (2, 1, 0, 0, 2): ('1hop', 0),
+        (2, 1, 0, 1, 1): ('1hop', 0), (2, 1, 0, 1, 2): ('1hop', 0),
+        (2, 1, 0, 2, 1): ('1hop', 0), (2, 1, 0, 2, 2): ('1hop', 0),
+        (2, 1, 2, -2, 0): ('0hop', -2), (2, 1, 2, -2, 1): ('1hop', 2),
+        (2, 1, 2, 0, 0): ('0hop', 0), (2, 1, 2, 0, 1): ('1hop', 0),
+        (2, 1, 2, 1, 0): ('0hop', 1), (2, 1, 2, 1, 1): ('1hop', 2),
+        (2, 1, 2, 2, 0): ('0hop', 2), (2, 1, 2, 2, 1): ('1hop', 2),
+        (2, 2, 0, -2, 1): ('1hop', 0), (2, 2, 0, -2, 2): ('1hop', 0),
+        (2, 2, 0, 0, 1): ('1hop', 0), (2, 2, 0, 0, 2): ('1hop', 0),
+        (2, 2, 0, 1, 1): ('1hop', 0), (2, 2, 0, 1, 2): ('1hop', 0),
+        (2, 2, 0, 2, 1): ('1hop', 0), (2, 2, 0, 2, 2): ('1hop', 0),
+        (2, 2, 1, -2, 0): ('0hop', -2), (2, 2, 1, -2, 2): ('1hop', 1),
+        (2, 2, 1, 0, 0): ('0hop', 0), (2, 2, 1, 0, 2): ('1hop', 0),
+        (2, 2, 1, 1, 0): ('0hop', 1), (2, 2, 1, 1, 2): ('1hop', 1),
+        (2, 2, 1, 2, 0): ('0hop', 1), (2, 2, 1, 2, 2): ('1hop', 1),
+    },
+)
+
+
+
+@pytest.mark.parametrize(
+    "make, fn, pins",
+    [
+        (_tie_scenario, eval_fixed, _TIE_FIXED),
+        (_tie_scenario, eval_flexible, _TIE_FLEX),
+        (_zero_prob_scenario, eval_fixed, _ZERO_FIXED),
+        (_zero_prob_scenario, eval_flexible, _ZERO_FLEX),
+    ],
+)
+def test_policy_stats_and_cost_pinned(make, fn, pins):
+    # states reached only through the zero-probability request (prev 0,
+    # cur 2) are still counted and get actions
+    costs, stats, actions = pins
+    sc, sz, st = make()
+    for w, cost in zip((False, True), costs):
+        res = fn(sc, sz, st, weight_first_switch=w)
+        assert res.expected_cost == cost
+        assert res.dp_stats == stats
+        assert res.policy.actions == actions
+
+
+def test_long_lifetime_has_no_recursion_limit():
+    # each ping-pong target has one predecessor, so every request takes
+    # its cheapest stored option
+    sc, sz = pingpong_scenario(mu=300.0, t_max=5000), pingpong_sizes()
+    tables = CostTables(ASYM, sz, 2)
+    w = request_weights(sc)
+    want = tables.r_i[0] + w[0] * tables.r_i[0] + w[1] * tables.r_p[(0, 1)]
+    for fn in (eval_fixed, eval_flexible):
+        assert fn(sc, sz, ASYM).expected_cost == pytest.approx(want, rel=1e-12)
 
 
 def test_infeasible_structure_raises():

@@ -1,14 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navstream.errors import InvalidInputError
 from navstream.merge import (
-    SIDE_INFO_CONST_BITS,
     PwcParams,
-    merge_side_info_size,
     pwc_eval,
     select_merge_params,
 )
@@ -82,15 +78,3 @@ def test_idempotent_on_reconstructed_values():
     params = select_merge_params({3, 8, 12}, 9)
     y = pwc_eval(params, 8)
     assert pwc_eval(params, int(y)) == y
-
-
-def test_side_info_size_model():
-    block = [([9, 11], 10), ([5], 7)]
-    # ceil(log2 3) + ceil(log2 4) + 2 * const
-    expect = 2 + 2 + 2 * SIDE_INFO_CONST_BITS
-    assert merge_side_info_size(block) == pytest.approx(expect)
-
-
-def test_side_info_unit_step_costs_only_constant():
-    assert merge_side_info_size([([7], 7)]) == pytest.approx(SIDE_INFO_CONST_BITS)
-    assert math.ceil(math.log2(1)) == 0
