@@ -21,7 +21,8 @@ over states (prev, cur, avail), `avail` an int bitmask of the MDUs sent so
 far.  More than `max_states` reachable states are refused before any is
 valued; the baseline then reports the Monte-Carlo estimate and logs at INFO
 which cost it used.  Both paths list a request's options with the lister
-from `_inf_options`.
+from `_inf_options`; the exact pass reads `Scenario.followed_rows` and the
+estimate draws its sessions from `scenario.sample_sessions`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .costs import (
     SizeTable,
     Structure,
@@ -41,7 +40,7 @@ from .costs import (
     zero_hop_sources,
 )
 from .errors import InvalidInputError, OracleRefusalError
-from .evaluate import CostTables, _level_pass, _Rows
+from .evaluate import CostTables, _level_pass
 from .landmarks import PlannerParams, build_initial_structure, tsvq
 from .refine import (
     RefinerParams,
@@ -53,7 +52,7 @@ from .refine import (
     greedy_search,
     greedy_subtract,
 )
-from .scenario import START, Scenario, aggregate_switch_probabilities, session_tables
+from .scenario import START, Scenario, aggregate_switch_probabilities, sample_sessions
 
 logger = logging.getLogger(__name__)
 
@@ -146,7 +145,7 @@ def inf_buffer_cost(
     sources, options = _inf_options(scenario, sizes, structure)
     s = scenario.graph.start
     values, _ = _level_pass(
-        scenario, [(START, s, m) for _, m in sources[s]], _Rows(scenario, True),
+        scenario, [(START, s, m) for _, m in sources[s]], scenario.followed_rows,
         options, None, logger, "infinite-buffer", max_states,
     )
     w1 = scenario.lifetime.g(1) if weight_first_switch else 1.0
@@ -162,30 +161,20 @@ def inf_buffer_estimate(
 ) -> float:
     """Monte-Carlo myopic estimate of the infinite-buffer cost.
 
-    Each request takes the first cheapest of `_inf_options`, and session
-    lengths are drawn from the renormalised lifetime pmf, not weighted by
-    g-products as in `inf_buffer_cost`, so this is no bound on that value.
-    Used where the exact pass refuses.
+    Each request takes the first cheapest of `_inf_options` along sessions
+    from `sample_sessions`, whose lengths follow the renormalised lifetime
+    pmf, not the g-products of `inf_buffer_cost`, so this is no bound on
+    that value.  Used where the exact pass refuses.
     """
     sources, options = _inf_options(scenario, sizes, structure)
-    rng = np.random.default_rng(seed)
-    rows, lifetime_cdf = session_tables(scenario)
-
-    total = 0.0
     s = scenario.graph.start
-    for _ in range(n_sessions):
-        bits, avail = min(sources[s], key=lambda cm: cm[0])
-        k, i = START, s
-        t_total = int(np.searchsorted(lifetime_cdf, rng.random()))
-        for _ in range(t_total):
-            row = rows.get((k, i))
-            if row is None:
-                break
-            targets, cdf = row
-            j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
+    first = min(sources[s], key=lambda cm: cm[0])
+    total = 0.0
+    for targets in sample_sessions(scenario, n_sessions, seed):
+        bits, avail = first
+        for i, j in zip([s, *targets], targets):
             best, avail, _ = min(options(i, avail, j), key=lambda opt: opt[0])
             bits += best
-            k, i = i, j
         total += bits
     return total / n_sessions
 

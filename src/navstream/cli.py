@@ -156,16 +156,7 @@ def _cmd_sweep(args) -> int:
         enable_pruning=not args.no_prune,
     )
     rows = sweep(scenario, sizes, lambdas, params)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["lambda", "storage_bits", "expected_bits", "landmarks", "p_edges"]
-        )
-        for row in rows:
-            writer.writerow(
-                [repr(row.lam), repr(row.storage_bits), repr(row.expected_bits),
-                 row.landmarks, row.p_edges]
-            )
+    baselines.emit_tradeoff_csv([("landmark", row) for row in rows], args.out)
     print(f"tradeoff: {args.out} ({len(rows)} rows)")
     return 0
 

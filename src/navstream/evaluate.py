@@ -128,31 +128,10 @@ class CostTables:
             self.preds[j].append(i)
 
 
-class _Rows(dict):
-    """(prev, cur) -> [(target, p)] in graph order, built on first use.
-
-    The fixed and flexible DPs charge every neighbour, p = 0 included; the
-    infinite buffer follows only requests with p > 0.
-    """
-
-    def __init__(self, scenario: Scenario, positive_only: bool):
-        self.neighbors = scenario.graph.neighbors
-        self.prob = scenario.nav.prob
-        self.positive_only = positive_only
-
-    def __missing__(self, key):
-        k, i = key
-        row = [(j, self.prob(k, i, j)) for j in self.neighbors[i]]
-        if self.positive_only:
-            row = [(j, p) for j, p in row if p > 0.0]
-        self[key] = row
-        return row
-
-
 def _level_pass(
     scenario: Scenario,
     roots,
-    rows: _Rows,
+    rows,
     options,
     actions: dict | None,
     log: logging.Logger,
@@ -165,7 +144,8 @@ def _level_pass(
     request's options in tie order as (immediate bits, next buffer, action);
     an option leads to the state (cur, target, next buffer) one level down.
     A forward pass collects each level's states (t = 0 up to the last t with
-    g(t) > 0), following every option of every request in `rows`, and logs
+    g(t) > 0), following every option of every request in `rows` (a map
+    like `Scenario.rows` from (prev, cur) to ((target, p), ...)), and logs
     its size at DEBUG as `name`.  More than `max_states` states in all raise
     `OracleRefusalError` before any state is valued.  A backward pass then
     values the states from the last level down.  A request takes the first
@@ -249,7 +229,7 @@ def eval_fixed(
     root = (START, s, s)
     found: dict[tuple, tuple] = {}
     values, count = _level_pass(
-        scenario, [root], _Rows(scenario, False), options, found,
+        scenario, [root], scenario.rows, options, found,
         logger, "fixed-buffer",
     )
     policy = Policy(
@@ -298,7 +278,7 @@ def eval_flexible(
     root = (START, scenario.graph.start, EMPTY)
     policy = Policy(buffer="flex", weight_first_switch=weight_first_switch)
     values, count = _level_pass(
-        scenario, [root], _Rows(scenario, False), options, policy.actions,
+        scenario, [root], scenario.rows, options, policy.actions,
         logger, "flexible-buffer",
     )
     return _result(scenario, tables, root, policy, values, count)

@@ -3,7 +3,8 @@
 Three mechanisms, deliberately not sharing the evaluators' level pass:
 Monte-Carlo session simulation driven by an extracted policy, a plain
 (table-free) recursive evaluator for tiny instances, and brute-force
-enumeration of every deterministic policy on even tinier ones.
+enumeration of every deterministic policy on even tinier ones.  Only the
+simulator reads the scenario's switch rows, through `sample_sessions`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .costs import SizeTable, Structure, zero_hop_overhead
 from .errors import InvalidInputError, OracleRefusalError, PolicyGapError
 from .evaluate import EMPTY, CostTables, Policy
-from .scenario import START, Scenario, session_tables
+from .scenario import START, Scenario, sample_sessions
 
 _UNMEMO_MAX_N = 8
 _UNMEMO_MAX_TMAX = 5
@@ -65,11 +66,12 @@ def simulate_sessions(
     graph, lt = scenario.graph, scenario.lifetime
     tables = CostTables(structure, sizes, graph.n)
     r_i, r_p = tables.r_i, tables.r_p
-    rows, lifetime_cdf = session_tables(scenario)
     actions = policy.actions
     flex = policy.buffer == "flex"
-    rng = np.random.default_rng(seed)
-    g = lt.g
+    survival = None
+    if consistency_mode:
+        first = lt.g(1) if policy.weight_first_switch else None
+        survival = [first] + [lt.g(t) for t in range(1, lt.t_max + 1)]
 
     def step_cost(t: int, k: int, i: int, gam: int, j: int):
         key = (t, k, i, gam, j) if flex else (t, k, i, j)
@@ -94,34 +96,21 @@ def simulate_sessions(
     totals = np.empty(n_sessions)
     traces: list[SessionTrace] = []
     s = graph.start
-    for idx in range(n_sessions):
+    sessions = sample_sessions(scenario, n_sessions, seed, survival)
+    for idx, targets in enumerate(sessions):
         bits = r_i[s]
-        path = [s]
         acts: list[tuple] = []
         k, i, gam = START, s, EMPTY
-        if consistency_mode:
-            t_total = lt.t_max + 1  # each switch is drawn against g below
-        else:
-            t_total = int(np.searchsorted(lifetime_cdf, rng.random()))
-        for t in range(t_total):
-            if consistency_mode and (t > 0 or policy.weight_first_switch):
-                if rng.random() >= g(max(t, 1)):
-                    break
-            row = rows.get((k, i))
-            if row is None:
-                break  # chain has no outgoing mass; session ends early
-            targets, cdf = row
-            j = targets[int(np.searchsorted(cdf, rng.random() * cdf[-1]))]
+        for t, j in enumerate(targets):
             cost, nxt, act = step_cost(t, k, i, gam, j)
             bits += cost
-            path.append(j)
             acts.append(act)
             k, i, gam = i, j, nxt
         totals[idx] = bits
         if len(traces) < TRACE_SAMPLE:
             traces.append(
                 SessionTrace(
-                    path=path, lifetime=len(path) - 1, actions=acts, bits=bits
+                    path=[s, *targets], lifetime=len(targets), actions=acts, bits=bits
                 )
             )
     mean = float(totals.mean())

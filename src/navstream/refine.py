@@ -20,7 +20,7 @@ from itertools import chain
 from .costs import SizeTable, Structure, storage_cost
 from .errors import InvalidInputError
 from .evaluate import CostTables, evaluate
-from .scenario import START, Scenario
+from .scenario import Scenario, pair_masses
 
 logger = logging.getLogger(__name__)
 
@@ -127,19 +127,15 @@ def request_weights(scenario: Scenario) -> list[float]:
     """W[j], the total DP weight of the requests for MDU j.
 
     Navigation does not depend on the structure, so a request at depth t
-    (t = 0..t_max) weighs its path probability times g(1)...g(t) in c.
+    (t = 0..t_max) weighs its path probability times g(1)...g(t) in c: the
+    `pair_masses` levels 0..t_max with factors g(1)..g(t_max).
     """
-    graph, nav, lt = scenario.graph, scenario.nav, scenario.lifetime
-    weights = [0.0] * graph.n
-    mass = {(START, graph.start): 1.0}  # weighted (prev, cur) mass at depth t
-    for t in range(lt.t_max + 1):
-        g_next, nxt = lt.g(t + 1), {}
-        for (k, i), m in mass.items():
-            for j in graph.neighbors[i]:
-                w = m * nav.prob(k, i, j)
-                weights[j] += w
-                nxt[(i, j)] = nxt.get((i, j), 0.0) + g_next * w
-        mass = nxt
+    lt, rows = scenario.lifetime, scenario.followed_rows
+    weights = [0.0] * scenario.graph.n
+    for level in pair_masses(scenario, [lt.g(t) for t in range(1, lt.t_max + 1)]):
+        for pair, mass in level.items():
+            for j, p in rows[pair]:
+                weights[j] += mass * p
     return weights
 
 

@@ -4,13 +4,19 @@ An MDU (media data unit) index is a plain int in [0, n).  The previous-MDU
 slot of the very first switch uses the sentinel ``START`` so that the start
 distribution and the one-step-memory switch probabilities share one lookup
 path.
+
+Every reader of the navigation chain goes through `Scenario.rows`, the
+forward pass `pair_masses` or the session sampler `sample_sessions`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -115,18 +121,44 @@ class Scenario:
     nav: NavigationModel
     lifetime: LifetimeModel
 
+    @cached_property
+    def rows(self) -> dict:
+        """(prev, cur) -> ((target, p), ...) over cur's neighbours in graph order.
+
+        Built on first use for (START, start) and every edge pair; the START
+        row reads p_start.  Requests with p = 0 are listed, for the fixed
+        and flexible DPs charge them.
+        """
+        nb, prob = self.graph.neighbors, self.nav.prob
+        pairs = [(START, self.graph.start)]
+        pairs += [(k, i) for k in range(self.graph.n) for i in nb[k]]
+        return {(k, i): tuple((j, prob(k, i, j)) for j in nb[i]) for k, i in pairs}
+
+    @cached_property
+    def followed_rows(self) -> dict:
+        """`rows` without their p = 0 requests, the only ones a session takes.
+
+        The forward pass, the sampler and the infinite buffer read these.
+        """
+        return {
+            pair: tuple(r for r in row if r[1] > 0.0) for pair, row in self.rows.items()
+        }
+
 
 def validate_navigation_model(graph: MediaGraph, nav: NavigationModel) -> list[str]:
     """Report-only check of the navigation model against its graph.
 
     Returns an empty list iff the start row and every reachable (k, i) row
-    exist, normalize to 1 within 1e-9, and reference in-range MDUs.
+    exist, normalize to 1 within 1e-9, and reference in-range MDUs.  An
+    invalid graph's own report is returned without checking the model.
     """
-    report = list(graph.validate())
+    report = graph.validate()
+    if report:
+        return report
     n = graph.n
 
     s = graph.start
-    start_nb = set(graph.neighbors[s]) if 0 <= s < n else set()
+    start_nb = set(graph.neighbors[s])
     for j in nav.p_start:
         if j not in start_nb:
             report.append(f"p_start names {j}, not a neighbor of start {s}")
@@ -175,58 +207,75 @@ class AggregateSwitchProbs:
         return sum(self.q.values())
 
 
+def pair_masses(scenario: Scenario, factors):
+    """Yield the (prev, cur) pair masses of the navigation chain, level by level.
+
+    Level 0 is {(START, start): 1.0}.  Level t + 1 gives the pair (i, j) the
+    sum of factors[t] * (mass * p) over the followed requests (k, i) -> j of
+    level t, added in level order and then graph order.  One level follows
+    level 0 per factor.
+    """
+    rows = scenario.followed_rows
+    level = {(START, scenario.graph.start): 1.0}
+    yield level
+    for f in factors:
+        nxt: dict[tuple[int, int], float] = {}
+        for (k, i), mass in level.items():
+            for j, p in rows[(k, i)]:
+                nxt[(i, j)] = nxt.get((i, j), 0.0) + f * (mass * p)
+        level = nxt
+        yield level
+
+
 def aggregate_switch_probabilities(
     graph: MediaGraph, nav: NavigationModel, lifetime: LifetimeModel
 ) -> AggregateSwitchProbs:
     """q(i,j) = sum_{t=1}^{floor(mu)} g(t) * [v_s P^t](i,j).
 
-    The pair-state chain (prev, cur) is propagated as a sparse vector; the
-    full transition matrix is never formed.  The horizon is floor(mu),
-    clamped to at least 1.
+    v_s is the first switch's pair mass, so the unweighted `pair_masses`
+    levels 2..floor(mu) + 1 are weighted by g(1)..g(floor(mu)); the full
+    transition matrix is never formed.  The horizon is clamped to at least 1.
     """
     horizon = max(1, int(math.floor(lifetime.mu)))
+    chain = pair_masses(Scenario(graph, nav, lifetime), [1.0] * (horizon + 1))
     q: dict[tuple[int, int], float] = {}
-    # v_s: mass p_start(j) on pair states (s, j).
-    state = {(graph.start, j): p for j, p in nav.p_start.items() if p > 0.0}
-    for t in range(1, horizon + 1):
+    for t, level in enumerate(islice(chain, 2, None), start=1):
         g_t = lifetime.g(t)
-        nxt: dict[tuple[int, int], float] = {}
-        for (k, i), mass in state.items():
-            for j in graph.neighbors[i]:
-                p = nav.p_switch.get((k, i, j), 0.0)
-                if p > 0.0:
-                    nxt[(i, j)] = nxt.get((i, j), 0.0) + mass * p
-        state = nxt
         if g_t > 0.0:
-            for pair, mass in state.items():
+            for pair, mass in level.items():
                 q[pair] = q.get(pair, 0.0) + g_t * mass
-        if not state:
-            break
     return AggregateSwitchProbs(q=q)
 
 
-def session_tables(scenario: Scenario):
-    """Cumulative tables for drawing sessions: switch rows and lifetime.
+def sample_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=None):
+    """Yield the targets of `n_sessions` seeded sessions, one list each.
 
-    rows maps (prev, cur) to (targets, cumulative switch probabilities);
-    pairs without outgoing mass have no row.  The lifetime CDF is the
-    truncated Poisson renormalized over 0..t_max.
+    A session starts at (START, start) and draws each target from its
+    followed row's cumulative probabilities; it ends early at a pair with no
+    outgoing mass.  Its number of switches is drawn from the lifetime pmf
+    renormalised over 0..t_max, unless `survival` is given: then switch t is
+    taken only if a uniform draw falls below survival[t] (None forces it),
+    and a session has at most len(survival) switches.
     """
-    nav, graph = scenario.nav, scenario.graph
-    rows: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
-    s = graph.start
-    targets = sorted(j for j, p in nav.p_start.items() if p > 0.0)
-    if targets:
-        rows[(START, s)] = (targets, np.cumsum([nav.p_start[j] for j in targets]))
-    for k in range(graph.n):
-        for i in graph.neighbors[k]:
-            targets = [j for j in graph.neighbors[i]]
-            probs = [nav.p_switch.get((k, i, j), 0.0) for j in targets]
-            total = sum(probs)
-            if total > 0.0:
-                rows[(k, i)] = (targets, np.cumsum(probs))
+    rng = np.random.default_rng(seed)
+    rows = scenario.followed_rows
+    cdfs = {pair: list(accumulate(p for _, p in row)) for pair, row in rows.items()}
     pmf = np.asarray(scenario.lifetime.pmf)
-    return rows, np.cumsum(pmf / pmf.sum())
+    lifetime_cdf = np.cumsum(pmf / pmf.sum()).tolist()
+    for _ in range(n_sessions):
+        schedule = survival
+        if schedule is None:
+            schedule = repeat(None, bisect_left(lifetime_cdf, rng.random()))
+        k, i, targets = START, scenario.graph.start, []
+        for keep in schedule:
+            if keep is not None and rng.random() >= keep:
+                break
+            row, cdf = rows[(k, i)], cdfs[(k, i)]
+            if not row:
+                break
+            k, i = i, row[bisect_left(cdf, rng.random() * cdf[-1])][0]
+            targets.append(i)
+        yield targets
 
 
 # --- scenario file format ---------------------------------------------------
@@ -271,7 +320,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         lifetime = build_lifetime_tail(float(lt["mu"]), int(lt["t_max"]))
     except (TypeError, ValueError, KeyError) as exc:
         raise InvalidInputError(f"malformed scenario file: {exc}") from exc
-    problems = graph.validate()
+    problems = validate_navigation_model(graph, nav)
     if problems:
         raise InvalidInputError("; ".join(problems))
     return Scenario(graph=graph, nav=nav, lifetime=lifetime)

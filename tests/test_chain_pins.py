@@ -36,7 +36,7 @@ from navstream.scenario import (
     validate_navigation_model,
 )
 
-PINS = json.loads((Path(__file__).with_name("chain_pins.json")).read_text())
+PINS = json.loads(Path(__file__).with_name("chain_pins.json").read_text())
 
 
 def _lf33():

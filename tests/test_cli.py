@@ -132,6 +132,7 @@ def test_optimize_and_sweep(lf_files, tmp_path, capsys):
     with open(sweep_out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["lambda"]) for r in rows] == [0.3, 0.8]
+    assert [r["method"] for r in rows] == ["landmark", "landmark"]
 
 
 def test_optimize_all_i_init(lf_files, tmp_path):
@@ -175,6 +176,28 @@ def test_exit_code_invalid_input(tmp_path, capsys):
         "--structure", str(bad), "--buffer", "flex",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [("half_rows", "sums to 0.5"), ("start_off_graph", "names 4, not a neighbor of start 4")],
+)
+def test_broken_navigation_model_exits_2(lf_files, tmp_path, capsys, breakage, message):
+    scenario, sizes = lf_files
+    data = json.loads(scenario.read_text())
+    if breakage == "half_rows":
+        data["p_switch"] = [[k, i, j, 0.5 * p] for k, i, j, p in data["p_switch"]]
+    else:
+        data["p_start"] = [[4, 1.0]]  # the start MDU is no neighbour of itself
+    scenario.write_text(json.dumps(data))
+    structure = tmp_path / "all_i.json"
+    save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
+    rc = main([
+        "eval", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--structure", str(structure), "--buffer", "flex",
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_infeasible_structure(lf_files, tmp_path):

@@ -176,6 +176,26 @@ def test_scenario_rejects_bad_graph():
         scenario_from_dict(data)
 
 
+def test_scenario_rejects_unnormalised_switch_rows():
+    data = scenario_to_dict(pingpong_scenario())
+    data["p_switch"] = [[k, i, j, 0.5 * p] for k, i, j, p in data["p_switch"]]
+    with pytest.raises(InvalidInputError, match="sums to 0.5"):
+        scenario_from_dict(data)
+
+
+def test_scenario_rejects_start_row_naming_a_non_neighbour():
+    data = scenario_to_dict(pingpong_scenario())
+    data["p_start"] = [[1, 0.5], [0, 0.5]]
+    with pytest.raises(InvalidInputError, match="not a neighbor of start"):
+        scenario_from_dict(data)
+
+
+def test_validate_returns_graph_report_for_out_of_range_neighbour():
+    sc = pingpong_scenario()
+    graph = MediaGraph(n=2, neighbors=((1,), (5,)), start=0)
+    assert validate_navigation_model(graph, sc.nav) == graph.validate() != []
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(InvalidInputError):
         load_scenario(tmp_path / "nope.json")
