@@ -12,7 +12,8 @@ Variants:
 flex-ga, fixed-ga and flex-lm-i all run on refine's one greedy engine
 (`greedy_search`): flex-ga scans add-edge then add-pair moves, fixed-ga
 add-edge moves, and flex-lm-i goes through greedy_refine (add-edge) and
-greedy_subtract (remove-edge).  All three honour `enable_pruning`, so the
+then greedy_subtract's remove-edge search, started from the cost that
+greedy_refine's log holds.  All three honour `enable_pruning`, so the
 engine's request bound prunes their moves, and each takes its final exact
 cost from the engine's log instead of evaluating the result again.
 
@@ -50,7 +51,7 @@ from .refine import (
     add_reverse_pairs,
     greedy_refine,
     greedy_search,
-    greedy_subtract,
+    remove_edges,
 )
 from .scenario import START, Scenario, aggregate_switch_probabilities, sample_sessions
 
@@ -217,9 +218,11 @@ def run_baseline(
         lm = _landmark_structure(scenario, sizes, params.lam)
         init = replace(lm, i_set=frozenset(range(n)))
         added, log_add = greedy_refine(scenario, sizes, init, run)
-        final, log_sub = greedy_subtract(scenario, sizes, added, run)
+        final, log_sub = greedy_search(
+            scenario, sizes, added, run, (remove_edges,), log_add.expected_cost
+        )
         log = RefineLog(
-            steps=log_add.steps + log_sub.steps,
+            steps=log_add.steps + [(it, e, j) for it, (e,), j in log_sub.steps],
             candidates_total=log_add.candidates_total + log_sub.candidates_total,
             candidates_pruned=log_add.candidates_pruned + log_sub.candidates_pruned,
             candidates_skipped=log_add.candidates_skipped

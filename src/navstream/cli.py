@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 
 from . import adapters, baselines, merge
@@ -240,11 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
             "kind,i,j,bits; structures are JSON i_set/p_edges/landmarks."
         ),
     )
+    common = argparse.ArgumentParser(add_help=False)  # every leaf command's options
+    common.add_argument(
+        "-v", "--verbose", action="count", default=0,
+        help="log to stderr: -v at INFO (such as which cost inf-lm reports), "
+        "-vv at DEBUG",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a scenario and size table")
     gsub = p.add_subparsers(dest="media", required=True)
-    lf = gsub.add_parser("lf", help="light-field view-area grid")
+    lf = gsub.add_parser("lf", parents=[common], help="light-field view-area grid")
     lf.add_argument("--rows", type=int, required=True)
     lf.add_argument("--cols", type=int, required=True)
     lf.add_argument("--sigma", type=float, default=0.5)
@@ -255,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     lf.add_argument("--out-scenario", required=True)
     lf.add_argument("--out-sizes", required=True)
     lf.set_defaults(func=_cmd_gen)
-    vp = gsub.add_parser("viewport", help="viewport chain from trajectories")
+    vp = gsub.add_parser(
+        "viewport", parents=[common], help="viewport chain from trajectories"
+    )
     vp.add_argument("--log", required=True)
     vp.add_argument("--n", type=int, required=True)
     vp.add_argument("--p-unit", type=float, default=1.0)
@@ -265,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--out-sizes", required=True)
     vp.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("eval", help="expected cost of a structure")
+    p = sub.add_parser("eval", parents=[common], help="expected cost of a structure")
     p.add_argument("--scenario", required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--structure", required=True)
@@ -274,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy-out", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("plan", help="landmark partitioning")
+    p = sub.add_parser("plan", parents=[common], help="landmark partitioning")
     p.add_argument("--scenario", required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -282,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("optimize", help="greedy refinement of a structure")
+    p = sub.add_parser(
+        "optimize", parents=[common], help="greedy refinement of a structure"
+    )
     p.add_argument("--scenario", required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -293,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-out", default=None)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("sweep", help="tradeoff curve over several lambdas")
+    p = sub.add_parser(
+        "sweep", parents=[common], help="tradeoff curve over several lambdas"
+    )
     p.add_argument("--scenario", required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--lambdas", required=True, help="comma-separated values")
@@ -302,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo sessions under a policy")
+    p = sub.add_parser(
+        "simulate", parents=[common], help="Monte-Carlo sessions under a policy"
+    )
     p.add_argument("--scenario", required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--structure", required=True)
@@ -313,11 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("merge-demo", help="per-row merge parameter selection")
+    p = sub.add_parser(
+        "merge-demo", parents=[common], help="per-row merge parameter selection"
+    )
     p.add_argument("input", help="CSV rows: target,v1,v2,...")
     p.set_defaults(func=_cmd_merge_demo)
 
-    p = sub.add_parser("baseline", help="reference optimizers")
+    p = sub.add_parser("baseline", parents=[common], help="reference optimizers")
     p.add_argument("--scenario", required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -331,6 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("navstream")
+    level, handler = log.level, logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    if args.verbose:
+        log.setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
+        log.addHandler(handler)
     try:
         return args.func(args)
     except InvalidInputError as exc:
@@ -345,6 +368,9 @@ def main(argv=None) -> int:
     except NavstreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,17 @@ Per-request actions recorded in the policy:
 Tie-breaking is deterministic: fixed prefers 1-hop over 0-hop; flexible
 prefers 1-hop, then 2-hop, then 0-hop, then the lowest candidate indices,
 except that a 2-hop's first hop prefers the buffered MDU to the displayed one.
+
+A policy file (version 2) is one JSON object
+  {"version": 2, "buffer", "weight_first_switch", "actions", "keys", "index"}
+where `actions` lists each distinct action once in first-seen order, `keys`
+is every key's integers flattened in the DP's insertion order (width 4 for
+the fixed buffer, 5 for the flexible one), and `index[n]` is the position in
+`actions` of key n's action.  It is written and read by json's C codec with
+no per-key Python loop.  Version-1 files (no `version`, `actions` an object
+keyed "t,k,...,j") still load.  Loading rejects, with `InvalidInputError`,
+an unknown buffer, a non-boolean `weight_first_switch`, an action the buffer
+model cannot take, keys of the wrong width and out-of-range indices.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .costs import SizeTable, Structure
 from .errors import InfeasibleStructureError, InvalidInputError, OracleRefusalError
@@ -40,51 +52,115 @@ logger = logging.getLogger(__name__)
 EMPTY = -2  # flexible-buffer sentinel for "nothing buffered yet"
 
 
+# Per buffer model: the key width, and the (kind, length) of each action.
+_KEY_WIDTH = {"fixed": 4, "flex": 5}
+_ACTION_SHAPES = {
+    "fixed": {("0hop", 1), ("1hop", 2)},
+    "flex": {("0hop", 2), ("1hop", 2), ("2hop", 3)},
+}
+
+
+def _malformed(why: str) -> InvalidInputError:
+    return InvalidInputError(f"malformed policy: {why}")
+
+
+def _checked_action(act, buffer: str) -> tuple:
+    """`act` as a tuple if it is an action of the `buffer` model, else raise."""
+    if (
+        isinstance(act, (list, tuple))
+        and act
+        and (act[0], len(act)) in _ACTION_SHAPES[buffer]
+        and all(type(x) is int for x in act[1:])
+    ):
+        return tuple(act)
+    raise _malformed(f"{act!r} is not a {buffer}-buffer action")
+
+
+def _v1_layout(actions, width: int) -> tuple[list, list, list]:
+    """A version-1 {"t,k,...,j": action} dict as version-2 (actions, keys, index)."""
+    if not isinstance(actions, dict):
+        raise _malformed("version-1 actions must be an object")
+    keys, acts = [], []
+    for key, act in actions.items():
+        parts = key.split(",")
+        if len(parts) != width:
+            raise _malformed(f"key {key!r} does not have {width} fields")
+        keys += map(int, parts)
+        acts.append(tuple(act))
+    table = list(dict.fromkeys(acts))
+    pos = {act: n for n, act in enumerate(table)}
+    return table, keys, [pos[act] for act in acts]
+
+
 @dataclass
 class Policy:
-    """Deterministic per-request action table extracted from a DP run."""
+    """Deterministic per-request action table extracted from a DP run.
+
+    `save` and `load` use the version-2 file of the module docstring; a
+    reloaded table is `==` to the saved one and in the same order.
+    """
 
     buffer: str  # "fixed" or "flex"
     weight_first_switch: bool
     actions: dict[tuple, tuple] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        table = dict.fromkeys(self.actions.values())
+        pos = {act: n for n, act in enumerate(table)}
         return {
+            "version": 2,
             "buffer": self.buffer,
             "weight_first_switch": self.weight_first_switch,
-            "actions": {
-                ",".join(str(x) for x in key): list(act)
-                for key, act in sorted(self.actions.items())
-            },
+            "actions": list(table),
+            "keys": list(chain.from_iterable(self.actions)),
+            "index": list(map(pos.__getitem__, self.actions.values())),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Policy":
+        """Read either file version; raise `InvalidInputError` if it is malformed."""
         try:
-            actions = {}
-            for key, act in data["actions"].items():
-                parts = key.split(",")
-                actions[tuple(int(x) for x in parts)] = (
-                    (act[0], *(int(x) for x in act[1:]))
-                )
-            return cls(
-                buffer=data["buffer"],
-                weight_first_switch=bool(data["weight_first_switch"]),
-                actions=actions,
+            buffer, wfs = data["buffer"], data["weight_first_switch"]
+            if buffer not in _KEY_WIDTH:
+                raise _malformed(f"unknown buffer model {buffer!r}")
+            if type(wfs) is not bool:
+                raise _malformed(f"weight_first_switch {wfs!r} is not a boolean")
+            width = _KEY_WIDTH[buffer]
+            version = data.get("version")
+            if version is None:
+                table, keys, index = _v1_layout(data["actions"], width)
+            elif type(version) is int and version == 2:
+                table, keys, index = data["actions"], data["keys"], data["index"]
+            else:
+                raise _malformed(f"unsupported version {version!r}")
+            if not all(isinstance(x, list) for x in (table, keys, index)):
+                raise _malformed("actions, keys and index must be lists")
+            table = [_checked_action(act, buffer) for act in table]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise _malformed(str(exc)) from exc
+        if not set(map(type, keys)) <= {int} or not set(map(type, index)) <= {int}:
+            raise _malformed("keys and index must hold integers")
+        if len(keys) != width * len(index):
+            raise _malformed(
+                f"{len(keys)} key fields for {len(index)} keys of width {width}"
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed policy: {exc}") from exc
+        if index and not (0 <= min(index) and max(index) < len(table)):
+            raise _malformed(f"an action index is outside [0, {len(table)})")
+        actions = dict(zip(zip(*[iter(keys)] * width), map(table.__getitem__, index)))
+        return cls(buffer=buffer, weight_first_switch=wfs, actions=actions)
 
     def save(self, path) -> None:
+        # json.dumps without indent runs the C encoder; json.dump never does
+        text = json.dumps(self.to_dict(), separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "Policy":
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise InvalidInputError(f"cannot read policy {path}: {exc}") from exc
 
 

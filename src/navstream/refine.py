@@ -239,6 +239,7 @@ def greedy_search(
     initial: Structure,
     params: RefinerParams,
     moves,
+    initial_cost: float | None = None,
 ) -> tuple[Structure, RefineLog]:
     """Commit the best strictly improving move per iteration until none is left.
 
@@ -249,7 +250,9 @@ def greedy_search(
     leaves an MDU without an independent reconstruction.  The rest are
     evaluated exactly; ties keep the earlier move.  Steps record
     (iteration, edges, J); `expected_cost` is the exact c of the returned
-    structure.  Each iteration logs its candidate fates at DEBUG.
+    structure.  `initial_cost`, when given, is the exact c of `initial`
+    (from an earlier search's log) and spares its evaluation.  Each
+    iteration logs its candidate fates at DEBUG.
     """
     n = scenario.graph.n
     structure = initial
@@ -258,7 +261,9 @@ def greedy_search(
     prune = params.enable_pruning
     weights = request_weights(scenario)
 
-    c_min = evaluate(scenario, sizes, structure, params.buffer).expected_cost
+    c_min = initial_cost
+    if c_min is None:
+        c_min = evaluate(scenario, sizes, structure, params.buffer).expected_cost
     j_min = c_min + lam * storage_cost(structure, sizes)
     iteration = 0
     while True:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,7 +94,9 @@ def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
     """Truncated Poisson tail g(t) = sum_{m=t}^{t_max} mu^m e^-mu / m!.
 
     Uses the running-term recurrence term_m = term_{m-1} * mu / m, so large
-    mu/t_max stay finite (no explicit factorials).
+    mu/t_max stay finite (no explicit factorials).  The recurrence starts
+    at e^-mu, which is subnormal for mu above about 708.4 and loses the
+    pmf's mass (or all of it), so such mu raise `InvalidInputError`.
     """
     if mu <= 0:
         raise InvalidInputError(f"mu must be positive, got {mu}")
@@ -101,6 +104,11 @@ def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
         raise InvalidInputError(f"t_max must be a positive integer, got {t_max}")
     t_max = int(t_max)
     term = math.exp(-mu)
+    if term < sys.float_info.min:
+        raise InvalidInputError(
+            f"mu {mu} is too large: e^-mu underflows above mu = "
+            f"{-math.log(sys.float_info.min):.3f}"
+        )
     pmf = [term]
     for m in range(1, t_max + 1):
         term *= mu / m

@@ -1,5 +1,6 @@
 import csv
 import logging
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (
     random_structure,
 )
 from navstream.adapters import LfGridSpec, build_lf_scenario
-from navstream import baselines
+from navstream import baselines, refine
 from navstream.baselines import (
     VARIANTS,
     emit_tradeoff_csv,
@@ -23,8 +24,8 @@ from navstream.baselines import (
 )
 from navstream.costs import Structure, storage_cost, uniform_sizes, zero_hop_sources
 from navstream.errors import InvalidInputError, OracleRefusalError
-from navstream.evaluate import eval_flexible
-from navstream.refine import RefinerParams, TradeoffRow, greedy_subtract
+from navstream.evaluate import eval_flexible, evaluate
+from navstream.refine import RefinerParams, TradeoffRow, greedy_refine, greedy_subtract
 from navstream.scenario import START, Scenario, build_lifetime_tail
 
 SYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1), (1, 0)}))
@@ -73,6 +74,34 @@ def test_flex_lm_i_keeps_all_i_mdus():
     sc, sz = _lf_scenario()
     res = run_baseline(sc, sz, RefinerParams(lam=0.5), "flex-lm-i")
     assert res.structure.i_set == frozenset(range(sc.graph.n))
+
+
+def test_flex_lm_i_evaluates_the_added_structure_once(monkeypatch):
+    # LF 3x4, mu 1, t_max 2, lambda 0.5: the benchmark's lf-refine instance
+    sc, sz = _lf_scenario(rows=3, cols=4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "evaluate", counted)
+    got = run_baseline(sc, sz, RefinerParams(lam=0.5), "flex-lm-i")
+    n_got = len(calls)
+    calls.clear()
+    # the earlier composition: greedy_refine, then greedy_subtract re-evaluates
+    init = replace(
+        baselines._landmark_structure(sc, sz, 0.5), i_set=frozenset(range(sc.graph.n))
+    )
+    run = RefinerParams(lam=0.5, buffer="flex")
+    added, log_add = greedy_refine(sc, sz, init, run)
+    final, log_sub = greedy_subtract(sc, sz, added, run)
+    assert calls.count(added) == 2
+    assert n_got == len(calls) - 1
+    assert got.structure == final
+    assert got.log.steps == log_add.steps + log_sub.steps
+    assert got.expected_cost == log_sub.expected_cost
+    assert got.storage_bits == storage_cost(final, sz)
 
 
 def _pruning_cases(count=20):

@@ -1,8 +1,10 @@
 import csv
 import json
+from functools import partial
 
 import pytest
 
+from navstream import baselines
 from navstream.cli import main
 from navstream.costs import load_structure, save_structure, Structure
 from navstream.errors import InfeasibleStructureError, OracleRefusalError
@@ -157,6 +159,55 @@ def test_baseline_command(lf_files, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "variant inf-lm" in text
     assert load_structure(out).validate(9) == []
+
+
+def test_baseline_verbose_names_the_cost_it_reports(lf_files, capsys, monkeypatch):
+    scenario, sizes = lf_files
+    argv = [
+        "baseline", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--lambda", "0.5", "--variant", "inf-lm",
+    ]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    cost = quiet.out.splitlines()[1].split()[1]
+
+    assert main([*argv, "-v"]) == 0
+    info = capsys.readouterr()
+    assert info.out == quiet.out
+    assert info.err == (
+        f"INFO navstream.baselines: inf-lm cost: exact infinite-buffer cost {cost}\n"
+    )
+
+    assert main([*argv, "-vv"]) == 0
+    debug = capsys.readouterr()
+    assert debug.out == quiet.out
+    assert "DEBUG navstream.baselines: infinite-buffer level 0: 1 states" in debug.err
+
+    monkeypatch.setattr(
+        baselines, "inf_buffer_cost", partial(baselines.inf_buffer_cost, max_states=2)
+    )
+    assert main([*argv, "--verbose"]) == 0
+    est = capsys.readouterr()
+    assert "inf-lm cost: Monte-Carlo estimate" in est.err
+    assert est.err.count("\n") == 1
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""  # the handler is gone again
+
+
+def test_simulate_rejects_malformed_policy(lf_files, tmp_path, capsys):
+    scenario, sizes = lf_files
+    structure, policy = tmp_path / "structure.json", tmp_path / "policy.json"
+    save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
+    policy.write_text(json.dumps({
+        "version": 2, "buffer": "flex", "weight_first_switch": "no",
+        "actions": [], "keys": [], "index": [],
+    }))
+    assert main([
+        "simulate", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--structure", str(structure), "--policy", str(policy), "--sessions", "10",
+    ]) == 2
+    assert "malformed policy" in capsys.readouterr().err
 
 
 def test_merge_demo(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from navstream.evaluate import (
     eval_flexible,
     evaluate,
 )
+from navstream.oracle import simulate_sessions
 from navstream.refine import request_weights
 from navstream.scenario import (
     START,
@@ -355,6 +359,149 @@ def test_policy_load_rejects_garbage(tmp_path):
     path.write_text('{"buffer": "flex"}')
     with pytest.raises(InvalidInputError):
         Policy.load(path)
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(InvalidInputError, match="cannot read policy"):
+        Policy.load(path)
+
+
+V1_FILES = Path(__file__).parent
+
+
+def _v1_instance():
+    """The seeded instance whose policies `policy_v1_*.json` hold (version 1)."""
+    rng = np.random.default_rng(1)
+    sc = random_scenario(rng, 4, 2)
+    return sc, random_sizes(rng, 4), random_structure(rng, 4)
+
+
+@pytest.mark.parametrize("fn", [eval_fixed, eval_flexible])
+def test_policy_v2_round_trip_keeps_actions_and_order(fn, tmp_path):
+    sc, sz, st = _v1_instance()
+    policy = fn(sc, sz, st, weight_first_switch=True).policy
+    path = tmp_path / "policy.json"
+    policy.save(path)
+    data = json.loads(path.read_text())
+    assert data["version"] == 2
+    assert len(data["keys"]) == len(next(iter(policy.actions))) * len(data["index"])
+    assert len(data["actions"]) == len(set(policy.actions.values()))
+    back = Policy.load(path)
+    assert back == policy
+    assert list(back.actions.items()) == list(policy.actions.items())
+
+
+def test_policy_v2_round_trip_empty(tmp_path):
+    path = tmp_path / "policy.json"
+    for buffer in ("fixed", "flex"):
+        Policy(buffer=buffer, weight_first_switch=False).save(path)
+        assert Policy.load(path) == Policy(buffer=buffer, weight_first_switch=False)
+
+
+def test_policy_saves_are_byte_identical(tmp_path):
+    sc, sz, st = _v1_instance()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    eval_flexible(sc, sz, st).policy.save(a)
+    eval_flexible(sc, sz, st).policy.save(b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [False, True])
+def test_simulate_on_reloaded_policy_matches_in_memory(mode, tmp_path):
+    sc, sz, st = _v1_instance()
+    policy = eval_flexible(sc, sz, st).policy
+    path = tmp_path / "policy.json"
+    policy.save(path)
+    runs = [
+        simulate_sessions(sc, sz, st, p, 2_000, seed=5, consistency_mode=mode)
+        for p in (policy, Policy.load(path))
+    ]
+    assert runs[0].mean == runs[1].mean
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].traces == runs[1].traces
+
+
+@pytest.mark.parametrize(
+    "fn, name, wfs",
+    [(eval_fixed, "policy_v1_fixed.json", False),
+     (eval_flexible, "policy_v1_flex.json", True)],
+)
+def test_policy_v1_file_still_loads(fn, name, wfs):
+    # written by the version-1 `Policy.save` (sorted "t,k,...,j" keys, indent 1)
+    sc, sz, st = _v1_instance()
+    back = Policy.load(V1_FILES / name)
+    assert "version" not in json.loads((V1_FILES / name).read_text())
+    assert back == fn(sc, sz, st, weight_first_switch=wfs).policy
+
+
+def _set_first_action(data, act):
+    if isinstance(data["actions"], dict):  # version 1
+        data["actions"][next(iter(data["actions"]))] = act
+    else:
+        data["actions"][0] = act
+
+
+def _v1_short_key(data):
+    data["actions"]["0,-1,1,0"] = ["1hop", 1]
+
+
+def _v1_text_key(data):
+    data["actions"]["0,-1,x,-2,0"] = ["1hop", 1]
+
+
+_REJECTED_BOTH = {
+    "unknown buffer": lambda d: d.update(buffer="flexible"),
+    "string weight_first_switch": lambda d: d.update(weight_first_switch="no"),
+    "integer weight_first_switch": lambda d: d.update(weight_first_switch=1),
+    "unknown action kind": lambda d: _set_first_action(d, ["teleport", 3]),
+    "fixed 0hop in a flex policy": lambda d: _set_first_action(d, ["0hop"]),
+    "2hop missing its predictor": lambda d: _set_first_action(d, ["2hop", 1]),
+    "non-integer reference": lambda d: _set_first_action(d, ["1hop", "3"]),
+    "action not a list": lambda d: _set_first_action(d, "0hop"),
+}
+_REJECTED_V1 = {
+    "key of the wrong width": _v1_short_key,
+    "non-integer key": _v1_text_key,
+    "actions not an object": lambda d: d.update(actions=[]),
+}
+_REJECTED_V2 = {
+    "keys not a multiple of the width": lambda d: d["keys"].pop(),
+    "one key too many": lambda d: d["keys"].extend([0, -1, 4, -2, 1]),
+    "index past the actions": lambda d: d["index"].__setitem__(0, len(d["actions"])),
+    "negative index": lambda d: d["index"].__setitem__(0, -1),
+    "non-integer key": lambda d: d["keys"].__setitem__(0, "0"),
+    "boolean key": lambda d: d["keys"].__setitem__(0, False),
+    "float index": lambda d: d["index"].__setitem__(0, 0.0),
+    "unknown version": lambda d: d.update(version=3),
+    "string version": lambda d: d.update(version="2"),
+    "keys not a list": lambda d: d.update(keys={}),
+}
+
+
+_REJECTED = {
+    "v1": {**_REJECTED_BOTH, **_REJECTED_V1},
+    "v2": {**_REJECTED_BOTH, **_REJECTED_V2},
+}
+
+
+@pytest.mark.parametrize(
+    "layout, case", [(lay, c) for lay, cases in _REJECTED.items() for c in cases]
+)
+def test_policy_load_rejects_malformed(layout, case, tmp_path):
+    data = json.loads((V1_FILES / "policy_v1_flex.json").read_text())
+    if layout == "v2":
+        data = json.loads(json.dumps(Policy.from_dict(data).to_dict()))
+    Policy.from_dict(json.loads(json.dumps(data)))  # the unbroken file loads
+    _REJECTED[layout][case](data)
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidInputError, match="malformed policy"):
+        Policy.load(path)
+
+
+def test_policy_rejects_2hop_in_a_fixed_policy():
+    data = json.loads((V1_FILES / "policy_v1_fixed.json").read_text())
+    _set_first_action(data, ["2hop", 1, 2])
+    with pytest.raises(InvalidInputError, match="not a fixed-buffer action"):
+        Policy.from_dict(data)
 
 
 def test_extract_policy_actions_are_feasible():

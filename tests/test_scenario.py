@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pingpong_scenario, random_scenario
+from navstream.adapters import lifetime_defaults
 from navstream.errors import InvalidInputError
 from navstream.scenario import (
     START,
@@ -72,6 +73,27 @@ def test_tail_large_mu_stays_finite():
     lt = build_lifetime_tail(50.0, 200)
     assert lt.g(0) == pytest.approx(1.0, abs=1e-9)
     assert all(math.isfinite(p) for p in lt.pmf)
+
+
+@pytest.mark.parametrize("mu", [708.4, 745.0, 750.0])
+def test_tail_rejects_mu_whose_start_term_underflows(mu):
+    # e^-745 is subnormal (pmf summed to 1.75), e^-750 is 0 (g was all 0)
+    with pytest.raises(InvalidInputError, match="underflows above mu = 708.396"):
+        build_lifetime_tail(mu, 1500)
+
+
+def test_paper_default_lifetime_of_lf_66x66_is_refused():
+    with pytest.raises(InvalidInputError, match="underflows"):
+        build_lifetime_tail(*lifetime_defaults(67 * 67))  # (748.0, 1496)
+
+
+def test_tail_mu700_pmf_unchanged():
+    # the values below the underflow limit are the recurrence's, bit for bit
+    lt = build_lifetime_tail(700.0, 1400)
+    assert lt.pmf[0] == math.exp(-700.0) == 9.85967654375977e-305
+    assert lt.pmf[700] == 0.015076805912737056
+    assert sum(lt.pmf) == 1.000000000000001
+    assert lt.g(700) == 0.5050262400556832
 
 
 # --- navigation validation --------------------------------------------------
