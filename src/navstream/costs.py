@@ -235,7 +235,7 @@ def load_structure(path) -> Structure:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InvalidInputError(f"cannot read structure {path}: {exc}") from exc
     unknown = set(data) - {"i_set", "p_edges", "landmarks"}
     if unknown:
@@ -283,7 +283,7 @@ def load_sizes(path) -> SizeTable:
                     f"sizes CSV must have header kind,i,j,bits, got {reader.fieldnames}"
                 )
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise InvalidInputError(f"cannot read sizes {path}: {exc}") from exc
     try:
         n = 1 + max(

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, takewhile
+
+import numpy as np
 
 from .costs import SizeTable, Structure, storage_cost
 from .errors import InvalidInputError
@@ -23,6 +26,8 @@ from .evaluate import CostTables, evaluate
 from .scenario import Scenario, pair_masses
 
 logger = logging.getLogger(__name__)
+# W's DEBUG line goes to a child logger: `logger` logs one line per search iteration.
+weights_logger = logging.getLogger(f"{__name__}.weights")
 
 
 @dataclass
@@ -128,15 +133,27 @@ def request_weights(scenario: Scenario) -> list[float]:
 
     Navigation does not depend on the structure, so a request at depth t
     (t = 0..t_max) weighs its path probability times g(1)...g(t) in c: the
-    `pair_masses` levels 0..t_max with factors g(1)..g(t_max).
+    `pair_masses` levels 0..t_max with factors g(1)..g(t_max), up to the
+    last t with g(t) > 0.  Each level's flows are added by target with one
+    `np.bincount` whose first n entries are the running sums, so every
+    request adds on in level order and memory stays one level deep.
     """
-    lt, rows = scenario.lifetime, scenario.followed_rows
-    weights = [0.0] * scenario.graph.n
-    for level in pair_masses(scenario, [lt.g(t) for t in range(1, lt.t_max + 1)]):
-        for pair, mass in level.items():
-            for j, p in rows[pair]:
-                weights[j] += mass * p
-    return weights
+    start, lt = time.perf_counter(), scenario.lifetime
+    n, target = scenario.graph.n, scenario.pair_index.target
+    factors = takewhile(lambda g: g > 0.0, map(lt.g, range(1, lt.t_max + 1)))
+    mdus, weights, levels = np.arange(n), np.zeros(n), 0
+    for _, _, slots, flow in pair_masses(scenario, factors):
+        weights = np.bincount(
+            np.concatenate([mdus, target[slots]]),
+            weights=np.concatenate([weights, flow]),
+            minlength=n,
+        )
+        levels += 1
+    weights_logger.debug(
+        "request weights: %d pairs over %d levels in %.4f s",
+        len(scenario.pair_index.pairs), levels, time.perf_counter() - start,
+    )
+    return weights.tolist()
 
 
 class _RequestBound:

@@ -6,22 +6,31 @@ distribution and the one-step-memory switch probabilities share one lookup
 path.
 
 Every reader of the navigation chain goes through `Scenario.rows`, the
-forward pass `pair_masses` or the session sampler `sample_sessions`.
+forward pass `pair_masses` or the session sampler `sample_sessions`.  The
+forward pass runs on numpy arrays over `Scenario.pair_index`, which numbers
+the followed (prev, cur) pairs.  `np.bincount` adds each level's masses in a
+fixed order (pairs in first-reached order, each row in graph order), so q
+and W are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import sys
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, takewhile
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+logger = logging.getLogger(__name__)
 
 # Distinguished "previous MDU" index for the first switch of a session.
 START = -1
@@ -121,6 +130,21 @@ def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
     return LifetimeModel(mu=mu, t_max=t_max, pmf=tuple(pmf), _tail=tuple(tail))
 
 
+class PairIndex(NamedTuple):
+    """The (prev, cur) pairs of `Scenario.followed_rows`, numbered in its order.
+
+    Pair a's followed requests are the slots offsets[a]..offsets[a + 1] - 1,
+    in graph order; slot s requests target[s] with probability prob[s] and
+    moves the chain to the pair succ[s] = (cur, target[s]).
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    offsets: np.ndarray
+    succ: np.ndarray
+    target: np.ndarray
+    prob: np.ndarray
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete evaluation scenario: graph + behavior + lifetime."""
@@ -151,6 +175,21 @@ class Scenario:
         return {
             pair: tuple(r for r in row if r[1] > 0.0) for pair, row in self.rows.items()
         }
+
+    @cached_property
+    def pair_index(self) -> PairIndex:
+        """`followed_rows` as CSR arrays; (START, start) is pair 0."""
+        rows = self.followed_rows
+        ids = {pair: a for a, pair in enumerate(rows)}
+        return PairIndex(
+            pairs=tuple(rows),
+            offsets=np.cumsum([0, *map(len, rows.values())]),
+            succ=np.array(
+                [ids[i, j] for (_, i), row in rows.items() for j, _ in row], dtype=np.intp
+            ),
+            target=np.array([j for row in rows.values() for j, _ in row], dtype=np.intp),
+            prob=np.array([p for row in rows.values() for _, p in row], dtype=float),
+        )
 
 
 def validate_navigation_model(graph: MediaGraph, nav: NavigationModel) -> list[str]:
@@ -216,23 +255,40 @@ class AggregateSwitchProbs:
 
 
 def pair_masses(scenario: Scenario, factors):
-    """Yield the (prev, cur) pair masses of the navigation chain, level by level.
+    """Yield the levels of the navigation chain's forward pass as arrays.
 
-    Level 0 is {(START, start): 1.0}.  Level t + 1 gives the pair (i, j) the
-    sum of factors[t] * (mass * p) over the followed requests (k, i) -> j of
-    level t, added in level order and then graph order.  One level follows
+    Each level is (order, mass, slots, flow): its pair ids in first-reached
+    order (by their first request in the level above), every pair's mass
+    by `Scenario.pair_index` id, the index slots of its followed requests
+    (pairs in order, each row in graph order) and each request's flow
+    mass * p.  Level 0 is pair (START, start) with mass 1.0.  Level t + 1
+    gives pair (i, j) the sum of factors[t] * flow over the requests
+    (k, i) -> j of level t, added in slot order by `np.bincount`, which
+    starts from 0.0 and adds its entries in turn, so each sum is the float
+    that adding them one by one in that order gives.  One level follows
     level 0 per factor.
     """
-    rows = scenario.followed_rows
-    level = {(START, scenario.graph.start): 1.0}
-    yield level
-    for f in factors:
-        nxt: dict[tuple[int, int], float] = {}
-        for (k, i), mass in level.items():
-            for j, p in rows[(k, i)]:
-                nxt[(i, j)] = nxt.get((i, j), 0.0) + f * (mass * p)
-        level = nxt
-        yield level
+    index = scenario.pair_index
+    order, mass = np.zeros(1, dtype=np.intp), np.zeros(len(index.pairs))
+    mass[0] = 1.0
+    factors = iter(factors)
+    while True:
+        starts = index.offsets[order]
+        counts = index.offsets[order + 1] - starts
+        # each pair's run of slots, concatenated in level order
+        shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        slots = np.arange(len(shift)) + shift
+        flow = np.repeat(mass[order], counts) * index.prob[slots]
+        yield order, mass, slots, flow
+        f = next(factors, None)
+        if f is None:
+            return
+        dst = index.succ[slots]
+        mass = np.bincount(dst, weights=f * flow, minlength=len(index.pairs))
+        # the next level's pairs in the order of their first request
+        first = np.full(len(index.pairs), len(dst))
+        np.minimum.at(first, dst, np.arange(len(dst)))
+        order = np.argsort(first)[: np.count_nonzero(first < len(dst))]
 
 
 def aggregate_switch_probabilities(
@@ -242,16 +298,26 @@ def aggregate_switch_probabilities(
 
     v_s is the first switch's pair mass, so the unweighted `pair_masses`
     levels 2..floor(mu) + 1 are weighted by g(1)..g(floor(mu)); the full
-    transition matrix is never formed.  The horizon is clamped to at least 1.
+    transition matrix is never formed.  The horizon is clamped to at least
+    1, and the pass stops at the last t with g(t) > 0.  q's keys are in
+    first-reached order, the order TSVQ sums q in.
     """
+    start = time.perf_counter()
     horizon = max(1, int(math.floor(lifetime.mu)))
-    chain = pair_masses(Scenario(graph, nav, lifetime), [1.0] * (horizon + 1))
-    q: dict[tuple[int, int], float] = {}
-    for t, level in enumerate(islice(chain, 2, None), start=1):
-        g_t = lifetime.g(t)
-        if g_t > 0.0:
-            for pair, mass in level.items():
-                q[pair] = q.get(pair, 0.0) + g_t * mass
+    weights = list(takewhile(lambda g: g > 0.0, map(lifetime.g, range(1, horizon + 1))))
+    scenario = Scenario(graph, nav, lifetime)
+    pairs = scenario.pair_index.pairs
+    qv, seen, keys = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool), []
+    chain = pair_masses(scenario, [1.0] * (len(weights) + 1))
+    for g_t, (order, mass, _, _) in zip(weights, islice(chain, 2, None)):
+        keys += order[~seen[order]].tolist()
+        seen[order] = True
+        qv[order] += g_t * mass[order]
+    q = dict(zip(map(pairs.__getitem__, keys), qv[keys].tolist()))
+    logger.debug(
+        "q: %d pairs over %d levels in %.4f s",
+        len(q), len(weights) + 2, time.perf_counter() - start,
+    )
     return AggregateSwitchProbs(q=q)
 
 
@@ -343,6 +409,6 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InvalidInputError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(data)

@@ -10,10 +10,20 @@ order random numbers are drawn in shows up here.
 
 `dead_end` is built by hand: its (1, 0) row gives target 1 probability 0,
 and MDU 3 has no neighbours, so sessions that reach it end early.
+`lf55_long` walks q 12 levels deep and W 24; it was recorded before the
+forward pass moved from a dict per level to arrays.
+
+A missing case is recorded with `python tests/test_chain_pins.py --record
+CASE` (with `src` on PYTHONPATH); the recorder never overwrites a pin.
 """
 
+import argparse
 import json
+import logging
 import math
+import re
+import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +38,7 @@ from navstream.landmarks import PlannerParams, build_initial_structure, tsvq
 from navstream.oracle import simulate_sessions
 from navstream.refine import request_weights
 from navstream.scenario import (
+    START,
     MediaGraph,
     NavigationModel,
     Scenario,
@@ -36,7 +47,9 @@ from navstream.scenario import (
     validate_navigation_model,
 )
 
-PINS = json.loads(Path(__file__).with_name("chain_pins.json").read_text())
+PINS_PATH = Path(__file__).with_name("chain_pins.json")
+PINS = json.loads(PINS_PATH.read_text())
+CASES = ["lf33", "random", "dead_end", "lf55_long"]
 
 
 def _lf33():
@@ -105,10 +118,13 @@ def _observe(case: str) -> dict:
         return {**_q_and_w(sc), **_sessions(sc, sizes, structure, policy)}
     if case == "random":
         return _q_and_w(random_scenario(np.random.default_rng(11), 5, 3))
+    if case == "lf55_long":
+        graph, nav, _ = build_lf_scenario(LfGridSpec(rows=5, cols=5))
+        return _q_and_w(Scenario(graph, nav, build_lifetime_tail(12.0, 24)))
     return _sessions(*_dead_end())
 
 
-@pytest.mark.parametrize("case", ["lf33", "random", "dead_end"])
+@pytest.mark.parametrize("case", CASES)
 def test_navigation_chain_pinned(case):
     # a JSON round trip turns tuples into lists and keeps every float exact
     assert json.loads(json.dumps(_observe(case))) == PINS[case]
@@ -137,3 +153,138 @@ def test_pingpong_lifetime_conventions():
     res = simulate_sessions(sc, sizes, structure, policy, n_sessions=20_000, seed=3)
     mean_t = sum(m * p for m, p in enumerate(poisson)) / sum(poisson)
     assert abs(res.mean - 11.0 * (1.0 + mean_t)) < 4.0 * res.stderr
+
+
+def _dict_q_and_w(sc):
+    """q and W from a dict per level: the forward pass the array pass replaced."""
+    rows, lt = sc.followed_rows, sc.lifetime
+
+    def levels(factors):
+        level = {(START, sc.graph.start): 1.0}
+        yield level
+        for f in factors:
+            nxt = {}
+            for (k, i), mass in level.items():
+                for j, p in rows[(k, i)]:
+                    nxt[(i, j)] = nxt.get((i, j), 0.0) + f * (mass * p)
+            level = nxt
+            yield level
+
+    q = {}
+    horizon = max(1, math.floor(lt.mu))
+    for t, level in enumerate(islice(levels([1.0] * (horizon + 1)), 2, None), start=1):
+        for pair, mass in level.items() if lt.g(t) > 0.0 else ():
+            q[pair] = q.get(pair, 0.0) + lt.g(t) * mass
+    w = [0.0] * sc.graph.n
+    for level in levels([lt.g(t) for t in range(1, lt.t_max + 1)]):
+        for pair, mass in level.items():
+            for j, p in rows[pair]:
+                w[j] += mass * p
+    return q, w
+
+
+def _zero_some(sc, rng):
+    """`sc` with about a third of its probabilities set to 0 (rows stay unnormalised)."""
+    p_start = {j: 0.0 if rng.random() < 0.3 else p for j, p in sc.nav.p_start.items()}
+    p_switch = {
+        key: 0.0 if rng.random() < 0.3 else p for key, p in sc.nav.p_switch.items()
+    }
+    return Scenario(sc.graph, NavigationModel(p_start, p_switch), sc.lifetime)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2024)
+    for seed in range(210):
+        t_max = int(rng.integers(1, 7))
+        sc = random_scenario(
+            rng, int(rng.integers(2, 9)), t_max, mu=float(rng.uniform(0.5, 9.0))
+        )
+        yield f"random-{seed}", _zero_some(sc, rng) if seed % 3 == 0 else sc
+    yield "dead_end", _dead_end()[0]
+
+
+def test_q_and_w_equal_the_dict_pass():
+    """Values and q's key order, which TSVQ sums in, on 211 scenarios."""
+    for name, sc in _reference_cases():
+        q_ref, w_ref = _dict_q_and_w(sc)
+        q = aggregate_switch_probabilities(sc.graph, sc.nav, sc.lifetime).q
+        assert list(q.items()) == list(q_ref.items()), name
+        w = request_weights(sc)
+        assert w == w_ref and set(map(type, w)) == {float}, name
+
+
+def _levels_logged(caplog, logger, call):
+    """call()'s result and the pairs and levels its one DEBUG line reports."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=logger):
+        out = call()
+    (line,) = [r.getMessage() for r in caplog.records if r.name == logger]
+    found = re.fullmatch(
+        r"(q|request weights): (\d+) pairs over (\d+) levels in [\d.]+ s", line
+    )
+    assert found, line
+    return out, int(found[2]), int(found[3])
+
+
+def test_passes_stop_where_the_weights_end(caplog):
+    """q's horizon floor(mu) = 20 and W's t_max pass the last t with g(t) > 0."""
+    sc = random_scenario(np.random.default_rng(7), 6, 3, mu=20.0)
+    q_ref, w_ref = _dict_q_and_w(sc)
+    q, pairs, levels = _levels_logged(
+        caplog, "navstream.scenario",
+        lambda: aggregate_switch_probabilities(sc.graph, sc.nav, sc.lifetime).q,
+    )
+    assert list(q.items()) == list(q_ref.items())
+    assert (pairs, levels) == (len(q), 3 + 2)  # levels 0..t_max + 1, not 0..21
+    w, pairs, levels = _levels_logged(
+        caplog, "navstream.refine.weights", lambda: request_weights(sc)
+    )
+    assert w == w_ref
+    assert (pairs, levels) == (len(sc.followed_rows), 3 + 1)
+
+    sc = pingpong_scenario(mu=1.0, t_max=400)  # g(t) underflows to 0 after t = 177
+    last = max(t for t in range(401) if sc.lifetime.g(t) > 0.0)
+    assert last < 400
+    w, _, levels = _levels_logged(
+        caplog, "navstream.refine.weights", lambda: request_weights(sc)
+    )
+    assert w == _dict_q_and_w(sc)[1]
+    assert levels == last + 1
+
+
+def _layout(value, indent: int) -> str:
+    """JSON in the pin file's layout: one line per key and per item of a
+    list of lists, everything else inline."""
+    pad = " " * indent
+    if isinstance(value, dict):
+        lines = [
+            f"{pad}{json.dumps(k)}: {_layout(v, indent + 1)}" for k, v in value.items()
+        ]
+    elif isinstance(value, list) and value and all(isinstance(v, list) for v in value):
+        lines = [pad + json.dumps(v) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + "\n" + ",\n".join(lines) + "\n" + pad[1:] + brackets[1]
+
+
+def record(case: str) -> None:
+    """Append the pin of `case` to chain_pins.json; refuse an existing one."""
+    text = PINS_PATH.read_text()
+    if case in json.loads(text):
+        sys.exit(f"{case} is already pinned; the recorder never overwrites a pin")
+    body = text.rstrip()
+    if not body.endswith("}"):
+        sys.exit(f"{PINS_PATH} does not end in a JSON object")
+    pin = json.loads(json.dumps(_observe(case)))
+    PINS_PATH.write_text(
+        f"{body[:-1].rstrip()},\n {json.dumps(case)}: {_layout(pin, 2)}\n}}\n"
+    )
+    if json.loads(PINS_PATH.read_text())[case] != pin:
+        sys.exit(f"{case}: the written pin does not read back equal")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="record a missing chain pin")
+    parser.add_argument("--record", choices=CASES, required=True)
+    record(parser.parse_args().record)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from functools import partial
 
 import pytest
@@ -195,6 +196,20 @@ def test_baseline_verbose_names_the_cost_it_reports(lf_files, capsys, monkeypatc
     assert capsys.readouterr().err == ""  # the handler is gone again
 
 
+def test_forward_passes_log_under_vv(lf_files, tmp_path, capsys):
+    scenario, sizes = lf_files
+    files = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    out = ["--lambda", "0.5", "--out", str(tmp_path / "structure.json")]
+    assert main(["plan", *files, *out, "-vv"]) == 0
+    err = capsys.readouterr().err
+    q_line = r"^DEBUG navstream\.scenario: q: \d+ pairs over 3 levels in "
+    assert re.search(q_line, err, re.M)
+    assert main(["optimize", *files, *out, "--init", "all-i", "-vv"]) == 0
+    err = capsys.readouterr().err
+    w_line = r"^DEBUG navstream\.refine\.weights: request weights: 41 pairs over 3 levels"
+    assert re.search(w_line, err, re.M)
+
+
 def test_simulate_rejects_malformed_policy(lf_files, tmp_path, capsys):
     scenario, sizes = lf_files
     structure, policy = tmp_path / "structure.json", tmp_path / "policy.json"
@@ -227,6 +242,22 @@ def test_exit_code_invalid_input(tmp_path, capsys):
         "--structure", str(bad), "--buffer", "flex",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("kind", ["scenario", "sizes", "structure"])
+def test_utf16_input_file_exits_2(lf_files, tmp_path, capsys, kind):
+    scenario, sizes = lf_files
+    structure = tmp_path / "all_i.json"
+    save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
+    path = {"scenario": scenario, "sizes": sizes, "structure": structure}[kind]
+    path.write_bytes(path.read_text().encode("utf-16"))  # starts with ff fe
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    rc = main([
+        "eval", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--structure", str(structure), "--buffer", "fixed",
+    ])
+    assert rc == 2
+    assert f"cannot read {kind}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
