@@ -165,16 +165,21 @@ def inf_buffer_estimate(
     Each request takes the first cheapest of `_inf_options` along sessions
     from `sample_sessions`, whose lengths follow the renormalised lifetime
     pmf, not the g-products of `inf_buffer_cost`, so this is no bound on
-    that value.  Used where the exact pass refuses.
+    that value.  Used where the exact pass refuses.  Sessions repeat
+    requests, so each distinct (cur, avail, j) is picked once per call.
     """
     sources, options = _inf_options(scenario, sizes, structure)
     s = scenario.graph.start
     first = min(sources[s], key=lambda cm: cm[0])
+    picks = {}  # (cur, avail, j) -> its first cheapest option's (bits, next mask)
     total = 0.0
     for targets in sample_sessions(scenario, n_sessions, seed):
         bits, avail = first
         for i, j in zip([s, *targets], targets):
-            best, avail, _ = min(options(i, avail, j), key=lambda opt: opt[0])
+            if (pick := picks.get((i, avail, j))) is None:
+                best, nxt, _ = min(options(i, avail, j), key=lambda opt: opt[0])
+                pick = picks[(i, avail, j)] = best, nxt
+            best, avail = pick
             bits += best
         total += bits
     return total / n_sessions

@@ -51,6 +51,31 @@ class SizeTable:
             raise CorruptTableError(f"bad P size for pair ({i}, {j}): {v}")
         return float(v)
 
+    def gather(self, kind: str, rows, cols=None) -> np.ndarray:
+        """Sizes at index arrays, each checked as `i`, `m` and `p` check one.
+
+        kind "I" or "M" reads the MDUs `rows`; kind "P" reads the pairs
+        (rows, cols), broadcast, where a self-pair i == j reads as 0 bits
+        (nothing is sent to predict an MDU from itself) and is not checked.
+        Any other non-finite or non-positive entry raises `CorruptTableError`.
+        """
+        at = [np.asarray(rows, dtype=np.intp)]
+        if kind == "P":
+            at.append(np.asarray(cols, dtype=np.intp))
+            values = self.p_size[at[0], at[1]]
+            self_pair = at[0] == at[1]
+            values[self_pair] = 0.0
+            ok = (values > 0) & (values < np.inf) | self_pair
+        else:
+            values = {"I": self.i_size, "M": self.m_size}[kind][at[0]]
+            ok = (values > 0) & (values < np.inf)
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
+            where = tuple(int(a.flat[k]) for a in np.broadcast_arrays(*at))
+            what = f"pair {where}" if kind == "P" else f"MDU {where[0]}"
+            raise CorruptTableError(f"bad {kind} size for {what}: {values.flat[k]}")
+        return values
+
     def validate(self) -> list[str]:
         problems = []
         if np.any(~np.isfinite(self.i_size)) or np.any(self.i_size <= 0):

@@ -6,12 +6,35 @@ switches across partitions route landmark-to-landmark first.  A switch whose
 target IS the buffered landmark is charged nothing (the landmark is already
 decoded), which is the one place the within-partition cost needs a special
 case.
+
+Every cost term reads q through one array view, `AggregateSwitchProbs.arrays`
+(q's sources, targets and values in q's key order, built once per q), and
+picks a partition's switches with one membership mask, `in[i] & in[j]`.
+Sizes are gathered a row at a time through `SizeTable.gather`, which checks
+every entry it reads.  The array code adds its floats in the order the
+per-switch loops it replaced did, so every `phi`, `delta` and
+`furthest_init` score, and so every split decision, is the same float:
+
+- a sum over switches is the last element of `np.cumsum` over them in q's
+  key order;
+- a sum per MDU (the inbound mass `wq`, the outbound cost in
+  `furthest_init`) is `np.bincount`, which adds its entries in turn;
+- phi's storage term adds the spokes in `partition.members`' iteration
+  order, and `lloyd_split` builds each side's set in one fixed insertion
+  order, so that order is reproducible.
+
+`np.sum` and `np.add.reduce` add pairwise, so none of these sums uses them.
+`_phi_all`, which only ranks landmark candidates, keeps its matrix-vector
+product and row sums.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +42,13 @@ import numpy as np
 from .costs import LandmarkGroup, SizeTable, Structure
 from .errors import InvalidInputError
 from .scenario import AggregateSwitchProbs, MediaGraph
+
+logger = logging.getLogger(__name__)
+
+# the Lloyd iteration counts of the splits of the running `tsvq` call
+_LLOYD_ITERATIONS: ContextVar[list[int] | None] = ContextVar(
+    "lloyd_iterations", default=None
+)
 
 
 @dataclass(frozen=True)
@@ -44,48 +74,61 @@ class PlannerParams:
             raise InvalidInputError("storage weight must be finite and non-negative")
 
 
-def _pred_cost(sizes: SizeTable, l: int, j: int) -> float:
-    """P + M bits to reach j from buffered landmark l; free if j is l."""
-    if j == l:
-        return 0.0
-    return sizes.p(l, j) + sizes.m(j)
+def _inside(members, n: int) -> np.ndarray:
+    """Membership mask over the n MDUs."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
 
 
-def _within_pairs(partition: Partition, q: AggregateSwitchProbs):
-    mem = partition.members
-    return [((i, j), p) for (i, j), p in q.q.items() if i in mem and j in mem]
+def _switches(q: AggregateSwitchProbs, src: np.ndarray, dst: np.ndarray):
+    """q's switches from a `src` MDU into a `dst` MDU: sources, targets and
+    probabilities, in q's key order."""
+    qa = q.arrays
+    sel = src[qa.i] & dst[qa.j]
+    return qa.i[sel], qa.j[sel], qa.p[sel]
+
+
+def _in_order_sum(values: np.ndarray) -> float:
+    """The sum of adding `values` one by one in their order."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _hops(sizes: SizeTable, l: int, js: np.ndarray) -> np.ndarray:
+    """P + M bits to reach each target in `js` from buffered landmark l;
+    free where the target is l."""
+    cost = np.zeros(len(js))
+    far = js != l
+    cost[far] = sizes.gather("P", l, js[far]) + sizes.gather("M", js[far])
+    return cost
 
 
 def phi(partition: Partition, sizes: SizeTable, params: PlannerParams) -> float:
     """Within-partition cost of serving switches through the landmark,
     plus the weighted storage of the landmark I-MDU and its spoke P-MDUs."""
     l = partition.landmark
-    trans = sum(
-        p * _pred_cost(sizes, l, j)
-        for (_, j), p in _within_pairs(partition, params.q)
-    )
-    store = sizes.i(l) + sum(
-        sizes.p(l, i) for i in partition.members if i != l
-    )
-    return trans + params.w * store
+    inside = _inside(partition.members, sizes.n)
+    _, js, ps = _switches(params.q, inside, inside)
+    spokes = [i for i in partition.members if i != l]
+    store = sizes.i(l) + _in_order_sum(sizes.gather("P", l, spokes))
+    return _in_order_sum(ps * _hops(sizes, l, js)) + params.w * store
 
 
-def _phi_all(members: list[int], sizes: SizeTable, params: PlannerParams):
+def _phi_all(members, sizes: SizeTable, params: PlannerParams) -> np.ndarray:
     """phi over every candidate landmark in `members`, vectorized."""
-    mem = np.asarray(members)
-    mem_set = set(members)
+    mem = np.asarray(members, dtype=np.intp)
+    k = len(mem)
+    inside = _inside(mem, sizes.n)
+    pos = np.zeros(sizes.n, dtype=np.intp)
+    pos[mem] = np.arange(k)
     # total inbound switch mass per target, within the partition
-    wq = np.zeros(len(mem))
-    pos = {m: idx for idx, m in enumerate(members)}
-    for (i, j), p in params.q.q.items():
-        if i in mem_set and j in mem_set:
-            wq[pos[j]] += p
-    p_sub = sizes.p_size[np.ix_(mem, mem)].copy()
-    np.fill_diagonal(p_sub, 0.0)
-    reach = p_sub + sizes.m_size[mem][None, :]
+    _, js, ps = _switches(params.q, inside, inside)
+    wq = np.bincount(pos[js], weights=ps, minlength=k)
+    p_sub = sizes.gather("P", mem[:, None], mem[None, :])  # 0 on the diagonal
+    reach = p_sub + sizes.gather("M", mem)[None, :]
     np.fill_diagonal(reach, 0.0)  # switching onto the landmark itself is free
     trans = reach @ wq
-    store = sizes.i_size[mem] + p_sub.sum(axis=1)
+    store = sizes.gather("I", mem) + p_sub.sum(axis=1)
     return trans + params.w * store
 
 
@@ -97,15 +140,13 @@ def delta(
     if p1.members & p2.members:
         raise InvalidInputError("delta needs disjoint partitions")
     l1, l2 = p1.landmark, p2.landmark
-    m1, m2 = p1.members, p2.members
-    hop_12 = _pred_cost(sizes, l1, l2)
-    hop_21 = _pred_cost(sizes, l2, l1)
-    term1 = term2 = 0.0
-    for (i, j), p in params.q.q.items():
-        if i in m1 and j in m2:
-            term1 += p * (hop_12 + _pred_cost(sizes, l2, j))
-        elif i in m2 and j in m1:
-            term2 += p * (hop_21 + _pred_cost(sizes, l1, j))
+    in1, in2 = _inside(p1.members, sizes.n), _inside(p2.members, sizes.n)
+    hop_12 = sizes.p(l1, l2) + sizes.m(l2)
+    hop_21 = sizes.p(l2, l1) + sizes.m(l1)
+    _, js, ps = _switches(params.q, in1, in2)
+    term1 = _in_order_sum(ps * (hop_12 + _hops(sizes, l2, js)))
+    _, js, ps = _switches(params.q, in2, in1)
+    term2 = _in_order_sum(ps * (hop_21 + _hops(sizes, l1, js)))
     term3 = params.w * (sizes.p(l2, l1) + sizes.p(l1, l2))
     return term1 + term2 + term3
 
@@ -118,23 +159,17 @@ def furthest_init(
     if len(partition.members) < 2:
         raise InvalidInputError("furthest_init needs at least two members")
     l = partition.landmark
-    mem = partition.members
-    best_i, best_score = -1, -np.inf
-    out_cost: dict[int, float] = {}
-    for (i, j), p in params.q.q.items():
-        if i in mem and j in mem:
-            out_cost[i] = out_cost.get(i, 0.0) + p * _pred_cost(sizes, l, j)
-    for i in sorted(mem):
-        if i == l:
-            continue
-        score = (
-            out_cost.get(i, 0.0)
-            + params.w * sizes.p(l, i)
-            - params.w * sizes.i(i)
-        )
-        if score > best_score:
-            best_i, best_score = i, score
-    return best_i
+    inside = _inside(partition.members, sizes.n)
+    srcs, js, ps = _switches(params.q, inside, inside)
+    out_cost = np.bincount(srcs, weights=ps * _hops(sizes, l, js), minlength=sizes.n)
+    inside[l] = False
+    others = np.flatnonzero(inside)
+    scores = (
+        out_cost[others]
+        + params.w * sizes.gather("P", l, others)
+        - params.w * sizes.gather("I", others)
+    )
+    return int(others[np.argmax(scores)])
 
 
 def lloyd_split(
@@ -148,16 +183,18 @@ def lloyd_split(
     l2 = furthest_init(partition, sizes, params)
     members2 = {l2}
     members1 = set(partition.members) - members2
+    mem = np.array(sorted(partition.members), dtype=np.intp)
 
-    for _ in range(params.max_lloyd_iters):
+    iterations = 0
+    for iterations in range(1, params.max_lloyd_iters + 1):
+        rest = mem[(mem != l1) & (mem != l2)]
+        # ties stay with landmark 1
+        to2 = sizes.gather("P", l2, rest) < sizes.gather("P", l1, rest)
+        # each side's set is built in the same insertion order every time,
+        # so its frozenset iterates, and phi sums its spokes, the same way
         new1, new2 = {l1}, {l2}
-        for j in sorted(partition.members):
-            if j in (l1, l2):
-                continue
-            if sizes.p(l2, j) < sizes.p(l1, j):  # ties stay with landmark 1
-                new2.add(j)
-            else:
-                new1.add(j)
+        new1.update(rest[~to2].tolist())
+        new2.update(rest[to2].tolist())
         # landmarks are pinned to their own side, so neither half can empty
         if new1 == members1 and new2 == members2:
             break
@@ -166,6 +203,8 @@ def lloyd_split(
         l2 = _argmin_phi(sorted(members2), sizes, params)
         if l1 == l2:  # defensive; landmarks live in disjoint member sets
             raise InvalidInputError("landmark update collapsed the split")
+    if (counts := _LLOYD_ITERATIONS.get()) is not None:
+        counts.append(iterations)
     return (
         Partition(members=frozenset(members1), landmark=l1),
         Partition(members=frozenset(members2), landmark=l2),
@@ -183,6 +222,7 @@ def tsvq(
     """Recursive partition splitting; a split is kept only when the two
     halves plus the cross-boundary cost undercut the unsplit partition.
     Candidates are processed FIFO so runs are reproducible."""
+    start = time.perf_counter()
     members = list(range(graph.n))
     root = Partition(
         members=frozenset(members),
@@ -190,22 +230,36 @@ def tsvq(
     )
     pending = deque([root])
     final: list[Partition] = []
-    while pending:
-        part = pending.popleft()
-        if len(part.members) < 2:
-            final.append(part)
-            continue
-        half1, half2 = lloyd_split(part, sizes, params)
-        split_cost = (
-            phi(half1, sizes, params)
-            + phi(half2, sizes, params)
-            + delta(half1, half2, sizes, params)
-        )
-        if split_cost < phi(part, sizes, params):
-            pending.append(half1)
-            pending.append(half2)
-        else:
-            final.append(part)
+    tried = kept = 0
+    iterations: list[int] = []
+    token = _LLOYD_ITERATIONS.set(iterations)
+    try:
+        while pending:
+            part = pending.popleft()
+            if len(part.members) < 2:
+                final.append(part)
+                continue
+            # through the module global, so a rebound lloyd_split is called
+            half1, half2 = lloyd_split(part, sizes, params)
+            tried += 1
+            split_cost = (
+                phi(half1, sizes, params)
+                + phi(half2, sizes, params)
+                + delta(half1, half2, sizes, params)
+            )
+            if split_cost < phi(part, sizes, params):
+                kept += 1
+                pending.append(half1)
+                pending.append(half2)
+            else:
+                final.append(part)
+    finally:
+        _LLOYD_ITERATIONS.reset(token)
+    logger.debug(
+        "tsvq: %d partitions, %d of %d Lloyd splits kept, %d Lloyd iterations "
+        "in %.4f s",
+        len(final), kept, tried, sum(iterations), time.perf_counter() - start,
+    )
     return final
 
 

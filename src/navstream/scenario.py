@@ -241,11 +241,25 @@ def validate_navigation_model(graph: MediaGraph, nav: NavigationModel) -> list[s
     return report
 
 
+class SwitchArrays(NamedTuple):
+    """q's switches as arrays in q's key order."""
+
+    i: np.ndarray  # source MDU of each switch
+    j: np.ndarray  # target MDU
+    p: np.ndarray  # aggregate probability
+
+
 @dataclass(frozen=True)
 class AggregateSwitchProbs:
     """Aggregate probability of each switch event over an expected lifetime."""
 
     q: dict[tuple[int, int], float]
+
+    @cached_property
+    def arrays(self) -> SwitchArrays:
+        """q's sources, targets and values in q's key order, built once per q."""
+        i, j = np.array(list(self.q), dtype=np.intp).reshape(-1, 2).T.copy()
+        return SwitchArrays(i, j, np.fromiter(self.q.values(), float, len(self.q)))
 
     def get(self, i: int, j: int) -> float:
         return self.q.get((i, j), 0.0)

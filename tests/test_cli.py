@@ -204,6 +204,8 @@ def test_forward_passes_log_under_vv(lf_files, tmp_path, capsys):
     err = capsys.readouterr().err
     q_line = r"^DEBUG navstream\.scenario: q: \d+ pairs over 3 levels in "
     assert re.search(q_line, err, re.M)
+    tsvq_line = r"^DEBUG navstream\.landmarks: tsvq: \d+ partitions, \d+ of \d+ Lloyd"
+    assert re.search(tsvq_line, err, re.M)
     assert main(["optimize", *files, *out, "--init", "all-i", "-vv"]) == 0
     err = capsys.readouterr().err
     w_line = r"^DEBUG navstream\.refine\.weights: request weights: 41 pairs over 3 levels"

@@ -1,8 +1,12 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from conftest import uniform_sizes
-from navstream.adapters import LfGridSpec, build_lf_scenario
+from navstream import landmarks
+from navstream.adapters import LfGridSpec, build_lf_scenario, lifetime_defaults
 from navstream.costs import grid_sizes
 from navstream.errors import InvalidInputError
 from navstream.landmarks import (
@@ -190,6 +194,39 @@ def test_tsvq_returned_partitions_fail_resplit():
             + delta(h1, h2, sizes, params)
         )
         assert split_cost >= phi(part, sizes, params)
+
+
+def test_tsvq_logs_one_debug_line(caplog, monkeypatch):
+    """Partitions, Lloyd splits tried and kept, Lloyd iterations and seconds.
+    tsvq splits through the module's `lloyd_split`, which a tracer rebinds."""
+    graph, sizes, q = _lf_setup(8, 8, *lifetime_defaults(81))
+    calls = []
+
+    def counted(part, sizes, params):
+        calls.append(part)
+        return lloyd_split(part, sizes, params)
+
+    monkeypatch.setattr(landmarks, "lloyd_split", counted)
+    for max_iters in (1, 100):
+        calls.clear()
+        caplog.clear()
+        params = PlannerParams(w=5.0 / 13.5, q=q, max_lloyd_iters=max_iters)
+        with caplog.at_level(logging.DEBUG, logger="navstream.landmarks"):
+            parts = tsvq(graph, sizes, params)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "navstream.landmarks"]
+        found = re.fullmatch(
+            r"tsvq: (\d+) partitions, (\d+) of (\d+) Lloyd splits kept, "
+            r"(\d+) Lloyd iterations in [\d.]+ s",
+            line,
+        )
+        assert found, line
+        partitions, kept, tried, iterations = map(int, found.groups())
+        assert (partitions, kept, tried) == (len(parts), len(parts) - 1, len(calls))
+        assert tried == kept + sum(len(p.members) > 1 for p in parts)
+        if max_iters == 1:
+            assert iterations == tried
+        else:
+            assert kept > 0 and tried < iterations < max_iters * tried
 
 
 # --- initial structure ------------------------------------------------------
