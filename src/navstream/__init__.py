@@ -33,7 +33,9 @@ from .errors import (
     PolicyGapError,
 )
 from .evaluate import EvalResult, Policy, eval_fixed, eval_flexible, evaluate
-from .landmarks import Partition, PlannerParams, build_initial_structure, tsvq
+from .landmarks import (
+    Partition, PlannerParams, build_initial_structure, landmark_structure, tsvq,
+)
 from .merge import PwcParams, pwc_eval, select_merge_params
 from .refine import RefinerParams, greedy_refine, greedy_subtract, sweep
 from .scenario import (
@@ -82,6 +84,7 @@ __all__ = [
     "greedy_refine",
     "greedy_subtract",
     "grid_sizes",
+    "landmark_structure",
     "lifetime_defaults",
     "load_scenario",
     "load_sizes",

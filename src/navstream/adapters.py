@@ -18,7 +18,7 @@ import numpy as np
 
 from .costs import SizeTable, grid_sizes
 from .errors import InvalidInputError
-from .scenario import MediaGraph, NavigationModel
+from .scenario import MediaGraph, NavigationModel, left_sum
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +120,7 @@ def build_lf_scenario(
                 jr, jc = divmod(j, cols)
                 w = fac[jr - 2 * ir + kr] * fac[jc - 2 * ic + kc]
                 weights.append((j, w))
-            total = sum(w for _, w in weights)
+            total = left_sum(w for _, w in weights)
             for j, w in weights:
                 p_switch[(k, i, j)] = w / total
 
@@ -130,7 +130,7 @@ def build_lf_scenario(
     for j in neighbors[start]:
         jr, jc = divmod(j, cols)
         weights.append((j, sfac[jr - sr] * sfac[jc - sc]))
-    total = sum(w for _, w in weights)
+    total = left_sum(w for _, w in weights)
     p_start = {j: w / total for j, w in weights}
 
     nav = NavigationModel(p_start=p_start, p_switch=p_switch)
@@ -233,13 +233,13 @@ def build_viewport_scenario(
         for i in neighbors[k]:
             row = {j: pair_counts.get((k, i, j), 0) + SMOOTHING_EPS
                    for j in neighbors[i]}
-            total = sum(row.values())
+            total = left_sum(row.values())
             for j, c in row.items():
                 p_switch[(k, i, j)] = c / total
 
     s_row = {j: first_moves.get((start, j), 0) + SMOOTHING_EPS
              for j in neighbors[start]}
-    total = sum(s_row.values())
+    total = left_sum(s_row.values())
     p_start = {j: c / total for j, c in s_row.items()}
 
     nav = NavigationModel(p_start=p_start, p_switch=p_switch)

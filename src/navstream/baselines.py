@@ -17,6 +17,9 @@ greedy_refine's log holds.  All three honour `enable_pruning`, so the
 engine's request bound prunes their moves, and each takes its final exact
 cost from the engine's log instead of evaluating the result again.
 
+flex-lm-i and inf-lm plan their landmarks with `landmarks.landmark_structure`
+on the caller's Scenario, so they read the q its `switch_probs` caches.
+
 inf-lm's exact cost runs the evaluators' level pass (`evaluate._level_pass`)
 over states (prev, cur, avail), `avail` an int bitmask of the MDUs sent so
 far.  More than `max_states` reachable states are refused before any is
@@ -42,7 +45,7 @@ from .costs import (
 )
 from .errors import InvalidInputError, OracleRefusalError
 from .evaluate import CostTables, _level_pass
-from .landmarks import PlannerParams, build_initial_structure, tsvq
+from .landmarks import landmark_structure
 from .refine import (
     RefinerParams,
     RefineLog,
@@ -53,7 +56,7 @@ from .refine import (
     greedy_search,
     remove_edges,
 )
-from .scenario import START, Scenario, aggregate_switch_probabilities, sample_sessions
+from .scenario import START, Scenario, sample_sessions
 
 logger = logging.getLogger(__name__)
 
@@ -70,17 +73,6 @@ class BaselineResult:
     expected_cost: float
     storage_bits: float
     log: RefineLog | None = None
-
-
-def _landmark_structure(
-    scenario: Scenario, sizes: SizeTable, lam: float
-) -> Structure:
-    q = aggregate_switch_probabilities(
-        scenario.graph, scenario.nav, scenario.lifetime
-    )
-    planner = PlannerParams(w=lam / scenario.lifetime.mu, q=q)
-    parts = tsvq(scenario.graph, sizes, planner)
-    return build_initial_structure(parts, sizes)
 
 
 def _from_buffer(avail: int, into_j: list) -> float:
@@ -197,7 +189,7 @@ def run_baseline(
         )
     n = scenario.graph.n
     if variant == "inf-lm":
-        lm = _landmark_structure(scenario, sizes, params.lam)
+        lm = landmark_structure(scenario, sizes, params.lam)
         try:
             cost = inf_buffer_cost(scenario, sizes, lm)
         except OracleRefusalError as exc:
@@ -216,11 +208,9 @@ def run_baseline(
             storage_bits=storage_cost(lm, sizes),
         )
     buffer = "fixed" if variant == "fixed-ga" else "flex"
-    run = RefinerParams(
-        lam=params.lam, buffer=buffer, enable_pruning=params.enable_pruning
-    )
+    run = replace(params, buffer=buffer)
     if variant == "flex-lm-i":
-        lm = _landmark_structure(scenario, sizes, params.lam)
+        lm = landmark_structure(scenario, sizes, params.lam)
         init = replace(lm, i_set=frozenset(range(n)))
         added, log_add = greedy_refine(scenario, sizes, init, run)
         final, log_sub = greedy_search(

@@ -13,7 +13,14 @@ import logging
 import sys
 
 from . import adapters, baselines, merge
-from .costs import load_sizes, load_structure, save_sizes, save_structure, uniform_sizes
+from .costs import (
+    all_i_structure,
+    load_sizes,
+    load_structure,
+    save_sizes,
+    save_structure,
+    uniform_sizes,
+)
 from .errors import (
     InfeasibleStructureError,
     InvalidInputError,
@@ -21,12 +28,11 @@ from .errors import (
     OracleRefusalError,
 )
 from .evaluate import Policy, evaluate
-from .landmarks import PlannerParams, build_initial_structure, tsvq
+from .landmarks import PlannerParams, landmark_structure
 from .oracle import simulate_sessions
 from .refine import RefinerParams, greedy_refine, sweep
 from .scenario import (
     Scenario,
-    aggregate_switch_probabilities,
     build_lifetime_tail,
     load_scenario,
     save_scenario,
@@ -72,10 +78,30 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _load_inputs(args):
+    """The --scenario and --sizes files, checked to cover the same MDUs."""
     scenario = load_scenario(args.scenario)
     sizes = load_sizes(args.sizes)
+    if sizes.n != scenario.graph.n:
+        raise InvalidInputError(
+            f"size table {args.sizes} covers {sizes.n} MDUs, "
+            f"scenario {args.scenario} has {scenario.graph.n}"
+        )
+    return scenario, sizes
+
+
+def _checked_structure(args, scenario):
+    """The --structure file, validated against the scenario's MDUs."""
     structure = load_structure(args.structure)
+    problems = structure.validate(scenario.graph.n)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
+    return structure
+
+
+def _cmd_eval(args) -> int:
+    scenario, sizes = _load_inputs(args)
+    structure = _checked_structure(args, scenario)
     result = evaluate(
         scenario, sizes, structure, args.buffer, args.weight_first_switch
     )
@@ -87,39 +113,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    scenario = load_scenario(args.scenario)
-    sizes = load_sizes(args.sizes)
-    q = aggregate_switch_probabilities(
-        scenario.graph, scenario.nav, scenario.lifetime
-    )
-    params = PlannerParams(
-        w=args.lam / scenario.lifetime.mu, q=q, max_lloyd_iters=args.max_lloyd
-    )
-    parts = tsvq(scenario.graph, sizes, params)
-    structure = build_initial_structure(parts, sizes)
+    scenario, sizes = _load_inputs(args)
+    structure = landmark_structure(scenario, sizes, args.lam, args.max_lloyd)
     save_structure(structure, args.out)
-    print(f"landmarks {len(parts)}")
+    print(f"landmarks {len(structure.landmarks)}")
     print(f"structure: {args.out}")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    scenario = load_scenario(args.scenario)
-    sizes = load_sizes(args.sizes)
+    scenario, sizes = _load_inputs(args)
     params = RefinerParams(
         lam=args.lam, buffer=args.buffer, enable_pruning=not args.no_prune
     )
     if args.init == "landmark":
-        q = aggregate_switch_probabilities(
-            scenario.graph, scenario.nav, scenario.lifetime
-        )
-        planner = PlannerParams(w=args.lam / scenario.lifetime.mu, q=q)
-        initial = build_initial_structure(
-            tsvq(scenario.graph, sizes, planner), sizes
-        )
+        initial = landmark_structure(scenario, sizes, args.lam)
     else:
-        from .costs import all_i_structure
-
         initial = all_i_structure(scenario.graph.n)
     final, log = greedy_refine(scenario, sizes, initial, params)
     save_structure(final, args.out)
@@ -145,8 +154,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    sizes = load_sizes(args.sizes)
+    scenario, sizes = _load_inputs(args)
     try:
         lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
     except ValueError as exc:
@@ -163,9 +171,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    sizes = load_sizes(args.sizes)
-    structure = load_structure(args.structure)
+    scenario, sizes = _load_inputs(args)
+    structure = _checked_structure(args, scenario)
     policy = Policy.load(args.policy)
     result = simulate_sessions(
         scenario,
@@ -199,7 +206,7 @@ def _cmd_merge_demo(args) -> int:
     try:
         with open(args.input, encoding="utf-8", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
     for row in rows:
         try:
@@ -218,8 +225,7 @@ def _cmd_merge_demo(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    scenario = load_scenario(args.scenario)
-    sizes = load_sizes(args.sizes)
+    scenario, sizes = _load_inputs(args)
     params = RefinerParams(lam=args.lam, buffer="flex")
     result = baselines.run_baseline(scenario, sizes, params, args.variant)
     print(f"variant {result.variant}")
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--max-lloyd", type=int, default=100)
+    p.add_argument("--max-lloyd", type=int, default=PlannerParams.max_lloyd_iters)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plan)
 

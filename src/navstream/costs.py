@@ -262,6 +262,8 @@ def load_structure(path) -> Structure:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InvalidInputError(f"cannot read structure {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError("structure file must hold a JSON object")
     unknown = set(data) - {"i_set", "p_edges", "landmarks"}
     if unknown:
         raise InvalidInputError(f"unknown structure keys: {sorted(unknown)}")

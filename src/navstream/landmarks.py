@@ -41,7 +41,7 @@ import numpy as np
 
 from .costs import LandmarkGroup, SizeTable, Structure
 from .errors import InvalidInputError
-from .scenario import AggregateSwitchProbs, MediaGraph
+from .scenario import AggregateSwitchProbs, MediaGraph, Scenario
 
 logger = logging.getLogger(__name__)
 
@@ -286,3 +286,22 @@ def build_initial_structure(
             for p in partitions
         ),
     )
+
+
+def landmark_structure(
+    scenario: Scenario,
+    sizes: SizeTable,
+    lam: float,
+    max_lloyd_iters: int = PlannerParams.max_lloyd_iters,
+) -> Structure:
+    """The landmark structure TSVQ plans at objective weight `lam`.
+
+    Reads q from `scenario.switch_probs`, weighs storage by w = lam / mu,
+    splits with `tsvq` and stores the result with `build_initial_structure`.
+    """
+    params = PlannerParams(
+        w=lam / scenario.lifetime.mu,
+        q=scenario.switch_probs,
+        max_lloyd_iters=max_lloyd_iters,
+    )
+    return build_initial_structure(tsvq(scenario.graph, sizes, params), sizes)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, takewhile
 
 import numpy as np
@@ -23,7 +23,8 @@ import numpy as np
 from .costs import SizeTable, Structure, storage_cost
 from .errors import InvalidInputError
 from .evaluate import CostTables, evaluate
-from .scenario import Scenario, pair_masses
+from .landmarks import landmark_structure
+from .scenario import Scenario, left_sum, pair_masses
 
 logger = logging.getLogger(__name__)
 # W's DEBUG line goes to a child logger: `logger` logs one line per search iteration.
@@ -174,7 +175,7 @@ class _RequestBound:
         self.tables = tables
         self.cheapest = cheapest
         start_cost = tables.r_i[self.start]
-        self.lb = sum((w * c for w, c in zip(weights, cheapest)), start_cost)
+        self.lb = left_sum((w * c for w, c in zip(weights, cheapest)), start_cost)
 
     def added(self, edges) -> float:
         """Bound of the incumbent with `edges`, whose heads differ, stored too."""
@@ -299,7 +300,7 @@ def greedy_search(
                 b_cand = b_base - sizes.p(*edges[0])
             elif any(usable.relevant(i, j) for (i, j) in edges):
                 j_low = bound.added(edges)
-                b_cand = b_base + sum(sizes.p(i, j) for (i, j) in edges)
+                b_cand = b_base + left_sum(sizes.p(i, j) for (i, j) in edges)
             else:
                 log.candidates_skipped += 1
                 continue
@@ -389,26 +390,13 @@ def sweep(
     params: RefinerParams,
 ) -> list[TradeoffRow]:
     """Plan + refine once per lambda; rows come back sorted by lambda."""
-    from .landmarks import PlannerParams, build_initial_structure, tsvq
-    from .scenario import aggregate_switch_probabilities
-
     if not lambdas:
         raise InvalidInputError("sweep needs at least one lambda")
-    q = aggregate_switch_probabilities(
-        scenario.graph, scenario.nav, scenario.lifetime
-    )
     rows = []
     for lam in sorted(lambdas):
         try:
-            planner = PlannerParams(w=lam / scenario.lifetime.mu, q=q)
-            parts = tsvq(scenario.graph, sizes, planner)
-            init = build_initial_structure(parts, sizes)
-            run = RefinerParams(
-                lam=lam,
-                buffer=params.buffer,
-                enable_pruning=params.enable_pruning,
-            )
-            final, log = greedy_refine(scenario, sizes, init, run)
+            init = landmark_structure(scenario, sizes, lam)
+            final, log = greedy_refine(scenario, sizes, init, replace(params, lam=lam))
             rows.append(
                 TradeoffRow(
                     lam=lam,

@@ -22,8 +22,9 @@ import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, islice, repeat, takewhile
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,16 @@ logger = logging.getLogger(__name__)
 START = -1
 
 _PROB_TOL = 1e-9
+
+
+def left_sum(values, start=0):
+    """start + v0 + v1 + ..., added one by one from the left.
+
+    This is what the builtin `sum` does on Python 3.11; from 3.12 on it adds
+    floats with compensated summation, which can change the last bit, so
+    every float sum that a pinned value goes through uses this instead.
+    """
+    return reduce(add, values, start)
 
 
 @dataclass(frozen=True)
@@ -191,6 +202,33 @@ class Scenario:
             prob=np.array([p for row in rows.values() for _, p in row], dtype=float),
         )
 
+    @cached_property
+    def switch_probs(self) -> AggregateSwitchProbs:
+        """q(i,j) = sum_{t=1}^{floor(mu)} g(t) * [v_s P^t](i,j), built once.
+
+        v_s is the first switch's pair mass, so the unweighted `pair_masses`
+        levels 2..floor(mu) + 1 are weighted by g(1)..g(floor(mu)); the full
+        transition matrix is never formed.  The horizon is clamped to at
+        least 1, and the pass stops at the last t with g(t) > 0.  q's keys
+        are in first-reached order, the order TSVQ sums q in.
+        """
+        start, lt = time.perf_counter(), self.lifetime
+        horizon = max(1, int(math.floor(lt.mu)))
+        weights = list(takewhile(lambda g: g > 0.0, map(lt.g, range(1, horizon + 1))))
+        pairs = self.pair_index.pairs
+        qv, seen, keys = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool), []
+        chain = pair_masses(self, [1.0] * (len(weights) + 1))
+        for g_t, (order, mass, _, _) in zip(weights, islice(chain, 2, None)):
+            keys += order[~seen[order]].tolist()
+            seen[order] = True
+            qv[order] += g_t * mass[order]
+        q = dict(zip(map(pairs.__getitem__, keys), qv[keys].tolist()))
+        logger.debug(
+            "q: %d pairs over %d levels in %.4f s",
+            len(q), len(weights) + 2, time.perf_counter() - start,
+        )
+        return AggregateSwitchProbs(q=q)
+
 
 def validate_navigation_model(graph: MediaGraph, nav: NavigationModel) -> list[str]:
     """Report-only check of the navigation model against its graph.
@@ -213,7 +251,7 @@ def validate_navigation_model(graph: MediaGraph, nav: NavigationModel) -> list[s
         if not (0.0 <= p <= 1.0):
             report.append(f"p_start({j}) = {p} outside [0, 1]")
     if start_nb:
-        total = sum(nav.p_start.get(j, 0.0) for j in start_nb)
+        total = left_sum(nav.p_start.get(j, 0.0) for j in start_nb)
         if abs(total - 1.0) > _PROB_TOL:
             report.append(f"p_start row sums to {total}, expected 1")
 
@@ -265,7 +303,7 @@ class AggregateSwitchProbs:
         return self.q.get((i, j), 0.0)
 
     def total(self) -> float:
-        return sum(self.q.values())
+        return left_sum(self.q.values())
 
 
 def pair_masses(scenario: Scenario, factors):
@@ -308,31 +346,8 @@ def pair_masses(scenario: Scenario, factors):
 def aggregate_switch_probabilities(
     graph: MediaGraph, nav: NavigationModel, lifetime: LifetimeModel
 ) -> AggregateSwitchProbs:
-    """q(i,j) = sum_{t=1}^{floor(mu)} g(t) * [v_s P^t](i,j).
-
-    v_s is the first switch's pair mass, so the unweighted `pair_masses`
-    levels 2..floor(mu) + 1 are weighted by g(1)..g(floor(mu)); the full
-    transition matrix is never formed.  The horizon is clamped to at least
-    1, and the pass stops at the last t with g(t) > 0.  q's keys are in
-    first-reached order, the order TSVQ sums q in.
-    """
-    start = time.perf_counter()
-    horizon = max(1, int(math.floor(lifetime.mu)))
-    weights = list(takewhile(lambda g: g > 0.0, map(lifetime.g, range(1, horizon + 1))))
-    scenario = Scenario(graph, nav, lifetime)
-    pairs = scenario.pair_index.pairs
-    qv, seen, keys = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool), []
-    chain = pair_masses(scenario, [1.0] * (len(weights) + 1))
-    for g_t, (order, mass, _, _) in zip(weights, islice(chain, 2, None)):
-        keys += order[~seen[order]].tolist()
-        seen[order] = True
-        qv[order] += g_t * mass[order]
-    q = dict(zip(map(pairs.__getitem__, keys), qv[keys].tolist()))
-    logger.debug(
-        "q: %d pairs over %d levels in %.4f s",
-        len(q), len(weights) + 2, time.perf_counter() - start,
-    )
-    return AggregateSwitchProbs(q=q)
+    """`Scenario.switch_probs` of a fresh `Scenario` over these models."""
+    return Scenario(graph, nav, lifetime).switch_probs
 
 
 def sample_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=None):

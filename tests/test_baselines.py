@@ -25,6 +25,7 @@ from navstream.baselines import (
 from navstream.costs import Structure, storage_cost, uniform_sizes, zero_hop_sources
 from navstream.errors import InvalidInputError, OracleRefusalError
 from navstream.evaluate import eval_flexible, evaluate
+from navstream.landmarks import landmark_structure
 from navstream.refine import RefinerParams, TradeoffRow, greedy_refine, greedy_subtract
 from navstream.scenario import START, Scenario, build_lifetime_tail
 
@@ -91,7 +92,7 @@ def test_flex_lm_i_evaluates_the_added_structure_once(monkeypatch):
     calls.clear()
     # the earlier composition: greedy_refine, then greedy_subtract re-evaluates
     init = replace(
-        baselines._landmark_structure(sc, sz, 0.5), i_set=frozenset(range(sc.graph.n))
+        landmark_structure(sc, sz, 0.5), i_set=frozenset(range(sc.graph.n))
     )
     run = RefinerParams(lam=0.5, buffer="flex")
     added, log_add = greedy_refine(sc, sz, init, run)

@@ -7,7 +7,14 @@ import pytest
 
 from navstream import baselines
 from navstream.cli import main
-from navstream.costs import load_structure, save_structure, Structure
+from navstream.costs import (
+    Structure,
+    grid_sizes,
+    load_structure,
+    save_sizes,
+    save_structure,
+    uniform_sizes,
+)
 from navstream.errors import InfeasibleStructureError, OracleRefusalError
 from navstream.evaluate import Policy
 from navstream.scenario import load_scenario
@@ -246,20 +253,24 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("kind", ["scenario", "sizes", "structure"])
+@pytest.mark.parametrize("kind", ["scenario", "sizes", "structure", "merge-demo"])
 def test_utf16_input_file_exits_2(lf_files, tmp_path, capsys, kind):
     scenario, sizes = lf_files
     structure = tmp_path / "all_i.json"
     save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
-    path = {"scenario": scenario, "sizes": sizes, "structure": structure}[kind]
+    rows = tmp_path / "rows.csv"
+    rows.write_text("10,9,11\n")
+    path = {"scenario": scenario, "sizes": sizes, "structure": structure}.get(kind, rows)
     path.write_bytes(path.read_text().encode("utf-16"))  # starts with ff fe
     assert path.read_bytes()[:2] == b"\xff\xfe"
-    rc = main([
+    argv = [
         "eval", "--scenario", str(scenario), "--sizes", str(sizes),
         "--structure", str(structure), "--buffer", "fixed",
-    ])
+    ]
+    rc = main(["merge-demo", str(rows)] if kind == "merge-demo" else argv)
     assert rc == 2
-    assert f"cannot read {kind}" in capsys.readouterr().err
+    what = rows if kind == "merge-demo" else kind
+    assert f"cannot read {what}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -348,3 +359,91 @@ def test_gen_rejects_bad_trajectory(tmp_path):
         "--out-sizes", str(tmp_path / "z.csv"),
     ])
     assert rc == 2
+
+
+def _files_for_every_command(tmp_path, scenario, sizes):
+    """argv of each subcommand that reads --scenario and --sizes, with a valid
+    all-I structure and its flexible policy where the command reads them."""
+    structure, policy = tmp_path / "all_i.json", tmp_path / "policy.json"
+    n = load_scenario(scenario).graph.n
+    save_structure(Structure(i_set=frozenset(range(n)), p_edges=frozenset()), structure)
+    files = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    assert main([
+        "eval", *files, "--structure", str(structure), "--buffer", "flex",
+        "--policy-out", str(policy),
+    ]) == 0
+    out = ["--out", str(tmp_path / "out")]
+    return {
+        "eval": ["eval", "--structure", str(structure), "--buffer", "flex"],
+        "plan": ["plan", "--lambda", "0.5", *out],
+        "optimize": ["optimize", "--lambda", "0.5", "--init", "landmark", *out],
+        "sweep": ["sweep", "--lambdas", "0.5", *out],
+        "simulate": [
+            "simulate", "--structure", str(structure), "--policy", str(policy),
+            "--sessions", "10",
+        ],
+        "baseline": ["baseline", "--lambda", "0.5", "--variant", "inf-lm"],
+    }
+
+
+@pytest.mark.parametrize("table", ["2 MDUs", "LF 2x3"])
+@pytest.mark.parametrize(
+    "command", ["eval", "plan", "optimize", "sweep", "simulate", "baseline"]
+)
+def test_sizes_must_cover_the_scenarios_mdus(tmp_path, capsys, command, table):
+    scenario, sizes = tmp_path / "scenario.json", tmp_path / "sizes.csv"
+    assert main([
+        "gen", "lf", "--rows", "2", "--cols", "2", "--mu", "1.0", "--t-max", "2",
+        "--out-scenario", str(scenario), "--out-sizes", str(sizes),
+    ]) == 0
+    argv = _files_for_every_command(tmp_path, scenario, sizes)[command]
+    wrong = tmp_path / "wrong.csv"
+    save_sizes(uniform_sizes(2) if table == "2 MDUs" else grid_sizes(2, 3), wrong)
+    capsys.readouterr()
+    rc = main([*argv, "--scenario", str(scenario), "--sizes", str(wrong)])
+    assert rc == 2
+    n = 2 if table == "2 MDUs" else 6
+    assert f"covers {n} MDUs, scenario {scenario} has 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"i_set": [*range(9), 99], "p_edges": []}, "i_set MDU 99 out of range"),
+        ({"i_set": [*range(9)], "p_edges": [[-1, 0]]}, "p_edge (-1, 0) out of range"),
+        (5, "structure file must hold a JSON object"),
+        (None, "structure file must hold a JSON object"),
+    ],
+    ids=["i_set-99", "p_edge-minus-1", "number", "null"],
+)
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_bad_structure_exits_2(lf_files, tmp_path, capsys, command, content, message):
+    scenario, sizes = lf_files
+    argv = _files_for_every_command(tmp_path, scenario, sizes)[command]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    capsys.readouterr()
+    files = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    rc = main([*argv, *files, "--structure", str(bad)])  # the last --structure wins
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "writer",
+    [
+        ["plan", "--lambda", "0.5"],
+        ["optimize", "--lambda", "0.3", "--init", "landmark"],
+        ["baseline", "--lambda", "0.5", "--variant", "flex-lm-i"],
+        ["baseline", "--lambda", "0.5", "--variant", "inf-lm"],
+    ],
+    ids=["plan", "optimize", "baseline-flex-lm-i", "baseline-inf-lm"],
+)
+def test_written_structures_load_in_eval(lf_files, tmp_path, writer):
+    scenario, sizes = lf_files
+    files = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    structure = tmp_path / "structure.json"
+    assert main([*writer, *files, "--out", str(structure)]) == 0
+    assert main([
+        "eval", *files, "--structure", str(structure), "--buffer", "flex",
+    ]) == 0

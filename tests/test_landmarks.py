@@ -6,7 +6,14 @@ import pytest
 
 from conftest import uniform_sizes
 from navstream import landmarks
-from navstream.adapters import LfGridSpec, build_lf_scenario, lifetime_defaults
+from navstream.adapters import (
+    LfGridSpec,
+    TrajectoryLog,
+    build_lf_scenario,
+    build_viewport_scenario,
+    lifetime_defaults,
+)
+from navstream.baselines import run_baseline
 from navstream.costs import grid_sizes
 from navstream.errors import InvalidInputError
 from navstream.landmarks import (
@@ -16,10 +23,12 @@ from navstream.landmarks import (
     build_initial_structure,
     delta,
     furthest_init,
+    landmark_structure,
     lloyd_split,
     phi,
     tsvq,
 )
+from navstream.refine import RefinerParams, sweep
 from navstream.scenario import (
     AggregateSwitchProbs,
     Scenario,
@@ -245,3 +254,64 @@ def test_build_initial_structure_shape():
 def test_planner_params_reject_negative_weight():
     with pytest.raises(InvalidInputError):
         _params(-0.1)
+
+
+# --- planning from a Scenario -----------------------------------------------
+
+def _lf8():
+    """LF 8 x 8 at the paper-default lifetime: one landmark at lambda 2, three
+    at lambda 5."""
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=8, cols=8))
+    return Scenario(graph, nav, build_lifetime_tail(*lifetime_defaults(81))), sizes
+
+
+def _viewport():
+    """A viewport model counted from 300 seeded walks on a 4 x 8 tile grid:
+    one landmark at lambda 2, two at lambda 5."""
+    rng = np.random.default_rng(5)
+    rows, cols = 4, 8
+    sessions = []
+    for _ in range(300):
+        r, c = int(rng.integers(rows)), int(rng.integers(cols))
+        walk = [r * cols + c]
+        for _ in range(20):
+            r = min(max(r + int(rng.integers(-1, 2)), 0), rows - 1)
+            c = (c + int(rng.integers(-1, 2))) % cols
+            walk.append(r * cols + c)
+        sessions.append(walk)
+    graph, nav = build_viewport_scenario(TrajectoryLog(sessions=sessions), rows * cols)
+    return Scenario(graph, nav, build_lifetime_tail(3.0, 8)), grid_sizes(rows, cols)
+
+
+@pytest.mark.parametrize("lam", [2.0, 5.0])
+@pytest.mark.parametrize("make", [_lf8, _viewport], ids=["lf8", "viewport"])
+def test_landmark_structure_is_the_explicit_pipeline(make, lam):
+    sc, sizes = make()
+    q = aggregate_switch_probabilities(sc.graph, sc.nav, sc.lifetime)
+    params = PlannerParams(w=lam / sc.lifetime.mu, q=q)
+    expected = build_initial_structure(tsvq(sc.graph, sizes, params), sizes)
+    assert landmark_structure(sc, sizes, lam) == expected
+    params = PlannerParams(w=lam / sc.lifetime.mu, q=q, max_lloyd_iters=1)
+    expected = build_initial_structure(tsvq(sc.graph, sizes, params), sizes)
+    assert landmark_structure(sc, sizes, lam, max_lloyd_iters=1) == expected
+
+
+@pytest.mark.parametrize("make", [_lf8, _viewport], ids=["lf8", "viewport"])
+def test_switch_probs_is_aggregate_switch_probabilities(make):
+    sc, _ = make()
+    q = aggregate_switch_probabilities(sc.graph, sc.nav, sc.lifetime).q
+    assert list(sc.switch_probs.q.items()) == list(q.items())
+    assert sc.switch_probs is sc.switch_probs
+
+
+def test_planning_keeps_the_scenarios_tables():
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=3, cols=3))
+    sc = Scenario(graph, nav, build_lifetime_tail(1.0, 2))
+    index = sc.pair_index
+    q = sc.switch_probs
+    landmark_structure(sc, sizes, 0.5)
+    sweep(sc, sizes, [0.3, 0.8], RefinerParams(lam=0.3))
+    for variant in ("flex-lm-i", "inf-lm"):
+        run_baseline(sc, sizes, RefinerParams(lam=0.5), variant)
+    assert sc.pair_index is index
+    assert sc.switch_probs is q

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from navstream.scenario import (
     NavigationModel,
     aggregate_switch_probabilities,
     build_lifetime_tail,
+    left_sum,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -228,3 +231,36 @@ def test_nav_prob_routes_start_sentinel():
     assert sc.nav.prob(START, 0, 1) == 1.0
     assert sc.nav.prob(0, 1, 0) == 1.0
     assert sc.nav.prob(0, 1, 1) == 0.0
+
+
+# --- summation order --------------------------------------------------------
+
+# Builtin sum() calls over ints, whose result cannot depend on the order.
+_INTEGER_SUMS = {
+    ("baselines.py", "sum(1 << m for m in src)"),
+    ("landmarks.py", "sum(iterations)"),
+}
+
+
+def test_left_sum_adds_from_the_left():
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([], 2.5) == 2.5
+    assert left_sum([1e16, 1.0, 1.0]) == 1e16  # each 1.0 is lost in turn
+    assert left_sum([1.0, 1.0], 1e16) == 1e16
+
+
+def test_no_builtin_float_sum_in_the_package():
+    """From Python 3.12 on, sum() adds floats with compensated summation, so
+    pinned values take `left_sum` instead; only integer sums may use it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "navstream"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+            ):
+                found.add((path.name, ast.get_source_segment(text, node)))
+    assert found <= _INTEGER_SUMS
