@@ -13,7 +13,12 @@ from conftest import (
     random_sizes,
     random_structure,
 )
-from navstream.adapters import LfGridSpec, build_lf_scenario
+from navstream.adapters import (
+    LfGridSpec,
+    TrajectoryLog,
+    build_lf_scenario,
+    build_viewport_scenario,
+)
 from navstream import baselines, refine
 from navstream.baselines import (
     VARIANTS,
@@ -245,16 +250,17 @@ def test_inf_buffer_estimate_pins_tie_order():
 
 
 def _reachable_states(sc, sz, st):
-    """States (t, prev, cur, held) reachable by the infinite buffer's options:
-    a held target keeps `held`, else each zero-hop source, a 1-hop from a held
-    predictor, and a 2-hop through each unheld stored predictor that has a
-    held predictor of its own, up to the last t with g(t) > 0."""
+    """Per-level counts of the states (prev, cur, held) reachable by the
+    infinite buffer's options: a held target keeps `held`, else each zero-hop
+    source, a 1-hop from a held predictor, and a 2-hop through each unheld
+    stored predictor that has a held predictor of its own, up to the last t
+    with g(t) > 0."""
     graph, nav, g = sc.graph, sc.nav, sc.lifetime.g
     sources = [[src for _, src in zero_hop_sources(st, sz, j)] for j in range(graph.n)]
     preds = [{l for (l, m) in st.p_edges if m == j} for j in range(graph.n)]
     level = {(START, graph.start, src) for src in sources[graph.start]}
-    count, t = len(level), 0
-    while g(t + 1) > 0.0:
+    counts = [len(level)]
+    while g(len(counts)) > 0.0:
         nxt = set()
         for k, i, held in level:
             for j in graph.neighbors[i]:
@@ -269,9 +275,9 @@ def _reachable_states(sc, sz, st):
                 for mid in preds[j] - held:
                     if preds[mid] & held:
                         nxt.add((i, j, held | {mid, j}))
-        count += len(nxt)
-        level, t = nxt, t + 1
-    return count
+        counts.append(len(nxt))
+        level = nxt
+    return counts
 
 
 def test_inf_buffer_refuses_exactly_beyond_reachable_count():
@@ -280,10 +286,83 @@ def test_inf_buffer_refuses_exactly_beyond_reachable_count():
         n = int(rng.integers(3, 8))
         sc = random_scenario(rng, n, int(rng.integers(2, 6)))
         sz, st = random_sizes(rng, n), random_structure(rng, n)
-        reachable = _reachable_states(sc, sz, st)
+        reachable = sum(_reachable_states(sc, sz, st))
         assert inf_buffer_cost(sc, sz, st, max_states=reachable) > 0.0
         with pytest.raises(OracleRefusalError, match=f"{reachable - 1} reachable"):
             inf_buffer_cost(sc, sz, st, max_states=reachable - 1)
+
+
+def _word_boundary_case(n):
+    """A seeded instance on n MDUs, so that masks fill 1, 1, 2 and 3 words."""
+    rng = np.random.default_rng(5000 + n)
+    sc = random_scenario(rng, n, 3)
+    return sc, random_sizes(rng, n), random_structure(rng, n, edge_prob=0.05)
+
+
+# n -> (inf_buffer_cost with weight_first_switch off, on; states per level),
+# recorded from the pass over Python int masks that the array pass replaced
+_WORD_PINS = {
+    63: ((31.048955389004444, 26.565818743302103), (4, 30, 148, 909)),
+    64: ((30.43840988466006, 26.006915729492036), (4, 13, 13, 90)),
+    65: ((34.60315881141494, 28.732767610675857), (2, 6, 42, 268)),
+    130: ((36.57989872694988, 30.74108585861419), (6, 123, 1430, 15507)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_WORD_PINS))
+def test_inf_buffer_pinned_across_mask_words(n, caplog):
+    costs, levels = _WORD_PINS[n]
+    sc, sz, st = _word_boundary_case(n)
+    with caplog.at_level(logging.DEBUG, logger="navstream.baselines"):
+        assert inf_buffer_cost(sc, sz, st) == costs[0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"infinite-buffer level {t}: {c} states" for t, c in enumerate(levels)
+    ]
+    assert inf_buffer_cost(sc, sz, st, weight_first_switch=True) == costs[1]
+    assert _reachable_states(sc, sz, st) == list(levels)
+
+
+def test_inf_buffer_refuses_mid_level():
+    sc, sz, st = _word_boundary_case(130)
+    levels = _reachable_states(sc, sz, st)
+    cap = sum(levels[:-1]) + levels[-1] // 2
+    with pytest.raises(OracleRefusalError) as err:
+        inf_buffer_cost(sc, sz, st, max_states=cap)
+    assert str(err.value) == _MID_LEVEL_REFUSAL
+    assert str(err.value).endswith(f"at level {len(levels) - 1}")
+
+
+_MID_LEVEL_REFUSAL = (
+    "infinite-buffer pass exceeds 9312 reachable states at level 3"
+)
+
+
+def _viewport_case():
+    """72 viewports (two mask words) from seeded head-motion walks."""
+    rng = np.random.default_rng(61)
+    rows, cols = 6, 12
+    sessions = []
+    for _ in range(300):
+        r, c = int(rng.integers(rows)), int(rng.integers(cols))
+        walk = [r * cols + c]
+        for _ in range(12):
+            r = min(rows - 1, max(0, r + int(rng.integers(-1, 2))))
+            c = (c + int(rng.integers(-1, 2))) % cols
+            walk.append(r * cols + c)
+        sessions.append(walk)
+    graph, nav = build_viewport_scenario(TrajectoryLog(sessions), rows * cols)
+    sc = Scenario(graph=graph, nav=nav, lifetime=build_lifetime_tail(3.0, 8))
+    st = random_structure(rng, rows * cols, edge_prob=0.03)
+    return sc, uniform_sizes(rows * cols), st
+
+
+def test_inf_buffer_estimate_pinned_on_viewports():
+    sc, sz, st = _viewport_case()
+    got = [inf_buffer_estimate(sc, sz, st, n_sessions=3000, seed=s) for s in (0, 1)]
+    assert got == _VIEWPORT_ESTIMATES
+
+
+_VIEWPORT_ESTIMATES = [43.979, 43.321]
 
 
 def test_inf_buffer_long_lifetime_has_no_recursion_limit():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from conftest import (
     random_structure,
     uniform_sizes,
 )
+from navstream.adapters import LfGridSpec, build_lf_scenario
 from navstream.costs import SizeTable, Structure, all_i_structure
 from navstream.errors import InfeasibleStructureError, InvalidInputError
 from navstream.evaluate import (
@@ -22,6 +25,7 @@ from navstream.evaluate import (
     eval_flexible,
     evaluate,
 )
+from navstream.landmarks import landmark_structure
 from navstream.oracle import simulate_sessions
 from navstream.refine import request_weights
 from navstream.scenario import (
@@ -294,6 +298,49 @@ def test_long_lifetime_has_no_recursion_limit():
     want = tables.r_i[0] + w[0] * tables.r_i[0] + w[1] * tables.r_p[(0, 1)]
     for fn in (eval_fixed, eval_flexible):
         assert fn(sc, sz, ASYM).expected_cost == pytest.approx(want, rel=1e-12)
+
+
+def _repeating_levels_instance():
+    """LF 3x3 over 12 switches: from level 4 on, every level is level 4's set."""
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=3, cols=3))
+    sc = Scenario(graph=graph, nav=nav, lifetime=build_lifetime_tail(3.0, 12))
+    return sc, sizes, landmark_structure(sc, sizes, 0.5)
+
+
+def _actions_digest(actions):
+    return hashlib.sha256(repr(sorted(actions.items())).encode()).hexdigest()
+
+
+# evaluator -> (cost with weight_first_switch off, on; dp_stats; digest of
+# the sorted policy actions), recorded before the forward pass stopped at
+# its fixed point
+_REPEAT_PINS = {
+    "eval_fixed": (
+        (49.35251777790415, 47.44243899654408),
+        {"states": 441, "actions": 2208},
+        "bcb07c52e9e357f07cff68a7b99ab2982ac33f2508a880d4dea75220d18fde95",
+    ),
+    "eval_flexible": (
+        (27.431938222294143, 26.613574830436047),
+        {"states": 3993, "actions": 19928},
+        "9e215f97edf619a759ac0301f3fb3dc8ab98b9246570b2636d301e92639ff242",
+    ),
+}
+
+
+@pytest.mark.parametrize("fn", [eval_fixed, eval_flexible])
+def test_levels_past_the_fixed_point_are_pinned(fn, caplog):
+    costs, stats, digest = _REPEAT_PINS[fn.__name__]
+    sc, sz, st = _repeating_levels_instance()
+    with caplog.at_level(logging.DEBUG, logger="navstream.evaluate"):
+        res = fn(sc, sz, st)
+    counts = [int(r.getMessage().split(": ")[1].split()[0]) for r in caplog.records]
+    assert len(counts) == 13 and len(set(counts[4:])) == 1
+    assert sum(counts) == stats["states"]
+    assert res.expected_cost == costs[0]
+    assert res.dp_stats == stats
+    assert _actions_digest(res.policy.actions) == digest
+    assert fn(sc, sz, st, weight_first_switch=True).expected_cost == costs[1]
 
 
 def test_infeasible_structure_raises():
