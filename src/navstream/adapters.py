@@ -13,12 +13,13 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .costs import SizeTable, grid_sizes
 from .errors import InvalidInputError
-from .scenario import MediaGraph, NavigationModel, left_sum
+from .scenario import MediaGraph, NavigationModel, csr_slots, left_sum
 
 log = logging.getLogger(__name__)
 
@@ -109,20 +110,25 @@ def build_lf_scenario(
     graph = MediaGraph(n=n, neighbors=neighbors, start=start)
 
     fac = _switch_factors(spec.sigma, spec.quad_samples)
+    fac = np.array([fac[delta] for delta in range(-2, 3)])  # fac[delta + 2]
 
-    p_switch: dict[tuple[int, int, int], float] = {}
-    for k in range(n):
-        kr, kc = divmod(k, cols)
-        for i in neighbors[k]:
-            ir, ic = divmod(i, cols)
-            weights = []
-            for j in neighbors[i]:
-                jr, jc = divmod(j, cols)
-                w = fac[jr - 2 * ir + kr] * fac[jc - 2 * ic + kc]
-                weights.append((j, w))
-            total = left_sum(w for _, w in weights)
-            for j, w in weights:
-                p_switch[(k, i, j)] = w / total
+    deg = np.array([len(nb) for nb in neighbors], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp)
+    # the rows (k, i) in key order: k ascending, then i in N(k)
+    row_k, row_i = np.repeat(np.arange(n), deg), flat
+    # each row's switches (k, i, j), j in N(i) in graph order
+    counts, slots = csr_slots(np.concatenate(([0], np.cumsum(deg))), row_i)
+    row = np.repeat(np.arange(len(row_i)), counts)
+    k, i, j = row_k[row], row_i[row], flat[slots]
+    weight = (
+        fac[j // cols - 2 * (i // cols) + k // cols + 2]
+        * fac[j % cols - 2 * (i % cols) + k % cols + 2]
+    )
+    # np.bincount adds each row's weights in turn from 0.0, as left_sum does
+    total = np.bincount(row, weights=weight)
+    p_switch = dict(
+        zip(zip(k.tolist(), i.tolist(), j.tolist()), (weight / total[row]).tolist())
+    )
 
     sfac = _start_factors(spec.sigma, spec.quad_samples)
     sr, sc = divmod(start, cols)

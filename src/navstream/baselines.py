@@ -20,13 +20,17 @@ cost from the engine's log instead of evaluating the result again.
 flex-lm-i and inf-lm plan their landmarks with `landmarks.landmark_structure`
 on the caller's Scenario, so they read the q its `switch_probs` caches.
 
-inf-lm's exact cost runs the evaluators' level pass (`evaluate._level_pass`)
-over states (prev, cur, avail), `avail` an int bitmask of the MDUs sent so
-far.  More than `max_states` reachable states are refused before any is
-valued; the baseline then reports the Monte-Carlo estimate and logs at INFO
-which cost it used.  Both paths list a request's options with the lister
-from `_inf_options`; the exact pass reads `Scenario.followed_rows` and the
-estimate draws its sessions from `scenario.sample_sessions`.
+inf-lm's exact cost is a level pass over states (prev, cur, avail) held as
+uint64 rows: the (prev, cur) pair's `Scenario.pair_index` id, then `avail`,
+the MDUs sent so far, as ceil(n/64) mask words.  Each level's distinct
+states are found by hashing whole rows, and every hash match is confirmed
+word by word.  The pass grows each level a chunk of states at a time and
+refuses more than `max_states` reachable states as soon as its running count
+passes that, before any state is valued; the baseline then reports the
+Monte-Carlo estimate and logs at INFO which cost it used.  One vectorised
+lister, `_Lister`, gives a request's options in tie order to both the exact
+pass and the estimate, which draws its sessions from
+`scenario.sample_sessions` and advances them all one switch at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, count
+
+import numpy as np
 
 from .costs import (
     SizeTable,
@@ -44,7 +51,7 @@ from .costs import (
     zero_hop_sources,
 )
 from .errors import InvalidInputError, OracleRefusalError
-from .evaluate import CostTables, _level_pass
+from .evaluate import CostTables
 from .landmarks import landmark_structure
 from .refine import (
     RefinerParams,
@@ -56,7 +63,7 @@ from .refine import (
     greedy_search,
     remove_edges,
 )
-from .scenario import START, Scenario, sample_sessions
+from .scenario import PairIndex, Scenario, csr_slots, left_sum, sample_sessions
 
 logger = logging.getLogger(__name__)
 
@@ -75,48 +82,187 @@ class BaselineResult:
     log: RefineLog | None = None
 
 
-def _from_buffer(avail: int, into_j: list) -> float:
-    """Cheapest 1-hop into a target from a predictor in the mask `avail`."""
-    best = math.inf
-    for l, c in into_j:
-        if c < best and avail >> l & 1:
-            best = c
-    return best
+class _Lister:
+    """The infinite buffer's options, listed for many requests at once.
 
+    A mask of held MDUs is ceil(n/64) uint64 words, MDU m in bit m % 64 of
+    word m // 64.  `bits(avail, j)` takes masks avail[r] and targets j[r]
+    and returns every request's options as a (rows, K) array of immediate
+    bits, +inf where a slot holds no option; slot k of target j sends the
+    MDUs `add[j, k]`, so it leads to the mask avail[r] | add[j[r], k].  The
+    slots are in the tie order of both infinite-buffer paths:
 
-def _inf_options(scenario: Scenario, sizes: SizeTable, structure: Structure):
-    """The zero-hop sources of each MDU and the infinite buffer's option lister.
+    - a held target: 0 bits, and it sends nothing; then no other option;
+    - each zero-hop source of j;
+    - the cheapest 1-hop from a held predictor of j;
+    - per stored predictor `mid` of j, ascending, that is not held but has a
+      held predictor: the cheapest such 2-hop through `mid`.
 
-    sources[j] lists j's zero-hop sources as (bits, mask).  options(cur,
-    avail, j) lists every way to send target j to a client holding the MDU
-    mask `avail` as (bits, next mask, None).  A target in `avail` costs
-    nothing and keeps the mask.  Otherwise the order is the tie order of
-    both infinite-buffer paths: each zero-hop source, then the cheapest
-    1-hop from a predictor in `avail`, then a 2-hop through each stored
-    predictor `mid` of j that is not in `avail` but has a predictor there.
+    `start_bits` lists the options of the start MDU to an empty mask: its
+    zero-hop sources.
     """
-    n = scenario.graph.n
-    tables = CostTables(structure, sizes, n)
-    sources = [
-        [(c, sum(1 << m for m in src)) for c, src in zero_hop_sources(structure, sizes, j)]
-        for j in range(n)
-    ]
-    into = [[(l, tables.r_p[(l, j)]) for l in tables.preds[j]] for j in range(n)]
 
-    def options(_cur: int, avail: int, j: int) -> list:
-        jbit = 1 << j
-        if avail & jbit:
-            return [(0.0, avail, None)]
-        opts = [(c, avail | m, None) for c, m in sources[j]]
-        if (hop := _from_buffer(avail, into[j])) < math.inf:
-            opts.append((hop, avail | jbit, None))
-        for mid, c2 in into[j]:
-            if mid != j and not avail >> mid & 1:
-                if (hop1 := _from_buffer(avail, into[mid])) < math.inf:
-                    opts.append((hop1 + c2, avail | 1 << mid | jbit, None))
-        return opts
+    def __init__(self, scenario: Scenario, sizes: SizeTable, structure: Structure):
+        n = scenario.graph.n
+        tables = CostTables(structure, sizes, n)
+        sources = [zero_hop_sources(structure, sizes, j) for j in range(n)]
+        n_src = max(map(len, sources))
+        n_pred = max(map(len, tables.preds))
+        self.words = -(-n // 64)
+        onehot = np.zeros((n, self.words), dtype=np.uint64)
+        onehot[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (
+            np.arange(n) % 64
+        ).astype(np.uint64)
+        self.src_bits = np.full((n, n_src), math.inf)
+        self.pred = np.zeros((n, n_pred), dtype=np.intp)
+        self.pred_bits = np.full((n, n_pred), math.inf)
+        # slots: held target, sources, 1-hop, one 2-hop per stored predictor
+        self.add = np.zeros((n, 2 + n_src + n_pred, self.words), dtype=np.uint64)
+        for j in range(n):
+            for s, (c, src) in enumerate(sources[j]):
+                self.src_bits[j, s] = c
+                self.add[j, 1 + s] = np.bitwise_or.reduce(onehot[sorted(src)])
+            self.add[j, 1 + n_src:] = onehot[j]
+            for d, l in enumerate(tables.preds[j]):
+                self.pred[j, d] = l
+                self.pred_bits[j, d] = tables.r_p[(l, j)]
+                self.add[j, 2 + n_src + d] |= onehot[l]
+        self.start = scenario.graph.start
+        self.start_bits = self.bits(
+            np.zeros((1, self.words), dtype=np.uint64), np.array([self.start])
+        )[0]
 
-    return sources, options
+    @staticmethod
+    def _held(avail: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Whether mask avail[r] holds MDU x[r, d], for x of shape (rows, D)."""
+        words = np.take_along_axis(avail, x // 64, axis=1)
+        return (words >> (x % 64).astype(np.uint64) & np.uint64(1)).astype(bool)
+
+    def _hop(self, avail: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The cheapest 1-hop into each x[r] from a predictor held in avail[r]."""
+        held = self._held(avail, self.pred[x])
+        return np.where(held, self.pred_bits[x], math.inf).min(axis=1, initial=math.inf)
+
+    def bits(self, avail: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The (rows, K) bits of every slot for masks avail[r] and targets j[r]."""
+        n_src = self.src_bits.shape[1]
+        held = self._held(avail, j[:, None])[:, 0]
+        out = np.empty((len(j), self.add.shape[1]))
+        out[:, 0] = np.where(held, 0.0, math.inf)
+        out[:, 1:1 + n_src] = self.src_bits[j]
+        out[:, 1 + n_src] = self._hop(avail, j)
+        mid = self.pred[j]
+        two = np.full(mid.shape, math.inf)
+        r, d = np.nonzero((self.pred_bits[j] < math.inf) & ~self._held(avail, mid))
+        two[r, d] = self._hop(avail[r], mid[r, d]) + self.pred_bits[j[r], d]
+        out[:, 2 + n_src:] = two
+        out[held, 1:] = math.inf
+        return out
+
+
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _hashes(rows: np.ndarray, salt: int) -> np.ndarray:
+    """One uint64 per row of `rows`, mixed column by column from `salt`."""
+    h = np.full(len(rows), salt, dtype=np.uint64)
+    for col in rows.T:
+        h ^= col
+        h ^= h >> np.uint64(30)
+        h *= _MIX[0]
+        h ^= h >> np.uint64(27)
+        h *= _MIX[1]
+        h ^= h >> np.uint64(31)
+    return h
+
+
+class _Collision(Exception):
+    """Two different states hashed alike; the pass starts again with a new salt."""
+
+
+class _Level:
+    """The distinct states of one level as rows [pair id, mask words...].
+
+    Rows are kept in the order of their hashes, which are distinct.  A hash
+    only finds a candidate: every match is confirmed on the whole row.
+    """
+
+    def __init__(self, width: int, salt: int):
+        self.salt = salt
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.rows = np.empty((0, width), dtype=np.uint64)
+
+    def add(self, rows: np.ndarray) -> None:
+        """Add the states `rows`, which may repeat each other or this level's."""
+        h = _hashes(rows, self.salt)
+        order = np.argsort(h)
+        h, rows = h[order], rows[order]
+        head = np.ones(len(h), dtype=bool)
+        head[1:] = h[1:] != h[:-1]
+        h, firsts = h[head], rows[head]
+        if not (rows == firsts[np.cumsum(head) - 1]).all():
+            raise _Collision
+        pos = np.searchsorted(self.keys, h)
+        hit = np.zeros(len(h), dtype=bool)
+        inside = pos < len(self.keys)
+        hit[inside] = self.keys[pos[inside]] == h[inside]
+        if not (self.rows[pos[hit]] == firsts[hit]).all():
+            raise _Collision
+        self.keys = np.insert(self.keys, pos[~hit], h[~hit])
+        self.rows = np.insert(self.rows, pos[~hit], firsts[~hit], axis=0)
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """The positions of the states `rows`, each of which is in this level."""
+        h = _hashes(rows, self.salt)
+        pos = np.minimum(np.searchsorted(self.keys, h), len(self.keys) - 1)
+        if not ((self.keys[pos] == h).all() and (self.rows[pos] == rows).all()):
+            raise RuntimeError("infinite-buffer pass: a successor is not in its level")
+        return pos
+
+
+_CHUNK = 4096  # states expanded at once; a refusal stops within a level
+
+
+def _expand(index: PairIndex, lister: _Lister, rows: np.ndarray):
+    """The requests of the states `rows` and where their options lead.
+
+    Returns each request's state (a position in `rows`) and pair-index
+    slot, its options' bits from `lister`, the (request, slot) of every
+    option, and the row of the state each option leads to.
+    """
+    counts, slots = csr_slots(index.offsets, rows[:, 0].astype(np.intp))
+    state = np.repeat(np.arange(len(rows)), counts)
+    avail, j = rows[state, 1:], index.target[slots]
+    bits = lister.bits(avail, j)
+    r, k = np.nonzero(bits < math.inf)
+    nxt = np.empty((len(r), rows.shape[1]), dtype=np.uint64)
+    nxt[:, 0] = index.succ[slots[r]]
+    nxt[:, 1:] = avail[r] | lister.add[j[r], k]
+    return state, slots, bits, (r, k), nxt
+
+
+def _inf_levels(scenario, lister, roots, max_states, salt) -> list:
+    """The reachable states, level by level, as `_Level`s hashed with `salt`."""
+    index, g = scenario.pair_index, scenario.lifetime.g
+    levels = [_Level(roots.shape[1], salt)]
+    levels[0].add(roots)
+    reached = len(levels[0].keys)
+    while reached <= max_states and g(len(levels)) > 0.0:
+        above, nxt = levels[-1].rows, _Level(roots.shape[1], salt)
+        for lo in range(0, len(above), _CHUNK):
+            nxt.add(_expand(index, lister, above[lo:lo + _CHUNK])[-1])
+            if reached + len(nxt.keys) > max_states:
+                break
+        reached += len(nxt.keys)
+        levels.append(nxt)
+    for t, level in enumerate(levels):
+        logger.debug("infinite-buffer level %d: %d states", t, len(level.keys))
+    if reached > max_states:
+        raise OracleRefusalError(
+            f"infinite-buffer pass exceeds {max_states} reachable states "
+            f"at level {len(levels) - 1}"
+        )
+    return levels
 
 
 def inf_buffer_cost(
@@ -129,20 +275,46 @@ def inf_buffer_cost(
     """Exact expected cost with an unbounded reference buffer.
 
     Any MDU transmitted earlier in the session is a free predictor and a
-    free revisit, so a state is (prev, cur, avail), `avail` an int bitmask
-    of transmitted MDUs, valued by `evaluate`'s level pass over the options
-    of `_inf_options`; requests with zero probability are not followed.
-    More than `max_states` reachable states in all is refused with
-    `OracleRefusalError` before any state is valued, whatever the order.
+    free revisit, so a state is (prev, cur, avail), `avail` the mask of
+    transmitted MDUs, and a request's options are `_Lister`'s.  A forward
+    pass collects each level's distinct states (t = 0 up to the last t with
+    g(t) > 0) from the followed requests of `Scenario.pair_index`, `_CHUNK`
+    states at a time, and logs each level's size at DEBUG.  More than
+    `max_states` states in all raise `OracleRefusalError` as soon as the
+    running count passes it, before any state is valued.  A backward pass
+    then values the states from the last level down: a request takes the
+    minimum of imm + g(t+1)·V(next), or just imm once g(t+1) = 0, and each
+    state adds p · that minimum over its requests in graph order.
     """
-    sources, options = _inf_options(scenario, sizes, structure)
-    s = scenario.graph.start
-    values, _ = _level_pass(
-        scenario, [(START, s, m) for _, m in sources[s]], scenario.followed_rows,
-        options, None, logger, "infinite-buffer", max_states,
-    )
-    w1 = scenario.lifetime.g(1) if weight_first_switch else 1.0
-    return min(c + w1 * values[(START, s, m)] for c, m in sources[s])
+    lister = _Lister(scenario, sizes, structure)
+    index, g = scenario.pair_index, scenario.lifetime.g
+    (ks,) = np.nonzero(lister.start_bits < math.inf)
+    roots = np.zeros((len(ks), 1 + lister.words), dtype=np.uint64)
+    roots[:, 1:] = lister.add[lister.start, ks]
+    for salt in count():
+        try:
+            levels = _inf_levels(scenario, lister, roots, max_states, salt)
+            break
+        except _Collision:
+            continue
+    values = None
+    for t in range(len(levels) - 1, -1, -1):
+        g_next, rows = g(t + 1), levels[t].rows
+        cur = np.empty(len(rows))
+        for lo in range(0, len(rows), _CHUNK):
+            chunk = rows[lo:lo + _CHUNK]
+            state, slots, bits, (r, k), nxt = _expand(index, lister, chunk)
+            if g_next > 0.0:
+                bits[r, k] += g_next * values[levels[t + 1].index(nxt)]
+            best = bits.min(axis=1)
+            # np.bincount adds each state's terms in turn from 0.0, in graph order
+            cur[lo:lo + len(chunk)] = np.bincount(
+                state, weights=index.prob[slots] * best, minlength=len(chunk)
+            )
+        values = cur
+    w1 = g(1) if weight_first_switch else 1.0
+    first = zip(lister.start_bits[ks].tolist(), values[levels[0].index(roots)].tolist())
+    return min(c + w1 * v for c, v in first)
 
 
 def inf_buffer_estimate(
@@ -154,27 +326,30 @@ def inf_buffer_estimate(
 ) -> float:
     """Monte-Carlo myopic estimate of the infinite-buffer cost.
 
-    Each request takes the first cheapest of `_inf_options` along sessions
-    from `sample_sessions`, whose lengths follow the renormalised lifetime
-    pmf, not the g-products of `inf_buffer_cost`, so this is no bound on
-    that value.  Used where the exact pass refuses.  Sessions repeat
-    requests, so each distinct (cur, avail, j) is picked once per call.
+    Each request takes the first cheapest of `_Lister`'s options along
+    sessions from `sample_sessions`, whose lengths follow the renormalised
+    lifetime pmf, not the g-products of `inf_buffer_cost`, so this is no
+    bound on that value.  Used where the exact pass refuses.  All sessions
+    are drawn first, then advanced one switch at a time together.
     """
-    sources, options = _inf_options(scenario, sizes, structure)
-    s = scenario.graph.start
-    first = min(sources[s], key=lambda cm: cm[0])
-    picks = {}  # (cur, avail, j) -> its first cheapest option's (bits, next mask)
-    total = 0.0
-    for targets in sample_sessions(scenario, n_sessions, seed):
-        bits, avail = first
-        for i, j in zip([s, *targets], targets):
-            if (pick := picks.get((i, avail, j))) is None:
-                best, nxt, _ = min(options(i, avail, j), key=lambda opt: opt[0])
-                pick = picks[(i, avail, j)] = best, nxt
-            best, avail = pick
-            bits += best
-        total += bits
-    return total / n_sessions
+    lister = _Lister(scenario, sizes, structure)
+    paths = list(sample_sessions(scenario, n_sessions, seed))
+    lengths = np.array(list(map(len, paths)), dtype=np.intp)
+    targets = np.zeros((n_sessions, lengths.max(initial=0)), dtype=np.intp)
+    targets[np.arange(targets.shape[1]) < lengths[:, None]] = list(
+        chain.from_iterable(paths)
+    )
+    k = lister.start_bits.argmin()
+    avail = np.tile(lister.add[lister.start, k], (n_sessions, 1))
+    bits = np.full(n_sessions, lister.start_bits[k])
+    for t in range(targets.shape[1]):
+        at = np.flatnonzero(lengths > t)
+        j = targets[at, t]
+        opts = lister.bits(avail[at], j)
+        k = opts.argmin(axis=1)
+        bits[at] += opts[np.arange(len(at)), k]
+        avail[at] |= lister.add[j, k]
+    return left_sum(bits.tolist()) / n_sessions
 
 
 def run_baseline(

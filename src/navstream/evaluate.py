@@ -1,12 +1,12 @@
 """Expected transmission cost of a structure by a level-synchronous DP.
 
-One core, `_level_pass`, values the fixed and flexible one-MDU buffers here
-and the infinite buffer in `baselines`; each buffer model only lists a
-request's options.  A state is (prev, cur, buffer) at switch depth t: the
-fixed buffer holds the displayed MDU, the flexible one starts EMPTY, and
-the previous MDU at t = 0 is the START sentinel.  Policy keys are
-(t, prev, cur, target) for the fixed buffer and (t, prev, cur, buffered,
-target) for the flexible one.
+One core, `_level_pass`, values the fixed and flexible one-MDU buffers;
+each buffer model only lists a request's options.  (The infinite buffer has
+its own pass over mask arrays in `baselines`.)  A state is (prev, cur,
+buffer) at switch depth t: the fixed buffer holds the displayed MDU, the
+flexible one starts EMPTY, and the previous MDU at t = 0 is the START
+sentinel.  Policy keys are (t, prev, cur, target) for the fixed buffer and
+(t, prev, cur, buffered, target) for the flexible one.
 
 Per-request actions recorded in the policy:
   ("0hop",)                fixed-buffer independent reconstruction
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .costs import SizeTable, Structure
-from .errors import InfeasibleStructureError, InvalidInputError, OracleRefusalError
+from .errors import InfeasibleStructureError, InvalidInputError
 from .scenario import START, Scenario
 
 logger = logging.getLogger(__name__)
@@ -176,10 +176,15 @@ class CostTables:
 
     r_i holds the same values as zero_hop_overhead for every target but is
     built in O(|i_set| + |p_edges|) — this constructor sits on the hot
-    path of the refiner's candidate scans.
+    path of the refiner's candidate scans.  A size table that does not
+    cover exactly the scenario's `n` MDUs raises `InvalidInputError`.
     """
 
     def __init__(self, structure: Structure, sizes: SizeTable, n: int):
+        if sizes.n != n:
+            raise InvalidInputError(
+                f"size table covers {sizes.n} MDUs, the scenario has {n}"
+            )
         self.structure = structure
         self.sizes = sizes
         r_i = [math.inf] * n
@@ -206,51 +211,45 @@ class CostTables:
 
 def _level_pass(
     scenario: Scenario,
-    roots,
-    rows,
+    root,
     options,
     actions: dict | None,
     log: logging.Logger,
     name: str,
-    max_states: float = math.inf,
 ) -> tuple[dict, int]:
-    """Value every state reachable from `roots`, level by level, with no recursion.
+    """Value every state reachable from `root`, level by level, with no recursion.
 
     A state is (prev, cur, buffer).  `options(cur, buffer, target)` lists a
     request's options in tie order as (immediate bits, next buffer, action);
     an option leads to the state (cur, target, next buffer) one level down.
     A forward pass collects each level's states (t = 0 up to the last t with
-    g(t) > 0), following every option of every request in `rows` (a map
-    like `Scenario.rows` from (prev, cur) to ((target, p), ...)), and logs
-    its size at DEBUG as `name`.  More than `max_states` states in all raise
-    `OracleRefusalError` before any state is valued.  A backward pass then
-    values the states from the last level down.  A request takes the first
-    minimum of imm + g(t+1)·V(next), or just imm once g(t+1) = 0, computed
-    once per (t, cur, buffer, target): only p(prev, cur, target) reads prev.
-    Each request's action goes into `actions` under (t, prev, cur, buffer,
-    target) unless `actions` is None.  Returns the level-0 values and the
-    number of states.
+    g(t) > 0), following every option of every request in `Scenario.rows`,
+    and logs its size at DEBUG as `name`.  Options and rows read neither t
+    nor prev, so once a level is the same set as the one above it, every
+    later level is that set too and is not built again.  A backward pass
+    then values the states from the last level down.  A request takes the
+    first minimum of imm + g(t+1)·V(next), or just imm once g(t+1) = 0,
+    computed once per (t, cur, buffer, target): only p(prev, cur, target)
+    reads prev.  Each request's action goes into `actions` under (t, prev,
+    cur, buffer, target) unless `actions` is None.  Returns the level-0
+    values and the number of states.
     """
-    g = scenario.lifetime.g
-    levels = [set(roots)]
-    count = len(levels[0])
-    log.debug("%s level 0: %d states", name, count)
-    while count <= max_states and g(len(levels)) > 0.0:
-        nxt: set = set()
-        for k, i, buf in levels[-1]:
-            for j, _ in rows[(k, i)]:
-                for _, b, _ in options(i, buf, j):
-                    nxt.add((i, j, b))
-            if count + len(nxt) > max_states:
-                break
-        count += len(nxt)
+    g, rows = scenario.lifetime.g, scenario.rows
+    levels, count, fixed = [{root}], 1, False
+    log.debug("%s level 0: 1 states", name)
+    while g(len(levels)) > 0.0:
+        nxt: set = levels[-1]
+        if not fixed:
+            nxt = {
+                (i, j, b)
+                for k, i, buf in levels[-1]
+                for j, _ in rows[(k, i)]
+                for _, b, _ in options(i, buf, j)
+            }
+            fixed = nxt == levels[-1]
         levels.append(nxt)
+        count += len(nxt)
         log.debug("%s level %d: %d states", name, len(levels) - 1, len(nxt))
-    if count > max_states:
-        raise OracleRefusalError(
-            f"{name} pass exceeds {max_states} reachable states "
-            f"at level {len(levels) - 1}"
-        )
 
     values: dict[tuple, float] = {}
     for t in range(len(levels) - 1, -1, -1):
@@ -305,8 +304,7 @@ def eval_fixed(
     root = (START, s, s)
     found: dict[tuple, tuple] = {}
     values, count = _level_pass(
-        scenario, [root], scenario.rows, options, found,
-        logger, "fixed-buffer",
+        scenario, root, options, found, logger, "fixed-buffer",
     )
     policy = Policy(
         buffer="fixed",
@@ -354,8 +352,7 @@ def eval_flexible(
     root = (START, scenario.graph.start, EMPTY)
     policy = Policy(buffer="flex", weight_first_switch=weight_first_switch)
     values, count = _level_pass(
-        scenario, [root], scenario.rows, options, policy.actions,
-        logger, "flexible-buffer",
+        scenario, root, options, policy.actions, logger, "flexible-buffer",
     )
     return _result(scenario, tables, root, policy, values, count)
 

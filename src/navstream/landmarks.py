@@ -298,7 +298,13 @@ def landmark_structure(
 
     Reads q from `scenario.switch_probs`, weighs storage by w = lam / mu,
     splits with `tsvq` and stores the result with `build_initial_structure`.
+    A size table that does not cover exactly the scenario's MDUs raises
+    `InvalidInputError`.
     """
+    if sizes.n != scenario.graph.n:
+        raise InvalidInputError(
+            f"size table covers {sizes.n} MDUs, the scenario has {scenario.graph.n}"
+        )
     params = PlannerParams(
         w=lam / scenario.lifetime.mu,
         q=scenario.switch_probs,

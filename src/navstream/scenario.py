@@ -156,6 +156,16 @@ class PairIndex(NamedTuple):
     prob: np.ndarray
 
 
+def csr_slots(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of the rows `ids` of a table whose row a has the slots
+    offsets[a]..offsets[a + 1] - 1: each row's length, and all their slots,
+    row after row."""
+    starts = offsets[ids]
+    counts = offsets[ids + 1] - starts
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return counts, np.arange(len(shift)) + shift
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete evaluation scenario: graph + behavior + lifetime."""
@@ -325,11 +335,7 @@ def pair_masses(scenario: Scenario, factors):
     mass[0] = 1.0
     factors = iter(factors)
     while True:
-        starts = index.offsets[order]
-        counts = index.offsets[order + 1] - starts
-        # each pair's run of slots, concatenated in level order
-        shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        slots = np.arange(len(shift)) + shift
+        counts, slots = csr_slots(index.offsets, order)
         flow = np.repeat(mass[order], counts) * index.prob[slots]
         yield order, mass, slots, flow
         f = next(factors, None)

@@ -27,11 +27,23 @@ from navstream.baselines import (
     inf_buffer_estimate,
     run_baseline,
 )
-from navstream.costs import Structure, storage_cost, uniform_sizes, zero_hop_sources
+from navstream.costs import (
+    Structure,
+    all_i_structure,
+    storage_cost,
+    uniform_sizes,
+    zero_hop_sources,
+)
 from navstream.errors import InvalidInputError, OracleRefusalError
 from navstream.evaluate import eval_flexible, evaluate
 from navstream.landmarks import landmark_structure
-from navstream.refine import RefinerParams, TradeoffRow, greedy_refine, greedy_subtract
+from navstream.refine import (
+    RefinerParams,
+    TradeoffRow,
+    greedy_refine,
+    greedy_subtract,
+    sweep,
+)
 from navstream.scenario import START, Scenario, build_lifetime_tail
 
 SYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1), (1, 0)}))
@@ -143,6 +155,24 @@ def test_pruning_keeps_subtract_identical():
             assert log_on.steps == log_off.steps
             assert on == off
             assert log_on.expected_cost == log_off.expected_cost
+
+
+_MISMATCHED_SIZE_CALLS = {
+    "evaluate": lambda sc, sz: evaluate(sc, sz, all_i_structure(sc.graph.n), "flex"),
+    "greedy_refine": lambda sc, sz: greedy_refine(
+        sc, sz, all_i_structure(sc.graph.n), RefinerParams(lam=0.5)
+    ),
+    "sweep": lambda sc, sz: sweep(sc, sz, [0.5], RefinerParams(lam=0.5)),
+    "run_baseline": lambda sc, sz: run_baseline(sc, sz, RefinerParams(lam=0.5), "inf-lm"),
+    "landmark_structure": lambda sc, sz: landmark_structure(sc, sz, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MISMATCHED_SIZE_CALLS))
+def test_library_entry_points_refuse_a_size_table_of_another_n(entry):
+    sc, _ = _lf_scenario(rows=2, cols=2)
+    with pytest.raises(InvalidInputError, match="size table covers 6 MDUs"):
+        _MISMATCHED_SIZE_CALLS[entry](sc, uniform_sizes(6))
 
 
 # --- infinite buffer --------------------------------------------------------
@@ -322,14 +352,56 @@ def test_inf_buffer_pinned_across_mask_words(n, caplog):
     assert _reachable_states(sc, sz, st) == list(levels)
 
 
-def test_inf_buffer_refuses_mid_level():
+def test_inf_buffer_restarts_on_a_hash_collision(monkeypatch, caplog):
+    # salt 0 hashes every state alike; the pass must notice and start again
+    real, salts = baselines._hashes, []
+
+    def weak(rows, salt):
+        salts.append(salt)
+        return real(rows, salt) if salt else np.zeros(len(rows), dtype=np.uint64)
+
+    monkeypatch.setattr(baselines, "_hashes", weak)
+    costs, levels = _WORD_PINS[65]
+    sc, sz, st = _word_boundary_case(65)
+    with caplog.at_level(logging.DEBUG, logger="navstream.baselines"):
+        assert inf_buffer_cost(sc, sz, st) == costs[0]
+    assert salts[0] == 0 and max(salts) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"infinite-buffer level {t}: {c} states" for t, c in enumerate(levels)
+    ]
+
+
+def test_level_confirms_every_hash_match_on_the_whole_row(monkeypatch):
+    monkeypatch.setattr(
+        baselines, "_hashes", lambda rows, salt: rows[:, 0].copy()
+    )
+    level = baselines._Level(2, salt=0)
+    level.add(np.array([[1, 5], [2, 6], [1, 5]], dtype=np.uint64))
+    assert level.rows.tolist() == [[1, 5], [2, 6]]
+    level.add(np.array([[2, 6], [3, 7]], dtype=np.uint64))
+    assert level.rows.tolist() == [[1, 5], [2, 6], [3, 7]]
+    assert level.index(np.array([[3, 7], [1, 5]], dtype=np.uint64)).tolist() == [2, 0]
+    with pytest.raises(baselines._Collision):  # within the added rows
+        level.add(np.array([[4, 1], [4, 2]], dtype=np.uint64))
+    with pytest.raises(baselines._Collision):  # against the level's rows
+        level.add(np.array([[2, 9]], dtype=np.uint64))
+    with pytest.raises(RuntimeError):
+        level.index(np.array([[3, 8]], dtype=np.uint64))
+
+
+def test_inf_buffer_refuses_mid_level(monkeypatch, caplog):
     sc, sz, st = _word_boundary_case(130)
     levels = _reachable_states(sc, sz, st)
     cap = sum(levels[:-1]) + levels[-1] // 2
-    with pytest.raises(OracleRefusalError) as err:
-        inf_buffer_cost(sc, sz, st, max_states=cap)
+    monkeypatch.setattr(baselines, "_CHUNK", 100)  # level 2 spans 15 chunks
+    with caplog.at_level(logging.DEBUG, logger="navstream.baselines"):
+        with pytest.raises(OracleRefusalError) as err:
+            inf_buffer_cost(sc, sz, st, max_states=cap)
     assert str(err.value) == _MID_LEVEL_REFUSAL
     assert str(err.value).endswith(f"at level {len(levels) - 1}")
+    # the refused level's line reports the count where the pass stopped
+    stopped = int(caplog.records[-1].getMessage().split(": ")[1].split()[0])
+    assert cap - sum(levels[:-1]) < stopped < levels[-1]
 
 
 _MID_LEVEL_REFUSAL = (

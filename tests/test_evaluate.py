@@ -301,7 +301,8 @@ def test_long_lifetime_has_no_recursion_limit():
 
 
 def _repeating_levels_instance():
-    """LF 3x3 over 12 switches: from level 4 on, every level is level 4's set."""
+    """LF 3x3 over 12 switches: from level 3 (fixed buffer) or 4 (flexible)
+    on, every level is the same set."""
     graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=3, cols=3))
     sc = Scenario(graph=graph, nav=nav, lifetime=build_lifetime_tail(3.0, 12))
     return sc, sizes, landmark_structure(sc, sizes, 0.5)
@@ -328,15 +329,28 @@ _REPEAT_PINS = {
 }
 
 
+class _CountingRows(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("fn", [eval_fixed, eval_flexible])
 def test_levels_past_the_fixed_point_are_pinned(fn, caplog):
     costs, stats, digest = _REPEAT_PINS[fn.__name__]
     sc, sz, st = _repeating_levels_instance()
+    rows = sc.__dict__["rows"] = _CountingRows(sc.rows)
     with caplog.at_level(logging.DEBUG, logger="navstream.evaluate"):
         res = fn(sc, sz, st)
     counts = [int(r.getMessage().split(": ")[1].split()[0]) for r in caplog.records]
     assert len(counts) == 13 and len(set(counts[4:])) == 1
     assert sum(counts) == stats["states"]
+    # the forward pass expands the levels up to the first that repeats the
+    # one above it, and no later one; the backward pass reads every row
+    repeat = next(t for t in range(1, 13) if counts[t] == counts[t - 1])
+    assert rows.reads == sum(counts[:repeat]) + sum(counts)
     assert res.expected_cost == costs[0]
     assert res.dp_stats == stats
     assert _actions_digest(res.policy.actions) == digest
