@@ -9,18 +9,23 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CorruptTableError, InfeasibleStructureError, InvalidInputError
 
-UNAVAILABLE = math.inf
-
 
 class SizeTable:
-    """Per-MDU I/M sizes and the complete ordered-pair P size matrix."""
+    """Per-MDU I/M sizes and the complete ordered-pair P size matrix.
+
+    The table is checked once, when it is built: every I size, every M size
+    and every P size off the diagonal must be finite and positive, and the
+    first bad entry raises `CorruptTableError`.  The diagonal of `p_size` may
+    hold anything (`grid_sizes` writes NaN there), since nothing predicts an
+    MDU from itself.  The arrays are the caller's (no copy is made) and must
+    not be rewritten afterwards, so every read is a plain lookup.
+    """
 
     def __init__(self, i_size, m_size, p_size):
         self.i_size = np.asarray(i_size, dtype=float)
@@ -30,62 +35,43 @@ class SizeTable:
         if self.m_size.shape != (n,) or self.p_size.shape != (n, n):
             raise InvalidInputError("size table arrays have inconsistent shapes")
         self.n = n
+        diagonal = np.eye(n, dtype=bool)
+        for kind, values, free in (
+            ("I", self.i_size, False),
+            ("M", self.m_size, False),
+            ("P", self.p_size, diagonal),
+        ):
+            bad = np.argwhere(~(((values > 0) & (values < np.inf)) | free))
+            if len(bad):
+                where = tuple(int(k) for k in bad[0])
+                what = f"pair {where}" if kind == "P" else f"MDU {where[0]}"
+                raise CorruptTableError(f"bad {kind} size for {what}: {values[where]}")
 
     def i(self, j: int) -> float:
-        v = self.i_size[j]
-        if not np.isfinite(v) or v <= 0:
-            raise CorruptTableError(f"bad I size for MDU {j}: {v}")
-        return float(v)
+        return float(self.i_size[j])
 
     def m(self, j: int) -> float:
-        v = self.m_size[j]
-        if not np.isfinite(v) or v <= 0:
-            raise CorruptTableError(f"bad M size for MDU {j}: {v}")
-        return float(v)
+        return float(self.m_size[j])
 
     def p(self, i: int, j: int) -> float:
         if i == j:
             raise InvalidInputError(f"self-prediction P_{j}({i}) is undefined")
-        v = self.p_size[i, j]
-        if not np.isfinite(v) or v <= 0:
-            raise CorruptTableError(f"bad P size for pair ({i}, {j}): {v}")
-        return float(v)
+        return float(self.p_size[i, j])
 
     def gather(self, kind: str, rows, cols=None) -> np.ndarray:
-        """Sizes at index arrays, each checked as `i`, `m` and `p` check one.
+        """Sizes at index arrays: `i`, `m` and `p` over many entries at once.
 
         kind "I" or "M" reads the MDUs `rows`; kind "P" reads the pairs
         (rows, cols), broadcast, where a self-pair i == j reads as 0 bits
-        (nothing is sent to predict an MDU from itself) and is not checked.
-        Any other non-finite or non-positive entry raises `CorruptTableError`.
+        (nothing is sent to predict an MDU from itself).
         """
-        at = [np.asarray(rows, dtype=np.intp)]
-        if kind == "P":
-            at.append(np.asarray(cols, dtype=np.intp))
-            values = self.p_size[at[0], at[1]]
-            self_pair = at[0] == at[1]
-            values[self_pair] = 0.0
-            ok = (values > 0) & (values < np.inf) | self_pair
-        else:
-            values = {"I": self.i_size, "M": self.m_size}[kind][at[0]]
-            ok = (values > 0) & (values < np.inf)
-        if not ok.all():
-            k = int(np.flatnonzero(~ok)[0])
-            where = tuple(int(a.flat[k]) for a in np.broadcast_arrays(*at))
-            what = f"pair {where}" if kind == "P" else f"MDU {where[0]}"
-            raise CorruptTableError(f"bad {kind} size for {what}: {values.flat[k]}")
+        rows = np.asarray(rows, dtype=np.intp)
+        if kind != "P":
+            return {"I": self.i_size, "M": self.m_size}[kind][rows]
+        cols = np.asarray(cols, dtype=np.intp)
+        values = self.p_size[rows, cols]
+        values[rows == cols] = 0.0
         return values
-
-    def validate(self) -> list[str]:
-        problems = []
-        if np.any(~np.isfinite(self.i_size)) or np.any(self.i_size <= 0):
-            problems.append("I sizes must be positive and finite")
-        if np.any(~np.isfinite(self.m_size)) or np.any(self.m_size <= 0):
-            problems.append("M sizes must be positive and finite")
-        off = ~np.eye(self.n, dtype=bool)
-        if np.any(~np.isfinite(self.p_size[off])) or np.any(self.p_size[off] <= 0):
-            problems.append("P sizes must be positive and finite for all i != j")
-        return problems
 
 
 def grid_sizes(rows: int, cols: int, p_unit: float = 1.0) -> SizeTable:
@@ -200,31 +186,13 @@ def storage_cost(structure: Structure, sizes: SizeTable) -> float:
     return total
 
 
-def zero_hop_overhead(structure: Structure, sizes: SizeTable, target: int) -> float:
-    """Cheapest independent reconstruction of the target.
+def zero_hop_sources(structure: Structure, sizes: SizeTable, target: int):
+    """All (cost, transmitted-MDU-set) independent reconstructions of target.
 
     Candidates: the stored I-MDU of the target itself, or a stored I-MDU l
-    with a stored edge (l, target) sent as I_l + P_target(l) + M_target.
-    Ties go to the bare I-MDU, then to the lowest predictor index.
+    with a stored edge (l, target) sent as I_l + P_target(l) + M_target,
+    listed bare I-MDU first, then by predictor index.
     """
-    best = UNAVAILABLE
-    if target in structure.i_set:
-        best = sizes.i(target)
-    for l in sorted(structure.i_set):
-        if l == target or (l, target) not in structure.p_edges:
-            continue
-        combo = sizes.i(l) + sizes.p(l, target) + sizes.m(target)
-        if combo < best:
-            best = combo
-    if best is UNAVAILABLE or math.isinf(best):
-        raise InfeasibleStructureError(
-            f"MDU {target} has no independent reconstruction"
-        )
-    return best
-
-
-def zero_hop_sources(structure: Structure, sizes: SizeTable, target: int):
-    """All (cost, transmitted-MDU-set) independent reconstructions of target."""
     out = []
     if target in structure.i_set:
         out.append((sizes.i(target), frozenset([target])))
@@ -238,6 +206,11 @@ def zero_hop_sources(structure: Structure, sizes: SizeTable, target: int):
             f"MDU {target} has no independent reconstruction"
         )
     return out
+
+
+def zero_hop_overhead(structure: Structure, sizes: SizeTable, target: int) -> float:
+    """Cheapest independent reconstruction of the target (see `zero_hop_sources`)."""
+    return min(cost for cost, _ in zero_hop_sources(structure, sizes, target))
 
 
 # --- file formats -----------------------------------------------------------
@@ -317,28 +290,25 @@ def load_sizes(path) -> SizeTable:
             max((int(r["i"]) for r in rows), default=-1),
             max((int(r["j"]) for r in rows if r["j"] != ""), default=-1),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a short row
         raise InvalidInputError(f"malformed sizes CSV: {exc}") from exc
     if n <= 0:
         raise InvalidInputError("sizes CSV holds no entries")
-    i_size = np.full(n, np.nan)
-    m_size = np.full(n, np.nan)
-    p_size = np.full((n, n), np.nan)
+    tables = {"I": np.full(n, np.nan), "M": np.full(n, np.nan)}
+    tables["P"] = np.full((n, n), np.nan)
+    seen = set()
     for r in rows:
         try:
-            kind, i, bits = r["kind"], int(r["i"]), float(r["bits"])
-            if kind == "I":
-                i_size[i] = bits
-            elif kind == "M":
-                m_size[i] = bits
-            elif kind == "P":
-                p_size[i, int(r["j"])] = bits
-            else:
+            kind, bits = r["kind"], float(r["bits"])
+            if kind not in tables:
                 raise InvalidInputError(f"unknown size kind {kind!r}")
+            at = (int(r["i"]), int(r["j"])) if kind == "P" else (int(r["i"]),)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed sizes row {r}: {exc}") from exc
-    table = SizeTable(i_size, m_size, p_size)
-    problems = table.validate()
-    if problems:
-        raise CorruptTableError("; ".join(problems))
-    return table
+        if min(at) < 0:
+            raise InvalidInputError(f"negative MDU index in sizes row {r}")
+        if (kind, at) in seen:
+            raise InvalidInputError(f"repeated sizes row {r}")
+        seen.add((kind, at))
+        tables[kind][at] = bits
+    return SizeTable(tables["I"], tables["M"], tables["P"])

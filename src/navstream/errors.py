@@ -14,7 +14,7 @@ class InvalidInputError(NavstreamError):
 
 
 class CorruptTableError(InvalidInputError):
-    """A size lookup hit a missing or undefined entry."""
+    """A size table holds a missing, non-finite or non-positive entry."""
 
 
 class InfeasibleStructureError(NavstreamError):

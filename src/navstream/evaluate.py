@@ -213,7 +213,7 @@ def _level_pass(
     scenario: Scenario,
     root,
     options,
-    actions: dict | None,
+    actions: dict,
     log: logging.Logger,
     name: str,
 ) -> tuple[dict, int]:
@@ -231,8 +231,8 @@ def _level_pass(
     first minimum of imm + g(t+1)·V(next), or just imm once g(t+1) = 0,
     computed once per (t, cur, buffer, target): only p(prev, cur, target)
     reads prev.  Each request's action goes into `actions` under (t, prev,
-    cur, buffer, target) unless `actions` is None.  Returns the level-0
-    values and the number of states.
+    cur, buffer, target).  Returns the level-0 values and the number of
+    states.
     """
     g, rows = scenario.lifetime.g, scenario.rows
     levels, count, fixed = [{root}], 1, False
@@ -266,8 +266,7 @@ def _level_pass(
                             best, best_act = v, act
                     pick = picks[(i, buf, j)] = (best, best_act)
                 total += p * pick[0]
-                if actions is not None:
-                    actions[(t, k, i, buf, j)] = pick[1]
+                actions[(t, k, i, buf, j)] = pick[1]
             cur[(k, i, buf)] = total
         values = cur
     return values, count

@@ -10,10 +10,11 @@ case.
 Every cost term reads q through one array view, `AggregateSwitchProbs.arrays`
 (q's sources, targets and values in q's key order, built once per q), and
 picks a partition's switches with one membership mask, `in[i] & in[j]`.
-Sizes are gathered a row at a time through `SizeTable.gather`, which checks
-every entry it reads.  The array code adds its floats in the order the
-per-switch loops it replaced did, so every `phi`, `delta` and
-`furthest_init` score, and so every split decision, is the same float:
+Sizes are gathered a row at a time through `SizeTable.gather`, a plain
+lookup: the table checked every entry when it was built.  The array code
+adds its floats in the order the per-switch loops it replaced did, so every
+`phi`, `delta` and `furthest_init` score, and so every split decision, is
+the same float:
 
 - a sum over switches is the last element of `np.cumsum` over them in q's
   key order;

@@ -38,7 +38,6 @@ def test_lf_spec_validation():
 def test_lf_scenario_validates_clean():
     graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=4, cols=4))
     assert validate_navigation_model(graph, nav) == []
-    assert sizes.validate() == []
     assert graph.start == 2 * 4 + 2
 
 

@@ -274,6 +274,38 @@ def test_utf16_input_file_exits_2(lf_files, tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("p01-negative", "bad P size for pair (0, 1): -1.0"),
+        ("negative-index", "negative MDU index"),
+        ("repeated-row", "repeated sizes row"),
+        ("short-row", "malformed sizes CSV"),
+    ],
+    ids=["p01-negative", "negative-index", "repeated-row", "short-row"],
+)
+def test_bad_sizes_csv_exits_2(lf_files, tmp_path, capsys, edit, message):
+    scenario, sizes = lf_files
+    lines = sizes.read_text().splitlines()
+    if edit == "p01-negative":
+        lines = ["P,0,1,-1.0" if line.startswith("P,0,1,") else line for line in lines]
+    elif edit == "negative-index":
+        lines += ["I,-1,,7.0", "P,0,-1,9.0"]
+    elif edit == "repeated-row":
+        lines.append(lines[1])  # the first I row again, same value
+    else:
+        lines.append("I,0")  # no j and no bits
+    sizes.write_text("\n".join(lines) + "\n")
+    structure = tmp_path / "all_i.json"
+    save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
+    rc = main([
+        "eval", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--structure", str(structure), "--buffer", "flex",
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "breakage, message",
     [("half_rows", "sums to 0.5"), ("start_off_graph", "names 4, not a neighbor of start 4")],
 )

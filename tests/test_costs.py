@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,13 +41,27 @@ def test_size_table_rejects_self_prediction():
         _sizes().p(1, 1)
 
 
-def test_size_table_flags_corrupt_entries():
-    p = np.full((2, 2), 1.0)
-    np.fill_diagonal(p, np.nan)
-    sz = SizeTable([11.0, -1.0], [3.5, 3.5], p)
-    with pytest.raises(CorruptTableError):
-        sz.i(1)
-    assert sz.validate()
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -2.0])
+@pytest.mark.parametrize(
+    "kind, index, what",
+    [("I", 1, "MDU 1"), ("M", 2, "MDU 2"), ("P", (0, 2), "pair (0, 2)")],
+    ids=["I", "M", "P"],
+)
+def test_size_table_refuses_corrupt_entries_when_built(kind, index, what, bad):
+    tables = {"I": np.full(3, 11.0), "M": np.full(3, 3.5), "P": np.ones((3, 3))}
+    tables[kind][index] = bad
+    with pytest.raises(CorruptTableError, match=re.escape(f"bad {kind} size for {what}")):
+        SizeTable(tables["I"], tables["M"], tables["P"])
+
+
+@pytest.mark.parametrize("diagonal", [np.nan, 0.0, -1.0])
+def test_size_table_diagonal_may_hold_anything(diagonal):
+    p = np.ones((2, 2))
+    np.fill_diagonal(p, diagonal)
+    sz = SizeTable([11.0, 11.0], [3.5, 3.5], p)
+    with pytest.raises(InvalidInputError):
+        sz.p(1, 1)
+    assert sz.gather("P", [0, 1], [0, 1]).tolist() == [0.0, 0.0]
 
 
 def test_size_table_shape_mismatch():

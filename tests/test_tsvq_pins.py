@@ -193,10 +193,14 @@ def test_cost_terms_equal_the_scalar_oracle():
             assert got == _oracle_delta(*parts, sizes, params), seed
 
 
-# --- checked reads ----------------------------------------------------------
+# --- corrupt tables ---------------------------------------------------------
 
 def _corrupt(kind, index, value):
-    """Grid 2 x 3 sizes with one I, M or P entry replaced, built in code."""
+    """Grid 2 x 3 sizes with one I, M or P entry replaced, built in code.
+
+    The table refuses the bad entry at construction, so the caller builds it
+    inside its `raises` block: no planner ever reads a corrupt size.
+    """
     base = grid_sizes(2, 3)
     tables = {"I": base.i_size.copy(), "M": base.m_size.copy(), "P": base.p_size.copy()}
     tables[kind][index] = value
