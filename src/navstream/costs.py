@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CorruptTableError, InfeasibleStructureError, InvalidInputError
+from .scenario import json_int
 
 
 class SizeTable:
@@ -106,10 +107,26 @@ def uniform_sizes(n: int, p_unit: float = 1.0) -> SizeTable:
 
 @dataclass(frozen=True)
 class LandmarkGroup:
-    """A landmark and the member MDUs it predicts."""
+    """A landmark and the member MDUs it predicts; the landmark is a member,
+    so a group is never empty."""
 
     landmark: int
     members: frozenset[int]
+
+    def __post_init__(self):
+        if self.landmark not in self.members:
+            raise InvalidInputError(f"landmark {self.landmark} is not in its group")
+
+
+def landmark_edges(groups) -> frozenset[tuple[int, int]]:
+    """The P-edges a landmark structure stores: a spoke from each landmark
+    to every other member of its group, and one per ordered landmark pair."""
+    lms = [g.landmark for g in groups]
+    spokes = ((g.landmark, j) for g in groups for j in g.members if j != g.landmark)
+    pairs = ((a, b) for a in lms for b in lms if a != b)
+    # a set first, then frozen: that table layout fixes the order p_edges
+    # iterates in, and so the order storage_cost adds its sizes in
+    return frozenset({*spokes, *pairs})
 
 
 @dataclass(frozen=True)
@@ -133,16 +150,7 @@ class Structure:
         return new
 
     def _landmark_edges_broken(self) -> bool:
-        for grp in self.landmarks or ():
-            for j in grp.members:
-                if j != grp.landmark and (grp.landmark, j) not in self.p_edges:
-                    return True
-        lms = [g.landmark for g in self.landmarks or ()]
-        for a in lms:
-            for b in lms:
-                if a != b and (a, b) not in self.p_edges:
-                    return True
-        return False
+        return not landmark_edges(self.landmarks or ()) <= self.p_edges
 
     def validate(self, n: int) -> list[str]:
         problems = []
@@ -157,8 +165,6 @@ class Structure:
         if self.landmarks is not None:
             seen: set[int] = set()
             for grp in self.landmarks:
-                if grp.landmark not in grp.members:
-                    problems.append(f"landmark {grp.landmark} not in its members")
                 if grp.landmark not in self.i_set:
                     problems.append(f"landmark {grp.landmark} has no stored I-MDU")
                 if seen & grp.members:
@@ -245,14 +251,14 @@ def load_structure(path) -> Structure:
         if "landmarks" in data and data["landmarks"] is not None:
             landmarks = tuple(
                 LandmarkGroup(
-                    landmark=int(grp["l"]),
-                    members=frozenset(int(m) for m in grp["members"]),
+                    landmark=json_int(grp["l"]),
+                    members=frozenset(map(json_int, grp["members"])),
                 )
                 for grp in data["landmarks"]
             )
         return Structure(
-            i_set=frozenset(int(j) for j in data["i_set"]),
-            p_edges=frozenset((int(i), int(j)) for i, j in data["p_edges"]),
+            i_set=frozenset(map(json_int, data["i_set"])),
+            p_edges=frozenset((json_int(i), json_int(j)) for i, j in data["p_edges"]),
             landmarks=landmarks,
         )
     except (TypeError, ValueError, KeyError) as exc:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import LandmarkGroup, SizeTable, Structure
+from .costs import LandmarkGroup, SizeTable, Structure, landmark_edges
 from .errors import InvalidInputError
 from .scenario import AggregateSwitchProbs, MediaGraph, Scenario
 
@@ -52,16 +52,8 @@ _LLOYD_ITERATIONS: ContextVar[list[int] | None] = ContextVar(
 )
 
 
-@dataclass(frozen=True)
-class Partition:
-    members: frozenset[int]
-    landmark: int
-
-    def __post_init__(self):
-        if not self.members:
-            raise InvalidInputError("partition must be non-empty")
-        if self.landmark not in self.members:
-            raise InvalidInputError("landmark must be a partition member")
+# TSVQ plans the groups a Structure stores
+Partition = LandmarkGroup
 
 
 @dataclass
@@ -267,25 +259,12 @@ def tsvq(
 def build_initial_structure(
     partitions: list[Partition], sizes: SizeTable
 ) -> Structure:
-    """Landmark I-MDUs, spoke P-MDUs to every member, and P-MDUs between
-    every ordered pair of landmarks."""
-    lms = [p.landmark for p in partitions]
-    edges: set[tuple[int, int]] = set()
-    for part in partitions:
-        for j in part.members:
-            if j != part.landmark:
-                edges.add((part.landmark, j))
-    for a in lms:
-        for b in lms:
-            if a != b:
-                edges.add((a, b))
+    """Landmark I-MDUs and the P-edges of `landmark_edges`: spokes to every
+    member, and one between every ordered pair of landmarks."""
     return Structure(
-        i_set=frozenset(lms),
-        p_edges=frozenset(edges),
-        landmarks=tuple(
-            LandmarkGroup(landmark=p.landmark, members=p.members)
-            for p in partitions
-        ),
+        i_set=frozenset(p.landmark for p in partitions),
+        p_edges=landmark_edges(partitions),
+        landmarks=tuple(partitions),
     )
 
 

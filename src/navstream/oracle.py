@@ -79,18 +79,24 @@ def simulate_sessions(
         if act is None:
             raise PolicyGapError(f"policy does not cover state {key}")
         kind = act[0]
-        if kind == "0hop":
-            bits = r_i[j]
-            nxt = act[1] if flex else j
-        elif kind == "1hop":
-            bits = r_p[(act[1], j)]
-            nxt = act[1] if flex else j
-        elif kind == "2hop":
-            mid, pred = act[1], act[2]
-            bits = r_p[(pred, mid)] + r_p[(mid, j)]
-            nxt = mid
-        else:
-            raise PolicyGapError(f"unknown action {act} at state {key}")
+        try:
+            if kind == "0hop":
+                bits = r_i[j]
+                nxt = act[1] if flex else j
+            elif kind == "1hop":
+                bits = r_p[(act[1], j)]
+                nxt = act[1] if flex else j
+            elif kind == "2hop":
+                mid, pred = act[1], act[2]
+                bits = r_p[(pred, mid)] + r_p[(mid, j)]
+                nxt = mid
+            else:
+                raise PolicyGapError(f"unknown action {act} at state {key}")
+        except KeyError as exc:  # r_p holds exactly the stored P-edges
+            raise PolicyGapError(
+                f"policy at state {key} predicts over P-edge {exc.args[0]}, "
+                "which the structure does not store"
+            ) from None
         return bits, nxt, act
 
     totals = np.empty(n_sessions)

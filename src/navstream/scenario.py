@@ -67,11 +67,15 @@ class MediaGraph:
         if not (0 <= self.start < self.n):
             problems.append(f"start {self.start} out of range [0, {self.n})")
         for i, nb in enumerate(self.neighbors):
+            seen = set()
             for j in nb:
                 if not (0 <= j < self.n):
                     problems.append(f"neighbor {j} of MDU {i} out of range")
                 elif j == i:
                     problems.append(f"MDU {i} lists itself as a neighbor")
+                elif j in seen:
+                    problems.append(f"MDU {i} lists neighbour {j} twice")
+                seen.add(j)
         return problems
 
 
@@ -118,7 +122,7 @@ def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
     at e^-mu, which is subnormal for mu above about 708.4 and loses the
     pmf's mass (or all of it), so such mu raise `InvalidInputError`.
     """
-    if mu <= 0:
+    if not mu > 0:  # NaN too
         raise InvalidInputError(f"mu must be positive, got {mu}")
     if t_max < 1 or int(t_max) != t_max:
         raise InvalidInputError(f"t_max must be a positive integer, got {t_max}")
@@ -142,7 +146,7 @@ def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
 
 
 class PairIndex(NamedTuple):
-    """The (prev, cur) pairs of `Scenario.followed_rows`, numbered in its order.
+    """The (prev, cur) pairs of `Scenario.rows`, numbered in its order.
 
     Pair a's followed requests are the slots offsets[a]..offsets[a + 1] - 1,
     in graph order; slot s requests target[s] with probability prob[s] and
@@ -188,19 +192,10 @@ class Scenario:
         return {(k, i): tuple((j, prob(k, i, j)) for j in nb[i]) for k, i in pairs}
 
     @cached_property
-    def followed_rows(self) -> dict:
-        """`rows` without their p = 0 requests, the only ones a session takes.
-
-        The forward pass, the sampler and the infinite buffer read these.
-        """
-        return {
-            pair: tuple(r for r in row if r[1] > 0.0) for pair, row in self.rows.items()
-        }
-
-    @cached_property
     def pair_index(self) -> PairIndex:
-        """`followed_rows` as CSR arrays; (START, start) is pair 0."""
-        rows = self.followed_rows
+        """`rows` as CSR arrays without their p = 0 requests, the only ones a
+        session takes; (START, start) is pair 0."""
+        rows = {pair: [r for r in row if r[1] > 0.0] for pair, row in self.rows.items()}
         ids = {pair: a for a, pair in enumerate(rows)}
         return PairIndex(
             pairs=tuple(rows),
@@ -360,30 +355,31 @@ def sample_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=Non
     """Yield the targets of `n_sessions` seeded sessions, one list each.
 
     A session starts at (START, start) and draws each target from its
-    followed row's cumulative probabilities; it ends early at a pair with no
+    pair's cumulative probabilities; it ends early at a pair with no
     outgoing mass.  Its number of switches is drawn from the lifetime pmf
     renormalised over 0..t_max, unless `survival` is given: then switch t is
     taken only if a uniform draw falls below survival[t] (None forces it),
     and a session has at most len(survival) switches.
     """
     rng = np.random.default_rng(seed)
-    rows = scenario.followed_rows
-    cdfs = {pair: list(accumulate(p for _, p in row)) for pair, row in rows.items()}
+    offsets, succ, target, prob = map(np.ndarray.tolist, scenario.pair_index[1:])
+    cdfs = [list(accumulate(prob[a:b])) for a, b in zip(offsets, offsets[1:])]
     pmf = np.asarray(scenario.lifetime.pmf)
     lifetime_cdf = np.cumsum(pmf / pmf.sum()).tolist()
     for _ in range(n_sessions):
         schedule = survival
         if schedule is None:
             schedule = repeat(None, bisect_left(lifetime_cdf, rng.random()))
-        k, i, targets = START, scenario.graph.start, []
+        pair, targets = 0, []
         for keep in schedule:
             if keep is not None and rng.random() >= keep:
                 break
-            row, cdf = rows[(k, i)], cdfs[(k, i)]
-            if not row:
+            cdf = cdfs[pair]
+            if not cdf:
                 break
-            k, i = i, row[bisect_left(cdf, rng.random() * cdf[-1])][0]
-            targets.append(i)
+            slot = offsets[pair] + bisect_left(cdf, rng.random() * cdf[-1])
+            pair = succ[slot]
+            targets.append(target[slot])
         yield targets
 
 
@@ -403,6 +399,30 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def json_int(value) -> int:
+    """`value` if it is a JSON integer; a bool, float or string raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_number(value) -> float:
+    """`value` as a float if it is a JSON number; a bool or string raises TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _unique(items, what: str) -> dict:
+    """The (key, value) `items` as a dict; a key listed twice raises."""
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise InvalidInputError(f"repeated {what} {key}")
+        out[key] = value
+    return out
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise InvalidInputError("scenario file must hold a JSON object")
@@ -414,19 +434,21 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise InvalidInputError(f"missing scenario keys: {sorted(missing)}")
     try:
         graph = MediaGraph(
-            n=int(data["n"]),
-            neighbors=tuple(tuple(int(j) for j in nb) for nb in data["neighbors"]),
-            start=int(data["start"]),
+            n=json_int(data["n"]),
+            neighbors=tuple(tuple(map(json_int, nb)) for nb in data["neighbors"]),
+            start=json_int(data["start"]),
+        )
+        p_start = ((json_int(j), json_number(p)) for j, p in data["p_start"])
+        p_switch = (
+            ((json_int(k), json_int(i), json_int(j)), json_number(p))
+            for k, i, j, p in data["p_switch"]
         )
         nav = NavigationModel(
-            p_start={int(j): float(p) for j, p in data["p_start"]},
-            p_switch={
-                (int(k), int(i), int(j)): float(p)
-                for k, i, j, p in data["p_switch"]
-            },
+            p_start=_unique(p_start, "p_start target"),
+            p_switch=_unique(p_switch, "p_switch triple"),
         )
         lt = data["lifetime"]
-        lifetime = build_lifetime_tail(float(lt["mu"]), int(lt["t_max"]))
+        lifetime = build_lifetime_tail(json_number(lt["mu"]), json_int(lt["t_max"]))
     except (TypeError, ValueError, KeyError) as exc:
         raise InvalidInputError(f"malformed scenario file: {exc}") from exc
     problems = validate_navigation_model(graph, nav)

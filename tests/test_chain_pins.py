@@ -135,7 +135,9 @@ def test_pingpong_lifetime_conventions():
 
     q starts after the first switch and weighs switch t + 1 by g(t) up to
     floor(mu); W weighs the request at depth t by g(1)...g(t) up to t_max;
-    the default simulator draws T from the pmf renormalised over 0..t_max.
+    the default simulator draws T from the pmf renormalised over 0..t_max;
+    the DP, and the simulator in consistency mode, weigh the request at depth
+    t by w1 * g(1)...g(t), with w1 = g(1) under `weight_first_switch`.
     """
     sc = pingpong_scenario(mu=2.0, t_max=4)
     g = sc.lifetime.g
@@ -154,10 +156,24 @@ def test_pingpong_lifetime_conventions():
     mean_t = sum(m * p for m, p in enumerate(poisson)) / sum(poisson)
     assert abs(res.mean - 11.0 * (1.0 + mean_t)) < 4.0 * res.stderr
 
+    for weight_first_switch in (False, True):
+        w1 = g1 if weight_first_switch else 1.0
+        depths = 1 + g1 + g1 * g2 + g1 * g2 * g3 + g1 * g2 * g3 * g4
+        exact = 11.0 * (1.0 + w1 * depths)
+        fixed = eval_fixed(sc, sizes, structure, weight_first_switch=weight_first_switch)
+        assert fixed.expected_cost == pytest.approx(exact, rel=1e-12)
+        res = simulate_sessions(
+            sc, sizes, structure, fixed.policy, n_sessions=20_000, seed=3,
+            consistency_mode=True,
+        )
+        assert abs(res.mean - exact) < 4.0 * res.stderr
+
 
 def _dict_q_and_w(sc):
     """q and W from a dict per level: the forward pass the array pass replaced."""
-    rows, lt = sc.followed_rows, sc.lifetime
+    # the rows without their p = 0 requests, the only ones a session takes
+    rows = {pair: [r for r in row if r[1] > 0.0] for pair, row in sc.rows.items()}
+    lt = sc.lifetime
 
     def levels(factors):
         level = {(START, sc.graph.start): 1.0}
@@ -240,7 +256,7 @@ def test_passes_stop_where_the_weights_end(caplog):
         caplog, "navstream.refine.weights", lambda: request_weights(sc)
     )
     assert w == w_ref
-    assert (pairs, levels) == (len(sc.followed_rows), 3 + 1)
+    assert (pairs, levels) == (len(sc.rows), 3 + 1)
 
     sc = pingpong_scenario(mu=1.0, t_max=400)  # g(t) underflows to 0 after t = 177
     last = max(t for t in range(401) if sc.lifetime.g(t) > 0.0)

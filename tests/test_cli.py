@@ -234,6 +234,34 @@ def test_simulate_rejects_malformed_policy(lf_files, tmp_path, capsys):
     assert "malformed policy" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_policy_over_an_unstored_edge(tmp_path, capsys):
+    """A policy built for a richer structure predicts over a P-edge that the
+    simulated landmark structure does not store."""
+    scenario, sizes = str(tmp_path / "sc.json"), str(tmp_path / "sz.csv")
+    landmark, richer = str(tmp_path / "lm.json"), str(tmp_path / "ref.json")
+    policy = str(tmp_path / "pol.json")
+    assert main([
+        "gen", "lf", "--rows", "2", "--cols", "3", "--mu", "1.0", "--t-max", "2",
+        "--out-scenario", scenario, "--out-sizes", sizes,
+    ]) == 0
+    files = ["--scenario", scenario, "--sizes", sizes]
+    assert main(["plan", *files, "--lambda", "0.5", "--out", landmark]) == 0
+    assert main([
+        "optimize", *files, "--lambda", "0.05", "--init", "landmark", "--out", richer,
+    ]) == 0
+    assert main([
+        "eval", *files, "--structure", richer, "--buffer", "flex", "--policy-out", policy,
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "simulate", *files, "--structure", landmark, "--policy", policy,
+        "--sessions", "100",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "policy at state (1, 4, 5, 4, 4) predicts over P-edge (5, 4)" in err
+
+
 def test_merge_demo(tmp_path, capsys):
     path = tmp_path / "rows.csv"
     path.write_text("10,9,11\n7,5\n")
@@ -280,8 +308,13 @@ def test_utf16_input_file_exits_2(lf_files, tmp_path, capsys, kind):
         ("negative-index", "negative MDU index"),
         ("repeated-row", "repeated sizes row"),
         ("short-row", "malformed sizes CSV"),
+        ("unknown-kind", "unknown size kind 'X'"),
+        ("bits-not-a-number", "malformed sizes row"),
     ],
-    ids=["p01-negative", "negative-index", "repeated-row", "short-row"],
+    ids=[
+        "p01-negative", "negative-index", "repeated-row", "short-row",
+        "unknown-kind", "bits-not-a-number",
+    ],
 )
 def test_bad_sizes_csv_exits_2(lf_files, tmp_path, capsys, edit, message):
     scenario, sizes = lf_files
@@ -292,8 +325,12 @@ def test_bad_sizes_csv_exits_2(lf_files, tmp_path, capsys, edit, message):
         lines += ["I,-1,,7.0", "P,0,-1,9.0"]
     elif edit == "repeated-row":
         lines.append(lines[1])  # the first I row again, same value
-    else:
+    elif edit == "short-row":
         lines.append("I,0")  # no j and no bits
+    elif edit == "unknown-kind":
+        lines.append("X,0,,7.0")
+    else:
+        lines[1] = "I,0,,eleven"
     sizes.write_text("\n".join(lines) + "\n")
     structure = tmp_path / "all_i.json"
     save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
@@ -307,15 +344,42 @@ def test_bad_sizes_csv_exits_2(lf_files, tmp_path, capsys, edit, message):
 
 @pytest.mark.parametrize(
     "breakage, message",
-    [("half_rows", "sums to 0.5"), ("start_off_graph", "names 4, not a neighbor of start 4")],
+    [
+        ("half_rows", "sums to 0.5"),
+        ("start_off_graph", "names 4, not a neighbor of start 4"),
+        ("prob_above_one", "p_switch(0,1,0) = 1.5 outside [0, 1]"),
+        ("switch_index_off_graph", "p_switch index out of range: (99, 4, 0)"),
+        ("repeated_neighbour", "MDU 4 lists neighbour 0 twice"),
+        ("repeated_triple", "repeated p_switch triple (0, 1, 0)"),
+        ("fractional_start", "expected an integer, got 4.7"),
+        ("string_probability", "expected a number, got '1.0'"),
+        ("repeated_start_target", "repeated p_start target 0"),
+        ("nan_mu", "mu must be positive, got nan"),
+    ],
 )
 def test_broken_navigation_model_exits_2(lf_files, tmp_path, capsys, breakage, message):
     scenario, sizes = lf_files
     data = json.loads(scenario.read_text())
     if breakage == "half_rows":
         data["p_switch"] = [[k, i, j, 0.5 * p] for k, i, j, p in data["p_switch"]]
-    else:
+    elif breakage == "start_off_graph":
         data["p_start"] = [[4, 1.0]]  # the start MDU is no neighbour of itself
+    elif breakage == "prob_above_one":
+        data["p_switch"][0][3] = 1.5  # the first triple, (0, 1, 0)
+    elif breakage == "switch_index_off_graph":
+        data["p_switch"].append([99, 4, 0, 0.0])
+    elif breakage == "repeated_neighbour":
+        data["neighbors"][4].append(0)  # listed first already
+    elif breakage == "repeated_triple":
+        data["p_switch"].append(data["p_switch"][0])  # same value
+    elif breakage == "fractional_start":
+        data["start"] = 4.7
+    elif breakage == "string_probability":
+        data["p_switch"][0][3] = "1.0"
+    elif breakage == "repeated_start_target":
+        data["p_start"].append(data["p_start"][0])  # target 0, same value
+    else:
+        data["lifetime"]["mu"] = float("nan")  # json writes NaN
     scenario.write_text(json.dumps(data))
     structure = tmp_path / "all_i.json"
     save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
@@ -445,8 +509,57 @@ def test_sizes_must_cover_the_scenarios_mdus(tmp_path, capsys, command, table):
         ({"i_set": [*range(9)], "p_edges": [[-1, 0]]}, "p_edge (-1, 0) out of range"),
         (5, "structure file must hold a JSON object"),
         (None, "structure file must hold a JSON object"),
+        (
+            {
+                "i_set": [*range(8)],
+                "p_edges": [[8, j] for j in range(8)],
+                "landmarks": [{"l": 8, "members": [*range(9)]}],
+            },
+            "landmark 8 has no stored I-MDU",
+        ),
+        (
+            {
+                "i_set": [*range(9)],
+                "p_edges": [[0, j] for j in range(1, 9)] + [[1, 0]],
+                "landmarks": [{"l": 0, "members": [*range(9)]}, {"l": 1, "members": [1]}],
+            },
+            "landmark partitions overlap",
+        ),
+        (
+            {
+                "i_set": [*range(9)],
+                "p_edges": [[0, j] for j in range(1, 8)],
+                "landmarks": [{"l": 0, "members": [*range(8)]}],
+            },
+            "landmark partitions do not cover all MDUs",
+        ),
+        (
+            {
+                "i_set": [*range(9)],
+                "p_edges": [[0, j] for j in range(1, 8)],
+                "landmarks": [{"l": 0, "members": [*range(9)]}],
+            },
+            "landmark P-edges missing from p_edges",
+        ),
+        (
+            {"i_set": [*range(9)], "p_edges": [], "landmarks": [{"l": 5, "members": [0, 1]}]},
+            "landmark 5 is not in its group",
+        ),
+        (
+            {"i_set": [*range(9)], "p_edges": [], "landmarks": [{"l": 0, "members": []}]},
+            "landmark 0 is not in its group",
+        ),
+        ({"i_set": [*range(9), 4.9], "p_edges": []}, "expected an integer, got 4.9"),
+        ({"i_set": [*range(9)], "p_edges": [[4, 0.2]]}, "expected an integer, got 0.2"),
+        ({"i_set": [*range(9), True], "p_edges": []}, "expected an integer, got True"),
+        ({"i_set": [*range(9), "0"], "p_edges": []}, "expected an integer, got '0'"),
     ],
-    ids=["i_set-99", "p_edge-minus-1", "number", "null"],
+    ids=[
+        "i_set-99", "p_edge-minus-1", "number", "null",
+        "landmark-without-I", "groups-overlap", "groups-miss-an-MDU",
+        "landmark-edge-missing", "landmark-not-a-member", "empty-group",
+        "i_set-float", "p_edge-float", "i_set-bool", "i_set-string",
+    ],
 )
 @pytest.mark.parametrize("command", ["eval", "simulate"])
 def test_bad_structure_exits_2(lf_files, tmp_path, capsys, command, content, message):
