@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .costs import SizeTable, grid_sizes
-from .errors import InvalidInputError
+from .errors import InvalidInputError, open_output
 from .scenario import MediaGraph, NavigationModel, csr_slots, left_sum
 
 log = logging.getLogger(__name__)
@@ -185,7 +185,7 @@ class TrajectoryLog:
         return cls(sessions=sessions)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output("trajectory log", path) as fh:
             for sess in self.sessions:
                 fh.write(" ".join(str(v) for v in sess) + "\n")
 

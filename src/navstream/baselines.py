@@ -9,13 +9,13 @@ Variants:
                       where every previously transmitted MDU is a free
                       predictor and revisits are free
 
-flex-ga, fixed-ga and flex-lm-i all run on refine's one greedy engine
+flex-ga, fixed-ga and flex-lm-i are each one call of refine's greedy engine
 (`greedy_search`): flex-ga scans add-edge then add-pair moves, fixed-ga
-add-edge moves, and flex-lm-i goes through greedy_refine (add-edge) and
-then greedy_subtract's remove-edge search, started from the cost that
-greedy_refine's log holds.  All three honour `enable_pruning`, so the
-engine's request bound prunes their moves, and each takes its final exact
-cost from the engine's log instead of evaluating the result again.
+add-edge moves, and flex-lm-i runs an add-edge phase and then a remove-edge
+phase, so its added structure is evaluated once.  All three honour
+`enable_pruning`, so the engine's request bound prunes their moves, and
+each takes its final exact cost from the engine's log instead of evaluating
+the result again.
 
 flex-lm-i and inf-lm plan their landmarks with `landmarks.landmark_structure`
 on the caller's Scenario, so they read the q its `switch_probs` caches.
@@ -43,15 +43,8 @@ from itertools import chain, count
 
 import numpy as np
 
-from .costs import (
-    SizeTable,
-    Structure,
-    all_i_structure,
-    storage_cost,
-    zero_hop_sources,
-)
-from .errors import InvalidInputError, OracleRefusalError
-from .evaluate import CostTables
+from .costs import CostTables, SizeTable, Structure, all_i_structure, storage_cost
+from .errors import InvalidInputError, OracleRefusalError, open_output
 from .landmarks import landmark_structure
 from .refine import (
     RefinerParams,
@@ -59,8 +52,8 @@ from .refine import (
     TradeoffRow,
     add_edges,
     add_reverse_pairs,
-    greedy_refine,
     greedy_search,
+    one_edge_steps,
     remove_edges,
 )
 from .scenario import PairIndex, Scenario, csr_slots, left_sum, sample_sessions
@@ -93,7 +86,7 @@ class _Lister:
     slots are in the tie order of both infinite-buffer paths:
 
     - a held target: 0 bits, and it sends nothing; then no other option;
-    - each zero-hop source of j;
+    - each of j's zero-hop sources, `CostTables.sources[j]`;
     - the cheapest 1-hop from a held predictor of j;
     - per stored predictor `mid` of j, ascending, that is not held but has a
       held predictor: the cheapest such 2-hop through `mid`.
@@ -105,8 +98,7 @@ class _Lister:
     def __init__(self, scenario: Scenario, sizes: SizeTable, structure: Structure):
         n = scenario.graph.n
         tables = CostTables(structure, sizes, n)
-        sources = [zero_hop_sources(structure, sizes, j) for j in range(n)]
-        n_src = max(map(len, sources))
+        n_src = max(map(len, tables.sources))
         n_pred = max(map(len, tables.preds))
         self.words = -(-n // 64)
         onehot = np.zeros((n, self.words), dtype=np.uint64)
@@ -119,9 +111,9 @@ class _Lister:
         # slots: held target, sources, 1-hop, one 2-hop per stored predictor
         self.add = np.zeros((n, 2 + n_src + n_pred, self.words), dtype=np.uint64)
         for j in range(n):
-            for s, (c, src) in enumerate(sources[j]):
+            for s, (c, l) in enumerate(tables.sources[j]):
                 self.src_bits[j, s] = c
-                self.add[j, 1 + s] = np.bitwise_or.reduce(onehot[sorted(src)])
+                self.add[j, 1 + s] = onehot[l] | onehot[j]
             self.add[j, 1 + n_src:] = onehot[j]
             for d, l in enumerate(tables.preds[j]):
                 self.pred[j, d] = l
@@ -387,18 +379,10 @@ def run_baseline(
     if variant == "flex-lm-i":
         lm = landmark_structure(scenario, sizes, params.lam)
         init = replace(lm, i_set=frozenset(range(n)))
-        added, log_add = greedy_refine(scenario, sizes, init, run)
-        final, log_sub = greedy_search(
-            scenario, sizes, added, run, (remove_edges,), log_add.expected_cost
+        final, log = greedy_search(
+            scenario, sizes, init, run, (add_edges,), (remove_edges,)
         )
-        log = RefineLog(
-            steps=log_add.steps + [(it, e, j) for it, (e,), j in log_sub.steps],
-            candidates_total=log_add.candidates_total + log_sub.candidates_total,
-            candidates_pruned=log_add.candidates_pruned + log_sub.candidates_pruned,
-            candidates_skipped=log_add.candidates_skipped
-            + log_sub.candidates_skipped,
-            expected_cost=log_sub.expected_cost,
-        )
+        one_edge_steps(log)
     else:
         moves = (add_edges, add_reverse_pairs) if buffer == "flex" else (add_edges,)
         final, log = greedy_search(scenario, sizes, all_i_structure(n), run, moves)
@@ -415,7 +399,7 @@ def emit_tradeoff_csv(rows: list[tuple[str, TradeoffRow]], path) -> None:
     """CSV of (method, lambda, storage, transmission, landmark/edge counts)."""
     if not rows:
         raise InvalidInputError("no tradeoff rows to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output("tradeoff", path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["method", "lambda", "storage_bits", "expected_bits",

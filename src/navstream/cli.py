@@ -26,6 +26,7 @@ from .errors import (
     InvalidInputError,
     NavstreamError,
     OracleRefusalError,
+    open_output,
 )
 from .evaluate import Policy, evaluate
 from .landmarks import PlannerParams, landmark_structure
@@ -136,7 +137,7 @@ def _cmd_optimize(args) -> int:
     print(f"pruning_fraction {log.pruning_fraction:.3f}")
     print(f"structure: {args.out}")
     if args.log_out:
-        with open(args.log_out, "w", encoding="utf-8") as fh:
+        with open_output("log", args.log_out) as fh:
             json.dump(
                 {
                     "steps": [
@@ -186,7 +187,7 @@ def _cmd_simulate(args) -> int:
     print(f"mean_bits {result.mean!r}")
     print(f"stderr_bits {result.stderr!r}")
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
+        with open_output("trace", args.trace_out) as fh:
             for tr in result.traces:
                 fh.write(
                     json.dumps(
@@ -253,6 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="log to stderr: -v at INFO (such as which cost inf-lm reports), "
         "-vv at DEBUG",
     )
+    inputs = argparse.ArgumentParser(add_help=False)  # commands that read both files
+    inputs.add_argument("--scenario", required=True)
+    inputs.add_argument("--sizes", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a scenario and size table")
@@ -280,28 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--out-sizes", required=True)
     vp.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("eval", parents=[common], help="expected cost of a structure")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--sizes", required=True)
+    p = sub.add_parser(
+        "eval", parents=[common, inputs], help="expected cost of a structure"
+    )
     p.add_argument("--structure", required=True)
     p.add_argument("--buffer", choices=["fixed", "flex"], required=True)
     p.add_argument("--weight-first-switch", action="store_true")
     p.add_argument("--policy-out", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("plan", parents=[common], help="landmark partitioning")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--sizes", required=True)
+    p = sub.add_parser("plan", parents=[common, inputs], help="landmark partitioning")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--max-lloyd", type=int, default=PlannerParams.max_lloyd_iters)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser(
-        "optimize", parents=[common], help="greedy refinement of a structure"
+        "optimize", parents=[common, inputs], help="greedy refinement of a structure"
     )
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--sizes", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--init", choices=["landmark", "all-i"], required=True)
     p.add_argument("--buffer", choices=["fixed", "flex"], default="flex")
@@ -311,10 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser(
-        "sweep", parents=[common], help="tradeoff curve over several lambdas"
+        "sweep", parents=[common, inputs], help="tradeoff curve over several lambdas"
     )
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--sizes", required=True)
     p.add_argument("--lambdas", required=True, help="comma-separated values")
     p.add_argument("--buffer", choices=["fixed", "flex"], default="flex")
     p.add_argument("--no-prune", action="store_true")
@@ -322,10 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
-        "simulate", parents=[common], help="Monte-Carlo sessions under a policy"
+        "simulate", parents=[common, inputs], help="Monte-Carlo sessions under a policy"
     )
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--sizes", required=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--policy", required=True)
     p.add_argument("--sessions", type=int, required=True)
@@ -340,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="CSV rows: target,v1,v2,...")
     p.set_defaults(func=_cmd_merge_demo)
 
-    p = sub.add_parser("baseline", parents=[common], help="reference optimizers")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--sizes", required=True)
+    p = sub.add_parser(
+        "baseline", parents=[common, inputs], help="reference optimizers"
+    )
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--variant", choices=list(baselines.VARIANTS), required=True)
     p.add_argument("--out", default=None)

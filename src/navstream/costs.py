@@ -1,4 +1,4 @@
-"""Coding sizes and the redundant MDU structure.
+"""Coding sizes, the redundant MDU structure, and what a request costs.
 
 Size conventions: p(i, j) is the bitrate of the P representation of target
 j predicted from i.  M representations exist for every MDU by default and
@@ -13,7 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CorruptTableError, InfeasibleStructureError, InvalidInputError
+from .errors import (
+    CorruptTableError,
+    InfeasibleStructureError,
+    InvalidInputError,
+    open_output,
+)
 from .scenario import json_int
 
 
@@ -192,31 +197,69 @@ def storage_cost(structure: Structure, sizes: SizeTable) -> float:
     return total
 
 
-def zero_hop_sources(structure: Structure, sizes: SizeTable, target: int):
-    """All (cost, transmitted-MDU-set) independent reconstructions of target.
+class CostTables:
+    """The one place that prices a request under (structure, sizes).
 
-    Candidates: the stored I-MDU of the target itself, or a stored I-MDU l
-    with a stored edge (l, target) sent as I_l + P_target(l) + M_target,
-    listed bare I-MDU first, then by predictor index.
+    `sources[j]` lists j's independent reconstructions as (bits, l): the bare
+    I-MDU first, with l = j, then `combo(l, j)` for each stored I-MDU l with
+    a stored edge (l, j), by ascending l; `r_i[j]` is the cheapest.
+    `r_p[(l, j)]` is `hop(l, j)` for every stored edge, and `preds[j]` lists
+    j's stored predictors in ascending order.  One O(|i_set| + |p_edges|)
+    pass builds them all: the refiner's candidate scans build many tables.
+    A size table that does not cover exactly `n` MDUs raises
+    `InvalidInputError`, an MDU with no independent reconstruction
+    `InfeasibleStructureError`.
     """
-    out = []
-    if target in structure.i_set:
-        out.append((sizes.i(target), frozenset([target])))
-    for l in sorted(structure.i_set):
-        if l == target or (l, target) not in structure.p_edges:
-            continue
-        cost = sizes.i(l) + sizes.p(l, target) + sizes.m(target)
-        out.append((cost, frozenset([l, target])))
-    if not out:
-        raise InfeasibleStructureError(
-            f"MDU {target} has no independent reconstruction"
-        )
-    return out
+
+    def __init__(self, structure: Structure, sizes: SizeTable, n: int):
+        if sizes.n != n:
+            raise InvalidInputError(
+                f"size table covers {sizes.n} MDUs, the scenario has {n}"
+            )
+        self.structure = structure
+        self.sizes = sizes
+        i_set = structure.i_set
+        self.sources = [[(sizes.i(j), j)] if j in i_set else [] for j in range(n)]
+        self.preds = [[] for _ in range(n)]
+        for (l, j) in sorted(structure.p_edges):
+            self.preds[j].append(l)
+            if l in i_set:
+                self.sources[j].append((self.combo(l, j), l))
+        bad = [j for j in range(n) if not self.sources[j]]
+        if bad:
+            raise InfeasibleStructureError(
+                f"MDU {bad[0]} has no independent reconstruction"
+            )
+        self.r_i = [min(src)[0] for src in self.sources]
+        self.r_p = {(l, j): self.hop(l, j) for (l, j) in structure.p_edges}
+
+    def hop(self, l: int, j: int) -> float:
+        """P_j(l) + M_j: j predicted from l, then merged."""
+        return self.sizes.p(l, j) + self.sizes.m(j)
+
+    def combo(self, l: int, j: int) -> float:
+        """I_l + P_j(l) + M_j: j reconstructed from the stored I-MDU of l."""
+        return self.sizes.i(l) + self.sizes.p(l, j) + self.sizes.m(j)
 
 
 def zero_hop_overhead(structure: Structure, sizes: SizeTable, target: int) -> float:
-    """Cheapest independent reconstruction of the target (see `zero_hop_sources`)."""
-    return min(cost for cost, _ in zero_hop_sources(structure, sizes, target))
+    """Cheapest independent reconstruction of the target, worked out from
+    scratch: its own stored I-MDU, or I_l + P_target(l) + M_target for a
+    stored I-MDU l with a stored edge (l, target).  The reference that
+    `CostTables.r_i` is checked against; the unmemoized oracle reads it.
+    """
+    costs = [
+        sizes.i(l) + sizes.p(l, target) + sizes.m(target)
+        for l in structure.i_set
+        if (l, target) in structure.p_edges
+    ]
+    if target in structure.i_set:
+        costs.append(sizes.i(target))
+    if not costs:
+        raise InfeasibleStructureError(
+            f"MDU {target} has no independent reconstruction"
+        )
+    return min(costs)
 
 
 # --- file formats -----------------------------------------------------------
@@ -231,7 +274,7 @@ def save_structure(structure: Structure, path) -> None:
             {"l": grp.landmark, "members": sorted(grp.members)}
             for grp in structure.landmarks
         ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output("structure", path) as fh:
         json.dump(data, fh, indent=1)
 
 
@@ -266,7 +309,7 @@ def load_structure(path) -> Structure:
 
 
 def save_sizes(sizes: SizeTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output("sizes", path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "i", "j", "bits"])
         for i in range(sizes.n):
@@ -300,6 +343,13 @@ def load_sizes(path) -> SizeTable:
         raise InvalidInputError(f"malformed sizes CSV: {exc}") from exc
     if n <= 0:
         raise InvalidInputError("sizes CSV holds no entries")
+    if len(rows) < n * n + n:
+        # n I rows, n M rows and n(n - 1) P rows, none repeated: checked before
+        # the n x n table is allocated, so a stray large index cannot exhaust memory
+        raise CorruptTableError(
+            f"sizes CSV has {len(rows)} rows, but a complete table up to MDU "
+            f"{n - 1} needs {n * n + n}"
+        )
     tables = {"I": np.full(n, np.nan), "M": np.full(n, np.nan)}
     tables["P"] = np.full((n, n), np.nan)
     seen = set()

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: InvalidInputError -> 2,
 InfeasibleStructureError -> 3, OracleRefusalError -> 4.
 """
 
+from contextlib import contextmanager
+
 
 class NavstreamError(Exception):
     """Base class for all package errors."""
@@ -27,3 +29,17 @@ class OracleRefusalError(NavstreamError):
 
 class PolicyGapError(NavstreamError):
     """The simulator reached a state the policy does not cover."""
+
+
+@contextmanager
+def open_output(what: str, path, newline=None):
+    """`path` opened for writing UTF-8 text, as `with open(...)` does; an
+    OSError while opening or writing it raises `InvalidInputError` naming
+    `what` and `path`, so an unwritable output exits 2 like an unreadable
+    input."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise InvalidInputError(f"cannot write {what} {path}: {reason}") from exc

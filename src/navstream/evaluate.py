@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .costs import SizeTable, Structure
-from .errors import InfeasibleStructureError, InvalidInputError
+from .costs import CostTables, SizeTable, Structure
+from .errors import InvalidInputError, open_output
 from .scenario import START, Scenario
 
 logger = logging.getLogger(__name__)
@@ -152,7 +152,7 @@ class Policy:
     def save(self, path) -> None:
         # json.dumps without indent runs the C encoder; json.dump never does
         text = json.dumps(self.to_dict(), separators=(",", ":"))
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output("policy", path) as fh:
             fh.write(text)
 
     @classmethod
@@ -169,44 +169,6 @@ class EvalResult:
     expected_cost: float
     policy: Policy
     dp_stats: dict
-
-
-class CostTables:
-    """Per-(structure, sizes) lookup tables shared by evaluators.
-
-    r_i holds the same values as zero_hop_overhead for every target but is
-    built in O(|i_set| + |p_edges|) — this constructor sits on the hot
-    path of the refiner's candidate scans.  A size table that does not
-    cover exactly the scenario's `n` MDUs raises `InvalidInputError`.
-    """
-
-    def __init__(self, structure: Structure, sizes: SizeTable, n: int):
-        if sizes.n != n:
-            raise InvalidInputError(
-                f"size table covers {sizes.n} MDUs, the scenario has {n}"
-            )
-        self.structure = structure
-        self.sizes = sizes
-        r_i = [math.inf] * n
-        for j in structure.i_set:
-            r_i[j] = sizes.i(j)
-        for (l, j) in structure.p_edges:
-            if l in structure.i_set:
-                combo = sizes.i(l) + sizes.p(l, j) + sizes.m(j)
-                if combo < r_i[j]:
-                    r_i[j] = combo
-        bad = [j for j in range(n) if math.isinf(r_i[j])]
-        if bad:
-            raise InfeasibleStructureError(
-                f"MDU {bad[0]} has no independent reconstruction"
-            )
-        self.r_i = r_i
-        self.r_p = {
-            (i, j): sizes.p(i, j) + sizes.m(j) for (i, j) in structure.p_edges
-        }
-        self.preds = [[] for _ in range(n)]  # stored predictors of each target
-        for (i, j) in sorted(structure.p_edges):
-            self.preds[j].append(i)
 
 
 def _level_pass(

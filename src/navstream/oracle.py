@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import SizeTable, Structure, zero_hop_overhead
+from .costs import CostTables, SizeTable, Structure, zero_hop_overhead
 from .errors import InvalidInputError, OracleRefusalError, PolicyGapError
-from .evaluate import EMPTY, CostTables, Policy
+from .evaluate import EMPTY, Policy
 from .scenario import START, Scenario, sample_sessions
 
 _UNMEMO_MAX_N = 8

@@ -2,12 +2,14 @@
 
 The objective is J = c + lam * b where c is the expected session
 transmission cost of the current structure and b its stored bits.  One
-engine, `greedy_search`, serves the refiner and the baselines: each
-iteration scans its moves (add an edge, add a reverse pair, remove an
-edge), prunes every move whose DP-free lower bound already exceeds the
-incumbent, exactly evaluates the survivors, and commits the best strict
-improvement.  The bound of a move is the incumbent's bound updated at the
-heads of the move's edges, so it costs O(edges in the move).
+engine, `greedy_search`, serves the refiner and the baselines, each as one
+call: it runs one or more phases in turn, flex-lm-i an add-edge phase then
+a remove-edge phase.  Each iteration of a phase scans its moves (add an
+edge, add a reverse pair, remove an edge), prunes every move whose DP-free
+lower bound already exceeds the incumbent, exactly evaluates the
+survivors, and commits the best strict improvement.  The bound of a move is
+the incumbent's bound updated at the heads of the move's edges, read from
+the incumbent's `CostTables`, so it costs O(edges in the move).
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, takewhile
+from itertools import chain, count, takewhile
 
 import numpy as np
 
-from .costs import SizeTable, Structure, storage_cost
+from .costs import CostTables, SizeTable, Structure, storage_cost
 from .errors import InvalidInputError
-from .evaluate import CostTables, evaluate
+from .evaluate import evaluate
 from .landmarks import landmark_structure
 from .scenario import Scenario, left_sum, pair_masses
 
@@ -91,27 +93,17 @@ class _EdgeFilter:
     """
 
     def __init__(self, scenario: Scenario, tables: CostTables):
-        structure = tables.structure
-        targets = _reachable_targets(scenario)
-        hop_heads = {m for (m, j2) in structure.p_edges if j2 in targets}
-        bufferable = {scenario.graph.start} | targets | hop_heads
-        mid_ok = {
-            m for (ref, m) in structure.p_edges if ref in bufferable
-        }
+        edges = tables.structure.p_edges
         self.start = scenario.graph.start
-        self.targets = targets
-        self.hop_heads = hop_heads
-        self.bufferable = bufferable
-        self.mid_ok = mid_ok
-        self.r_i = tables.r_i
-        self.i_set = structure.i_set
-        self.sizes = tables.sizes
+        self.targets = _reachable_targets(scenario)
+        self.hop_heads = {m for (m, j2) in edges if j2 in self.targets}
+        self.bufferable = {self.start} | self.targets | self.hop_heads
+        self.mid_ok = {m for (ref, m) in edges if ref in self.bufferable}
+        self.tables = tables
 
     def _improves_0hop(self, i: int, j: int) -> bool:
-        if i not in self.i_set:
-            return False
-        sz = self.sizes
-        return sz.i(i) + sz.p(i, j) + sz.m(j) < self.r_i[j]
+        tables = self.tables
+        return i in tables.structure.i_set and tables.combo(i, j) < tables.r_i[j]
 
     def relevant(self, i: int, j: int) -> bool:
         if j in self.targets:
@@ -179,15 +171,12 @@ class _RequestBound:
 
     def added(self, edges) -> float:
         """Bound of the incumbent with `edges`, whose heads differ, stored too."""
-        tables, sizes = self.tables, self.tables.sizes
-        lb = self.lb
+        tables, lb = self.tables, self.lb
         for (l, j) in edges:
-            v = sizes.p(l, j) + sizes.m(j)
-            lb += self.weights[j] * min(0.0, v - self.cheapest[j])
+            lb += self.weights[j] * min(0.0, tables.hop(l, j) - self.cheapest[j])
             if j == self.start and l in tables.structure.i_set:
                 # the start MDU is sent independently once: I_l + P + M may beat it
-                combo = sizes.i(l) + sizes.p(l, j) + sizes.m(j)
-                lb += min(0.0, combo - tables.r_i[j])
+                lb += min(0.0, tables.combo(l, j) - tables.r_i[j])
         return lb
 
     def removed(self, edge: tuple[int, int]) -> float:
@@ -196,17 +185,12 @@ class _RequestBound:
         Infeasible means the edge's head is left with no independent
         reconstruction.
         """
-        tables, sizes = self.tables, self.tables.sizes
-        i_set = tables.structure.i_set
+        tables = self.tables
         l, j = edge
-        r_i = sizes.i(j) if j in i_set else math.inf
-        cheapest = math.inf
-        for k in tables.preds[j]:
-            if k == l:
-                continue
-            cheapest = min(cheapest, tables.r_p[(k, j)])
-            if k in i_set:
-                r_i = min(r_i, sizes.i(k) + sizes.p(k, j) + sizes.m(j))
+        r_i = min((bits for bits, k in tables.sources[j] if k != l), default=math.inf)
+        cheapest = min(
+            (tables.r_p[(k, j)] for k in tables.preds[j] if k != l), default=math.inf
+        )
         if math.isinf(r_i):
             return math.inf
         lb = self.lb + self.weights[j] * (min(r_i, cheapest) - self.cheapest[j])
@@ -256,83 +240,83 @@ def greedy_search(
     sizes: SizeTable,
     initial: Structure,
     params: RefinerParams,
-    moves,
-    initial_cost: float | None = None,
+    *phases,
 ) -> tuple[Structure, RefineLog]:
-    """Commit the best strictly improving move per iteration until none is left.
+    """Run each phase, in turn, to its fixed point from `initial`.
 
-    `moves` is a sequence of move generators, scanned in order.  An added
-    move none of whose edges can enter a transmission plan is skipped.  A
-    move, added or removed, whose lower-bound objective (pruning on, either
-    buffer) exceeds the running best is pruned, and so is a removal that
-    leaves an MDU without an independent reconstruction.  The rest are
-    evaluated exactly; ties keep the earlier move.  Steps record
-    (iteration, edges, J); `expected_cost` is the exact c of the returned
-    structure.  `initial_cost`, when given, is the exact c of `initial`
-    (from an earlier search's log) and spares its evaluation.  Each
-    iteration logs its candidate fates at DEBUG.
+    A phase is a sequence of move generators, scanned in order; each
+    iteration commits the best strictly improving move.  An added move none
+    of whose edges can enter a transmission plan is skipped.  A move whose
+    lower-bound objective (pruning on, either buffer) exceeds the running
+    best is pruned, and so is a removal that leaves an MDU without an
+    independent reconstruction.  The rest are evaluated exactly; ties keep
+    the earlier move.  `initial` is evaluated once; each phase numbers its
+    iterations from 1 and starts from J = c + lam * storage_cost(structure),
+    recomputed from scratch.  Steps record (iteration, edges, J), counters
+    add up over the phases, and `expected_cost` is the exact c of the
+    returned structure.  Each iteration logs its candidate fates at DEBUG.
     """
     n = scenario.graph.n
-    structure = initial
-    log = RefineLog()
-    lam = params.lam
-    prune = params.enable_pruning
+    structure, log = initial, RefineLog()
+    lam, prune = params.lam, params.enable_pruning
     weights = request_weights(scenario)
-
-    c_min = initial_cost
-    if c_min is None:
-        c_min = evaluate(scenario, sizes, structure, params.buffer).expected_cost
-    j_min = c_min + lam * storage_cost(structure, sizes)
-    iteration = 0
-    while True:
-        iteration += 1
-        best = None
-        seen = (log.candidates_skipped, log.candidates_pruned, log.candidates_total)
-        tables = CostTables(structure, sizes, n)
-        usable = _EdgeFilter(scenario, tables)
-        bound = _RequestBound(scenario, tables, weights)
-        b_base = storage_cost(structure, sizes)
-        for edges in chain.from_iterable(gen(structure, n) for gen in moves):
-            removal = edges[0] in structure.p_edges
-            if removal:
-                # inf (infeasible) is pruned whether or not pruning is on
-                j_low = bound.removed(edges[0])
-                b_cand = b_base - sizes.p(*edges[0])
-            elif any(usable.relevant(i, j) for (i, j) in edges):
-                j_low = bound.added(edges)
-                b_cand = b_base + left_sum(sizes.p(i, j) for (i, j) in edges)
-            else:
-                log.candidates_skipped += 1
-                continue
-            log.candidates_total += 1
-            if math.isinf(j_low) or (
-                prune and (j_low + lam * b_cand) * (1.0 - _BOUND_SLACK) > j_min
-            ):
-                log.candidates_pruned += 1
-                continue
-            if removal:
-                cand = structure.without_edge(edges[0])
-                b_cand = storage_cost(cand, sizes)
-            else:
-                cand = structure.with_edges(edges)
-            c_cand = evaluate(scenario, sizes, cand, params.buffer).expected_cost
-            j_cand = c_cand + lam * b_cand
-            if j_cand < j_min:
-                j_min = j_cand
-                best = (edges, cand, c_cand)
-        skipped = log.candidates_skipped - seen[0]
-        pruned = log.candidates_pruned - seen[1]
-        evaluated = log.candidates_total - seen[2] - pruned
-        logger.debug(
-            "iteration %d: skipped %d, pruned %d, evaluated %d, J %r",
-            iteration, skipped, pruned, evaluated, j_min,
-        )
-        if best is None:
-            break
-        edges, structure, c_min = best
-        log.steps.append((iteration, edges, j_min))
+    c_min = evaluate(scenario, sizes, structure, params.buffer).expected_cost
+    for moves in phases:
+        j_min = c_min + lam * storage_cost(structure, sizes)
+        for iteration in count(1):
+            best = None
+            seen = (log.candidates_skipped, log.candidates_pruned, log.candidates_total)
+            tables = CostTables(structure, sizes, n)
+            usable = _EdgeFilter(scenario, tables)
+            bound = _RequestBound(scenario, tables, weights)
+            b_base = storage_cost(structure, sizes)
+            for edges in chain.from_iterable(gen(structure, n) for gen in moves):
+                removal = edges[0] in structure.p_edges
+                if removal:
+                    # inf (infeasible) is pruned whether or not pruning is on
+                    j_low = bound.removed(edges[0])
+                    b_cand = b_base - sizes.p(*edges[0])
+                elif any(usable.relevant(i, j) for (i, j) in edges):
+                    j_low = bound.added(edges)
+                    b_cand = b_base + left_sum(sizes.p(i, j) for (i, j) in edges)
+                else:
+                    log.candidates_skipped += 1
+                    continue
+                log.candidates_total += 1
+                if math.isinf(j_low) or (
+                    prune and (j_low + lam * b_cand) * (1.0 - _BOUND_SLACK) > j_min
+                ):
+                    log.candidates_pruned += 1
+                    continue
+                if removal:
+                    cand = structure.without_edge(edges[0])
+                    b_cand = storage_cost(cand, sizes)
+                else:
+                    cand = structure.with_edges(edges)
+                c_cand = evaluate(scenario, sizes, cand, params.buffer).expected_cost
+                j_cand = c_cand + lam * b_cand
+                if j_cand < j_min:
+                    j_min = j_cand
+                    best = (edges, cand, c_cand)
+            skipped = log.candidates_skipped - seen[0]
+            pruned = log.candidates_pruned - seen[1]
+            evaluated = log.candidates_total - seen[2] - pruned
+            logger.debug(
+                "iteration %d: skipped %d, pruned %d, evaluated %d, J %r",
+                iteration, skipped, pruned, evaluated, j_min,
+            )
+            if best is None:
+                break
+            edges, structure, c_min = best
+            log.steps.append((iteration, edges, j_min))
     log.expected_cost = c_min
     return structure, log
+
+
+def one_edge_steps(log: RefineLog) -> RefineLog:
+    """`log` with each step's one-edge move unwrapped: (iteration, edge, J)."""
+    log.steps = [(it, edge, j) for it, (edge,), j in log.steps]
+    return log
 
 
 def greedy_refine(
@@ -352,8 +336,7 @@ def greedy_refine(
     if problems:
         raise InvalidInputError("; ".join(problems))
     structure, log = greedy_search(scenario, sizes, initial, params, (add_edges,))
-    log.steps = [(it, edge, j) for it, (edge,), j in log.steps]
-    return structure, log
+    return structure, one_edge_steps(log)
 
 
 def greedy_subtract(
@@ -370,8 +353,7 @@ def greedy_subtract(
     (iteration, edge, J).
     """
     structure, log = greedy_search(scenario, sizes, initial, params, (remove_edges,))
-    log.steps = [(it, edge, j) for it, (edge,), j in log.steps]
-    return structure, log
+    return structure, one_edge_steps(log)
 
 
 @dataclass

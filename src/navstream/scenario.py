@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, open_output
 
 logger = logging.getLogger(__name__)
 
@@ -458,7 +458,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output("scenario", path) as fh:
         json.dump(scenario_to_dict(sc), fh, indent=1)
 
 

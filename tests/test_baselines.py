@@ -32,7 +32,6 @@ from navstream.costs import (
     all_i_structure,
     storage_cost,
     uniform_sizes,
-    zero_hop_sources,
 )
 from navstream.errors import InvalidInputError, OracleRefusalError
 from navstream.evaluate import eval_flexible, evaluate
@@ -286,8 +285,12 @@ def _reachable_states(sc, sz, st):
     stored predictor that has a held predictor of its own, up to the last t
     with g(t) > 0."""
     graph, nav, g = sc.graph, sc.nav, sc.lifetime.g
-    sources = [[src for _, src in zero_hop_sources(st, sz, j)] for j in range(graph.n)]
     preds = [{l for (l, m) in st.p_edges if m == j} for j in range(graph.n)]
+    # j's zero-hop sources: its own I-MDU, or a stored I-MDU l and the edge (l, j)
+    sources = [
+        [frozenset({l, j}) for l in (preds[j] | {j}) & st.i_set]
+        for j in range(graph.n)
+    ]
     level = {(START, graph.start, src) for src in sources[graph.start]}
     counts = [len(level)]
     while g(len(counts)) > 0.0:

@@ -310,10 +310,11 @@ def test_utf16_input_file_exits_2(lf_files, tmp_path, capsys, kind):
         ("short-row", "malformed sizes CSV"),
         ("unknown-kind", "unknown size kind 'X'"),
         ("bits-not-a-number", "malformed sizes row"),
+        ("incomplete-large-index", "1 rows, but a complete table up to MDU 4000"),
     ],
     ids=[
         "p01-negative", "negative-index", "repeated-row", "short-row",
-        "unknown-kind", "bits-not-a-number",
+        "unknown-kind", "bits-not-a-number", "incomplete-large-index",
     ],
 )
 def test_bad_sizes_csv_exits_2(lf_files, tmp_path, capsys, edit, message):
@@ -329,6 +330,8 @@ def test_bad_sizes_csv_exits_2(lf_files, tmp_path, capsys, edit, message):
         lines.append("I,0")  # no j and no bits
     elif edit == "unknown-kind":
         lines.append("X,0,,7.0")
+    elif edit == "incomplete-large-index":
+        lines = [lines[0], "I,4000,,11"]  # would need a 4001 x 4001 P table
     else:
         lines[1] = "I,0,,eleven"
     sizes.write_text("\n".join(lines) + "\n")
@@ -480,6 +483,41 @@ def _files_for_every_command(tmp_path, scenario, sizes):
         ],
         "baseline": ["baseline", "--lambda", "0.5", "--variant", "inf-lm"],
     }
+
+
+_OUTPUT_FLAGS = [
+    ("gen", "--out-scenario", "scenario"),
+    ("gen", "--out-sizes", "sizes"),
+    ("eval", "--policy-out", "policy"),
+    ("plan", "--out", "structure"),
+    ("optimize", "--out", "structure"),
+    ("optimize", "--log-out", "log"),
+    ("sweep", "--out", "tradeoff"),
+    ("simulate", "--trace-out", "trace"),
+    ("baseline", "--out", "structure"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, what", _OUTPUT_FLAGS, ids=[f"{c} {f}" for c, f, _ in _OUTPUT_FLAGS]
+)
+def test_unwritable_output_exits_2(lf_files, tmp_path, capsys, command, flag, what):
+    scenario, sizes = lf_files
+    if command == "gen":
+        argv = [
+            "gen", "lf", "--rows", "2", "--cols", "2",
+            "--out-scenario", str(tmp_path / "s.json"),
+            "--out-sizes", str(tmp_path / "z.csv"),
+        ]
+    else:
+        argv = _files_for_every_command(tmp_path, scenario, sizes)[command]
+        argv += ["--scenario", str(scenario), "--sizes", str(sizes)]
+    bad = tmp_path / "missing" / "out"
+    capsys.readouterr()
+    assert main([*argv, flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {what} {bad}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("table", ["2 MDUs", "LF 2x3"])

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_sizes, random_structure, uniform_sizes
 from navstream.costs import (
+    CostTables,
     SizeTable,
     Structure,
     grid_sizes,
@@ -14,7 +16,6 @@ from navstream.costs import (
     save_structure,
     storage_cost,
     zero_hop_overhead,
-    zero_hop_sources,
 )
 from navstream.errors import (
     CorruptTableError,
@@ -137,16 +138,12 @@ def test_zero_hop_infeasible():
         zero_hop_overhead(st, _sizes(2), 1)
 
 
-def test_zero_hop_sources_lists_all_routes():
+def test_cost_tables_sources_list_all_routes():
     sz = _sizes(3)
     st = Structure(
         i_set=frozenset({0, 2}), p_edges=frozenset({(0, 1), (2, 1)})
     )
-    out = zero_hop_sources(st, sz, 1)
-    costs = sorted(c for c, _ in out)
-    assert costs == pytest.approx([15.5, 15.5])
-    sets = {s for _, s in out}
-    assert frozenset({0, 1}) in sets and frozenset({2, 1}) in sets
+    assert CostTables(st, sz, 3).sources[1] == [(15.5, 0), (15.5, 2)]
 
 
 def test_zero_hop_never_increases_with_edges():
@@ -225,6 +222,19 @@ def test_sizes_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(InvalidInputError):
         load_sizes(path)
+
+
+def test_sizes_csv_refuses_a_short_table_before_allocating_it(tmp_path):
+    path = tmp_path / "sizes.csv"
+    path.write_text("kind,i,j,bits\nI,3000,,11\n")  # a 3001 x 3001 P table is 72 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptTableError, match="1 rows, .* up to MDU 3000"):
+            load_sizes(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sizes_csv_rejects_incomplete_table(tmp_path):

@@ -388,6 +388,12 @@ def test_cost_tables_match_zero_hop_overhead():
             assert tables.r_i[j] == pytest.approx(
                 zero_hop_overhead(st, sz, j), rel=1e-12
             )
+            # the bare I-MDU first, then the stored I-MDUs predicting j, ascending
+            order = [j] * (j in st.i_set) + sorted(
+                l for l in st.i_set if (l, j) in st.p_edges
+            )
+            assert [l for _, l in tables.sources[j]] == order
+            assert tables.r_i[j] == min(tables.sources[j])[0]
 
 
 def test_expected_cost_at_least_start_transmission():

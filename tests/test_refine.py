@@ -22,6 +22,7 @@ from navstream.refine import (
     add_edges,
     add_reverse_pairs,
     greedy_refine,
+    greedy_search,
     greedy_subtract,
     lower_bound_cost,
     remove_edges,
@@ -174,6 +175,59 @@ def test_search_records_the_exact_cost_it_returns():
         init = random_structure(rng, 5, edge_prob=0.1)
         final, log = greedy_refine(sc, sz, init, RefinerParams(0.05, buffer))
         assert log.expected_cost == evaluate(sc, sz, final, buffer).expected_cost
+
+
+def test_two_phase_search_equals_refine_then_subtract(caplog):
+    """One search with an add phase and a remove phase is greedy_refine
+    followed by greedy_subtract, less the second evaluation of the added
+    structure: the same steps, structure, summed counters and cost, and the
+    same DEBUG line per iteration (its number, and J, which each phase
+    starts from storage_cost recomputed from scratch)."""
+    # at this seed, two cases start the remove phase from a J whose last bits
+    # differ between storage recomputed and the add phase's last J
+    rng = np.random.default_rng(87)
+    both_phases_moved = 0
+
+    def iteration_lines(search):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="navstream.refine"):
+            found = search()
+        own = [r for r in caplog.records if r.name == "navstream.refine"]
+        return found, [r.getMessage() for r in own]
+
+    for _ in range(8):
+        n = int(rng.integers(3, 7))
+        sc = random_scenario(rng, n, int(rng.integers(1, 4)))
+        sz = random_sizes(rng, n)
+        init = random_structure(rng, n, edge_prob=0.3)
+        lam = float(rng.uniform(0.02, 0.4))
+        for buffer in ("flex", "fixed"):
+            for prune in (True, False):
+                params = RefinerParams(lam, buffer, prune)
+                (got, log), lines = iteration_lines(
+                    lambda: greedy_search(
+                        sc, sz, init, params, (add_edges,), (remove_edges,)
+                    )
+                )
+                (added, log_add), add_lines = iteration_lines(
+                    lambda: greedy_refine(sc, sz, init, params)
+                )
+                (want, log_sub), sub_lines = iteration_lines(
+                    lambda: greedy_subtract(sc, sz, added, params)
+                )
+                assert got == want
+                assert lines == add_lines + sub_lines
+                assert log.steps == [
+                    (it, (edge,), j) for it, edge, j in log_add.steps + log_sub.steps
+                ]
+                for counter in ("total", "pruned", "skipped"):
+                    name = f"candidates_{counter}"
+                    assert getattr(log, name) == (
+                        getattr(log_add, name) + getattr(log_sub, name)
+                    )
+                assert log.expected_cost == log_sub.expected_cost
+                both_phases_moved += bool(log_add.steps and log_sub.steps)
+    assert both_phases_moved
 
 
 def test_request_weights_reproduce_all_i_cost():
