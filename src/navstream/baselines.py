@@ -20,17 +20,17 @@ the result again.
 flex-lm-i and inf-lm plan their landmarks with `landmarks.landmark_structure`
 on the caller's Scenario, so they read the q its `switch_probs` caches.
 
-inf-lm's exact cost is a level pass over states (prev, cur, avail) held as
-uint64 rows: the (prev, cur) pair's `Scenario.pair_index` id, then `avail`,
-the MDUs sent so far, as ceil(n/64) mask words.  Each level's distinct
-states are found by hashing whole rows, and every hash match is confirmed
-word by word.  The pass grows each level a chunk of states at a time and
-refuses more than `max_states` reachable states as soon as its running count
-passes that, before any state is valued; the baseline then reports the
-Monte-Carlo estimate and logs at INFO which cost it used.  One vectorised
-lister, `_Lister`, gives a request's options in tie order to both the exact
-pass and the estimate, which draws its sessions from
-`scenario.sample_sessions` and advances them all one switch at a time.
+inf-lm's exact cost runs `evaluate.level_pass`, the level core of the fixed
+and flexible buffers, over states (prev, cur, avail) held as uint64 rows:
+the (prev, cur) pair's `Scenario.pair_index` id, then `avail`, the MDUs
+sent so far, as ceil(n/64) mask words.  The core refuses more than
+`max_states` reachable states as soon as its running count passes that,
+before any state is valued; the baseline then reports the Monte-Carlo
+estimate and logs at INFO which cost it used.  The level lines go to DEBUG
+on this module's logger.  One vectorised lister, `_Lister`, gives a
+request's options in tie order to both the exact pass and the estimate,
+which draws its sessions with `scenario.sample_targets` and advances them
+all one switch at a time.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, count
 
 import numpy as np
 
 from .costs import CostTables, SizeTable, Structure, all_i_structure, storage_cost
 from .errors import InvalidInputError, OracleRefusalError, open_output
+from .evaluate import level_pass
 from .landmarks import landmark_structure
 from .refine import (
     RefinerParams,
@@ -56,7 +56,7 @@ from .refine import (
     one_edge_steps,
     remove_edges,
 )
-from .scenario import PairIndex, Scenario, csr_slots, left_sum, sample_sessions
+from .scenario import Scenario, left_sum, sample_targets
 
 logger = logging.getLogger(__name__)
 
@@ -79,9 +79,10 @@ class _Lister:
     """The infinite buffer's options, listed for many requests at once.
 
     A mask of held MDUs is ceil(n/64) uint64 words, MDU m in bit m % 64 of
-    word m // 64.  `bits(avail, j)` takes masks avail[r] and targets j[r]
-    and returns every request's options as a (rows, K) array of immediate
-    bits, +inf where a slot holds no option; slot k of target j sends the
+    word m // 64.  `options(pair, avail, j)` takes masks avail[r] and
+    targets j[r] and returns every request's options as a (rows, K) array
+    of immediate bits, +inf where a slot holds no option, no action codes,
+    and the next masks of any (request, slot): slot k of target j sends the
     MDUs `add[j, k]`, so it leads to the mask avail[r] | add[j[r], k].  The
     slots are in the tie order of both infinite-buffer paths:
 
@@ -91,9 +92,11 @@ class _Lister:
     - per stored predictor `mid` of j, ascending, that is not held but has a
       held predictor: the cheapest such 2-hop through `mid`.
 
-    `start_bits` lists the options of the start MDU to an empty mask: its
-    zero-hop sources.
+    The `roots` are the start MDU's zero-hop sources to an empty mask, as
+    rows [pair 0, mask words...], and `root_bits` their bits.
     """
+
+    narrow = False  # mask words use all 64 bits: rows are hashed
 
     def __init__(self, scenario: Scenario, sizes: SizeTable, structure: Structure):
         n = scenario.graph.n
@@ -119,10 +122,12 @@ class _Lister:
                 self.pred[j, d] = l
                 self.pred_bits[j, d] = tables.r_p[(l, j)]
                 self.add[j, 2 + n_src + d] |= onehot[l]
-        self.start = scenario.graph.start
-        self.start_bits = self.bits(
-            np.zeros((1, self.words), dtype=np.uint64), np.array([self.start])
-        )[0]
+        empty = np.zeros((1, self.words), dtype=np.uint64)
+        bits, _, after = self.options(None, empty, np.array([scenario.graph.start]))
+        (ks,) = np.nonzero(bits[0] < math.inf)
+        self.roots = np.zeros((len(ks), 1 + self.words), dtype=np.uint64)
+        self.roots[:, 1:] = after(np.zeros_like(ks), ks)
+        self.root_bits = bits[0, ks]
 
     @staticmethod
     def _held(avail: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,8 +140,9 @@ class _Lister:
         held = self._held(avail, self.pred[x])
         return np.where(held, self.pred_bits[x], math.inf).min(axis=1, initial=math.inf)
 
-    def bits(self, avail: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The (rows, K) bits of every slot for masks avail[r] and targets j[r]."""
+    def options(self, pair, avail: np.ndarray, j: np.ndarray):
+        """The (rows, K) bits of every slot for masks avail[r] and targets j[r],
+        no action codes, and the next masks of any (request, slot)."""
         n_src = self.src_bits.shape[1]
         held = self._held(avail, j[:, None])[:, 0]
         out = np.empty((len(j), self.add.shape[1]))
@@ -149,112 +155,7 @@ class _Lister:
         two[r, d] = self._hop(avail[r], mid[r, d]) + self.pred_bits[j[r], d]
         out[:, 2 + n_src:] = two
         out[held, 1:] = math.inf
-        return out
-
-
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-
-
-def _hashes(rows: np.ndarray, salt: int) -> np.ndarray:
-    """One uint64 per row of `rows`, mixed column by column from `salt`."""
-    h = np.full(len(rows), salt, dtype=np.uint64)
-    for col in rows.T:
-        h ^= col
-        h ^= h >> np.uint64(30)
-        h *= _MIX[0]
-        h ^= h >> np.uint64(27)
-        h *= _MIX[1]
-        h ^= h >> np.uint64(31)
-    return h
-
-
-class _Collision(Exception):
-    """Two different states hashed alike; the pass starts again with a new salt."""
-
-
-class _Level:
-    """The distinct states of one level as rows [pair id, mask words...].
-
-    Rows are kept in the order of their hashes, which are distinct.  A hash
-    only finds a candidate: every match is confirmed on the whole row.
-    """
-
-    def __init__(self, width: int, salt: int):
-        self.salt = salt
-        self.keys = np.empty(0, dtype=np.uint64)
-        self.rows = np.empty((0, width), dtype=np.uint64)
-
-    def add(self, rows: np.ndarray) -> None:
-        """Add the states `rows`, which may repeat each other or this level's."""
-        h = _hashes(rows, self.salt)
-        order = np.argsort(h)
-        h, rows = h[order], rows[order]
-        head = np.ones(len(h), dtype=bool)
-        head[1:] = h[1:] != h[:-1]
-        h, firsts = h[head], rows[head]
-        if not (rows == firsts[np.cumsum(head) - 1]).all():
-            raise _Collision
-        pos = np.searchsorted(self.keys, h)
-        hit = np.zeros(len(h), dtype=bool)
-        inside = pos < len(self.keys)
-        hit[inside] = self.keys[pos[inside]] == h[inside]
-        if not (self.rows[pos[hit]] == firsts[hit]).all():
-            raise _Collision
-        self.keys = np.insert(self.keys, pos[~hit], h[~hit])
-        self.rows = np.insert(self.rows, pos[~hit], firsts[~hit], axis=0)
-
-    def index(self, rows: np.ndarray) -> np.ndarray:
-        """The positions of the states `rows`, each of which is in this level."""
-        h = _hashes(rows, self.salt)
-        pos = np.minimum(np.searchsorted(self.keys, h), len(self.keys) - 1)
-        if not ((self.keys[pos] == h).all() and (self.rows[pos] == rows).all()):
-            raise RuntimeError("infinite-buffer pass: a successor is not in its level")
-        return pos
-
-
-_CHUNK = 4096  # states expanded at once; a refusal stops within a level
-
-
-def _expand(index: PairIndex, lister: _Lister, rows: np.ndarray):
-    """The requests of the states `rows` and where their options lead.
-
-    Returns each request's state (a position in `rows`) and pair-index
-    slot, its options' bits from `lister`, the (request, slot) of every
-    option, and the row of the state each option leads to.
-    """
-    counts, slots = csr_slots(index.offsets, rows[:, 0].astype(np.intp))
-    state = np.repeat(np.arange(len(rows)), counts)
-    avail, j = rows[state, 1:], index.target[slots]
-    bits = lister.bits(avail, j)
-    r, k = np.nonzero(bits < math.inf)
-    nxt = np.empty((len(r), rows.shape[1]), dtype=np.uint64)
-    nxt[:, 0] = index.succ[slots[r]]
-    nxt[:, 1:] = avail[r] | lister.add[j[r], k]
-    return state, slots, bits, (r, k), nxt
-
-
-def _inf_levels(scenario, lister, roots, max_states, salt) -> list:
-    """The reachable states, level by level, as `_Level`s hashed with `salt`."""
-    index, g = scenario.pair_index, scenario.lifetime.g
-    levels = [_Level(roots.shape[1], salt)]
-    levels[0].add(roots)
-    reached = len(levels[0].keys)
-    while reached <= max_states and g(len(levels)) > 0.0:
-        above, nxt = levels[-1].rows, _Level(roots.shape[1], salt)
-        for lo in range(0, len(above), _CHUNK):
-            nxt.add(_expand(index, lister, above[lo:lo + _CHUNK])[-1])
-            if reached + len(nxt.keys) > max_states:
-                break
-        reached += len(nxt.keys)
-        levels.append(nxt)
-    for t, level in enumerate(levels):
-        logger.debug("infinite-buffer level %d: %d states", t, len(level.keys))
-    if reached > max_states:
-        raise OracleRefusalError(
-            f"infinite-buffer pass exceeds {max_states} reachable states "
-            f"at level {len(levels) - 1}"
-        )
-    return levels
+        return out, None, lambda r, k: avail[r] | self.add[j[r], k]
 
 
 def inf_buffer_cost(
@@ -268,10 +169,11 @@ def inf_buffer_cost(
 
     Any MDU transmitted earlier in the session is a free predictor and a
     free revisit, so a state is (prev, cur, avail), `avail` the mask of
-    transmitted MDUs, and a request's options are `_Lister`'s.  A forward
-    pass collects each level's distinct states (t = 0 up to the last t with
-    g(t) > 0) from the followed requests of `Scenario.pair_index`, `_CHUNK`
-    states at a time, and logs each level's size at DEBUG.  More than
+    transmitted MDUs, and a request's options are `_Lister`'s.  The
+    `evaluate.level_pass` core runs over the followed requests of
+    `Scenario.pair_index`.  Its forward pass collects each level's distinct
+    states (t = 0 up to the last t with g(t) > 0), a chunk of states at a
+    time, and logs each level's size at DEBUG.  More than
     `max_states` states in all raise `OracleRefusalError` as soon as the
     running count passes it, before any state is valued.  A backward pass
     then values the states from the last level down: a request takes the
@@ -279,34 +181,12 @@ def inf_buffer_cost(
     state adds p · that minimum over its requests in graph order.
     """
     lister = _Lister(scenario, sizes, structure)
-    index, g = scenario.pair_index, scenario.lifetime.g
-    (ks,) = np.nonzero(lister.start_bits < math.inf)
-    roots = np.zeros((len(ks), 1 + lister.words), dtype=np.uint64)
-    roots[:, 1:] = lister.add[lister.start, ks]
-    for salt in count():
-        try:
-            levels = _inf_levels(scenario, lister, roots, max_states, salt)
-            break
-        except _Collision:
-            continue
-    values = None
-    for t in range(len(levels) - 1, -1, -1):
-        g_next, rows = g(t + 1), levels[t].rows
-        cur = np.empty(len(rows))
-        for lo in range(0, len(rows), _CHUNK):
-            chunk = rows[lo:lo + _CHUNK]
-            state, slots, bits, (r, k), nxt = _expand(index, lister, chunk)
-            if g_next > 0.0:
-                bits[r, k] += g_next * values[levels[t + 1].index(nxt)]
-            best = bits.min(axis=1)
-            # np.bincount adds each state's terms in turn from 0.0, in graph order
-            cur[lo:lo + len(chunk)] = np.bincount(
-                state, weights=index.prob[slots] * best, minlength=len(chunk)
-            )
-        values = cur
+    g = scenario.lifetime.g
     w1 = g(1) if weight_first_switch else 1.0
-    first = zip(lister.start_bits[ks].tolist(), values[levels[0].index(roots)].tolist())
-    return min(c + w1 * v for c, v in first)
+    cost, _, _ = level_pass(
+        scenario.pair_index, g, lister, w1, logger, "infinite-buffer", max_states
+    )
+    return cost
 
 
 def inf_buffer_estimate(
@@ -325,22 +205,16 @@ def inf_buffer_estimate(
     are drawn first, then advanced one switch at a time together.
     """
     lister = _Lister(scenario, sizes, structure)
-    paths = list(sample_sessions(scenario, n_sessions, seed))
-    lengths = np.array(list(map(len, paths)), dtype=np.intp)
-    targets = np.zeros((n_sessions, lengths.max(initial=0)), dtype=np.intp)
-    targets[np.arange(targets.shape[1]) < lengths[:, None]] = list(
-        chain.from_iterable(paths)
-    )
-    k = lister.start_bits.argmin()
-    avail = np.tile(lister.add[lister.start, k], (n_sessions, 1))
-    bits = np.full(n_sessions, lister.start_bits[k])
+    lengths, targets = sample_targets(scenario, n_sessions, seed)
+    k = lister.root_bits.argmin()
+    avail = np.tile(lister.roots[k, 1:], (n_sessions, 1))
+    bits = np.full(n_sessions, lister.root_bits[k])
     for t in range(targets.shape[1]):
         at = np.flatnonzero(lengths > t)
-        j = targets[at, t]
-        opts = lister.bits(avail[at], j)
+        opts, _, after = lister.options(None, avail[at], targets[at, t])
         k = opts.argmin(axis=1)
         bits[at] += opts[np.arange(len(at)), k]
-        avail[at] |= lister.add[j, k]
+        avail[at] = after(np.arange(len(at)), k)
     return left_sum(bits.tolist()) / n_sessions
 
 

@@ -17,9 +17,9 @@ from .costs import (
     all_i_structure,
     load_sizes,
     load_structure,
-    save_sizes,
     save_structure,
     uniform_sizes,
+    write_sizes,
 )
 from .errors import (
     InfeasibleStructureError,
@@ -27,6 +27,7 @@ from .errors import (
     NavstreamError,
     OracleRefusalError,
     open_output,
+    open_outputs,
 )
 from .evaluate import Policy, evaluate
 from .landmarks import PlannerParams, landmark_structure
@@ -36,8 +37,8 @@ from .scenario import (
     Scenario,
     build_lifetime_tail,
     load_scenario,
-    save_scenario,
     validate_navigation_model,
+    write_scenario,
 )
 
 
@@ -72,8 +73,10 @@ def _cmd_gen(args) -> int:
     report = validate_navigation_model(graph, nav)
     if report:
         raise InvalidInputError("; ".join(report))
-    save_scenario(scenario, args.out_scenario)
-    save_sizes(sizes, args.out_sizes)
+    outputs = ("scenario", args.out_scenario, None), ("sizes", args.out_sizes, "")
+    with open_outputs(*outputs) as (scenario_fh, sizes_fh):
+        write_scenario(scenario, scenario_fh)
+        write_sizes(sizes, sizes_fh)
     print(f"scenario: {args.out_scenario} (n={graph.n}, start={graph.start})")
     print(f"sizes: {args.out_sizes}")
     return 0

@@ -308,18 +308,23 @@ def load_structure(path) -> Structure:
         raise InvalidInputError(f"malformed structure file: {exc}") from exc
 
 
+def write_sizes(sizes: SizeTable, fh) -> None:
+    """The sizes CSV, to `fh` opened with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(["kind", "i", "j", "bits"])
+    for i in range(sizes.n):
+        writer.writerow(["I", i, "", repr(float(sizes.i_size[i]))])
+    for i in range(sizes.n):
+        writer.writerow(["M", i, "", repr(float(sizes.m_size[i]))])
+    for i in range(sizes.n):
+        for j in range(sizes.n):
+            if i != j:
+                writer.writerow(["P", i, j, repr(float(sizes.p_size[i, j]))])
+
+
 def save_sizes(sizes: SizeTable, path) -> None:
     with open_output("sizes", path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "i", "j", "bits"])
-        for i in range(sizes.n):
-            writer.writerow(["I", i, "", repr(float(sizes.i_size[i]))])
-        for i in range(sizes.n):
-            writer.writerow(["M", i, "", repr(float(sizes.m_size[i]))])
-        for i in range(sizes.n):
-            for j in range(sizes.n):
-                if i != j:
-                    writer.writerow(["P", i, j, repr(float(sizes.p_size[i, j]))])
+        write_sizes(sizes, fh)
 
 
 def load_sizes(path) -> SizeTable:

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: InvalidInputError -> 2,
 InfeasibleStructureError -> 3, OracleRefusalError -> 4.
 """
 
+import io
+import os
 from contextlib import contextmanager
 
 
@@ -31,6 +33,11 @@ class PolicyGapError(NavstreamError):
     """The simulator reached a state the policy does not cover."""
 
 
+def _cannot_write(what: str, path, exc: OSError) -> InvalidInputError:
+    reason = exc.strerror or exc
+    return InvalidInputError(f"cannot write {what} {path}: {reason}")
+
+
 @contextmanager
 def open_output(what: str, path, newline=None):
     """`path` opened for writing UTF-8 text, as `with open(...)` does; an
@@ -41,5 +48,35 @@ def open_output(what: str, path, newline=None):
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
     except OSError as exc:
-        reason = exc.strerror or exc
-        raise InvalidInputError(f"cannot write {what} {path}: {reason}") from exc
+        raise _cannot_write(what, path, exc) from exc
+
+
+@contextmanager
+def open_outputs(*outputs):
+    """Several (what, path, newline) outputs, written all or nothing.
+
+    The block writes to one in-memory text buffer per output.  Each is then
+    written to a temporary file beside its path, and only once every one is
+    written are they renamed to their paths.  An OSError raises
+    `InvalidInputError` as `open_output` does and leaves no output behind.
+    """
+    buffers = [io.StringIO(newline="") for _ in outputs]
+    yield buffers
+    staged = []
+    try:
+        for (what, path, newline), buf in zip(outputs, buffers):
+            staged.append(f"{path}.tmp")
+            try:
+                with open(staged[-1], "w", encoding="utf-8", newline=newline) as fh:
+                    fh.write(buf.getvalue())
+            except OSError as exc:
+                raise _cannot_write(what, path, exc) from exc
+        for (what, path, _), tmp in zip(outputs, staged):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise _cannot_write(what, path, exc) from exc
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)

@@ -1,12 +1,29 @@
 """Expected transmission cost of a structure by a level-synchronous DP.
 
-One core, `_level_pass`, values the fixed and flexible one-MDU buffers;
-each buffer model only lists a request's options.  (The infinite buffer has
-its own pass over mask arrays in `baselines`.)  A state is (prev, cur,
-buffer) at switch depth t: the fixed buffer holds the displayed MDU, the
-flexible one starts EMPTY, and the previous MDU at t = 0 is the START
-sentinel.  Policy keys are (t, prev, cur, target) for the fixed buffer and
-(t, prev, cur, buffered, target) for the flexible one.
+One array core, `level_pass`, values the fixed, flexible and infinite
+buffers.  A state is (prev, cur, buffer) at switch depth t, held as a uint64
+row: the (prev, cur) pair's id in a `PairIndex`, then the buffer words.  The
+fixed buffer has none, since it holds the displayed MDU.  The flexible
+buffer has one, 0 for EMPTY or m + 1 for a buffered MDU m, and starts EMPTY.
+The infinite buffer of `baselines` has ceil(n/64) mask words.  The previous
+MDU at t = 0 is the START sentinel.
+
+Each buffer model gives one vectorised lister.  For a batch of requests,
+`options` returns every option's immediate bits (+inf where a slot holds no
+option) and action code as (rows, K) arrays, in tie order, and a function
+that gives the next buffer words of any (request, slot).  The forward pass
+collects each level's distinct states, hashing whole rows and confirming
+every hash match word by word, `_CHUNK` states at a time.  A level that
+repeats the one above it is not expanded again, and more than `max_states`
+states raise `OracleRefusalError` as soon as the running count passes it.
+The backward pass values the levels from the last one up.  A request takes
+the first minimum (`argmin`) of imm + g(t+1)·V(next), or just imm once
+g(t+1) = 0, and `np.bincount` adds p times that minimum per state in graph
+order, from 0.0, as a Python loop would.  It reuses the forward pass's
+expansions, up to `_KEPT` bytes of them, and expands a repeated level only
+once.  The fixed and flexible DPs charge every request of
+`Scenario.request_index`, p = 0 ones too; the fixed and flexible rows pack
+into one uint64 each, which serves as their hash.
 
 Per-request actions recorded in the policy:
   ("0hop",)                fixed-buffer independent reconstruction
@@ -22,30 +39,40 @@ Tie-breaking is deterministic: fixed prefers 1-hop over 0-hop; flexible
 prefers 1-hop, then 2-hop, then 0-hop, then the lowest candidate indices,
 except that a 2-hop's first hop prefers the buffered MDU to the displayed one.
 
+A `Policy` holds the DP's picks as arrays: `keys[n]` is request n's (t,
+prev, cur, target), or (t, prev, cur, buffered, target) for the flexible
+buffer, in the DP's order, and `table[index[n]]` is its action.
+`Policy.actions` is a read-only mapping over those arrays whose length is
+the number of keys; it builds its dict only when first read.
+
 A policy file (version 2) is one JSON object
   {"version": 2, "buffer", "weight_first_switch", "actions", "keys", "index"}
 where `actions` lists each distinct action once in first-seen order, `keys`
-is every key's integers flattened in the DP's insertion order (width 4 for
-the fixed buffer, 5 for the flexible one), and `index[n]` is the position in
+is every key's integers flattened in the DP's order (width 4 for the fixed
+buffer, 5 for the flexible one), and `index[n]` is the position in
 `actions` of key n's action.  It is written and read by json's C codec with
 no per-key Python loop.  Version-1 files (no `version`, `actions` an object
 keyed "t,k,...,j") still load.  Loading rejects, with `InvalidInputError`,
 an unknown buffer, a non-boolean `weight_first_switch`, an action the buffer
-model cannot take, keys of the wrong width and out-of-range indices.
+model cannot take, keys of the wrong width, out-of-range indices and a key
+listed twice.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
+
+import numpy as np
 
 from .costs import CostTables, SizeTable, Structure
-from .errors import InvalidInputError, open_output
-from .scenario import START, Scenario
+from .errors import InvalidInputError, OracleRefusalError, open_output
+from .scenario import PairIndex, Scenario, csr_slots, left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -92,28 +119,119 @@ def _v1_layout(actions, width: int) -> tuple[list, list, list]:
     return table, keys, [pos[act] for act in acts]
 
 
-@dataclass
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct `codes` in first-seen order, and where each code is among them."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]
+
+
+def pack_keys(keys: np.ndarray, lo, spans) -> np.ndarray:
+    """Each int64 row of `keys` as one mixed-radix integer, field f counted
+    from lo[f] in base spans[f]: one-to-one on rows inside those ranges, and
+    in their lexicographic order."""
+    code = keys[:, 0] - lo[0]
+    for f in range(1, keys.shape[1]):
+        code = code * spans[f] + (keys[:, f] - lo[f])
+    return code
+
+
+class _Actions(Mapping):
+    """A policy's {key: action}, read-only, over its arrays and in key order.
+
+    Its length is the number of keys; the dict behind it is built on the
+    first lookup or iteration.
+    """
+
+    def __init__(self, keys: np.ndarray, index: np.ndarray, table: tuple):
+        self._keys, self._index, self._table = keys, index, table
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __eq__(self, other):
+        if isinstance(other, _Actions) and np.array_equal(self._keys, other._keys):
+            return self._actions() == other._actions()  # no dict for the same keys
+        return self._dict == other if isinstance(other, Mapping) else NotImplemented
+
+    def _actions(self) -> list:
+        return list(map(self._table.__getitem__, self._index.tolist()))
+
+    @cached_property
+    def _dict(self) -> dict:
+        return dict(zip(map(tuple, self._keys.tolist()), self._actions()))
+
+
+@dataclass(eq=False)
 class Policy:
     """Deterministic per-request action table extracted from a DP run.
 
-    `save` and `load` use the version-2 file of the module docstring; a
-    reloaded table is `==` to the saved one and in the same order.
+    `keys` is an (N, width) int64 array of the module docstring's keys in
+    the DP's order, and `table[index[n]]` is key n's action.  Two policies
+    are equal when their buffers, first-switch weighting and `actions`
+    mappings are.  `save` and `load` use the version-2 file of the module
+    docstring; a reloaded policy is equal to the saved one, in the same
+    order.
     """
 
     buffer: str  # "fixed" or "flex"
     weight_first_switch: bool
-    actions: dict[tuple, tuple] = field(default_factory=dict)
+    keys: np.ndarray | None = None
+    index: np.ndarray | None = None
+    table: tuple = ()
+
+    def __post_init__(self):
+        if self.keys is None:
+            self.keys = np.empty((0, _KEY_WIDTH[self.buffer]), dtype=np.int64)
+            self.index = np.empty(0, dtype=np.intp)
+
+    @cached_property
+    def actions(self) -> Mapping:
+        return _Actions(self.keys, self.index, self.table)
+
+    def __eq__(self, other):
+        if not isinstance(other, Policy):
+            return NotImplemented
+        return (
+            self.buffer == other.buffer
+            and self.weight_first_switch == other.weight_first_switch
+            and self.actions == other.actions
+        )
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The positions of `keys` in lexicographic order; a key listed twice
+        raises `InvalidInputError`."""
+        keys = self.keys
+        lo = keys.min(axis=0, initial=0).tolist()
+        spans = [h - l + 1 for h, l in zip(keys.max(axis=0, initial=0).tolist(), lo)]
+        if math.prod(spans) < 2**63:
+            order = np.argsort(pack_keys(keys, lo, spans), kind="stable")
+        else:
+            order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        same = (ranked[1:] == ranked[:-1]).all(axis=1)
+        if same.any():
+            raise _malformed(f"key {tuple(ranked[same.argmax()].tolist())} repeats")
+        return order
 
     def to_dict(self) -> dict:
-        table = dict.fromkeys(self.actions.values())
-        pos = {act: n for n, act in enumerate(table)}
+        used, index = _first_seen(self.index)
         return {
             "version": 2,
             "buffer": self.buffer,
             "weight_first_switch": self.weight_first_switch,
-            "actions": list(table),
-            "keys": list(chain.from_iterable(self.actions)),
-            "index": list(map(pos.__getitem__, self.actions.values())),
+            "actions": [self.table[a] for a in used.tolist()],
+            "keys": self.keys.ravel().tolist(),
+            "index": index.tolist(),
         }
 
     @classmethod
@@ -135,7 +253,7 @@ class Policy:
                 raise _malformed(f"unsupported version {version!r}")
             if not all(isinstance(x, list) for x in (table, keys, index)):
                 raise _malformed("actions, keys and index must be lists")
-            table = [_checked_action(act, buffer) for act in table]
+            table = tuple(_checked_action(act, buffer) for act in table)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise _malformed(str(exc)) from exc
         if not set(map(type, keys)) <= {int} or not set(map(type, index)) <= {int}:
@@ -146,8 +264,13 @@ class Policy:
             )
         if index and not (0 <= min(index) and max(index) < len(table)):
             raise _malformed(f"an action index is outside [0, {len(table)})")
-        actions = dict(zip(zip(*[iter(keys)] * width), map(table.__getitem__, index)))
-        return cls(buffer=buffer, weight_first_switch=wfs, actions=actions)
+        try:
+            keys = np.array(keys, dtype=np.int64).reshape(-1, width)
+        except OverflowError as exc:
+            raise _malformed(f"a key field is outside the int64 range: {exc}") from exc
+        policy = cls(buffer, wfs, keys, np.array(index, dtype=np.intp), table)
+        policy.order  # refuses a repeated key
+        return policy
 
     def save(self, path) -> None:
         # json.dumps without indent runs the C encoder; json.dump never does
@@ -171,75 +294,358 @@ class EvalResult:
     dp_stats: dict
 
 
-def _level_pass(
-    scenario: Scenario,
-    root,
-    options,
-    actions: dict,
-    log: logging.Logger,
-    name: str,
-) -> tuple[dict, int]:
-    """Value every state reachable from `root`, level by level, with no recursion.
+# --- the level core -----------------------------------------------------------
 
-    A state is (prev, cur, buffer).  `options(cur, buffer, target)` lists a
-    request's options in tie order as (immediate bits, next buffer, action);
-    an option leads to the state (cur, target, next buffer) one level down.
-    A forward pass collects each level's states (t = 0 up to the last t with
-    g(t) > 0), following every option of every request in `Scenario.rows`,
-    and logs its size at DEBUG as `name`.  Options and rows read neither t
-    nor prev, so once a level is the same set as the one above it, every
-    later level is that set too and is not built again.  A backward pass
-    then values the states from the last level down.  A request takes the
-    first minimum of imm + g(t+1)·V(next), or just imm once g(t+1) = 0,
-    computed once per (t, cur, buffer, target): only p(prev, cur, target)
-    reads prev.  Each request's action goes into `actions` under (t, prev,
-    cur, buffer, target).  Returns the level-0 values and the number of
-    states.
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _hashes(rows: np.ndarray, salt: int) -> np.ndarray:
+    """One uint64 per row of `rows`, mixed column by column from `salt`."""
+    h = np.full(len(rows), salt, dtype=np.uint64)
+    for col in rows.T:
+        h ^= col
+        h ^= h >> np.uint64(30)
+        h *= _MIX[0]
+        h ^= h >> np.uint64(27)
+        h *= _MIX[1]
+        h ^= h >> np.uint64(31)
+    return h
+
+
+class _Collision(Exception):
+    """Two different states hashed alike; the pass starts again with a new salt."""
+
+
+class _Level:
+    """The distinct states of one level as rows [pair id, buffer words...].
+
+    Rows are kept in the order of their hashes, which are distinct.  A hash
+    only finds a candidate: every match is confirmed on the whole row.  A
+    `narrow` level's rows, [pair id] or [pair id, word] with both below
+    2^32, are their own hashes, packed into one uint64, so none collide.
     """
-    g, rows = scenario.lifetime.g, scenario.rows
-    levels, count, fixed = [{root}], 1, False
-    log.debug("%s level 0: 1 states", name)
-    while g(len(levels)) > 0.0:
-        nxt: set = levels[-1]
-        if not fixed:
-            nxt = {
-                (i, j, b)
-                for k, i, buf in levels[-1]
-                for j, _ in rows[(k, i)]
-                for _, b, _ in options(i, buf, j)
-            }
-            fixed = nxt == levels[-1]
-        levels.append(nxt)
-        count += len(nxt)
-        log.debug("%s level %d: %d states", name, len(levels) - 1, len(nxt))
 
-    values: dict[tuple, float] = {}
+    def __init__(self, width: int, salt: int, narrow: bool = False):
+        self.salt, self.narrow = salt, narrow
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.rows = np.empty((0, width), dtype=np.uint64)
+
+    def _hashes(self, rows: np.ndarray) -> np.ndarray:
+        if not self.narrow:
+            return _hashes(rows, self.salt)
+        if rows.shape[1] == 1:
+            return rows[:, 0].copy()
+        return rows[:, 0] << np.uint64(32) | rows[:, 1]
+
+    def add(self, rows: np.ndarray) -> np.ndarray | None:
+        """Add the states `rows`, which may repeat each other or this level's.
+
+        Into an empty level, returns where each of `rows` now is.
+        """
+        h = self._hashes(rows)
+        order = np.argsort(h)
+        h, rows = h[order], rows[order]
+        head = np.ones(len(h), dtype=bool)
+        head[1:] = h[1:] != h[:-1]
+        h, firsts, rank = h[head], rows[head], np.cumsum(head) - 1
+        if not (rows == firsts[rank]).all():
+            raise _Collision
+        if not len(self.keys):
+            self.keys, self.rows = h, firsts
+            placed = np.empty_like(rank)
+            placed[order] = rank
+            return placed
+        pos = np.searchsorted(self.keys, h)
+        hit = np.zeros(len(h), dtype=bool)
+        inside = pos < len(self.keys)
+        hit[inside] = self.keys[pos[inside]] == h[inside]
+        if not (self.rows[pos[hit]] == firsts[hit]).all():
+            raise _Collision
+        self.keys = np.insert(self.keys, pos[~hit], h[~hit])
+        self.rows = np.insert(self.rows, pos[~hit], firsts[~hit], axis=0)
+        return None
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """The positions of the states `rows`, each of which is in this level."""
+        h = self._hashes(rows)
+        pos = np.minimum(np.searchsorted(self.keys, h), len(self.keys) - 1)
+        if not ((self.keys[pos] == h).all() and (self.rows[pos] == rows).all()):
+            raise RuntimeError("level pass: a successor is not in its level")
+        return pos
+
+
+_CHUNK = 4096  # states expanded at once; a refusal stops within a level
+_KEPT = 1 << 20  # bytes of expansions the forward pass keeps for the backward one
+
+
+@dataclass
+class _Expansion:
+    """The requests of a chunk of states and where their options lead.
+
+    Each request's state (a position in the chunk) and index slot, the
+    pair, buffer words and target the lister was asked about, its options'
+    bits and action codes from the lister, the flat position in `bits` of
+    every option, and the row `nxt` of the state each option leads to;
+    `pos` is where those states are in the next level, once known.
+    """
+
+    state: np.ndarray
+    slots: np.ndarray
+    pair: np.ndarray
+    buf: np.ndarray
+    j: np.ndarray
+    bits: np.ndarray
+    act: np.ndarray | None
+    opt: np.ndarray
+    nxt: np.ndarray
+    pos: np.ndarray | None = None
+
+    def nbytes(self) -> int:
+        arrays = (self.state, self.slots, self.pair, self.buf, self.j, self.bits,
+                  self.act, self.opt, self.nxt)
+        return left_sum(a.nbytes for a in arrays if a is not None)
+
+
+def _expand(index: PairIndex, lister, rows: np.ndarray) -> _Expansion:
+    """The `_Expansion` of the states `rows` over the requests of `index`."""
+    pair = rows[:, 0].astype(np.intp)
+    counts, slots = csr_slots(index.offsets, pair)
+    state = np.repeat(np.arange(len(rows)), counts)
+    asked = pair[state], rows[state, 1:], index.target[slots]
+    bits, act, after = lister.options(*asked)
+    opt = np.flatnonzero(bits < math.inf)
+    r, k = np.divmod(opt, bits.shape[1])
+    nxt = np.empty((len(r), rows.shape[1]), dtype=np.uint64)
+    nxt[:, 0] = index.succ[slots[r]]
+    nxt[:, 1:] = after(r, k)
+    return _Expansion(state, slots, *asked, bits, act, opt, nxt)
+
+
+def _levels(index, g, lister, max_states, salt, log, name) -> tuple[list, dict]:
+    """The reachable states, level by level, as `_Level`s hashed with `salt`.
+
+    A level equal to the one above it is that same `_Level`.  Also returns
+    the chunk expansions kept for the backward pass, by (level, first row),
+    up to `_KEPT` bytes in all.
+    """
+    width = lister.roots.shape[1]
+    levels, kept, room = [_Level(width, salt, lister.narrow)], {}, _KEPT
+    levels[0].add(lister.roots)
+    reached, repeats = len(levels[0].keys), False
+    while reached <= max_states and g(len(levels)) > 0.0:
+        above = levels[-1]
+        if not repeats:
+            nxt = _Level(width, salt, lister.narrow)
+            for lo in range(0, len(above.keys), _CHUNK):
+                chunk = _expand(index, lister, above.rows[lo:lo + _CHUNK])
+                if (size := chunk.nbytes()) <= room:
+                    kept[above, lo], room = chunk, room - size
+                successors, chunk = chunk.nxt, None  # the rest is freed unless kept
+                placed = nxt.add(successors)
+                if reached + len(nxt.keys) > max_states:
+                    break
+            if len(above.keys) <= _CHUNK and (above, 0) in kept:
+                kept[above, 0].pos = placed  # from the level's only add: final
+            repeats = np.array_equal(nxt.rows, above.rows)
+        levels.append(above if repeats else nxt)
+        reached += len(levels[-1].keys)
+    for t, level in enumerate(levels):
+        log.debug("%s level %d: %d states", name, t, len(level.keys))
+    if reached > max_states:
+        raise OracleRefusalError(
+            f"{name} pass exceeds {max_states} reachable states "
+            f"at level {len(levels) - 1}"
+        )
+    return levels, kept
+
+
+def level_pass(index: PairIndex, g, lister, w1: float, log, name, max_states=math.inf):
+    """Value every state reachable from `lister.roots` over the requests of `index`.
+
+    `g` is the lifetime's g(t); the levels run from t = 0 up to the last t
+    with g(t) > 0.  Each level's size is logged at DEBUG on `log` as "`name`
+    level t: c states" once the forward pass is done.  Returns the expected
+    cost, the minimum over the roots of root_bits + w1·V(root); the number
+    of states; and, for a lister with action codes, each request's key
+    (`lister.keys`) and picked action code, last level first, else None.
+    """
+    for salt in count():
+        try:
+            levels, kept = _levels(index, g, lister, max_states, salt, log, name)
+            break
+        except _Collision:
+            continue
+    values, keys, codes = None, [], []
     for t in range(len(levels) - 1, -1, -1):
-        g_next, cur, picks = g(t + 1), {}, {}
-        for k, i, buf in levels[t]:
-            total = 0.0
-            for j, p in rows[(k, i)]:
-                pick = picks.get((i, buf, j))
-                if pick is None:
-                    best = None
-                    for imm, b, act in options(i, buf, j):
-                        v = imm + g_next * values[(i, j, b)] if g_next > 0.0 else imm
-                        if best is None or v < best:
-                            best, best_act = v, act
-                    pick = picks[(i, buf, j)] = (best, best_act)
-                total += p * pick[0]
-                actions[(t, k, i, buf, j)] = pick[1]
-            cur[(k, i, buf)] = total
+        g_next, level = g(t + 1), levels[t]
+        repeated = t > 0 and levels[t - 1] is level
+        cur = np.empty(len(level.keys))
+        for lo in range(0, len(level.keys), _CHUNK):
+            rows = level.rows[lo:lo + _CHUNK]
+            chunk = kept.pop((level, lo), None) or _expand(index, lister, rows)
+            if repeated:  # the same chunk, with the same successors, serves t - 1
+                kept[level, lo] = chunk
+            bits = chunk.bits
+            if g_next > 0.0:
+                if chunk.pos is None:
+                    chunk.pos = levels[t + 1].index(chunk.nxt)
+                bits = bits.copy()  # a repeated level's chunk is valued again
+                bits.ravel()[chunk.opt] += g_next * values[chunk.pos]
+            # each request's first cheapest option, as a flat position in `bits`
+            pick = np.arange(0, bits.size, bits.shape[1]) + bits.argmin(axis=1)
+            # np.bincount adds each state's terms in turn from 0.0, in graph order
+            cur[lo:lo + len(rows)] = np.bincount(
+                chunk.state, weights=index.prob[chunk.slots] * bits.ravel()[pick],
+                minlength=len(rows),
+            )
+            if chunk.act is not None:
+                keys.append(lister.keys(t, chunk.pair, chunk.buf, chunk.j))
+                codes.append(chunk.act.ravel()[pick])
         values = cur
-    return values, count
+    first = zip(lister.root_bits.tolist(), values[levels[0].index(lister.roots)].tolist())
+    cost = min(c + w1 * v for c, v in first)
+    states = left_sum(len(level.keys) for level in levels)
+    if not codes:
+        return cost, states, None
+    return cost, states, (np.concatenate(keys), np.concatenate(codes))
 
 
-def _result(scenario, tables, root, policy, values, count) -> EvalResult:
-    """r_i[start] plus the (optionally g(1)-weighted) value of the root state."""
-    w1 = scenario.lifetime.g(1) if policy.weight_first_switch else 1.0
-    expected = tables.r_i[scenario.graph.start] + w1 * values[root]
-    stats = {"states": count, "actions": len(policy.actions)}
-    return EvalResult(expected_cost=expected, policy=policy, dp_stats=stats)
+# --- the fixed and flexible listers --------------------------------------------
+
+_KINDS = ("0hop", "1hop", "2hop")
+
+
+class _OneMduLister:
+    """What the fixed and flexible listers share.
+
+    A buffer word is 0 for EMPTY and m + 1 for MDU m, so that words sort as
+    the buffer contents do, EMPTY first.  `r_p` is the stored P-edges'
+    `CostTables.r_p` as a matrix, row w for the MDU of word w, +inf where no
+    edge is stored; row 0, EMPTY, predicts nothing.  An action is coded as
+    kind·S² + a·S + b for S = n + 1, with the kind's position in `_KINDS` and
+    its arguments a and b as words; `action` turns a code back into the
+    tuple of the module docstring.
+    """
+
+    arity: tuple  # the number of arguments of each kind's action
+    buffer: str
+    narrow = True  # a state row's pair id and buffer word are below 2^32
+
+    def __init__(self, scenario: Scenario, tables: CostTables):
+        n = self.n = scenario.graph.n
+        pairs = np.array(scenario.request_index.pairs, dtype=np.int64).reshape(-1, 2)
+        self.prev, self.cur = pairs.T
+        self.r_i = np.array(tables.r_i)
+        self.r_p = np.full((n + 1, n), math.inf)
+        if tables.r_p:
+            l, j = np.array(list(tables.r_p)).T
+            self.r_p[l + 1, j] = list(tables.r_p.values())
+        self.root_bits = np.array([tables.r_i[scenario.graph.start]])
+
+    def action(self, code: int) -> tuple:
+        kind, ab = divmod(code, (self.n + 1) ** 2)
+        args = [w - 1 if w else EMPTY for w in divmod(ab, self.n + 1)]
+        return (_KINDS[kind], *args[: self.arity[kind]])
+
+    def keys(self, t: int, pair, buf, j) -> np.ndarray:
+        """The policy keys (t, prev, cur[, buffered], target) of requests at
+        depth t from pairs pair[r] with buffer words buf[r] for targets j[r]."""
+        out = np.empty((len(j), 3 + buf.shape[1] + 1), dtype=np.int64)
+        out[:, 0], out[:, 1], out[:, 2], out[:, -1] = t, self.prev[pair], self.cur[pair], j
+        if buf.shape[1]:
+            out[:, 3] = buf[:, 0]
+            out[:, 3] -= 1
+            out[out[:, 3] < 0, 3] = EMPTY
+        return out
+
+
+class _FixedLister(_OneMduLister):
+    """The fixed buffer's options: the 1-hop from the displayed MDU, then the 0-hop."""
+
+    arity = (0, 1)
+    buffer = "fixed"
+
+    def __init__(self, scenario: Scenario, tables: CostTables):
+        super().__init__(scenario, tables)
+        self.roots = np.zeros((1, 1), dtype=np.uint64)
+
+    def options(self, pair, buf, j):
+        i = self.cur[pair]
+        bits = np.empty((len(j), 2))
+        bits[:, 0], bits[:, 1] = self.r_p[i + 1, j], self.r_i[j]
+        act = np.zeros((len(j), 2), dtype=np.int64)
+        act[:, 0] = (self.n + 2 + i) * (self.n + 1)  # ("1hop", i)
+        return bits, act, self._after
+
+    @staticmethod
+    def _after(r, k):
+        return np.empty((len(r), 0), dtype=np.uint64)
+
+
+class _FlexLister(_OneMduLister):
+    """The flexible buffer's options, in tie order: the 1-hops by ascending
+    reference, the 2-hops in `CostTables.preds` order, then the 0-hops by
+    ascending keep (EMPTY first).  The references and keeps are the buffered
+    and the displayed MDU, or the displayed one alone when it is buffered;
+    a 2-hop's first hop is the first cheapest of (buffered, displayed)."""
+
+    arity = (1, 1, 2)
+    buffer = "flex"
+
+    def __init__(self, scenario: Scenario, tables: CostTables):
+        super().__init__(scenario, tables)
+        n, preds = self.n, tables.preds
+        self.roots = np.zeros((1, 2), dtype=np.uint64)
+        # j's stored predictors, padded with MDU 0 at +inf bits
+        counts = np.fromiter(map(len, preds), dtype=np.intp, count=n)
+        j = np.repeat(np.arange(n), counts)
+        rank = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.pred = np.zeros((n, counts.max(initial=0)), dtype=np.intp)
+        self.pred_bits = np.full(self.pred.shape, math.inf)
+        self.pred[j, rank] = [l for ls in preds for l in ls]
+        self.pred_bits[j, rank] = self.r_p[self.pred[j, rank] + 1, j]
+        # slots: 1-hop from each keep, a 2-hop per predictor, 0-hop to each keep
+        kinds = [1, 1, *[2] * self.pred.shape[1], 0, 0]
+        self.kind = np.array(kinds) * (n + 1) ** 2
+
+    def options(self, pair, buf, j):
+        r_p, d = self.r_p, self.pred.shape[1]
+        i, gam = self.cur[pair] + 1, buf[:, 0].astype(np.intp)
+        lo, hi = np.minimum(gam, i), np.maximum(gam, i)
+        mid = self.pred[j]
+        via_gam, via_i = r_p[gam[:, None], mid], r_p[i[:, None], mid]
+        bits = np.empty((len(j), 4 + d))
+        bits[:, 0], bits[:, 1] = r_p[lo, j], r_p[hi, j]
+        bits[:, 2:2 + d] = np.minimum(via_gam, via_i) + self.pred_bits[j]
+        bits[:, 2 + d] = bits[:, 3 + d] = self.r_i[j]
+        bits[gam == i, 1::2 + d] = math.inf  # one keep: the displayed MDU
+        nbuf = np.empty(bits.shape, dtype=np.intp)
+        nbuf[:, 0] = nbuf[:, 2 + d] = lo
+        nbuf[:, 1] = nbuf[:, 3 + d] = hi
+        nbuf[:, 2:2 + d] = mid + 1
+        act = self.kind + nbuf * (self.n + 1)
+        act[:, 2:2 + d] += np.where(via_i < via_gam, i[:, None], gam[:, None])
+        return bits, act, lambda r, k: nbuf[r, k, None]
+
+
+def _evaluate(scenario, sizes, structure, weight_first_switch, lister_type, name):
+    tables = CostTables(structure, sizes, scenario.graph.n)
+    lister = lister_type(scenario, tables)
+    g = scenario.lifetime.g
+    w1 = g(1) if weight_first_switch else 1.0
+    cost, states, (keys, codes) = level_pass(
+        scenario.request_index, g, lister, w1, logger, name
+    )
+    table, index = np.unique(codes, return_inverse=True)
+    policy = Policy(
+        buffer=lister.buffer,
+        weight_first_switch=weight_first_switch,
+        keys=keys,
+        index=index,
+        table=tuple(map(lister.action, table.tolist())),
+    )
+    stats = {"states": states, "actions": len(keys)}
+    return EvalResult(expected_cost=cost, policy=policy, dp_stats=stats)
 
 
 def eval_fixed(
@@ -249,30 +655,9 @@ def eval_fixed(
     weight_first_switch: bool = False,
 ) -> EvalResult:
     """Expected session cost under the fixed one-MDU reference buffer."""
-    tables = CostTables(structure, sizes, scenario.graph.n)
-    r_i, r_p = tables.r_i, tables.r_p
-    zero_hop = ("0hop",)
-
-    @functools.cache  # options depend on neither t nor prev
-    def options(i, _buf, j):
-        # the displayed MDU is the reference; either way j is displayed next
-        v = r_p.get((i, j))
-        if v is None:
-            return [(r_i[j], j, zero_hop)]
-        return [(v, j, ("1hop", i)), (r_i[j], j, zero_hop)]
-
-    s = scenario.graph.start
-    root = (START, s, s)
-    found: dict[tuple, tuple] = {}
-    values, count = _level_pass(
-        scenario, root, options, found, logger, "fixed-buffer",
+    return _evaluate(
+        scenario, sizes, structure, weight_first_switch, _FixedLister, "fixed-buffer"
     )
-    policy = Policy(
-        buffer="fixed",
-        weight_first_switch=weight_first_switch,
-        actions={(t, k, i, j): a for (t, k, i, _, j), a in found.items()},
-    )
-    return _result(scenario, tables, root, policy, values, count)
 
 
 def eval_flexible(
@@ -282,40 +667,9 @@ def eval_flexible(
     weight_first_switch: bool = False,
 ) -> EvalResult:
     """Expected session cost under the flexible one-MDU reference buffer."""
-    tables = CostTables(structure, sizes, scenario.graph.n)
-    r_i, r_p, preds = tables.r_i, tables.r_p, tables.preds
-
-    @functools.cache  # options depend on neither t nor prev
-    def options(i, gam, j):
-        # 1-hops and 0-hops go by ascending reference (EMPTY, first, predicts
-        # nothing); a 2-hop's first hop is the first cheapest in `scan` order
-        if gam == i or gam == EMPTY:
-            scan = (i,)
-            keeps = (i,) if gam == i else (EMPTY, i)
-        else:
-            scan = (gam, i)
-            keeps = (gam, i) if gam < i else (i, gam)
-        opts = [
-            (v, ref, ("1hop", ref))
-            for ref in keeps
-            if (v := r_p.get((ref, j))) is not None
-        ]
-        for mid in preds[j]:
-            hop1, hop1_ref = math.inf, -1
-            for ref in scan:
-                if ref != mid and (v := r_p.get((ref, mid))) is not None and v < hop1:
-                    hop1, hop1_ref = v, ref
-            if hop1_ref >= 0:
-                opts.append((hop1 + r_p[(mid, j)], mid, ("2hop", mid, hop1_ref)))
-        opts += [(r_i[j], keep, ("0hop", keep)) for keep in keeps]
-        return opts
-
-    root = (START, scenario.graph.start, EMPTY)
-    policy = Policy(buffer="flex", weight_first_switch=weight_first_switch)
-    values, count = _level_pass(
-        scenario, root, options, policy.actions, logger, "flexible-buffer",
+    return _evaluate(
+        scenario, sizes, structure, weight_first_switch, _FlexLister, "flexible-buffer"
     )
-    return _result(scenario, tables, root, policy, values, count)
 
 
 def evaluate(

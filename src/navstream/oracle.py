@@ -5,6 +5,9 @@ Monte-Carlo session simulation driven by an extracted policy, a plain
 (table-free) recursive evaluator for tiny instances, and brute-force
 enumeration of every deterministic policy on even tinier ones.  Only the
 simulator reads the scenario's switch rows, through `sample_sessions`.
+It reads the policy as arrays too: it advances all sessions one switch at
+a time and finds each switch's key among the policy's sorted keys with
+`np.searchsorted`, so no Python dict of the policy is built.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import numpy as np
 
 from .costs import CostTables, SizeTable, Structure, zero_hop_overhead
 from .errors import InvalidInputError, OracleRefusalError, PolicyGapError
-from .evaluate import EMPTY, Policy
-from .scenario import START, Scenario, sample_sessions
+from .evaluate import EMPTY, Policy, pack_keys
+from .scenario import START, Scenario, sample_targets
 
 _UNMEMO_MAX_N = 8
 _UNMEMO_MAX_TMAX = 5
@@ -60,65 +63,98 @@ def simulate_sessions(
     exactly: switch m+1 happens with probability g(m) given switch m did
     (first switch forced, or taken with probability g(1) when the policy
     was built with first-switch weighting).
+
+    All sessions are drawn first, then advanced one switch at a time
+    together.  Each switch's key is looked up with `np.searchsorted` among
+    the policy's keys that lie in this scenario's ranges (t up to t_max,
+    MDUs below n), packed in lexicographic order by `pack_keys`; a key
+    outside those ranges matches nothing.  A session adds r_i[start], then
+    each switch's bits in turn, as a Python loop would.  The first gap of the
+    lowest-numbered session that has one raises `PolicyGapError`.
     """
     if n_sessions < 1:
         raise InvalidInputError("n_sessions must be positive")
     graph, lt = scenario.graph, scenario.lifetime
-    tables = CostTables(structure, sizes, graph.n)
-    r_i, r_p = tables.r_i, tables.r_p
-    actions = policy.actions
+    n, s = graph.n, graph.start
+    tables = CostTables(structure, sizes, n)
+    r_i = np.array(tables.r_i)
+    r_p = np.full((n, n), math.inf)  # +inf where no P-edge is stored
+    if tables.r_p:
+        r_p[tuple(np.array(list(tables.r_p)).T)] = list(tables.r_p.values())
     flex = policy.buffer == "flex"
     survival = None
     if consistency_mode:
         first = lt.g(1) if policy.weight_first_switch else None
         survival = [first] + [lt.g(t) for t in range(1, lt.t_max + 1)]
+    lengths, targets = sample_targets(scenario, n_sessions, seed, survival)
 
-    def step_cost(t: int, k: int, i: int, gam: int, j: int):
-        key = (t, k, i, gam, j) if flex else (t, k, i, j)
-        act = actions.get(key)
-        if act is None:
-            raise PolicyGapError(f"policy does not cover state {key}")
-        kind = act[0]
-        try:
-            if kind == "0hop":
-                bits = r_i[j]
-                nxt = act[1] if flex else j
-            elif kind == "1hop":
-                bits = r_p[(act[1], j)]
-                nxt = act[1] if flex else j
-            elif kind == "2hop":
-                mid, pred = act[1], act[2]
-                bits = r_p[(pred, mid)] + r_p[(mid, j)]
-                nxt = mid
-            else:
-                raise PolicyGapError(f"unknown action {act} at state {key}")
-        except KeyError as exc:  # r_p holds exactly the stored P-edges
-            raise PolicyGapError(
-                f"policy at state {key} predicts over P-edge {exc.args[0]}, "
-                "which the structure does not store"
-            ) from None
-        return bits, nxt, act
+    # (t, prev, cur[, buffered], target) ranges, and the policy's keys in them
+    lo = [0, START, 0, *[EMPTY] * flex, 0]
+    hi = [lt.t_max, *[n - 1] * (3 + flex)]
+    spans = [h - l + 1 for h, l in zip(hi, lo)]
+    if math.prod(spans) >= 2**63:
+        raise InvalidInputError(f"a scenario of {n} MDUs is too large to simulate")
+    ranked = policy.keys[policy.order]
+    inside = ((ranked >= lo) & (ranked <= hi)).all(axis=1)
+    codes = pack_keys(ranked[inside], lo, spans)
+    picks = policy.index[policy.order][inside]
+    kind = np.array([("0hop", "1hop", "2hop").index(a[0]) for a in policy.table], dtype=int)
+    arg = np.array([[*a[1:], 0, 0][:2] for a in policy.table], dtype=np.int64)
+    arg = arg.reshape(-1, 2)  # an empty table too
 
-    totals = np.empty(n_sessions)
-    traces: list[SessionTrace] = []
-    s = graph.start
-    sessions = sample_sessions(scenario, n_sessions, seed, survival)
-    for idx, targets in enumerate(sessions):
-        bits = r_i[s]
-        acts: list[tuple] = []
-        k, i, gam = START, s, EMPTY
-        for t, j in enumerate(targets):
-            cost, nxt, act = step_cost(t, k, i, gam, j)
-            bits += cost
-            acts.append(act)
-            k, i, gam = i, j, nxt
-        totals[idx] = bits
-        if len(traces) < TRACE_SAMPLE:
-            traces.append(
-                SessionTrace(
-                    path=[s, *targets], lifetime=len(targets), actions=acts, bits=bits
-                )
+    def stored(x, y):
+        """r_p[x, y], +inf where (x, y) is no stored P-edge."""
+        ok = (0 <= x) & (x < n) & (0 <= y) & (y < n)
+        return np.where(ok, r_p[np.where(ok, x, 0), np.where(ok, y, 0)], math.inf)
+
+    totals = np.full(n_sessions, r_i[s])
+    state = np.empty((n_sessions, len(lo)), dtype=np.int64)  # the next key
+    state[:, 1:] = [START, s, *[EMPTY] * flex, 0]
+    taken = np.zeros((min(n_sessions, TRACE_SAMPLE), targets.shape[1]), dtype=np.intp)
+    gaps: dict[int, PolicyGapError] = {}
+    live = np.ones(n_sessions, dtype=bool)
+    for t in range(targets.shape[1]):
+        at = np.flatnonzero(live & (lengths > t))
+        key = state[at]
+        key[:, 0], key[:, -1] = t, targets[at, t]
+        code = pack_keys(key, lo, spans)
+        pos = np.searchsorted(codes, code)
+        hit = ((key >= lo) & (key <= hi)).all(axis=1) & (pos < len(codes))
+        hit[hit] = codes[pos[hit]] == code[hit]
+        for m in np.flatnonzero(~hit).tolist():
+            gaps[at[m]] = PolicyGapError(
+                f"policy does not cover state {tuple(key[m].tolist())}"
             )
+        at, key, act = at[hit], key[hit], picks[pos[hit]]
+        j, x, y = key[:, -1], arg[act, 0], arg[act, 1]
+        # a 2-hop predicts over (y, x), then (x, j); a 1-hop over (x, j)
+        to_mid = np.where(kind[act] == 2, stored(y, x), 0.0)
+        to_j = np.where(kind[act] > 0, stored(x, j), r_i[j])
+        for m in np.flatnonzero((to_mid == math.inf) | (to_j == math.inf)).tolist():
+            edge = (y[m], x[m]) if to_mid[m] == math.inf else (x[m], j[m])
+            gaps[at[m]] = PolicyGapError(
+                f"policy at state {tuple(key[m].tolist())} predicts over P-edge "
+                f"{tuple(map(int, edge))}, which the structure does not store"
+            )
+        live[list(gaps)] = False
+        ok = live[at]
+        totals[at[ok]] += (to_mid + to_j)[ok]
+        traced = at < len(taken)
+        taken[at[traced], t] = act[traced]
+        state[at, 1], state[at, 2] = key[:, 2], j
+        if flex:
+            state[at, 3] = x
+    if gaps:
+        raise gaps[min(gaps)]
+    traces = [
+        SessionTrace(
+            path=[s, *targets[m, :lengths[m]].tolist()],
+            lifetime=int(lengths[m]),
+            actions=[policy.table[a] for a in taken[m, :lengths[m]].tolist()],
+            bits=float(totals[m]),
+        )
+        for m in range(len(taken))
+    ]
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(n_sessions)) if n_sessions > 1 else 0.0
     return SimResult(mean=mean, stderr=stderr, traces=traces)

@@ -23,7 +23,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import add
 from typing import NamedTuple
 
@@ -160,6 +160,20 @@ class PairIndex(NamedTuple):
     prob: np.ndarray
 
 
+def _csr(rows: dict) -> PairIndex:
+    """The {(prev, cur): ((target, p), ...)} `rows` as a `PairIndex`."""
+    ids = {pair: a for a, pair in enumerate(rows)}
+    return PairIndex(
+        pairs=tuple(rows),
+        offsets=np.cumsum([0, *map(len, rows.values())]),
+        succ=np.array(
+            [ids[i, j] for (_, i), row in rows.items() for j, _ in row], dtype=np.intp
+        ),
+        target=np.array([j for row in rows.values() for j, _ in row], dtype=np.intp),
+        prob=np.array([p for row in rows.values() for _, p in row], dtype=float),
+    )
+
+
 def csr_slots(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The slots of the rows `ids` of a table whose row a has the slots
     offsets[a]..offsets[a + 1] - 1: each row's length, and all their slots,
@@ -195,17 +209,15 @@ class Scenario:
     def pair_index(self) -> PairIndex:
         """`rows` as CSR arrays without their p = 0 requests, the only ones a
         session takes; (START, start) is pair 0."""
-        rows = {pair: [r for r in row if r[1] > 0.0] for pair, row in self.rows.items()}
-        ids = {pair: a for a, pair in enumerate(rows)}
-        return PairIndex(
-            pairs=tuple(rows),
-            offsets=np.cumsum([0, *map(len, rows.values())]),
-            succ=np.array(
-                [ids[i, j] for (_, i), row in rows.items() for j, _ in row], dtype=np.intp
-            ),
-            target=np.array([j for row in rows.values() for j, _ in row], dtype=np.intp),
-            prob=np.array([p for row in rows.values() for _, p in row], dtype=float),
-        )
+        rows = self.rows.items()
+        return _csr({pair: [r for r in row if r[1] > 0.0] for pair, row in rows})
+
+    @cached_property
+    def request_index(self) -> PairIndex:
+        """`rows` as CSR arrays with every request, p = 0 ones too, for the
+        fixed and flexible DPs charge them; pairs are numbered as in
+        `pair_index`."""
+        return _csr(self.rows)
 
     @cached_property
     def switch_probs(self) -> AggregateSwitchProbs:
@@ -383,6 +395,17 @@ def sample_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=Non
         yield targets
 
 
+def sample_targets(scenario: Scenario, n_sessions: int, seed: int, survival=None):
+    """`sample_sessions` as arrays: each session's number of switches, and
+    its targets in a row of an (n_sessions, longest) array, padded with 0."""
+    paths = list(sample_sessions(scenario, n_sessions, seed, survival))
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=n_sessions)
+    targets = np.zeros((n_sessions, lengths.max(initial=0)), dtype=np.intp)
+    taken = np.arange(targets.shape[1]) < lengths[:, None]
+    targets[taken] = list(chain.from_iterable(paths))
+    return lengths, targets
+
+
 # --- scenario file format ---------------------------------------------------
 
 _SCENARIO_KEYS = {"n", "start", "neighbors", "p_start", "p_switch", "lifetime"}
@@ -457,9 +480,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(graph=graph, nav=nav, lifetime=lifetime)
 
 
+def write_scenario(sc: Scenario, fh) -> None:
+    json.dump(scenario_to_dict(sc), fh, indent=1)
+
+
 def save_scenario(sc: Scenario, path) -> None:
     with open_output("scenario", path) as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=1)
+        write_scenario(sc, fh)
 
 
 def load_scenario(path) -> Scenario:

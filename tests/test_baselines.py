@@ -1,4 +1,5 @@
 import csv
+import importlib
 import logging
 from dataclasses import replace
 from functools import partial
@@ -44,6 +45,9 @@ from navstream.refine import (
     sweep,
 )
 from navstream.scenario import START, Scenario, build_lifetime_tail
+
+# the level core's module; `navstream.evaluate` is also the name of a function
+core = importlib.import_module("navstream.evaluate")
 
 SYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1), (1, 0)}))
 
@@ -357,13 +361,13 @@ def test_inf_buffer_pinned_across_mask_words(n, caplog):
 
 def test_inf_buffer_restarts_on_a_hash_collision(monkeypatch, caplog):
     # salt 0 hashes every state alike; the pass must notice and start again
-    real, salts = baselines._hashes, []
+    real, salts = core._hashes, []
 
     def weak(rows, salt):
         salts.append(salt)
         return real(rows, salt) if salt else np.zeros(len(rows), dtype=np.uint64)
 
-    monkeypatch.setattr(baselines, "_hashes", weak)
+    monkeypatch.setattr(core, "_hashes", weak)
     costs, levels = _WORD_PINS[65]
     sc, sz, st = _word_boundary_case(65)
     with caplog.at_level(logging.DEBUG, logger="navstream.baselines"):
@@ -376,17 +380,17 @@ def test_inf_buffer_restarts_on_a_hash_collision(monkeypatch, caplog):
 
 def test_level_confirms_every_hash_match_on_the_whole_row(monkeypatch):
     monkeypatch.setattr(
-        baselines, "_hashes", lambda rows, salt: rows[:, 0].copy()
+        core, "_hashes", lambda rows, salt: rows[:, 0].copy()
     )
-    level = baselines._Level(2, salt=0)
+    level = core._Level(2, salt=0)
     level.add(np.array([[1, 5], [2, 6], [1, 5]], dtype=np.uint64))
     assert level.rows.tolist() == [[1, 5], [2, 6]]
     level.add(np.array([[2, 6], [3, 7]], dtype=np.uint64))
     assert level.rows.tolist() == [[1, 5], [2, 6], [3, 7]]
     assert level.index(np.array([[3, 7], [1, 5]], dtype=np.uint64)).tolist() == [2, 0]
-    with pytest.raises(baselines._Collision):  # within the added rows
+    with pytest.raises(core._Collision):  # within the added rows
         level.add(np.array([[4, 1], [4, 2]], dtype=np.uint64))
-    with pytest.raises(baselines._Collision):  # against the level's rows
+    with pytest.raises(core._Collision):  # against the level's rows
         level.add(np.array([[2, 9]], dtype=np.uint64))
     with pytest.raises(RuntimeError):
         level.index(np.array([[3, 8]], dtype=np.uint64))
@@ -396,7 +400,7 @@ def test_inf_buffer_refuses_mid_level(monkeypatch, caplog):
     sc, sz, st = _word_boundary_case(130)
     levels = _reachable_states(sc, sz, st)
     cap = sum(levels[:-1]) + levels[-1] // 2
-    monkeypatch.setattr(baselines, "_CHUNK", 100)  # level 2 spans 15 chunks
+    monkeypatch.setattr(core, "_CHUNK", 100)  # level 2 spans 15 chunks
     with caplog.at_level(logging.DEBUG, logger="navstream.baselines"):
         with pytest.raises(OracleRefusalError) as err:
             inf_buffer_cost(sc, sz, st, max_states=cap)

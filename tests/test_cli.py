@@ -234,6 +234,23 @@ def test_simulate_rejects_malformed_policy(lf_files, tmp_path, capsys):
     assert "malformed policy" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_policy_that_repeats_a_key(lf_files, tmp_path, capsys):
+    scenario, sizes = lf_files
+    structure, policy = tmp_path / "structure.json", tmp_path / "policy.json"
+    save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
+    key = [0, -1, 4, -2, 1]
+    policy.write_text(json.dumps({
+        "version": 2, "buffer": "flex", "weight_first_switch": False,
+        "actions": [["0hop", -2], ["0hop", 4]], "keys": key + key, "index": [0, 1],
+    }))
+    assert main([
+        "simulate", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--structure", str(structure), "--policy", str(policy), "--sessions", "10",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "malformed policy: key (0, -1, 4, -2, 1) repeats" in err
+
+
 def test_simulate_refuses_a_policy_over_an_unstored_edge(tmp_path, capsys):
     """A policy built for a richer structure predicts over a P-edge that the
     simulated landmark structure does not store."""
@@ -518,6 +535,16 @@ def test_unwritable_output_exits_2(lf_files, tmp_path, capsys, command, flag, wh
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {what} {bad}: ")
     assert "Traceback" not in err
+
+
+def test_gen_writes_neither_output_when_one_cannot_be_written(tmp_path, capsys):
+    scenario, sizes = tmp_path / "s.json", tmp_path / "z.csv"
+    argv = ["gen", "lf", "--rows", "2", "--cols", "2", "--out-scenario", str(scenario)]
+    assert main([*argv, "--out-sizes", str(tmp_path / "missing" / "out")]) == 2
+    assert "cannot write sizes" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    assert main([*argv, "--out-sizes", str(sizes)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "z.csv"]
 
 
 @pytest.mark.parametrize("table", ["2 MDUs", "LF 2x3"])

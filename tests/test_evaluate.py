@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import logging
 from pathlib import Path
@@ -35,6 +36,9 @@ from navstream.scenario import (
     Scenario,
     build_lifetime_tail,
 )
+
+# the level core's module; `navstream.evaluate` is also the name of a function
+core = importlib.import_module("navstream.evaluate")
 
 ASYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1)}))
 SYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1), (1, 0)}))
@@ -329,28 +333,29 @@ _REPEAT_PINS = {
 }
 
 
-class _CountingRows(dict):
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-
 @pytest.mark.parametrize("fn", [eval_fixed, eval_flexible])
-def test_levels_past_the_fixed_point_are_pinned(fn, caplog):
+def test_levels_past_the_fixed_point_are_pinned(fn, caplog, monkeypatch):
     costs, stats, digest = _REPEAT_PINS[fn.__name__]
     sc, sz, st = _repeating_levels_instance()
-    rows = sc.__dict__["rows"] = _CountingRows(sc.rows)
+    expanded, expand = [], core._expand
+
+    def counting(index, lister, rows):
+        expanded.append(len(rows))
+        return expand(index, lister, rows)
+
+    monkeypatch.setattr(core, "_expand", counting)
+    monkeypatch.setattr(core, "_KEPT", 0)  # keep no forward expansions
     with caplog.at_level(logging.DEBUG, logger="navstream.evaluate"):
         res = fn(sc, sz, st)
     counts = [int(r.getMessage().split(": ")[1].split()[0]) for r in caplog.records]
     assert len(counts) == 13 and len(set(counts[4:])) == 1
     assert sum(counts) == stats["states"]
     # the forward pass expands the levels up to the first that repeats the
-    # one above it, and no later one; the backward pass reads every row
+    # one above it, and no later one; the backward pass expands each of
+    # those levels once more, and values every level
     repeat = next(t for t in range(1, 13) if counts[t] == counts[t - 1])
-    assert rows.reads == sum(counts[:repeat]) + sum(counts)
+    assert sum(expanded) == 2 * sum(counts[:repeat])
+    assert set(res.policy.keys[:, 0].tolist()) == set(range(13))
     assert res.expected_cost == costs[0]
     assert res.dp_stats == stats
     assert _actions_digest(res.policy.actions) == digest
@@ -540,6 +545,7 @@ _REJECTED_V2 = {
     "unknown version": lambda d: d.update(version=3),
     "string version": lambda d: d.update(version="2"),
     "keys not a list": lambda d: d.update(keys={}),
+    "repeated key": lambda d: (d["keys"].extend(d["keys"][:5]), d["index"].append(0)),
 }
 
 
@@ -562,6 +568,21 @@ def test_policy_load_rejects_malformed(layout, case, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InvalidInputError, match="malformed policy"):
         Policy.load(path)
+
+
+def test_policy_keys_too_far_apart_to_pack_still_sort():
+    # these fields span more than 2^63 codes, so the keys sort field by field
+    far = [2**62, -(2**62), 0, 5, 1]
+    data = {
+        "version": 2, "buffer": "flex", "weight_first_switch": False,
+        "actions": [["0hop", -2]], "keys": [*far, 0, -1, 0, -2, 1], "index": [0, 0],
+    }
+    assert Policy.from_dict(data).order.tolist() == [1, 0]
+    data["keys"] += far
+    data["index"].append(0)
+    repeats = rf"key \({2**62}, {-(2**62)}, 0, 5, 1\) repeats"
+    with pytest.raises(InvalidInputError, match=repeats):
+        Policy.from_dict(data)
 
 
 def test_policy_rejects_2hop_in_a_fixed_policy():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,17 +18,19 @@ from navstream.errors import (
     OracleRefusalError,
     PolicyGapError,
 )
-from navstream.evaluate import Policy, eval_fixed, eval_flexible
+from navstream.evaluate import EMPTY, Policy, eval_fixed, eval_flexible
 from navstream.oracle import (
     enumerate_policies,
     simulate_sessions,
     unmemoized_eval,
 )
 from navstream.scenario import (
+    START,
     MediaGraph,
     NavigationModel,
     Scenario,
     build_lifetime_tail,
+    sample_sessions,
 )
 
 ASYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1)}))
@@ -190,6 +193,68 @@ def test_simulate_policy_gap_raises():
     empty = Policy(buffer="fixed", weight_first_switch=False)
     with pytest.raises(PolicyGapError):
         simulate_sessions(sc, sz, SYM, empty, 10, seed=0)
+
+
+def _naive_code(key, sc):
+    """A flexible key (t, prev, cur, buffered, target) as one mixed-radix
+    integer over this scenario's ranges, with no check that it lies in them."""
+    n = sc.graph.n
+    t, k, i, gam, j = key
+    return (((t * (n + 1) + k + 1) * n + i) * (n + 2) + gam + 2) * n + j
+
+
+def test_simulate_ignores_keys_outside_the_scenario():
+    # every session's first switch is the request (0, START, 0, EMPTY, 1); a
+    # row with cur -2 and prev 0 packs to its code under a naive radix
+    sc, sz = pingpong_scenario(mu=2.0, t_max=3), pingpong_sizes()
+    policy = eval_flexible(sc, sz, SYM).policy
+    first, alias = (0, -1, 0, -2, 1), (0, 0, -2, -2, 1)
+    assert _naive_code(alias, sc) == _naive_code(first, sc)
+    data = policy.to_dict()
+    keys = [tuple(data["keys"][5 * m:5 * m + 5]) for m in range(len(data["index"]))]
+    row = keys.index(first)
+    other = ["0hop", 0]  # not the action the policy takes at `first`
+    assert tuple(other) != data["actions"][data["index"][row]]
+    data["actions"].append(other)
+    beside = json.loads(json.dumps(data))  # the alias beside the real key
+    beside["keys"] += alias
+    beside["index"].append(len(data["actions"]) - 1)
+    clean = simulate_sessions(sc, sz, SYM, policy, 200, seed=3)
+    got = simulate_sessions(sc, sz, SYM, Policy.from_dict(beside), 200, seed=3)
+    assert (got.mean, got.traces) == (clean.mean, clean.traces)
+    data["keys"][5 * row:5 * row + 5] = alias  # only the alias covers it
+    data["index"][row] = len(data["actions"]) - 1
+    with pytest.raises(PolicyGapError) as err:
+        simulate_sessions(sc, sz, SYM, Policy.from_dict(data), 200, seed=3)
+    assert str(err.value) == f"policy does not cover state {first}"
+
+
+def test_simulate_names_the_first_gap_of_the_lowest_numbered_session():
+    # session 38's first gap is at t = 3, a later session's at t = 1
+    rng = np.random.default_rng(18)
+    sc = random_scenario(rng, 5, 4)
+    sz, st = random_sizes(rng, 5), random_structure(rng, 5)
+    data = eval_flexible(sc, sz, st).policy.to_dict()
+    keep = rng.random(len(data["index"])) < 0.9  # drop a tenth of the keys
+    data["keys"] = np.array(data["keys"]).reshape(-1, 5)[keep].ravel().tolist()
+    data["index"] = np.array(data["index"])[keep].tolist()
+    policy = Policy.from_dict(data)
+    # the sessions walked one after another, each switch by switch
+    want = None
+    for targets in sample_sessions(sc, 300, seed=2):
+        k, i, gam = START, sc.graph.start, EMPTY
+        for t, j in enumerate(targets):
+            key = (t, k, i, gam, j)
+            if key not in policy.actions:
+                want = f"policy does not cover state {key}"
+                break
+            k, i, gam = i, j, policy.actions[key][1]
+        if want:
+            break
+    assert want is not None
+    with pytest.raises(PolicyGapError) as err:
+        simulate_sessions(sc, sz, st, policy, 300, seed=2)
+    assert str(err.value) == want
 
 
 def test_simulate_rejects_bad_session_count():

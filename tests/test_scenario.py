@@ -263,3 +263,19 @@ def test_no_builtin_float_sum_in_the_package():
             ):
                 found.add((path.name, ast.get_source_segment(text, node)))
     assert found <= _INTEGER_SUMS
+
+
+def test_no_pairwise_sum_in_the_evaluator():
+    """numpy adds pairwise in `np.sum`, `.sum()`, `.mean()` and `np.add.reduce`;
+    the bit-exact pins rely on `np.bincount` adding each state's terms in
+    order, so the evaluator's core calls none of them."""
+    path = Path(__file__).resolve().parents[1] / "src" / "navstream" / "evaluate.py"
+    text = path.read_text()
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, owner = node.func.attr, node.func.value
+            add_reduce = attr == "reduce" and getattr(owner, "attr", None) == "add"
+            if attr in ("sum", "mean") or add_reduce:
+                found.append(ast.get_source_segment(text, node))
+    assert found == []
