@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -204,7 +206,8 @@ class CostTables:
     I-MDU first, with l = j, then `combo(l, j)` for each stored I-MDU l with
     a stored edge (l, j), by ascending l; `r_i[j]` is the cheapest.
     `r_p[(l, j)]` is `hop(l, j)` for every stored edge, and `preds[j]` lists
-    j's stored predictors in ascending order.  One O(|i_set| + |p_edges|)
+    j's stored predictors in ascending order; `p_bits` holds `r_p` as a
+    matrix for the array code.  One O(|i_set| + |p_edges|)
     pass builds them all: the refiner's candidate scans build many tables.
     A size table that does not cover exactly `n` MDUs raises
     `InvalidInputError`, an MDU with no independent reconstruction
@@ -231,7 +234,19 @@ class CostTables:
                 f"MDU {bad[0]} has no independent reconstruction"
             )
         self.r_i = [min(src)[0] for src in self.sources]
+        self.n = n
         self.r_p = {(l, j): self.hop(l, j) for (l, j) in structure.p_edges}
+
+    @cached_property
+    def p_bits(self) -> np.ndarray:
+        """`r_p` as an (n + 1, n + 1) matrix indexed by MDU + 1 on both axes,
+        +inf where no edge is stored.  Row and column 0 stand for no MDU (the
+        empty buffer, or an index out of range) and are +inf throughout."""
+        bits = np.full((self.n + 1, self.n + 1), math.inf)
+        if self.r_p:
+            l, j = np.array(list(self.r_p)).T
+            bits[l + 1, j + 1] = list(self.r_p.values())
+        return bits
 
     def hop(self, l: int, j: int) -> float:
         """P_j(l) + M_j: j predicted from l, then merged."""

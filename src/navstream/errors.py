@@ -4,8 +4,10 @@ Exit-code mapping used by the CLI: InvalidInputError -> 2,
 InfeasibleStructureError -> 3, OracleRefusalError -> 4.
 """
 
+import errno
 import io
 import os
+import tempfile
 from contextlib import contextmanager
 
 
@@ -56,18 +58,28 @@ def open_outputs(*outputs):
     """Several (what, path, newline) outputs, written all or nothing.
 
     The block writes to one in-memory text buffer per output.  Each is then
-    written to a temporary file beside its path, and only once every one is
-    written are they renamed to their paths.  An OSError raises
+    written to a fresh temporary file beside its path, and only once every
+    one is written are they renamed to their paths; a rename that fails
+    removes the outputs already renamed.  A path that is a directory is
+    refused before anything is renamed.  An OSError raises
     `InvalidInputError` as `open_output` does and leaves no output behind.
     """
     buffers = [io.StringIO(newline="") for _ in outputs]
     yield buffers
-    staged = []
+    mask = os.umask(0)
+    os.umask(mask)
+    staged, placed = [], []
     try:
         for (what, path, newline), buf in zip(outputs, buffers):
-            staged.append(f"{path}.tmp")
             try:
-                with open(staged[-1], "w", encoding="utf-8", newline=newline) as fh:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                fd, tmp = tempfile.mkstemp(
+                    suffix=".tmp", dir=os.path.dirname(path) or "."
+                )
+                staged.append(tmp)
+                with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+                    os.fchmod(fd, 0o666 & ~mask)  # the mode open() would give
                     fh.write(buf.getvalue())
             except OSError as exc:
                 raise _cannot_write(what, path, exc) from exc
@@ -75,7 +87,10 @@ def open_outputs(*outputs):
             try:
                 os.replace(tmp, path)
             except OSError as exc:
+                for done in placed:
+                    os.remove(done)
                 raise _cannot_write(what, path, exc) from exc
+            placed.append(path)
     finally:
         for tmp in staged:
             if os.path.exists(tmp):

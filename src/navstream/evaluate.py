@@ -97,7 +97,7 @@ def _checked_action(act, buffer: str) -> tuple:
         isinstance(act, (list, tuple))
         and act
         and (act[0], len(act)) in _ACTION_SHAPES[buffer]
-        and all(type(x) is int for x in act[1:])
+        and all(type(x) is int and -(2**63) <= x < 2**63 for x in act[1:])
     ):
         return tuple(act)
     raise _malformed(f"{act!r} is not a {buffer}-buffer action")
@@ -126,16 +126,6 @@ def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return distinct[order], rank[inverse]
-
-
-def pack_keys(keys: np.ndarray, lo, spans) -> np.ndarray:
-    """Each int64 row of `keys` as one mixed-radix integer, field f counted
-    from lo[f] in base spans[f]: one-to-one on rows inside those ranges, and
-    in their lexicographic order."""
-    code = keys[:, 0] - lo[0]
-    for f in range(1, keys.shape[1]):
-        code = code * spans[f] + (keys[:, f] - lo[f])
-    return code
 
 
 class _Actions(Mapping):
@@ -210,14 +200,8 @@ class Policy:
     def order(self) -> np.ndarray:
         """The positions of `keys` in lexicographic order; a key listed twice
         raises `InvalidInputError`."""
-        keys = self.keys
-        lo = keys.min(axis=0, initial=0).tolist()
-        spans = [h - l + 1 for h, l in zip(keys.max(axis=0, initial=0).tolist(), lo)]
-        if math.prod(spans) < 2**63:
-            order = np.argsort(pack_keys(keys, lo, spans), kind="stable")
-        else:
-            order = np.lexsort(keys.T[::-1])
-        ranked = keys[order]
+        order = np.lexsort(self.keys.T[::-1])
+        ranked = self.keys[order]
         same = (ranked[1:] == ranked[:-1]).all(axis=1)
         if same.any():
             raise _malformed(f"key {tuple(ranked[same.argmax()].tolist())} repeats")
@@ -519,12 +503,11 @@ class _OneMduLister:
     """What the fixed and flexible listers share.
 
     A buffer word is 0 for EMPTY and m + 1 for MDU m, so that words sort as
-    the buffer contents do, EMPTY first.  `r_p` is the stored P-edges'
-    `CostTables.r_p` as a matrix, row w for the MDU of word w, +inf where no
-    edge is stored; row 0, EMPTY, predicts nothing.  An action is coded as
-    kind·S² + a·S + b for S = n + 1, with the kind's position in `_KINDS` and
-    its arguments a and b as words; `action` turns a code back into the
-    tuple of the module docstring.
+    the buffer contents do, EMPTY first.  `r_p` is `CostTables.p_bits` with
+    rows by word and columns by MDU: row 0, EMPTY, predicts nothing.  An
+    action is coded as kind·S² + a·S + b for S = n + 1, with the kind's
+    position in `_KINDS` and its arguments a and b as words; `action` turns
+    a code back into the tuple of the module docstring.
     """
 
     arity: tuple  # the number of arguments of each kind's action
@@ -532,14 +515,11 @@ class _OneMduLister:
     narrow = True  # a state row's pair id and buffer word are below 2^32
 
     def __init__(self, scenario: Scenario, tables: CostTables):
-        n = self.n = scenario.graph.n
+        self.n = scenario.graph.n
         pairs = np.array(scenario.request_index.pairs, dtype=np.int64).reshape(-1, 2)
         self.prev, self.cur = pairs.T
         self.r_i = np.array(tables.r_i)
-        self.r_p = np.full((n + 1, n), math.inf)
-        if tables.r_p:
-            l, j = np.array(list(tables.r_p)).T
-            self.r_p[l + 1, j] = list(tables.r_p.values())
+        self.r_p = tables.p_bits[:, 1:]
         self.root_bits = np.array([tables.r_i[scenario.graph.start]])
 
     def action(self, code: int) -> tuple:

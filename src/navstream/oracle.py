@@ -20,7 +20,7 @@ import numpy as np
 
 from .costs import CostTables, SizeTable, Structure, zero_hop_overhead
 from .errors import InvalidInputError, OracleRefusalError, PolicyGapError
-from .evaluate import EMPTY, Policy, pack_keys
+from .evaluate import EMPTY, Policy
 from .scenario import START, Scenario, sample_targets
 
 _UNMEMO_MAX_N = 8
@@ -47,6 +47,16 @@ class SimResult:
     traces: list[SessionTrace] = field(default_factory=list)
 
 
+def _pack_keys(keys: np.ndarray, lo, spans) -> np.ndarray:
+    """Each int64 row of `keys` as one mixed-radix integer, field f counted
+    from lo[f] in base spans[f]: one-to-one on rows inside those ranges, and
+    in their lexicographic order."""
+    code = keys[:, 0] - lo[0]
+    for f in range(1, keys.shape[1]):
+        code = code * spans[f] + (keys[:, f] - lo[f])
+    return code
+
+
 def simulate_sessions(
     scenario: Scenario,
     sizes: SizeTable,
@@ -67,7 +77,7 @@ def simulate_sessions(
     All sessions are drawn first, then advanced one switch at a time
     together.  Each switch's key is looked up with `np.searchsorted` among
     the policy's keys that lie in this scenario's ranges (t up to t_max,
-    MDUs below n), packed in lexicographic order by `pack_keys`; a key
+    MDUs below n), packed in lexicographic order by `_pack_keys`; a key
     outside those ranges matches nothing.  A session adds r_i[start], then
     each switch's bits in turn, as a Python loop would.  The first gap of the
     lowest-numbered session that has one raises `PolicyGapError`.
@@ -78,9 +88,6 @@ def simulate_sessions(
     n, s = graph.n, graph.start
     tables = CostTables(structure, sizes, n)
     r_i = np.array(tables.r_i)
-    r_p = np.full((n, n), math.inf)  # +inf where no P-edge is stored
-    if tables.r_p:
-        r_p[tuple(np.array(list(tables.r_p)).T)] = list(tables.r_p.values())
     flex = policy.buffer == "flex"
     survival = None
     if consistency_mode:
@@ -96,16 +103,16 @@ def simulate_sessions(
         raise InvalidInputError(f"a scenario of {n} MDUs is too large to simulate")
     ranked = policy.keys[policy.order]
     inside = ((ranked >= lo) & (ranked <= hi)).all(axis=1)
-    codes = pack_keys(ranked[inside], lo, spans)
+    codes = _pack_keys(ranked[inside], lo, spans)
     picks = policy.index[policy.order][inside]
     kind = np.array([("0hop", "1hop", "2hop").index(a[0]) for a in policy.table], dtype=int)
     arg = np.array([[*a[1:], 0, 0][:2] for a in policy.table], dtype=np.int64)
     arg = arg.reshape(-1, 2)  # an empty table too
 
     def stored(x, y):
-        """r_p[x, y], +inf where (x, y) is no stored P-edge."""
-        ok = (0 <= x) & (x < n) & (0 <= y) & (y < n)
-        return np.where(ok, r_p[np.where(ok, x, 0), np.where(ok, y, 0)], math.inf)
+        """r_p[(x, y)], +inf where (x, y) is no stored P-edge."""
+        x, y = (np.where((0 <= m) & (m < n), m + 1, 0) for m in (x, y))
+        return tables.p_bits[x, y]
 
     totals = np.full(n_sessions, r_i[s])
     state = np.empty((n_sessions, len(lo)), dtype=np.int64)  # the next key
@@ -117,7 +124,7 @@ def simulate_sessions(
         at = np.flatnonzero(live & (lengths > t))
         key = state[at]
         key[:, 0], key[:, -1] = t, targets[at, t]
-        code = pack_keys(key, lo, spans)
+        code = _pack_keys(key, lo, spans)
         pos = np.searchsorted(codes, code)
         hit = ((key >= lo) & (key <= hi)).all(axis=1) & (pos < len(codes))
         hit[hit] = codes[pos[hit]] == code[hit]

@@ -234,21 +234,28 @@ def test_simulate_rejects_malformed_policy(lf_files, tmp_path, capsys):
     assert "malformed policy" in capsys.readouterr().err
 
 
-def test_simulate_rejects_a_policy_that_repeats_a_key(lf_files, tmp_path, capsys):
+_KEY = [0, -1, 4, -2, 1]
+
+
+@pytest.mark.parametrize("keys, actions, why", [
+    (_KEY + _KEY, [["0hop", -2], ["0hop", 4]], "key (0, -1, 4, -2, 1) repeats"),
+    (_KEY, [["0hop", -2], ["0hop", 2**64]], "['0hop', 18446744073709551616]"),
+], ids=["repeated key", "action argument past int64"])
+def test_simulate_rejects_a_malformed_array_policy(
+    lf_files, tmp_path, capsys, keys, actions, why
+):
     scenario, sizes = lf_files
     structure, policy = tmp_path / "structure.json", tmp_path / "policy.json"
     save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
-    key = [0, -1, 4, -2, 1]
     policy.write_text(json.dumps({
         "version": 2, "buffer": "flex", "weight_first_switch": False,
-        "actions": [["0hop", -2], ["0hop", 4]], "keys": key + key, "index": [0, 1],
+        "actions": actions, "keys": keys, "index": list(range(len(keys) // 5)),
     }))
     assert main([
         "simulate", "--scenario", str(scenario), "--sizes", str(sizes),
         "--structure", str(structure), "--policy", str(policy), "--sessions", "10",
     ]) == 2
-    err = capsys.readouterr().err
-    assert "malformed policy: key (0, -1, 4, -2, 1) repeats" in err
+    assert f"malformed policy: {why}" in capsys.readouterr().err
 
 
 def test_simulate_refuses_a_policy_over_an_unstored_edge(tmp_path, capsys):
@@ -537,14 +544,23 @@ def test_unwritable_output_exits_2(lf_files, tmp_path, capsys, command, flag, wh
     assert "Traceback" not in err
 
 
-def test_gen_writes_neither_output_when_one_cannot_be_written(tmp_path, capsys):
+@pytest.mark.parametrize("sizes_path", ["missing/out", "z.csv"])
+def test_gen_writes_neither_output_when_one_cannot_be_written(
+    tmp_path, capsys, sizes_path
+):
     scenario, sizes = tmp_path / "s.json", tmp_path / "z.csv"
+    if sizes_path == "z.csv":
+        sizes.mkdir()  # a directory is refused before anything is renamed
+    (tmp_path / "s.json.tmp").write_text("kept")
     argv = ["gen", "lf", "--rows", "2", "--cols", "2", "--out-scenario", str(scenario)]
-    assert main([*argv, "--out-sizes", str(tmp_path / "missing" / "out")]) == 2
+    assert main([*argv, "--out-sizes", str(tmp_path / sizes_path)]) == 2
     assert "cannot write sizes" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    left = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+    assert left == ["s.json.tmp"] and (tmp_path / "s.json.tmp").read_text() == "kept"
+    if sizes_path == "z.csv":
+        sizes.rmdir()  # it is still empty
     assert main([*argv, "--out-sizes", str(sizes)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "z.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "s.json.tmp", "z.csv"]
 
 
 @pytest.mark.parametrize("table", ["2 MDUs", "LF 2x3"])

@@ -546,6 +546,7 @@ _REJECTED_V2 = {
     "string version": lambda d: d.update(version="2"),
     "keys not a list": lambda d: d.update(keys={}),
     "repeated key": lambda d: (d["keys"].extend(d["keys"][:5]), d["index"].append(0)),
+    "action argument past int64": lambda d: d["actions"].__setitem__(0, ["0hop", 2**64]),
 }
 
 
@@ -570,8 +571,8 @@ def test_policy_load_rejects_malformed(layout, case, tmp_path):
         Policy.load(path)
 
 
-def test_policy_keys_too_far_apart_to_pack_still_sort():
-    # these fields span more than 2^63 codes, so the keys sort field by field
+def test_policy_keys_far_apart_still_sort():
+    # these fields span more than 2^63 values: no one integer code holds them
     far = [2**62, -(2**62), 0, 5, 1]
     data = {
         "version": 2, "buffer": "flex", "weight_first_switch": False,
