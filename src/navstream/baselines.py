@@ -102,26 +102,21 @@ class _Lister:
         n = scenario.graph.n
         tables = CostTables(structure, sizes, n)
         n_src = max(map(len, tables.sources))
-        n_pred = max(map(len, tables.preds))
+        self.pred, self.pred_bits = tables.pred_table
         self.words = -(-n // 64)
+        m = np.arange(n)
         onehot = np.zeros((n, self.words), dtype=np.uint64)
-        onehot[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (
-            np.arange(n) % 64
-        ).astype(np.uint64)
+        onehot[m, m // 64] = np.uint64(1) << (m % 64).astype(np.uint64)
         self.src_bits = np.full((n, n_src), math.inf)
-        self.pred = np.zeros((n, n_pred), dtype=np.intp)
-        self.pred_bits = np.full((n, n_pred), math.inf)
         # slots: held target, sources, 1-hop, one 2-hop per stored predictor
-        self.add = np.zeros((n, 2 + n_src + n_pred, self.words), dtype=np.uint64)
+        n_slots = 2 + n_src + self.pred.shape[1]
+        self.add = np.zeros((n, n_slots, self.words), dtype=np.uint64)
         for j in range(n):
             for s, (c, l) in enumerate(tables.sources[j]):
                 self.src_bits[j, s] = c
                 self.add[j, 1 + s] = onehot[l] | onehot[j]
-            self.add[j, 1 + n_src:] = onehot[j]
-            for d, l in enumerate(tables.preds[j]):
-                self.pred[j, d] = l
-                self.pred_bits[j, d] = tables.r_p[(l, j)]
-                self.add[j, 2 + n_src + d] |= onehot[l]
+        self.add[:, 1 + n_src:] = onehot[:, None]
+        self.add[:, 2 + n_src:] |= onehot[self.pred]  # a padding slot is never sent
         empty = np.zeros((1, self.words), dtype=np.uint64)
         bits, _, after = self.options(None, empty, np.array([scenario.graph.start]))
         (ks,) = np.nonzero(bits[0] < math.inf)
@@ -181,12 +176,8 @@ def inf_buffer_cost(
     state adds p · that minimum over its requests in graph order.
     """
     lister = _Lister(scenario, sizes, structure)
-    g = scenario.lifetime.g
-    w1 = g(1) if weight_first_switch else 1.0
-    cost, _, _ = level_pass(
-        scenario.pair_index, g, lister, w1, logger, "infinite-buffer", max_states
-    )
-    return cost
+    weights, index = scenario.lifetime.weights(weight_first_switch), scenario.pair_index
+    return level_pass(index, weights, lister, logger, "infinite-buffer", max_states)[0]
 
 
 def inf_buffer_estimate(

@@ -206,10 +206,11 @@ class CostTables:
     I-MDU first, with l = j, then `combo(l, j)` for each stored I-MDU l with
     a stored edge (l, j), by ascending l; `r_i[j]` is the cheapest.
     `r_p[(l, j)]` is `hop(l, j)` for every stored edge, and `preds[j]` lists
-    j's stored predictors in ascending order; `p_bits` holds `r_p` as a
-    matrix for the array code.  One O(|i_set| + |p_edges|)
-    pass builds them all: the refiner's candidate scans build many tables.
-    A size table that does not cover exactly `n` MDUs raises
+    j's stored predictors in ascending order; `p_bits` and `pred_table` hold
+    `r_p` and `preds` as matrices for the array code.  One
+    O(|i_set| + |p_edges|) pass builds them all: the refiner's candidate
+    scans build many tables.  A size table that does not cover exactly `n`
+    MDUs, or an I-MDU or P-edge end outside [0, n), raises
     `InvalidInputError`, an MDU with no independent reconstruction
     `InfeasibleStructureError`.
     """
@@ -222,9 +223,13 @@ class CostTables:
         self.structure = structure
         self.sizes = sizes
         i_set = structure.i_set
+        if outside := [j for j in i_set if not 0 <= j < n]:
+            raise InvalidInputError(f"I-MDU {min(outside)} is outside [0, {n})")
         self.sources = [[(sizes.i(j), j)] if j in i_set else [] for j in range(n)]
         self.preds = [[] for _ in range(n)]
         for (l, j) in sorted(structure.p_edges):
+            if not (0 <= l < n and 0 <= j < n):
+                raise InvalidInputError(f"P-edge ({l}, {j}) is outside [0, {n})")
             self.preds[j].append(l)
             if l in i_set:
                 self.sources[j].append((self.combo(l, j), l))
@@ -247,6 +252,20 @@ class CostTables:
             l, j = np.array(list(self.r_p)).T
             bits[l + 1, j + 1] = list(self.r_p.values())
         return bits
+
+    @cached_property
+    def pred_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """`preds` as an (n, D) matrix, D the most predictors of any MDU, and
+        each predictor's `r_p` bits: row j lists j's stored predictors in
+        ascending order, padded with MDU 0 at +inf bits."""
+        counts = np.fromiter(map(len, self.preds), dtype=np.intp, count=self.n)
+        j = np.repeat(np.arange(self.n), counts)
+        rank = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
+        pred = np.zeros((self.n, counts.max(initial=0)), dtype=np.intp)
+        bits = np.full(pred.shape, math.inf)
+        pred[j, rank] = [l for ls in self.preds for l in ls]
+        bits[j, rank] = self.p_bits[pred[j, rank] + 1, j + 1]
+        return pred, bits
 
     def hop(self, l: int, j: int) -> float:
         """P_j(l) + M_j: j predicted from l, then merged."""

@@ -385,9 +385,7 @@ class _Expansion:
     pos: np.ndarray | None = None
 
     def nbytes(self) -> int:
-        arrays = (self.state, self.slots, self.pair, self.buf, self.j, self.bits,
-                  self.act, self.opt, self.nxt)
-        return left_sum(a.nbytes for a in arrays if a is not None)
+        return left_sum(a.nbytes for a in vars(self).values() if a is not None)
 
 
 def _expand(index: PairIndex, lister, rows: np.ndarray) -> _Expansion:
@@ -405,8 +403,9 @@ def _expand(index: PairIndex, lister, rows: np.ndarray) -> _Expansion:
     return _Expansion(state, slots, *asked, bits, act, opt, nxt)
 
 
-def _levels(index, g, lister, max_states, salt, log, name) -> tuple[list, dict]:
-    """The reachable states, level by level, as `_Level`s hashed with `salt`.
+def _levels(index, weights, lister, max_states, salt, log, name) -> tuple[list, dict]:
+    """The reachable states of levels 0..T, as `_Level`s hashed with `salt`,
+    for `weights` = (w1, g(1), ..., g(T)).
 
     A level equal to the one above it is that same `_Level`.  Also returns
     the chunk expansions kept for the backward pass, by (level, first row),
@@ -416,7 +415,7 @@ def _levels(index, g, lister, max_states, salt, log, name) -> tuple[list, dict]:
     levels, kept, room = [_Level(width, salt, lister.narrow)], {}, _KEPT
     levels[0].add(lister.roots)
     reached, repeats = len(levels[0].keys), False
-    while reached <= max_states and g(len(levels)) > 0.0:
+    while reached <= max_states and len(levels) < len(weights):
         above = levels[-1]
         if not repeats:
             nxt = _Level(width, salt, lister.narrow)
@@ -443,25 +442,28 @@ def _levels(index, g, lister, max_states, salt, log, name) -> tuple[list, dict]:
     return levels, kept
 
 
-def level_pass(index: PairIndex, g, lister, w1: float, log, name, max_states=math.inf):
+def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf):
     """Value every state reachable from `lister.roots` over the requests of `index`.
 
-    `g` is the lifetime's g(t); the levels run from t = 0 up to the last t
-    with g(t) > 0.  Each level's size is logged at DEBUG on `log` as "`name`
-    level t: c states" once the forward pass is done.  Returns the expected
-    cost, the minimum over the roots of root_bits + w1·V(root); the number
-    of states; and, for a lister with action codes, each request's key
-    (`lister.keys`) and picked action code, last level first, else None.
+    `weights` is `LifetimeModel.weights`' (w1, g(1), ..., g(T)): the levels
+    run from t = 0 to T, a state at level t adds g(t + 1)·V(next) to each
+    option (nothing at level T), and the expected cost is the minimum over
+    the roots of root_bits + w1·V(root).  Each level's size is logged at
+    DEBUG on `log` as "`name` level t: c states" once the forward pass is
+    done.  Returns that cost; the number of states; and, for a lister with
+    action codes, each request's key (`lister.keys`) and picked action code,
+    last level first, else None.
     """
     for salt in count():
         try:
-            levels, kept = _levels(index, g, lister, max_states, salt, log, name)
+            levels, kept = _levels(index, weights, lister, max_states, salt, log, name)
             break
         except _Collision:
             continue
     values, keys, codes = None, [], []
+    g_next_of = (*weights[1:], 0.0)  # g(t + 1) at level t
     for t in range(len(levels) - 1, -1, -1):
-        g_next, level = g(t + 1), levels[t]
+        g_next, level = g_next_of[t], levels[t]
         repeated = t > 0 and levels[t - 1] is level
         cur = np.empty(len(level.keys))
         for lo in range(0, len(level.keys), _CHUNK):
@@ -487,7 +489,7 @@ def level_pass(index: PairIndex, g, lister, w1: float, log, name, max_states=mat
                 codes.append(chunk.act.ravel()[pick])
         values = cur
     first = zip(lister.root_bits.tolist(), values[levels[0].index(lister.roots)].tolist())
-    cost = min(c + w1 * v for c, v in first)
+    cost = min(c + weights[0] * v for c, v in first)
     states = left_sum(len(level.keys) for level in levels)
     if not codes:
         return cost, states, None
@@ -511,7 +513,7 @@ class _OneMduLister:
     """
 
     arity: tuple  # the number of arguments of each kind's action
-    buffer: str
+    name: str  # the buffer's name in its DEBUG level lines
     narrow = True  # a state row's pair id and buffer word are below 2^32
 
     def __init__(self, scenario: Scenario, tables: CostTables):
@@ -543,7 +545,7 @@ class _FixedLister(_OneMduLister):
     """The fixed buffer's options: the 1-hop from the displayed MDU, then the 0-hop."""
 
     arity = (0, 1)
-    buffer = "fixed"
+    name = "fixed-buffer"
 
     def __init__(self, scenario: Scenario, tables: CostTables):
         super().__init__(scenario, tables)
@@ -570,23 +572,15 @@ class _FlexLister(_OneMduLister):
     a 2-hop's first hop is the first cheapest of (buffered, displayed)."""
 
     arity = (1, 1, 2)
-    buffer = "flex"
+    name = "flexible-buffer"
 
     def __init__(self, scenario: Scenario, tables: CostTables):
         super().__init__(scenario, tables)
-        n, preds = self.n, tables.preds
         self.roots = np.zeros((1, 2), dtype=np.uint64)
-        # j's stored predictors, padded with MDU 0 at +inf bits
-        counts = np.fromiter(map(len, preds), dtype=np.intp, count=n)
-        j = np.repeat(np.arange(n), counts)
-        rank = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.pred = np.zeros((n, counts.max(initial=0)), dtype=np.intp)
-        self.pred_bits = np.full(self.pred.shape, math.inf)
-        self.pred[j, rank] = [l for ls in preds for l in ls]
-        self.pred_bits[j, rank] = self.r_p[self.pred[j, rank] + 1, j]
+        self.pred, self.pred_bits = tables.pred_table
         # slots: 1-hop from each keep, a 2-hop per predictor, 0-hop to each keep
         kinds = [1, 1, *[2] * self.pred.shape[1], 0, 0]
-        self.kind = np.array(kinds) * (n + 1) ** 2
+        self.kind = np.array(kinds) * (self.n + 1) ** 2
 
     def options(self, pair, buf, j):
         r_p, d = self.r_p, self.pred.shape[1]
@@ -608,48 +602,7 @@ class _FlexLister(_OneMduLister):
         return bits, act, lambda r, k: nbuf[r, k, None]
 
 
-def _evaluate(scenario, sizes, structure, weight_first_switch, lister_type, name):
-    tables = CostTables(structure, sizes, scenario.graph.n)
-    lister = lister_type(scenario, tables)
-    g = scenario.lifetime.g
-    w1 = g(1) if weight_first_switch else 1.0
-    cost, states, (keys, codes) = level_pass(
-        scenario.request_index, g, lister, w1, logger, name
-    )
-    table, index = np.unique(codes, return_inverse=True)
-    policy = Policy(
-        buffer=lister.buffer,
-        weight_first_switch=weight_first_switch,
-        keys=keys,
-        index=index,
-        table=tuple(map(lister.action, table.tolist())),
-    )
-    stats = {"states": states, "actions": len(keys)}
-    return EvalResult(expected_cost=cost, policy=policy, dp_stats=stats)
-
-
-def eval_fixed(
-    scenario: Scenario,
-    sizes: SizeTable,
-    structure: Structure,
-    weight_first_switch: bool = False,
-) -> EvalResult:
-    """Expected session cost under the fixed one-MDU reference buffer."""
-    return _evaluate(
-        scenario, sizes, structure, weight_first_switch, _FixedLister, "fixed-buffer"
-    )
-
-
-def eval_flexible(
-    scenario: Scenario,
-    sizes: SizeTable,
-    structure: Structure,
-    weight_first_switch: bool = False,
-) -> EvalResult:
-    """Expected session cost under the flexible one-MDU reference buffer."""
-    return _evaluate(
-        scenario, sizes, structure, weight_first_switch, _FlexLister, "flexible-buffer"
-    )
+_LISTERS = {"fixed": _FixedLister, "flex": _FlexLister}
 
 
 def evaluate(
@@ -659,8 +612,36 @@ def evaluate(
     buffer: str,
     weight_first_switch: bool = False,
 ) -> EvalResult:
-    if buffer == "fixed":
-        return eval_fixed(scenario, sizes, structure, weight_first_switch)
-    if buffer == "flex":
-        return eval_flexible(scenario, sizes, structure, weight_first_switch)
-    raise InvalidInputError(f"unknown buffer model {buffer!r}")
+    """Expected session cost under the fixed or the flexible one-MDU
+    reference buffer, `buffer` "fixed" or "flex", and the policy behind it."""
+    if buffer not in _LISTERS:
+        raise InvalidInputError(f"unknown buffer model {buffer!r}")
+    lister = _LISTERS[buffer](scenario, CostTables(structure, sizes, scenario.graph.n))
+    weights = scenario.lifetime.weights(weight_first_switch)
+    cost, states, (keys, codes) = level_pass(
+        scenario.request_index, weights, lister, logger, lister.name
+    )
+    table, index = np.unique(codes, return_inverse=True)
+    actions = tuple(map(lister.action, table.tolist()))
+    policy = Policy(buffer, weight_first_switch, keys, index, actions)
+    return EvalResult(cost, policy, {"states": states, "actions": len(keys)})
+
+
+def eval_fixed(
+    scenario: Scenario,
+    sizes: SizeTable,
+    structure: Structure,
+    weight_first_switch: bool = False,
+) -> EvalResult:
+    """Expected session cost under the fixed one-MDU reference buffer."""
+    return evaluate(scenario, sizes, structure, "fixed", weight_first_switch)
+
+
+def eval_flexible(
+    scenario: Scenario,
+    sizes: SizeTable,
+    structure: Structure,
+    weight_first_switch: bool = False,
+) -> EvalResult:
+    """Expected session cost under the flexible one-MDU reference buffer."""
+    return evaluate(scenario, sizes, structure, "flex", weight_first_switch)

@@ -18,7 +18,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, count, takewhile
+from itertools import chain, count
 
 import numpy as np
 
@@ -131,9 +131,8 @@ def request_weights(scenario: Scenario) -> list[float]:
     `np.bincount` whose first n entries are the running sums, so every
     request adds on in level order and memory stays one level deep.
     """
-    start, lt = time.perf_counter(), scenario.lifetime
+    start, factors = time.perf_counter(), scenario.lifetime.weights()[1:]
     n, target = scenario.graph.n, scenario.pair_index.target
-    factors = takewhile(lambda g: g > 0.0, map(lt.g, range(1, lt.t_max + 1)))
     mdus, weights, levels = np.arange(n), np.zeros(n), 0
     for _, _, slots, flow in pair_masses(scenario, factors):
         weights = np.bincount(

@@ -5,12 +5,15 @@ slot of the very first switch uses the sentinel ``START`` so that the start
 distribution and the one-step-memory switch probabilities share one lookup
 path.
 
-Every reader of the navigation chain goes through `Scenario.rows`, the
-forward pass `pair_masses` or the session sampler `sample_sessions`.  The
-forward pass runs on numpy arrays over `Scenario.pair_index`, which numbers
-the followed (prev, cur) pairs.  `np.bincount` adds each level's masses in a
-fixed order (pairs in first-reached order, each row in graph order), so q
-and W are reproducible bit for bit.
+The navigation chain is held once, as CSR arrays: `Scenario.request_index`
+is built in one pass from the graph and the navigation model, and
+`Scenario.pair_index` is that table without its p = 0 requests.  The fixed
+and flexible DPs read the first, since they charge every request; the
+forward pass `pair_masses` (q and the request weights W), the infinite
+buffer and the session sampler `sample_sessions` read the second, since a
+session takes only requests with p > 0.  The forward pass adds each level's
+masses with `np.bincount` in a fixed order (pairs in first-reached order,
+each row in graph order), so q and W are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -98,7 +101,20 @@ class NavigationModel:
 
 @dataclass(frozen=True)
 class LifetimeModel:
-    """Truncated-Poisson number of MDU-switches per session."""
+    """Truncated-Poisson number of MDU-switches per session.
+
+    Four conventions weigh a session's switches, and they do not agree:
+    1. the DPs (`evaluate`, `inf_buffer_cost`) and `refine.request_weights`
+       weigh a request at depth t by g(1)·…·g(t), from `weights`;
+       `unmemoized_eval` and `enumerate_policies` restate it with their own g;
+    2. q (`Scenario.switch_probs`) weighs switch t + 1 by g(t) alone;
+    3. `simulate_sessions` and `inf_buffer_estimate` draw the number of
+       switches from `pmf` renormalised over 0..t_max;
+    4. `simulate_sessions` in consistency mode takes switch t + 1 with
+       probability g(t), the DPs' products.
+    So `inf-lm`'s exact cost (1) and the estimate it falls back to (3) are
+    on different scales.
+    """
 
     mu: float
     t_max: int
@@ -112,6 +128,12 @@ class LifetimeModel:
         if t < 0:
             raise InvalidInputError(f"g(t) undefined for t={t}")
         return self._tail[t]
+
+    def weights(self, weight_first_switch: bool = False) -> tuple[float, ...]:
+        """The DPs' (w1, g(1), ..., g(T)), T the last t with g(t) > 0: the
+        first switch weighs w1 = g(1) if `weight_first_switch` else 1.0."""
+        tail = takewhile(lambda g: g > 0.0, self._tail[1:])
+        return (self._tail[1] if weight_first_switch else 1.0, *tail)
 
 
 def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
@@ -146,11 +168,11 @@ def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
 
 
 class PairIndex(NamedTuple):
-    """The (prev, cur) pairs of `Scenario.rows`, numbered in its order.
+    """The (prev, cur) pairs of the navigation chain and their requests.
 
-    Pair a's followed requests are the slots offsets[a]..offsets[a + 1] - 1,
-    in graph order; slot s requests target[s] with probability prob[s] and
-    moves the chain to the pair succ[s] = (cur, target[s]).
+    Pair a's requests are the slots offsets[a]..offsets[a + 1] - 1, in graph
+    order; slot s requests target[s] with probability prob[s] and moves the
+    chain to the pair succ[s] = (cur, target[s]).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -158,20 +180,6 @@ class PairIndex(NamedTuple):
     succ: np.ndarray
     target: np.ndarray
     prob: np.ndarray
-
-
-def _csr(rows: dict) -> PairIndex:
-    """The {(prev, cur): ((target, p), ...)} `rows` as a `PairIndex`."""
-    ids = {pair: a for a, pair in enumerate(rows)}
-    return PairIndex(
-        pairs=tuple(rows),
-        offsets=np.cumsum([0, *map(len, rows.values())]),
-        succ=np.array(
-            [ids[i, j] for (_, i), row in rows.items() for j, _ in row], dtype=np.intp
-        ),
-        target=np.array([j for row in rows.values() for j, _ in row], dtype=np.intp),
-        prob=np.array([p for row in rows.values() for _, p in row], dtype=float),
-    )
 
 
 def csr_slots(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,31 +201,32 @@ class Scenario:
     lifetime: LifetimeModel
 
     @cached_property
-    def rows(self) -> dict:
-        """(prev, cur) -> ((target, p), ...) over cur's neighbours in graph order.
-
-        Built on first use for (START, start) and every edge pair; the START
-        row reads p_start.  Requests with p = 0 are listed, for the fixed
-        and flexible DPs charge them.
-        """
-        nb, prob = self.graph.neighbors, self.nav.prob
-        pairs = [(START, self.graph.start)]
-        pairs += [(k, i) for k in range(self.graph.n) for i in nb[k]]
-        return {(k, i): tuple((j, prob(k, i, j)) for j in nb[i]) for k, i in pairs}
+    def request_index(self) -> PairIndex:
+        """Every request, p = 0 ones too, for the fixed and flexible DPs
+        charge them.  Pair 0 is (START, start), then the edge pairs (k, i) by
+        k and by i's place in N(k); a row lists cur's neighbours in graph
+        order, and the START row reads p_start."""
+        nb, n = self.graph.neighbors, self.graph.n
+        degree = np.fromiter(map(len, nb), dtype=np.intp, count=n)
+        prev = np.concatenate([[START], np.repeat(np.arange(n), degree)])
+        cur = np.array([self.graph.start, *chain.from_iterable(nb)], dtype=np.intp)
+        # edge pair (i, N(i)[m]) is pair 1 + m + the degrees of MDUs below i
+        counts, succ = csr_slots(np.cumsum([1, *degree]), cur)
+        target = cur[succ]
+        k, i = (np.repeat(x, counts).tolist() for x in (prev, cur))
+        prob = np.fromiter(map(self.nav.prob, k, i, target.tolist()), float, len(k))
+        pairs = tuple(zip(prev.tolist(), cur.tolist()))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        return PairIndex(pairs, offsets, succ, target, prob)
 
     @cached_property
     def pair_index(self) -> PairIndex:
-        """`rows` as CSR arrays without their p = 0 requests, the only ones a
-        session takes; (START, start) is pair 0."""
-        rows = self.rows.items()
-        return _csr({pair: [r for r in row if r[1] > 0.0] for pair, row in rows})
-
-    @cached_property
-    def request_index(self) -> PairIndex:
-        """`rows` as CSR arrays with every request, p = 0 ones too, for the
-        fixed and flexible DPs charge them; pairs are numbered as in
-        `pair_index`."""
-        return _csr(self.rows)
+        """`request_index` without its p = 0 requests, the only ones a
+        session takes; the pairs and their ids are the same."""
+        index = self.request_index
+        kept = index.prob > 0.0
+        offsets = np.concatenate([[0], np.cumsum(kept)])[index.offsets]
+        return PairIndex(index.pairs, offsets, *(x[kept] for x in index[2:]))
 
     @cached_property
     def switch_probs(self) -> AggregateSwitchProbs:
@@ -229,13 +238,12 @@ class Scenario:
         least 1, and the pass stops at the last t with g(t) > 0.  q's keys
         are in first-reached order, the order TSVQ sums q in.
         """
-        start, lt = time.perf_counter(), self.lifetime
-        horizon = max(1, int(math.floor(lt.mu)))
-        weights = list(takewhile(lambda g: g > 0.0, map(lt.g, range(1, horizon + 1))))
+        start, horizon = time.perf_counter(), max(1, math.floor(self.lifetime.mu))
+        weights = self.lifetime.weights()[1:horizon + 1]
         pairs = self.pair_index.pairs
         qv, seen, keys = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool), []
-        chain = pair_masses(self, [1.0] * (len(weights) + 1))
-        for g_t, (order, mass, _, _) in zip(weights, islice(chain, 2, None)):
+        levels = pair_masses(self, [1.0] * (len(weights) + 1))
+        for g_t, (order, mass, _, _) in zip(weights, islice(levels, 2, None)):
             keys += order[~seen[order]].tolist()
             seen[order] = True
             qv[order] += g_t * mass[order]

@@ -171,8 +171,14 @@ def test_pingpong_lifetime_conventions():
 
 def _dict_q_and_w(sc):
     """q and W from a dict per level: the forward pass the array pass replaced."""
-    # the rows without their p = 0 requests, the only ones a session takes
-    rows = {pair: [r for r in row if r[1] > 0.0] for pair, row in sc.rows.items()}
+    # each (prev, cur) pair's requests with p > 0, the only ones a session
+    # takes, read from the navigation model itself
+    nb, prob = sc.graph.neighbors, sc.nav.prob
+    pairs = [(START, sc.graph.start)]
+    pairs += [(k, i) for k in range(sc.graph.n) for i in nb[k]]
+    rows = {
+        (k, i): [(j, p) for j in nb[i] if (p := prob(k, i, j)) > 0.0] for k, i in pairs
+    }
     lt = sc.lifetime
 
     def levels(factors):
@@ -256,7 +262,7 @@ def test_passes_stop_where_the_weights_end(caplog):
         caplog, "navstream.refine.weights", lambda: request_weights(sc)
     )
     assert w == w_ref
-    assert (pairs, levels) == (len(sc.rows), 3 + 1)
+    assert (pairs, levels) == (len(sc.pair_index.pairs), 3 + 1)
 
     sc = pingpong_scenario(mu=1.0, t_max=400)  # g(t) underflows to 0 after t = 177
     last = max(t for t in range(401) if sc.lifetime.g(t) > 0.0)

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_sizes, random_structure, uniform_sizes
+from navstream.adapters import LfGridSpec, build_lf_scenario
+from navstream.baselines import inf_buffer_cost
 from navstream.costs import (
     CostTables,
     SizeTable,
     Structure,
+    all_i_structure,
     grid_sizes,
     load_sizes,
     load_structure,
@@ -22,6 +25,9 @@ from navstream.errors import (
     InfeasibleStructureError,
     InvalidInputError,
 )
+from navstream.evaluate import eval_fixed, eval_flexible
+from navstream.oracle import simulate_sessions
+from navstream.scenario import Scenario, build_lifetime_tail
 
 
 def _sizes(n=4, p=1.0):
@@ -144,6 +150,33 @@ def test_cost_tables_sources_list_all_routes():
         i_set=frozenset({0, 2}), p_edges=frozenset({(0, 1), (2, 1)})
     )
     assert CostTables(st, sz, 3).sources[1] == [(15.5, 0), (15.5, 2)]
+
+
+@pytest.mark.parametrize(
+    "i_set, p_edges, named",
+    [
+        (range(7), (), "I-MDU 6"),
+        (range(6), ((-1, 0),), "P-edge (-1, 0)"),  # once "predicted" MDU 0
+        (range(6), ((5, 0), (0, 99)), "P-edge (0, 99)"),  # once an IndexError
+    ],
+    ids=["i-mdu-past-n", "edge-from-minus-1", "edge-to-99"],
+)
+def test_requests_are_not_priced_on_an_out_of_range_structure(i_set, p_edges, named):
+    """Every path that prices requests refuses an I-MDU or a P-edge end
+    outside [0, n), naming it, and not only the CLI's `Structure.validate`."""
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=2, cols=3))
+    sc = Scenario(graph, nav, build_lifetime_tail(1.0, 2))
+    policy = eval_flexible(sc, sizes, all_i_structure(6)).policy
+    bad = Structure(i_set=frozenset(i_set), p_edges=frozenset(p_edges))
+    for price in (
+        lambda: eval_fixed(sc, sizes, bad),
+        lambda: eval_flexible(sc, sizes, bad),
+        lambda: inf_buffer_cost(sc, sizes, bad),
+        lambda: simulate_sessions(sc, sizes, bad, policy, n_sessions=10, seed=0),
+    ):
+        with pytest.raises(InvalidInputError) as refused:
+            price()
+        assert str(refused.value) == f"{named} is outside [0, 6)"
 
 
 def test_zero_hop_never_increases_with_edges():

@@ -45,6 +45,18 @@ def test_tail_zero_beyond_tmax_and_g0_full_mass():
     assert lt.g(0) == pytest.approx(sum(lt.pmf), rel=1e-12)
 
 
+def test_weights_run_to_the_last_positive_g():
+    """`weights` is (w1, g(1), ..., g(T)): T is t_max, or the last t before
+    g(t) underflows to 0."""
+    lt = build_lifetime_tail(2.0, 4)
+    assert lt.weights() == (1.0, lt.g(1), lt.g(2), lt.g(3), lt.g(4))
+    assert lt.weights(weight_first_switch=True)[0] == lt.g(1)
+    lt = build_lifetime_tail(1.0, 400)
+    last = max(t for t in range(401) if lt.g(t) > 0.0)
+    assert last < 400
+    assert lt.weights() == (1.0, *map(lt.g, range(1, last + 1)))
+
+
 def test_tail_rejects_bad_params():
     with pytest.raises(InvalidInputError):
         build_lifetime_tail(0.0, 3)
@@ -279,3 +291,15 @@ def test_no_pairwise_sum_in_the_evaluator():
             if attr in ("sum", "mean") or add_reduce:
                 found.append(ast.get_source_segment(text, node))
     assert found == []
+
+
+def test_numpy_adds_bincount_and_cumsum_from_the_left():
+    """The bit-exact pins rely on `np.bincount` and `np.cumsum` adding their
+    entries one by one from the left.  After 1.0, each 2^-53 is lost in
+    turn, while pairwise addition (`np.sum`) keeps their total, so a numpy
+    that changes either order fails here first."""
+    values = np.array([1.0, *[2.0**-53] * 1000])
+    assert left_sum(values.tolist()) == 1.0
+    assert np.sum(values) != 1.0  # the input tells the two orders apart
+    assert np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)[0] == 1.0
+    assert np.cumsum(values)[-1] == 1.0
