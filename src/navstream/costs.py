@@ -189,8 +189,20 @@ def all_i_structure(n: int) -> Structure:
     return Structure(i_set=frozenset(range(n)), p_edges=frozenset())
 
 
+def _refuse_outside(structure: Structure, n: int) -> None:
+    """Raise `InvalidInputError` naming the least I-MDU, else the least
+    P-edge, of `structure` with an end outside [0, n)."""
+    if outside := [j for j in structure.i_set if not 0 <= j < n]:
+        raise InvalidInputError(f"I-MDU {min(outside)} is outside [0, {n})")
+    if outside := [e for e in structure.p_edges if not (0 <= min(e) and max(e) < n)]:
+        l, j = min(outside)
+        raise InvalidInputError(f"P-edge ({l}, {j}) is outside [0, {n})")
+
+
 def storage_cost(structure: Structure, sizes: SizeTable) -> float:
-    """Total bits of stored I-MDUs and P-MDUs (M-MDUs are implicit)."""
+    """Total bits of stored I-MDUs and P-MDUs (M-MDUs are implicit); a
+    structure outside the size table's MDUs raises `InvalidInputError`."""
+    _refuse_outside(structure, sizes.n)
     total = 0.0
     for j in structure.i_set:
         total += sizes.i(j)
@@ -223,13 +235,10 @@ class CostTables:
         self.structure = structure
         self.sizes = sizes
         i_set = structure.i_set
-        if outside := [j for j in i_set if not 0 <= j < n]:
-            raise InvalidInputError(f"I-MDU {min(outside)} is outside [0, {n})")
+        _refuse_outside(structure, n)
         self.sources = [[(sizes.i(j), j)] if j in i_set else [] for j in range(n)]
         self.preds = [[] for _ in range(n)]
         for (l, j) in sorted(structure.p_edges):
-            if not (0 <= l < n and 0 <= j < n):
-                raise InvalidInputError(f"P-edge ({l}, {j}) is outside [0, {n})")
             self.preds[j].append(l)
             if l in i_set:
                 self.sources[j].append((self.combo(l, j), l))

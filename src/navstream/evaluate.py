@@ -39,23 +39,34 @@ Tie-breaking is deterministic: fixed prefers 1-hop over 0-hop; flexible
 prefers 1-hop, then 2-hop, then 0-hop, then the lowest candidate indices,
 except that a 2-hop's first hop prefers the buffered MDU to the displayed one.
 
-A `Policy` holds the DP's picks as arrays: `keys[n]` is request n's (t,
-prev, cur, target), or (t, prev, cur, buffered, target) for the flexible
-buffer, in the DP's order, and `table[index[n]]` is its action.
-`Policy.actions` is a read-only mapping over those arrays whose length is
-the number of keys; it builds its dict only when first read.
+A request's options depend on (cur, buffered, target) alone and lead to the
+pair (cur, target), so every prev picks the same action: a policy is keyed
+by (t, cur, target), or (t, cur, buffered, target) for the flexible buffer.
+The backward pass packs each request's key into one int64 and keeps the
+first copy of each per level; copies with two actions raise `RuntimeError`.
+`dp_stats["actions"]` still counts the DP's decisions, one per request.
 
-A policy file (version 2) is one JSON object
-  {"version": 2, "buffer", "weight_first_switch", "actions", "keys", "index"}
-where `actions` lists each distinct action once in first-seen order, `keys`
-is every key's integers flattened in the DP's order (width 4 for the fixed
-buffer, 5 for the flexible one), and `index[n]` is the position in
-`actions` of key n's action.  It is written and read by json's C codec with
-no per-key Python loop.  Version-1 files (no `version`, `actions` an object
-keyed "t,k,...,j") still load.  Loading rejects, with `InvalidInputError`,
-an unknown buffer, a non-boolean `weight_first_switch`, an action the buffer
-model cannot take, keys of the wrong width, out-of-range indices and a key
-listed twice.
+A `Policy` holds the picks as arrays: `keys[n]` is the n-th key in the DP's
+order (last level first) and `table[index[n]]` its action.  `Policy.actions`
+is a read-only mapping over them, of length the number of keys, that builds
+its dict only when first read.  `evaluate` also records the structure's
+`fingerprint` and its cost, and `oracle.simulate_sessions` refuses a policy
+recorded for another structure.
+
+A policy file (version 3) is one JSON object {"version": 3, "buffer",
+"weight_first_switch", "structure", "expected_cost", "actions", "keys",
+"index"}: `structure` is {"i_set", "p_edges"}, sorted, or null; `actions`
+lists each distinct action once, first seen first; `keys` holds every key's
+integers flattened in DP order (width 3 fixed, 4 flexible); and `index[n]`
+is the position in `actions` of key n's action.  json's C codec writes and
+reads it with no per-key Python loop.  Version-2 files (keys with prev, of
+width 4 and 5, and no structure or cost) and version-1 files (no `version`,
+`actions` keyed "t,k,...,j") load through one reader, which drops prev once
+every copy of a key has the same action.  Loading rejects, with
+`InvalidInputError`, an unknown buffer, a non-boolean `weight_first_switch`,
+an action the buffer cannot take, keys of the wrong width, out-of-range
+indices, a key listed twice or with two actions, and a malformed structure
+or cost.
 """
 
 from __future__ import annotations
@@ -80,11 +91,19 @@ EMPTY = -2  # flexible-buffer sentinel for "nothing buffered yet"
 
 
 # Per buffer model: the key width, and the (kind, length) of each action.
-_KEY_WIDTH = {"fixed": 4, "flex": 5}
+_KEY_WIDTH = {"fixed": 3, "flex": 4}
 _ACTION_SHAPES = {
     "fixed": {("0hop", 1), ("1hop", 2)},
     "flex": {("0hop", 2), ("1hop", 2), ("2hop", 3)},
 }
+
+
+def fingerprint(structure: Structure) -> dict:
+    """The sorted I-MDUs and P-edges of `structure`, as a policy records them."""
+    return {
+        "i_set": sorted(map(int, structure.i_set)),
+        "p_edges": sorted([int(i), int(j)] for i, j in structure.p_edges),
+    }
 
 
 def _malformed(why: str) -> InvalidInputError:
@@ -101,6 +120,21 @@ def _checked_action(act, buffer: str) -> tuple:
     ):
         return tuple(act)
     raise _malformed(f"{act!r} is not a {buffer}-buffer action")
+
+
+def _checked_fingerprint(value) -> dict | None:
+    """A file's {"i_set", "p_edges"} as a `fingerprint`, or None for null."""
+    if value is None:
+        return None
+    i_set, p_edges = value["i_set"], value["p_edges"]
+    if not (
+        isinstance(i_set, list) and isinstance(p_edges, list)
+        and all(type(x) is int for x in i_set)
+        and all(isinstance(e, list) and len(e) == 2 for e in p_edges)
+        and all(type(x) is int for e in p_edges for x in e)
+    ):
+        raise _malformed("structure needs integer i_set and [i, j] p_edges")
+    return {"i_set": sorted(i_set), "p_edges": sorted(p_edges)}
 
 
 def _v1_layout(actions, width: int) -> tuple[list, list, list]:
@@ -165,11 +199,13 @@ class Policy:
     """Deterministic per-request action table extracted from a DP run.
 
     `keys` is an (N, width) int64 array of the module docstring's keys in
-    the DP's order, and `table[index[n]]` is key n's action.  Two policies
-    are equal when their buffers, first-switch weighting and `actions`
-    mappings are.  `save` and `load` use the version-2 file of the module
-    docstring; a reloaded policy is equal to the saved one, in the same
-    order.
+    the DP's order, and `table[index[n]]` is key n's action.  `structure`
+    is the `fingerprint` of the structure the DP ran on and `expected_cost`
+    its cost, both None for a policy loaded from a version-1 or -2 file.
+    Two policies are equal when their buffers, first-switch weighting and
+    `actions` mappings are.  `save` and `load` use the version-3 file of
+    the module docstring; a reloaded policy is equal to the saved one, in
+    the same order, with the same structure and cost.
     """
 
     buffer: str  # "fixed" or "flex"
@@ -177,6 +213,8 @@ class Policy:
     keys: np.ndarray | None = None
     index: np.ndarray | None = None
     table: tuple = ()
+    structure: dict | None = None
+    expected_cost: float | None = None
 
     def __post_init__(self):
         if self.keys is None:
@@ -207,12 +245,35 @@ class Policy:
             raise _malformed(f"key {tuple(ranked[same.argmax()].tolist())} repeats")
         return order
 
+    def _without_prev(self) -> "Policy":
+        """This policy of (t, prev, ...) keys keyed without prev, each key at
+        its first copy; copies with two different actions raise
+        `InvalidInputError`."""
+        keys = np.delete(self.keys, 1, axis=1)
+        seen: dict = {}  # one number per action, even one listed twice
+        acts = np.array([seen.setdefault(a, len(seen)) for a in self.table], dtype=np.intp)
+        acts = acts[self.index]
+        order = np.lexsort(keys.T[::-1])  # stable: copies stay in file order
+        ranked, acts = keys[order], acts[order]
+        same = (ranked[1:] == ranked[:-1]).all(axis=1)
+        clash = same & (acts[1:] != acts[:-1])
+        if clash.any():
+            key = tuple(ranked[1:][clash.argmax()].tolist())
+            raise _malformed(f"key {key} has two actions")
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = ~same
+        first = np.sort(order[first])
+        return Policy(self.buffer, self.weight_first_switch, keys[first],
+                      self.index[first], self.table)
+
     def to_dict(self) -> dict:
         used, index = _first_seen(self.index)
         return {
-            "version": 2,
+            "version": 3,
             "buffer": self.buffer,
             "weight_first_switch": self.weight_first_switch,
+            "structure": self.structure,
+            "expected_cost": self.expected_cost,
             "actions": [self.table[a] for a in used.tolist()],
             "keys": self.keys.ravel().tolist(),
             "index": index.tolist(),
@@ -220,19 +281,24 @@ class Policy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Policy":
-        """Read either file version; raise `InvalidInputError` if it is malformed."""
+        """Read any file version; raise `InvalidInputError` if it is malformed."""
         try:
             buffer, wfs = data["buffer"], data["weight_first_switch"]
             if buffer not in _KEY_WIDTH:
                 raise _malformed(f"unknown buffer model {buffer!r}")
             if type(wfs) is not bool:
                 raise _malformed(f"weight_first_switch {wfs!r} is not a boolean")
-            width = _KEY_WIDTH[buffer]
-            version = data.get("version")
+            version, structure, cost = data.get("version"), None, None
+            width = _KEY_WIDTH[buffer] + (version != 3)  # older keys hold prev
             if version is None:
                 table, keys, index = _v1_layout(data["actions"], width)
-            elif type(version) is int and version == 2:
+            elif type(version) is int and version in (2, 3):
                 table, keys, index = data["actions"], data["keys"], data["index"]
+                if version == 3:
+                    structure = _checked_fingerprint(data["structure"])
+                    cost = data["expected_cost"]
+                    if cost is not None and type(cost) not in (int, float):
+                        raise _malformed(f"expected_cost {cost!r} is not a number")
             else:
                 raise _malformed(f"unsupported version {version!r}")
             if not all(isinstance(x, list) for x in (table, keys, index)):
@@ -252,9 +318,11 @@ class Policy:
             keys = np.array(keys, dtype=np.int64).reshape(-1, width)
         except OverflowError as exc:
             raise _malformed(f"a key field is outside the int64 range: {exc}") from exc
-        policy = cls(buffer, wfs, keys, np.array(index, dtype=np.intp), table)
+        cost = None if cost is None else float(cost)
+        policy = cls(buffer, wfs, keys, np.array(index, dtype=np.intp), table,
+                     structure, cost)
         policy.order  # refuses a repeated key
-        return policy
+        return policy if version == 3 else policy._without_prev()
 
     def save(self, path) -> None:
         # json.dumps without indent runs the C encoder; json.dump never does
@@ -274,7 +342,7 @@ class Policy:
 @dataclass
 class EvalResult:
     expected_cost: float
-    policy: Policy
+    policy: Policy | None  # None when `evaluate` was asked for the cost only
     dp_stats: dict
 
 
@@ -442,6 +510,16 @@ def _levels(index, weights, lister, max_states, salt, log, name) -> tuple[list, 
     return levels, kept
 
 
+def _first_copies(keys: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first copy of each distinct key of `keys`, in order, and its code;
+    copies of one key with different codes raise `RuntimeError`."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if not np.array_equal(codes[first][inverse], codes):
+        raise RuntimeError("level pass: copies of a policy key picked two actions")
+    first.sort()
+    return keys[first], codes[first]
+
+
 def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf):
     """Value every state reachable from `lister.roots` over the requests of `index`.
 
@@ -450,9 +528,11 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
     option (nothing at level T), and the expected cost is the minimum over
     the roots of root_bits + w1·V(root).  Each level's size is logged at
     DEBUG on `log` as "`name` level t: c states" once the forward pass is
-    done.  Returns that cost; the number of states; and, for a lister with
-    action codes, each request's key (`lister.keys`) and picked action code,
-    last level first, else None.
+    done.  Returns that cost; the number of states; the number of requests
+    valued; and, for a lister with action codes, (t, keys, codes) per level,
+    last level first, with each distinct packed key (`lister.keys`) once,
+    at its first copy, and its picked action code (for any other lister, no
+    levels).
     """
     for salt in count():
         try:
@@ -460,12 +540,13 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
             break
         except _Collision:
             continue
-    values, keys, codes = None, [], []
+    values, picks, requests = None, [], 0
     g_next_of = (*weights[1:], 0.0)  # g(t + 1) at level t
     for t in range(len(levels) - 1, -1, -1):
         g_next, level = g_next_of[t], levels[t]
         repeated = t > 0 and levels[t - 1] is level
         cur = np.empty(len(level.keys))
+        keys, codes = [], []
         for lo in range(0, len(level.keys), _CHUNK):
             rows = level.rows[lo:lo + _CHUNK]
             chunk = kept.pop((level, lo), None) or _expand(index, lister, rows)
@@ -484,16 +565,17 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
                 chunk.state, weights=index.prob[chunk.slots] * bits.ravel()[pick],
                 minlength=len(rows),
             )
+            requests += len(chunk.state)
             if chunk.act is not None:
-                keys.append(lister.keys(t, chunk.pair, chunk.buf, chunk.j))
+                keys.append(lister.keys(chunk.pair, chunk.buf, chunk.j))
                 codes.append(chunk.act.ravel()[pick])
+        if keys:
+            picks.append((t, *_first_copies(np.concatenate(keys), np.concatenate(codes))))
         values = cur
     first = zip(lister.root_bits.tolist(), values[levels[0].index(lister.roots)].tolist())
     cost = min(c + weights[0] * v for c, v in first)
     states = left_sum(len(level.keys) for level in levels)
-    if not codes:
-        return cost, states, None
-    return cost, states, (np.concatenate(keys), np.concatenate(codes))
+    return cost, states, requests, picks
 
 
 # --- the fixed and flexible listers --------------------------------------------
@@ -509,17 +591,18 @@ class _OneMduLister:
     rows by word and columns by MDU: row 0, EMPTY, predicts nothing.  An
     action is coded as kind·S² + a·S + b for S = n + 1, with the kind's
     position in `_KINDS` and its arguments a and b as words; `action` turns
-    a code back into the tuple of the module docstring.
+    a code back into the tuple of the module docstring.  A lister built with
+    `actions` False gives no codes (act None), so the DP records no policy.
     """
 
     arity: tuple  # the number of arguments of each kind's action
     name: str  # the buffer's name in its DEBUG level lines
     narrow = True  # a state row's pair id and buffer word are below 2^32
 
-    def __init__(self, scenario: Scenario, tables: CostTables):
-        self.n = scenario.graph.n
+    def __init__(self, scenario: Scenario, tables: CostTables, actions: bool):
+        self.n, self.actions = scenario.graph.n, actions
         pairs = np.array(scenario.request_index.pairs, dtype=np.int64).reshape(-1, 2)
-        self.prev, self.cur = pairs.T
+        self.cur = pairs[:, 1]
         self.r_i = np.array(tables.r_i)
         self.r_p = tables.p_bits[:, 1:]
         self.root_bits = np.array([tables.r_i[scenario.graph.start]])
@@ -529,15 +612,23 @@ class _OneMduLister:
         args = [w - 1 if w else EMPTY for w in divmod(ab, self.n + 1)]
         return (_KINDS[kind], *args[: self.arity[kind]])
 
-    def keys(self, t: int, pair, buf, j) -> np.ndarray:
-        """The policy keys (t, prev, cur[, buffered], target) of requests at
-        depth t from pairs pair[r] with buffer words buf[r] for targets j[r]."""
-        out = np.empty((len(j), 3 + buf.shape[1] + 1), dtype=np.int64)
-        out[:, 0], out[:, 1], out[:, 2], out[:, -1] = t, self.prev[pair], self.cur[pair], j
-        if buf.shape[1]:
-            out[:, 3] = buf[:, 0]
-            out[:, 3] -= 1
-            out[out[:, 3] < 0, 3] = EMPTY
+    def keys(self, pair, buf, j) -> np.ndarray:
+        """The (cur[, buffer word], target) of the requests from pairs pair[r]
+        with buffer words buf[r] for targets j[r], each packed in base n + 1."""
+        code = self.cur[pair]
+        for word in buf.T:  # none for the fixed buffer, one for the flexible
+            code = code * (self.n + 1) + word.astype(np.int64)
+        return code * (self.n + 1) + j
+
+    def key_rows(self, t: int, code: np.ndarray) -> np.ndarray:
+        """The policy keys (t, cur[, buffered], target) of `keys`' codes at depth t."""
+        out = np.empty((len(code), self.roots.shape[1] + 2), dtype=np.int64)
+        out[:, 0] = t
+        for f in range(out.shape[1] - 1, 0, -1):
+            code, out[:, f] = np.divmod(code, self.n + 1)
+        if out.shape[1] == 4:  # a buffer word as the buffered MDU
+            out[:, 2] -= 1
+            out[out[:, 2] < 0, 2] = EMPTY
         return out
 
 
@@ -546,17 +637,16 @@ class _FixedLister(_OneMduLister):
 
     arity = (0, 1)
     name = "fixed-buffer"
-
-    def __init__(self, scenario: Scenario, tables: CostTables):
-        super().__init__(scenario, tables)
-        self.roots = np.zeros((1, 1), dtype=np.uint64)
+    roots = np.zeros((1, 1), dtype=np.uint64)
 
     def options(self, pair, buf, j):
         i = self.cur[pair]
         bits = np.empty((len(j), 2))
         bits[:, 0], bits[:, 1] = self.r_p[i + 1, j], self.r_i[j]
-        act = np.zeros((len(j), 2), dtype=np.int64)
-        act[:, 0] = (self.n + 2 + i) * (self.n + 1)  # ("1hop", i)
+        act = None
+        if self.actions:
+            act = np.zeros((len(j), 2), dtype=np.int64)
+            act[:, 0] = (self.n + 2 + i) * (self.n + 1)  # ("1hop", i)
         return bits, act, self._after
 
     @staticmethod
@@ -573,10 +663,10 @@ class _FlexLister(_OneMduLister):
 
     arity = (1, 1, 2)
     name = "flexible-buffer"
+    roots = np.zeros((1, 2), dtype=np.uint64)
 
-    def __init__(self, scenario: Scenario, tables: CostTables):
-        super().__init__(scenario, tables)
-        self.roots = np.zeros((1, 2), dtype=np.uint64)
+    def __init__(self, scenario: Scenario, tables: CostTables, actions: bool):
+        super().__init__(scenario, tables, actions)
         self.pred, self.pred_bits = tables.pred_table
         # slots: 1-hop from each keep, a 2-hop per predictor, 0-hop to each keep
         kinds = [1, 1, *[2] * self.pred.shape[1], 0, 0]
@@ -597,8 +687,10 @@ class _FlexLister(_OneMduLister):
         nbuf[:, 0] = nbuf[:, 2 + d] = lo
         nbuf[:, 1] = nbuf[:, 3 + d] = hi
         nbuf[:, 2:2 + d] = mid + 1
-        act = self.kind + nbuf * (self.n + 1)
-        act[:, 2:2 + d] += np.where(via_i < via_gam, i[:, None], gam[:, None])
+        act = None
+        if self.actions:
+            act = self.kind + nbuf * (self.n + 1)
+            act[:, 2:2 + d] += np.where(via_i < via_gam, i[:, None], gam[:, None])
         return bits, act, lambda r, k: nbuf[r, k, None]
 
 
@@ -611,20 +703,29 @@ def evaluate(
     structure: Structure,
     buffer: str,
     weight_first_switch: bool = False,
+    *,
+    policy: bool = True,
 ) -> EvalResult:
     """Expected session cost under the fixed or the flexible one-MDU
-    reference buffer, `buffer` "fixed" or "flex", and the policy behind it."""
+    reference buffer, `buffer` "fixed" or "flex", and the policy behind it,
+    or no policy (None) when `policy` is False."""
     if buffer not in _LISTERS:
         raise InvalidInputError(f"unknown buffer model {buffer!r}")
-    lister = _LISTERS[buffer](scenario, CostTables(structure, sizes, scenario.graph.n))
+    tables = CostTables(structure, sizes, scenario.graph.n)
+    lister = _LISTERS[buffer](scenario, tables, policy)
     weights = scenario.lifetime.weights(weight_first_switch)
-    cost, states, (keys, codes) = level_pass(
+    cost, states, requests, picks = level_pass(
         scenario.request_index, weights, lister, logger, lister.name
     )
-    table, index = np.unique(codes, return_inverse=True)
+    stats = {"states": states, "actions": requests}
+    if not policy:
+        return EvalResult(cost, None, stats)
+    keys = np.concatenate([lister.key_rows(t, code) for t, code, _ in picks])
+    table, index = np.unique(np.concatenate([c for *_, c in picks]), return_inverse=True)
     actions = tuple(map(lister.action, table.tolist()))
-    policy = Policy(buffer, weight_first_switch, keys, index, actions)
-    return EvalResult(cost, policy, {"states": states, "actions": len(keys)})
+    found = Policy(buffer, weight_first_switch, keys, index, actions,
+                   fingerprint(structure), cost)
+    return EvalResult(cost, found, stats)
 
 
 def eval_fixed(

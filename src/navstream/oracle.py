@@ -6,8 +6,9 @@ Monte-Carlo session simulation driven by an extracted policy, a plain
 enumeration of every deterministic policy on even tinier ones.  Only the
 simulator reads the scenario's switch rows, through `sample_sessions`.
 It reads the policy as arrays too: it advances all sessions one switch at
-a time and finds each switch's key among the policy's sorted keys with
-`np.searchsorted`, so no Python dict of the policy is built.
+a time and finds each switch's key, (t, cur[, buffered], target), among the
+policy's sorted keys with `np.searchsorted`, so no Python dict of the
+policy is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .costs import CostTables, SizeTable, Structure, zero_hop_overhead
 from .errors import InvalidInputError, OracleRefusalError, PolicyGapError
-from .evaluate import EMPTY, Policy
+from .evaluate import EMPTY, Policy, fingerprint
 from .scenario import START, Scenario, sample_targets
 
 _UNMEMO_MAX_N = 8
@@ -80,7 +81,10 @@ def simulate_sessions(
     MDUs below n), packed in lexicographic order by `_pack_keys`; a key
     outside those ranges matches nothing.  A session adds r_i[start], then
     each switch's bits in turn, as a Python loop would.  The first gap of the
-    lowest-numbered session that has one raises `PolicyGapError`.
+    lowest-numbered session that has one raises `PolicyGapError`, naming the
+    full state (t, prev, cur[, buffered], target).  Without a gap, a policy
+    recorded for another structure than `structure` raises
+    `InvalidInputError`; a gap is reported first, as it names the state.
     """
     if n_sessions < 1:
         raise InvalidInputError("n_sessions must be positive")
@@ -95,9 +99,9 @@ def simulate_sessions(
         survival = [first] + [lt.g(t) for t in range(1, lt.t_max + 1)]
     lengths, targets = sample_targets(scenario, n_sessions, seed, survival)
 
-    # (t, prev, cur[, buffered], target) ranges, and the policy's keys in them
-    lo = [0, START, 0, *[EMPTY] * flex, 0]
-    hi = [lt.t_max, *[n - 1] * (3 + flex)]
+    # (t, cur[, buffered], target) ranges, and the policy's keys in them
+    lo = [0, 0, *[EMPTY] * flex, 0]
+    hi = [lt.t_max, *[n - 1] * (2 + flex)]
     spans = [h - l + 1 for h, l in zip(hi, lo)]
     if math.prod(spans) >= 2**63:
         raise InvalidInputError(f"a scenario of {n} MDUs is too large to simulate")
@@ -115,32 +119,34 @@ def simulate_sessions(
         return tables.p_bits[x, y]
 
     totals = np.full(n_sessions, r_i[s])
-    state = np.empty((n_sessions, len(lo)), dtype=np.int64)  # the next key
+    # the next state (t, prev, cur[, buffered], target); its key drops prev
+    state = np.empty((n_sessions, len(lo) + 1), dtype=np.int64)
     state[:, 1:] = [START, s, *[EMPTY] * flex, 0]
     taken = np.zeros((min(n_sessions, TRACE_SAMPLE), targets.shape[1]), dtype=np.intp)
     gaps: dict[int, PolicyGapError] = {}
     live = np.ones(n_sessions, dtype=bool)
     for t in range(targets.shape[1]):
         at = np.flatnonzero(live & (lengths > t))
-        key = state[at]
-        key[:, 0], key[:, -1] = t, targets[at, t]
+        full = state[at]
+        full[:, 0], full[:, -1] = t, targets[at, t]
+        key = np.delete(full, 1, axis=1)
         code = _pack_keys(key, lo, spans)
         pos = np.searchsorted(codes, code)
         hit = ((key >= lo) & (key <= hi)).all(axis=1) & (pos < len(codes))
         hit[hit] = codes[pos[hit]] == code[hit]
         for m in np.flatnonzero(~hit).tolist():
             gaps[at[m]] = PolicyGapError(
-                f"policy does not cover state {tuple(key[m].tolist())}"
+                f"policy does not cover state {tuple(full[m].tolist())}"
             )
-        at, key, act = at[hit], key[hit], picks[pos[hit]]
-        j, x, y = key[:, -1], arg[act, 0], arg[act, 1]
+        at, full, act = at[hit], full[hit], picks[pos[hit]]
+        j, x, y = full[:, -1], arg[act, 0], arg[act, 1]
         # a 2-hop predicts over (y, x), then (x, j); a 1-hop over (x, j)
         to_mid = np.where(kind[act] == 2, stored(y, x), 0.0)
         to_j = np.where(kind[act] > 0, stored(x, j), r_i[j])
         for m in np.flatnonzero((to_mid == math.inf) | (to_j == math.inf)).tolist():
             edge = (y[m], x[m]) if to_mid[m] == math.inf else (x[m], j[m])
             gaps[at[m]] = PolicyGapError(
-                f"policy at state {tuple(key[m].tolist())} predicts over P-edge "
+                f"policy at state {tuple(full[m].tolist())} predicts over P-edge "
                 f"{tuple(map(int, edge))}, which the structure does not store"
             )
         live[list(gaps)] = False
@@ -148,11 +154,19 @@ def simulate_sessions(
         totals[at[ok]] += (to_mid + to_j)[ok]
         traced = at < len(taken)
         taken[at[traced], t] = act[traced]
-        state[at, 1], state[at, 2] = key[:, 2], j
+        state[at, 1], state[at, 2] = full[:, 2], j
         if flex:
             state[at, 3] = x
     if gaps:
         raise gaps[min(gaps)]
+    simulated = fingerprint(structure)
+    if policy.structure not in (None, simulated):
+        was = policy.structure
+        raise InvalidInputError(
+            f"policy was built for the structure with I-MDUs {was['i_set']} and "
+            f"P-edges {was['p_edges']}, not for the simulated one with I-MDUs "
+            f"{simulated['i_set']} and P-edges {simulated['p_edges']}"
+        )
     traces = [
         SessionTrace(
             path=[s, *targets[m, :lengths[m]].tolist()],

@@ -248,18 +248,19 @@ def greedy_search(
     of whose edges can enter a transmission plan is skipped.  A move whose
     lower-bound objective (pruning on, either buffer) exceeds the running
     best is pruned, and so is a removal that leaves an MDU without an
-    independent reconstruction.  The rest are evaluated exactly; ties keep
-    the earlier move.  `initial` is evaluated once; each phase numbers its
-    iterations from 1 and starts from J = c + lam * storage_cost(structure),
-    recomputed from scratch.  Steps record (iteration, edges, J), counters
-    add up over the phases, and `expected_cost` is the exact c of the
-    returned structure.  Each iteration logs its candidate fates at DEBUG.
+    independent reconstruction.  The rest are evaluated exactly, for their
+    cost only (no policy); ties keep the earlier move.  `initial` is
+    evaluated once; each phase numbers its iterations from 1 and starts from
+    J = c + lam * storage_cost(structure), recomputed from scratch.  Steps
+    record (iteration, edges, J), counters add up over the phases, and
+    `expected_cost` is the exact c of the returned structure.  Each
+    iteration logs its candidate fates at DEBUG.
     """
     n = scenario.graph.n
     structure, log = initial, RefineLog()
     lam, prune = params.lam, params.enable_pruning
     weights = request_weights(scenario)
-    c_min = evaluate(scenario, sizes, structure, params.buffer).expected_cost
+    c_min = evaluate(scenario, sizes, structure, params.buffer, policy=False).expected_cost
     for moves in phases:
         j_min = c_min + lam * storage_cost(structure, sizes)
         for iteration in count(1):
@@ -292,7 +293,9 @@ def greedy_search(
                     b_cand = storage_cost(cand, sizes)
                 else:
                     cand = structure.with_edges(edges)
-                c_cand = evaluate(scenario, sizes, cand, params.buffer).expected_cost
+                c_cand = evaluate(
+                    scenario, sizes, cand, params.buffer, policy=False
+                ).expected_cost
                 j_cand = c_cand + lam * b_cand
                 if j_cand < j_min:
                     j_min = j_cand

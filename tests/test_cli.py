@@ -2,6 +2,7 @@ import csv
 import json
 import re
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +285,36 @@ def test_simulate_refuses_a_policy_over_an_unstored_edge(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "policy at state (1, 4, 5, 4, 4) predicts over P-edge (5, 4)" in err
+
+
+def test_simulate_refuses_a_policy_built_for_another_structure(tmp_path, capsys):
+    """The λ 0.5 landmark structure's policy, simulated on the λ 0.05 refined
+    structure, which stores every edge it uses, so no state has a gap: this
+    once printed the policy's mean as that structure's cost, with exit 0."""
+    scenario, sizes = str(tmp_path / "sc.json"), str(tmp_path / "sz.csv")
+    landmark, richer = str(tmp_path / "lm.json"), str(tmp_path / "ref.json")
+    policy = str(tmp_path / "pol.json")
+    assert main([
+        "gen", "lf", "--rows", "2", "--cols", "3", "--mu", "1.0", "--t-max", "2",
+        "--out-scenario", scenario, "--out-sizes", sizes,
+    ]) == 0
+    files = ["--scenario", scenario, "--sizes", sizes]
+    assert main(["plan", *files, "--lambda", "0.5", "--out", landmark]) == 0
+    assert main([
+        "optimize", *files, "--lambda", "0.05", "--init", "landmark", "--out", richer,
+    ]) == 0
+    assert main([
+        "eval", *files, "--structure", landmark, "--buffer", "flex",
+        "--policy-out", policy,
+    ]) == 0
+    capsys.readouterr()
+    simulate = ["simulate", *files, "--policy", policy, "--sessions", "100"]
+    assert main([*simulate, "--structure", landmark]) == 0
+    assert main([*simulate, "--structure", richer]) == 2
+    err = capsys.readouterr().err
+    built_for = json.loads(Path(policy).read_text())["structure"]
+    assert f"I-MDUs {built_for['i_set']}" in err
+    assert "not for the simulated one" in err
 
 
 def test_merge_demo(tmp_path, capsys):

@@ -179,6 +179,21 @@ def test_requests_are_not_priced_on_an_out_of_range_structure(i_set, p_edges, na
         assert str(refused.value) == f"{named} is outside [0, 6)"
 
 
+@pytest.mark.parametrize(
+    "i_set, p_edges, named",
+    [
+        ({-1, 0}, {(-1, 0)}, "I-MDU -1"),  # once 23.0 bits, read from MDU 5
+        (range(6), {(0, 99)}, "P-edge (0, 99)"),  # once an IndexError
+    ],
+    ids=["i-mdu-minus-1", "edge-to-99"],
+)
+def test_storage_cost_refuses_an_out_of_range_structure(i_set, p_edges, named):
+    bad = Structure(i_set=frozenset(i_set), p_edges=frozenset(p_edges))
+    with pytest.raises(InvalidInputError) as refused:
+        storage_cost(bad, uniform_sizes(6))
+    assert str(refused.value) == f"{named} is outside [0, 6)"
+
+
 def test_zero_hop_never_increases_with_edges():
     rng = np.random.default_rng(9)
     for _ in range(10):

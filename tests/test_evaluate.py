@@ -25,6 +25,7 @@ from navstream.evaluate import (
     eval_fixed,
     eval_flexible,
     evaluate,
+    fingerprint,
 )
 from navstream.landmarks import landmark_structure
 from navstream.oracle import simulate_sessions
@@ -124,7 +125,8 @@ def test_flexible_beats_fixed_by_retaining_old_reference():
     fx = eval_fixed(sc, sz, st).expected_cost
     fl = eval_flexible(sc, sz, st).expected_cost
     assert fl < fx
-    act = eval_flexible(sc, sz, st).policy.actions[(1, 0, 1, 0, 2)]
+    # (t, cur, buffered, target): at depth 1 on MDU 1 holding 0, asked for 2
+    act = eval_flexible(sc, sz, st).policy.actions[(1, 1, 0, 2)]
     assert act == ("1hop", 0)
 
 
@@ -165,9 +167,9 @@ def test_tie_prefers_one_hop():
     sz = SizeTable([11.0, 4.5], [3.5, 3.5], p)
     sc = pingpong_scenario()
     res = eval_fixed(sc, sz, ASYM)
-    assert res.policy.actions[(0, START, 0, 1)] == ("1hop", 0)
+    assert res.policy.actions[(0, 0, 1)] == ("1hop", 0)
     res = eval_flexible(sc, sz, ASYM)
-    assert res.policy.actions[(0, START, 0, EMPTY, 1)] == ("1hop", 0)
+    assert res.policy.actions[(0, 0, EMPTY, 1)] == ("1hop", 0)
 
 
 def _tie_scenario():
@@ -205,7 +207,17 @@ def _zero_prob_scenario():
     return sc, uniform_sizes(3), st
 
 
-# (expected_cost without and with weight_first_switch, dp_stats, actions)
+def _without_prev(actions):
+    """Actions pinned by full key (t, prev, cur[, buffered], target), keyed
+    as a policy is, without prev; the copies of a key must agree."""
+    out = {}
+    for key, act in actions.items():
+        assert out.setdefault((key[0], *key[2:]), act) == act, key
+    return out
+
+
+# (expected_cost without and with weight_first_switch, dp_stats, actions by
+# full key; dp_stats["actions"] counts requests, one per full key)
 _TIE_FIXED = (
     (7.103638323514327, 5.141764732052723),
     {'states': 3, 'actions': 6},
@@ -290,7 +302,7 @@ def test_policy_stats_and_cost_pinned(make, fn, pins):
         res = fn(sc, sz, st, weight_first_switch=w)
         assert res.expected_cost == cost
         assert res.dp_stats == stats
-        assert res.policy.actions == actions
+        assert res.policy.actions == _without_prev(actions)
 
 
 def test_long_lifetime_has_no_recursion_limit():
@@ -318,17 +330,18 @@ def _actions_digest(actions):
 
 # evaluator -> (cost with weight_first_switch off, on; dp_stats; digest of
 # the sorted policy actions), recorded before the forward pass stopped at
-# its fixed point
+# its fixed point; the digests are of the full-key actions of that time
+# (2,208 and 19,928 keys) keyed by `_without_prev` (480 and 4,320 keys)
 _REPEAT_PINS = {
     "eval_fixed": (
         (49.35251777790415, 47.44243899654408),
         {"states": 441, "actions": 2208},
-        "bcb07c52e9e357f07cff68a7b99ab2982ac33f2508a880d4dea75220d18fde95",
+        "87df83e304bf4635bb9f72d764f72682cf4e1bab555e1493653355701c66e17d",
     ),
     "eval_flexible": (
         (27.431938222294143, 26.613574830436047),
         {"states": 3993, "actions": 19928},
-        "9e215f97edf619a759ac0301f3fb3dc8ab98b9246570b2636d301e92639ff242",
+        "0228c7de836f509c864fe59524e101d3efdc1af79974ca6cb9c087ef6f09bc6c",
     ),
 }
 
@@ -360,6 +373,22 @@ def test_levels_past_the_fixed_point_are_pinned(fn, caplog, monkeypatch):
     assert res.dp_stats == stats
     assert _actions_digest(res.policy.actions) == digest
     assert fn(sc, sz, st, weight_first_switch=True).expected_cost == costs[1]
+
+
+@pytest.mark.parametrize("buffer", ["fixed", "flex"])
+def test_cost_only_evaluation_builds_no_policy(buffer):
+    sc, sz, st = _repeating_levels_instance()
+    full = evaluate(sc, sz, st, buffer)
+    bare = evaluate(sc, sz, st, buffer, policy=False)
+    assert bare.policy is None
+    assert (bare.expected_cost, bare.dp_stats) == (full.expected_cost, full.dp_stats)
+
+
+def test_first_copies_keep_order_and_refuse_two_actions():
+    keys, codes = core._first_copies(np.array([5, 3, 5, 3, 8]), np.array([1, 2, 1, 2, 1]))
+    assert (keys.tolist(), codes.tolist()) == ([5, 3, 8], [1, 2, 1])
+    with pytest.raises(RuntimeError, match="two actions"):
+        core._first_copies(np.array([5, 3, 5]), np.array([1, 2, 7]))
 
 
 def test_infeasible_structure_raises():
@@ -447,21 +476,27 @@ def _v1_instance():
 
 
 @pytest.mark.parametrize("fn", [eval_fixed, eval_flexible])
-def test_policy_v2_round_trip_keeps_actions_and_order(fn, tmp_path):
+def test_policy_round_trip_keeps_actions_and_order(fn, tmp_path):
     sc, sz, st = _v1_instance()
-    policy = fn(sc, sz, st, weight_first_switch=True).policy
+    res = fn(sc, sz, st, weight_first_switch=True)
+    policy = res.policy
     path = tmp_path / "policy.json"
     policy.save(path)
     data = json.loads(path.read_text())
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert len(data["keys"]) == len(next(iter(policy.actions))) * len(data["index"])
     assert len(data["actions"]) == len(set(policy.actions.values()))
+    assert data["structure"] == {
+        "i_set": sorted(st.i_set), "p_edges": sorted(map(list, st.p_edges)),
+    }
     back = Policy.load(path)
     assert back == policy
     assert list(back.actions.items()) == list(policy.actions.items())
+    assert back.structure == policy.structure == fingerprint(st)
+    assert back.expected_cost == policy.expected_cost == res.expected_cost
 
 
-def test_policy_v2_round_trip_empty(tmp_path):
+def test_policy_round_trip_empty(tmp_path):
     path = tmp_path / "policy.json"
     for buffer in ("fixed", "flex"):
         Policy(buffer=buffer, weight_first_switch=False).save(path)
@@ -504,6 +539,49 @@ def test_policy_v1_file_still_loads(fn, name, wfs):
     assert back == fn(sc, sz, st, weight_first_switch=wfs).policy
 
 
+@pytest.mark.parametrize(
+    "fn, name, wfs",
+    [(eval_fixed, "policy_v2_fixed.json", False),
+     (eval_flexible, "policy_v2_flex.json", True)],
+)
+def test_policy_v2_file_still_loads(fn, name, wfs):
+    # written by the version-2 `Policy.save`: (t, prev, ...) keys, no structure
+    sc, sz, st = _v1_instance()
+    back = Policy.load(V1_FILES / name)
+    assert json.loads((V1_FILES / name).read_text())["version"] == 2
+    assert back == fn(sc, sz, st, weight_first_switch=wfs).policy
+    assert back.structure is None and back.expected_cost is None
+
+
+def _with_prev(policy, prevs):
+    """`policy` as a version-2 dict that lists each key once per prev in
+    `prevs`, in turn, each copy with the key's action."""
+    data = policy.to_dict()
+    del data["structure"], data["expected_cost"]
+    rows = policy.keys.tolist()
+    data.update(
+        version=2,
+        keys=[x for k in prevs for t, *rest in rows for x in (t, k, *rest)],
+        index=data["index"] * len(prevs),
+    )
+    return data
+
+
+@pytest.mark.parametrize("fn", [eval_fixed, eval_flexible])
+def test_policy_v2_copies_of_a_key_load_as_one(fn):
+    policy = fn(*_v1_instance()).policy
+    back = Policy.from_dict(_with_prev(policy, [START, 0, 3]))
+    assert back == policy
+    assert list(back.actions.items()) == list(policy.actions.items())
+    data = _with_prev(policy, [START, 0])
+    data["actions"].append(["1hop", 99])
+    data["index"][-1] = len(data["actions"]) - 1
+    key = tuple(policy.keys[-1].tolist())
+    with pytest.raises(InvalidInputError) as refused:
+        Policy.from_dict(data)
+    assert str(refused.value) == f"malformed policy: key {key} has two actions"
+
+
 def _set_first_action(data, act):
     if isinstance(data["actions"], dict):  # version 1
         data["actions"][next(iter(data["actions"]))] = act
@@ -517,6 +595,24 @@ def _v1_short_key(data):
 
 def _v1_text_key(data):
     data["actions"]["0,-1,x,-2,0"] = ["1hop", 1]
+
+
+def _width(data):
+    return len(data["keys"]) // len(data["index"])
+
+
+def _second_action(data):
+    """Copy the first key of a version-1 or -2 file with another prev and
+    another action: two actions for one (t, cur, buffered, target)."""
+    if isinstance(data["actions"], dict):  # version 1
+        (key, act), *_ = data["actions"].items()
+        t, _, *rest = key.split(",")
+        other = next(a for a in data["actions"].values() if a != act)
+        data["actions"][",".join([t, "99", *rest])] = other
+    else:
+        t, _, *rest = data["keys"][:5]
+        data["keys"] += [t, 99, *rest]
+        data["index"].append(1 - data["index"][0])
 
 
 _REJECTED_BOTH = {
@@ -533,36 +629,58 @@ _REJECTED_V1 = {
     "key of the wrong width": _v1_short_key,
     "non-integer key": _v1_text_key,
     "actions not an object": lambda d: d.update(actions=[]),
+    "two actions for one compact key": _second_action,
 }
-_REJECTED_V2 = {
+_REJECTED_ARRAYS = {
     "keys not a multiple of the width": lambda d: d["keys"].pop(),
-    "one key too many": lambda d: d["keys"].extend([0, -1, 4, -2, 1]),
+    "one key too many": lambda d: d["keys"].extend(d["keys"][:_width(d)]),
     "index past the actions": lambda d: d["index"].__setitem__(0, len(d["actions"])),
     "negative index": lambda d: d["index"].__setitem__(0, -1),
     "non-integer key": lambda d: d["keys"].__setitem__(0, "0"),
     "boolean key": lambda d: d["keys"].__setitem__(0, False),
     "float index": lambda d: d["index"].__setitem__(0, 0.0),
-    "unknown version": lambda d: d.update(version=3),
+    "unknown version": lambda d: d.update(version=4),
     "string version": lambda d: d.update(version="2"),
     "keys not a list": lambda d: d.update(keys={}),
-    "repeated key": lambda d: (d["keys"].extend(d["keys"][:5]), d["index"].append(0)),
+    "repeated key": lambda d: (
+        d["keys"].extend(d["keys"][:_width(d)]), d["index"].append(0)
+    ),
     "action argument past int64": lambda d: d["actions"].__setitem__(0, ["0hop", 2**64]),
+}
+_REJECTED_V2 = {
+    **_REJECTED_ARRAYS,
+    "two actions for one compact key": _second_action,
+}
+_REJECTED_V3 = {
+    **_REJECTED_ARRAYS,
+    "structure without p_edges": lambda d: d["structure"].pop("p_edges"),
+    "structure with a float MDU": lambda d: d["structure"]["i_set"].append(1.0),
+    "string expected_cost": lambda d: d.update(expected_cost="20.5"),
+    "no expected_cost": lambda d: d.pop("expected_cost"),
 }
 
 
 _REJECTED = {
     "v1": {**_REJECTED_BOTH, **_REJECTED_V1},
     "v2": {**_REJECTED_BOTH, **_REJECTED_V2},
+    "v3": {**_REJECTED_BOTH, **_REJECTED_V3},
 }
+
+
+def _unbroken(layout):
+    """A flexible policy file of the layout: the version-1 and -2 files, or
+    version 3 as `Policy.save` writes it."""
+    if layout == "v3":
+        sc, sz, st = _v1_instance()
+        return eval_flexible(sc, sz, st, weight_first_switch=True).policy.to_dict()
+    return json.loads((V1_FILES / f"policy_{layout}_flex.json").read_text())
 
 
 @pytest.mark.parametrize(
     "layout, case", [(lay, c) for lay, cases in _REJECTED.items() for c in cases]
 )
 def test_policy_load_rejects_malformed(layout, case, tmp_path):
-    data = json.loads((V1_FILES / "policy_v1_flex.json").read_text())
-    if layout == "v2":
-        data = json.loads(json.dumps(Policy.from_dict(data).to_dict()))
+    data = json.loads(json.dumps(_unbroken(layout)))
     Policy.from_dict(json.loads(json.dumps(data)))  # the unbroken file loads
     _REJECTED[layout][case](data)
     path = tmp_path / "policy.json"

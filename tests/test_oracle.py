@@ -196,22 +196,23 @@ def test_simulate_policy_gap_raises():
 
 
 def _naive_code(key, sc):
-    """A flexible key (t, prev, cur, buffered, target) as one mixed-radix
-    integer over this scenario's ranges, with no check that it lies in them."""
+    """A flexible key (t, cur, buffered, target) as one mixed-radix integer
+    over this scenario's ranges, with no check that it lies in them."""
     n = sc.graph.n
-    t, k, i, gam, j = key
-    return (((t * (n + 1) + k + 1) * n + i) * (n + 2) + gam + 2) * n + j
+    t, i, gam, j = key
+    return ((t * n + i) * (n + 2) + gam + 2) * n + j
 
 
 def test_simulate_ignores_keys_outside_the_scenario():
-    # every session's first switch is the request (0, START, 0, EMPTY, 1); a
-    # row with cur -2 and prev 0 packs to its code under a naive radix
+    # every session's first switch is the request (0, START, 0, EMPTY, 1),
+    # keyed (0, 0, EMPTY, 1); a row with cur -1 and buffered 2 packs to its
+    # code under a naive radix
     sc, sz = pingpong_scenario(mu=2.0, t_max=3), pingpong_sizes()
     policy = eval_flexible(sc, sz, SYM).policy
-    first, alias = (0, -1, 0, -2, 1), (0, 0, -2, -2, 1)
+    first, alias = (0, 0, -2, 1), (0, -1, 2, 1)
     assert _naive_code(alias, sc) == _naive_code(first, sc)
     data = policy.to_dict()
-    keys = [tuple(data["keys"][5 * m:5 * m + 5]) for m in range(len(data["index"]))]
+    keys = [tuple(data["keys"][4 * m:4 * m + 4]) for m in range(len(data["index"]))]
     row = keys.index(first)
     other = ["0hop", 0]  # not the action the policy takes at `first`
     assert tuple(other) != data["actions"][data["index"][row]]
@@ -222,39 +223,56 @@ def test_simulate_ignores_keys_outside_the_scenario():
     clean = simulate_sessions(sc, sz, SYM, policy, 200, seed=3)
     got = simulate_sessions(sc, sz, SYM, Policy.from_dict(beside), 200, seed=3)
     assert (got.mean, got.traces) == (clean.mean, clean.traces)
-    data["keys"][5 * row:5 * row + 5] = alias  # only the alias covers it
+    data["keys"][4 * row:4 * row + 4] = alias  # only the alias covers it
     data["index"][row] = len(data["actions"]) - 1
     with pytest.raises(PolicyGapError) as err:
         simulate_sessions(sc, sz, SYM, Policy.from_dict(data), 200, seed=3)
-    assert str(err.value) == f"policy does not cover state {first}"
+    assert str(err.value) == f"policy does not cover state {(0, START, 0, EMPTY, 1)}"
 
 
 def test_simulate_names_the_first_gap_of_the_lowest_numbered_session():
-    # session 38's first gap is at t = 3, a later session's at t = 1
+    # session 21's first gap is at t = 3, a later session's at t = 2
     rng = np.random.default_rng(18)
     sc = random_scenario(rng, 5, 4)
     sz, st = random_sizes(rng, 5), random_structure(rng, 5)
     data = eval_flexible(sc, sz, st).policy.to_dict()
-    keep = rng.random(len(data["index"])) < 0.9  # drop a tenth of the keys
-    data["keys"] = np.array(data["keys"]).reshape(-1, 5)[keep].ravel().tolist()
+    keys = np.array(data["keys"]).reshape(-1, 4)
+    # drop a tenth of the keys at depth 2 and deeper
+    keep = (rng.random(len(keys)) < 0.9) | (keys[:, 0] < 2)
+    data["keys"] = keys[keep].ravel().tolist()
     data["index"] = np.array(data["index"])[keep].tolist()
     policy = Policy.from_dict(data)
-    # the sessions walked one after another, each switch by switch
-    want = None
-    for targets in sample_sessions(sc, 300, seed=2):
+    # the sessions walked one after another, each switch by switch, to the
+    # depth and message of each one's first gap
+    gaps = {}
+    for m, targets in enumerate(sample_sessions(sc, 300, seed=2)):
         k, i, gam = START, sc.graph.start, EMPTY
         for t, j in enumerate(targets):
-            key = (t, k, i, gam, j)
-            if key not in policy.actions:
-                want = f"policy does not cover state {key}"
+            if (t, i, gam, j) not in policy.actions:
+                gaps[m] = (t, f"policy does not cover state {(t, k, i, gam, j)}")
                 break
-            k, i, gam = i, j, policy.actions[key][1]
-        if want:
-            break
-    assert want is not None
+            k, i, gam = i, j, policy.actions[(t, i, gam, j)][1]
+    depth, want = gaps[min(gaps)]
+    assert depth > min(t for t, _ in gaps.values())  # not the shallowest gap
     with pytest.raises(PolicyGapError) as err:
         simulate_sessions(sc, sz, st, policy, 300, seed=2)
     assert str(err.value) == want
+
+
+def test_simulate_refuses_a_policy_of_another_structure():
+    # SYM stores every edge that ASYM's policy uses, so no state has a gap
+    sc, sz = pingpong_scenario(mu=2.0, t_max=4), pingpong_sizes()
+    policy = eval_flexible(sc, sz, ASYM).policy
+    assert simulate_sessions(sc, sz, ASYM, policy, 100, seed=0).mean > 0
+    both = (
+        r"built for the structure with I-MDUs \[0, 1\] and P-edges \[\[0, 1\]\], "
+        r"not for the simulated one with I-MDUs \[0, 1\] and P-edges "
+        r"\[\[0, 1\], \[1, 0\]\]"
+    )
+    with pytest.raises(InvalidInputError, match=both):
+        simulate_sessions(sc, sz, SYM, policy, 100, seed=0)
+    policy.structure = None  # as loaded from a version-1 or -2 file
+    assert simulate_sessions(sc, sz, SYM, policy, 100, seed=0).mean > 0
 
 
 def test_simulate_rejects_bad_session_count():
