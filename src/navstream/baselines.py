@@ -29,8 +29,8 @@ before any state is valued; the baseline then reports the Monte-Carlo
 estimate and logs at INFO which cost it used.  The level lines go to DEBUG
 on this module's logger.  One vectorised lister, `_Lister`, gives a
 request's options in tie order to both the exact pass and the estimate,
-which draws its sessions with `scenario.sample_targets` and advances them
-all one switch at a time.
+which draws its sessions on arrays with `scenario.sample_targets` and
+advances them all one switch at a time.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def inf_buffer_estimate(
     """Monte-Carlo myopic estimate of the infinite-buffer cost.
 
     Each request takes the first cheapest of `_Lister`'s options along
-    sessions from `sample_sessions`, whose lengths follow the renormalised
+    sessions from `sample_targets`, whose lengths follow the renormalised
     lifetime pmf, not the g-products of `inf_buffer_cost`, so this is no
     bound on that value.  Used where the exact pass refuses.  All sessions
     are drawn first, then advanced one switch at a time together.

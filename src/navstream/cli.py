@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 
 from . import adapters, baselines, merge
@@ -189,6 +190,10 @@ def _cmd_simulate(args) -> int:
     )
     print(f"mean_bits {result.mean!r}")
     print(f"stderr_bits {result.stderr!r}")
+    if args.consistency_mode and policy.expected_cost is not None:
+        # only consistency mode weighs switches as the DP does (`LifetimeModel`)
+        gap = result.mean - policy.expected_cost
+        print(f"z_vs_dp {gap / result.stderr if result.stderr else math.nan!r}")
     if args.trace_out:
         with open_output("trace", args.trace_out) as fh:
             for tr in result.traces:

@@ -137,8 +137,9 @@ def _checked_fingerprint(value) -> dict | None:
     return {"i_set": sorted(i_set), "p_edges": sorted(p_edges)}
 
 
-def _v1_layout(actions, width: int) -> tuple[list, list, list]:
-    """A version-1 {"t,k,...,j": action} dict as version-2 (actions, keys, index)."""
+def _v1_layout(actions, width: int, buffer: str) -> tuple[list, list, list]:
+    """A version-1 {"t,k,...,j": action} dict as version-2 (actions, keys,
+    index); each action is checked before it is used as a key."""
     if not isinstance(actions, dict):
         raise _malformed("version-1 actions must be an object")
     keys, acts = [], []
@@ -147,7 +148,7 @@ def _v1_layout(actions, width: int) -> tuple[list, list, list]:
         if len(parts) != width:
             raise _malformed(f"key {key!r} does not have {width} fields")
         keys += map(int, parts)
-        acts.append(tuple(act))
+        acts.append(_checked_action(act, buffer))
     table = list(dict.fromkeys(acts))
     pos = {act: n for n, act in enumerate(table)}
     return table, keys, [pos[act] for act in acts]
@@ -291,7 +292,7 @@ class Policy:
             version, structure, cost = data.get("version"), None, None
             width = _KEY_WIDTH[buffer] + (version != 3)  # older keys hold prev
             if version is None:
-                table, keys, index = _v1_layout(data["actions"], width)
+                table, keys, index = _v1_layout(data["actions"], width, buffer)
             elif type(version) is int and version in (2, 3):
                 table, keys, index = data["actions"], data["keys"], data["index"]
                 if version == 3:

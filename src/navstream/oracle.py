@@ -4,11 +4,11 @@ Three mechanisms, deliberately not sharing the evaluators' level pass:
 Monte-Carlo session simulation driven by an extracted policy, a plain
 (table-free) recursive evaluator for tiny instances, and brute-force
 enumeration of every deterministic policy on even tinier ones.  Only the
-simulator reads the scenario's switch rows, through `sample_sessions`.
-It reads the policy as arrays too: it advances all sessions one switch at
-a time and finds each switch's key, (t, cur[, buffered], target), among the
-policy's sorted keys with `np.searchsorted`, so no Python dict of the
-policy is built.
+simulator reads the scenario's switch rows, through `sample_targets`,
+which draws every session on arrays.  It reads the policy as arrays too:
+it advances all sessions one switch at a time and finds each switch's key,
+(t, cur[, buffered], target), among the policy's sorted keys with
+`np.searchsorted`, so no Python dict of the policy is built.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ is built in one pass from the graph and the navigation model, and
 `Scenario.pair_index` is that table without its p = 0 requests.  The fixed
 and flexible DPs read the first, since they charge every request; the
 forward pass `pair_masses` (q and the request weights W), the infinite
-buffer and the session sampler `sample_sessions` read the second, since a
+buffer and the session sampler `sample_targets` read the second, since a
 session takes only requests with p > 0.  The forward pass adds each level's
 masses with `np.bincount` in a fixed order (pairs in first-reached order,
-each row in graph order), so q and W are reproducible bit for bit.
+each row in graph order), so q and W are reproducible bit for bit.  The
+sampler draws its seeded uniforms in blocks and walks all sessions
+together on arrays, reading the stream exactly as one draw per lifetime,
+survival and target would, in session order.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ import logging
 import math
 import sys
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import chain, islice, takewhile
 from operator import add
 from typing import NamedTuple
 
@@ -40,6 +42,8 @@ logger = logging.getLogger(__name__)
 START = -1
 
 _PROB_TOL = 1e-9
+_SAMPLE_BLOCK = 1 << 15  # uniforms drawn at a time by `sample_targets`
+_REWALK_SHARE = 4  # `sample_targets` walks every position once > 1 in 4 sessions stop early
 
 
 def left_sum(values, start=0):
@@ -371,8 +375,9 @@ def aggregate_switch_probabilities(
     return Scenario(graph, nav, lifetime).switch_probs
 
 
-def sample_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=None):
-    """Yield the targets of `n_sessions` seeded sessions, one list each.
+def sample_targets(scenario: Scenario, n_sessions: int, seed: int, survival=None):
+    """Draw `n_sessions` seeded sessions: each one's number of switches, and
+    its targets in a row of an (n_sessions, longest) array, padded with 0.
 
     A session starts at (START, start) and draws each target from its
     pair's cumulative probabilities; it ends early at a pair with no
@@ -380,38 +385,145 @@ def sample_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=Non
     renormalised over 0..t_max, unless `survival` is given: then switch t is
     taken only if a uniform draw falls below survival[t] (None forces it),
     and a session has at most len(survival) switches.
+
+    The sessions read one seeded stream of uniforms in turn: a lifetime
+    draw, then a target draw per switch; or, with `survival`, per switch a
+    survival draw (unless forced), then a target draw.  Target draw u takes
+    the pair's first slot whose cumulative probability is not below u times
+    the row's total, found by a bisection per switch.  The stream is drawn
+    in blocks, whose unused tail starts the next one.  In a block, the
+    draws of a session starting at each position are counted from its
+    lifetime or survival draws alone, the starts are chained from those
+    counts, and all sessions walk together.  A stop at a pair with no mass
+    uses fewer draws than counted: the sessions up to the first stop are
+    kept, every stop's count is corrected, and the chain is walked again
+    from the stop's true end.  When more than one walked session in
+    `_REWALK_SHARE` stopped, every position left in the block is first
+    walked for its true count, so that chain walk is the block's last.
     """
+    clock = time.perf_counter()
+    index = scenario.pair_index
+    counts = np.diff(index.offsets)
+    cdf = _row_cumsum(index.prob, index.offsets)
+    last = index.offsets[1:] - 1  # each row's last slot, which holds its total
+    if survival is None:
+        pmf = np.asarray(scenario.lifetime.pmf)
+        lifetime_cdf = np.cumsum(pmf / pmf.sum())
+        # the lifetime draw, then a target draw per switch
+        target_at = np.arange(1, len(lifetime_cdf) + 1)
+        steps_of = np.arange(-1, len(lifetime_cdf) + 1)
+
+        def draws_of(u, room):
+            return 1 + np.searchsorted(lifetime_cdf, u[:room])
+    else:
+        checked = np.array([keep is not None for keep in survival], dtype=np.intp)
+        first = np.concatenate([[0], np.cumsum(checked + 1)])
+        target_at = first[:-1] + checked
+        steps_of = np.full(first[-1] + 1, len(survival))
+        steps_of[target_at[checked > 0]] = np.flatnonzero(checked)
+
+        def draws_of(u, room):
+            # a session stops after its first survival draw that fails
+            out = np.full(room, first[-1])
+            for k in np.flatnonzero(checked)[::-1].tolist():
+                at = first[k]
+                np.putmask(out, u[at:at + room] >= survival[k], at + 1)
+            return out
+
+    def walk(u, starts, steps, targets=None):
+        """The switches of the sessions that start at `starts` in `u`, each
+        scheduled for `steps` switches; their targets go to the rows of
+        `targets` when it is given."""
+        lengths = steps.copy()
+        row, pair = np.arange(len(starts)), np.zeros(len(starts), dtype=np.intp)
+        for k in range(steps.max(initial=0)):
+            degree = counts[pair]
+            go = steps[row] > k
+            lengths[row[go & (degree == 0)]] = k
+            go &= degree > 0
+            row, pair, degree = row[go], pair[go], degree[go]
+            # bisect_left of u·total in the pair's row: the slot lies in
+            # [lo, hi], and cdf[hi], the row's total, is not below u·total
+            lo, hi = index.offsets[pair], last[pair]
+            x = u[starts[row] + target_at[k]] * cdf[hi]
+            for _ in range(int(degree.max(initial=1) - 1).bit_length()):
+                mid = (lo + hi) >> 1
+                below = cdf[mid] < x
+                lo = np.where(below, mid + 1, lo)
+                hi = np.where(below, hi, mid)
+            pair = index.succ[lo]
+            if targets is not None:
+                targets[row, k] = index.target[lo]
+        return lengths
+
+    width = int(target_at.max(initial=-1)) + 1  # the most draws a session takes
     rng = np.random.default_rng(seed)
-    offsets, succ, target, prob = map(np.ndarray.tolist, scenario.pair_index[1:])
-    cdfs = [list(accumulate(prob[a:b])) for a, b in zip(offsets, offsets[1:])]
-    pmf = np.asarray(scenario.lifetime.pmf)
-    lifetime_cdf = np.cumsum(pmf / pmf.sum()).tolist()
-    for _ in range(n_sessions):
-        schedule = survival
-        if schedule is None:
-            schedule = repeat(None, bisect_left(lifetime_cdf, rng.random()))
-        pair, targets = 0, []
-        for keep in schedule:
-            if keep is not None and rng.random() >= keep:
+    lengths = np.zeros(n_sessions, dtype=np.intp)
+    targets = np.zeros((n_sessions, steps_of.max()), dtype=np.intp)
+    tail, drawn, repaired, rewalked = np.zeros(0), 0, 0, 0
+    done = n_sessions if width == 0 or counts[0] == 0 else 0
+    while done < n_sessions:
+        fresh = rng.random(max(width, min(_SAMPLE_BLOCK, (n_sessions - done) * width)))
+        drawn += len(fresh)
+        u = np.concatenate([tail, fresh])
+        room = len(u) - width + 1  # the starts whose every draw is in u
+        draws = draws_of(u, room)
+        at = 0
+        while at < room and done < n_sessions:
+            starts = _chain(draws, at, room, n_sessions - done)
+            steps = steps_of[draws[starts]]
+            walked = walk(u, starts, steps, targets[done:done + len(starts)])
+            stopped = np.flatnonzero(walked < steps)
+            # a stop leaves the rest of the session's counted draws unused
+            draws[starts[stopped]] = target_at[walked[stopped]]
+            kept = stopped[0] + 1 if len(stopped) else len(starts)
+            lengths[done:done + kept] = walked[:kept]
+            targets[done + kept:done + len(starts)] = 0  # walked from a wrong start
+            done += kept
+            at = starts[kept - 1] + draws[starts[kept - 1]]
+            if not len(stopped):
                 break
-            cdf = cdfs[pair]
-            if not cdf:
-                break
-            slot = offsets[pair] + bisect_left(cdf, rng.random() * cdf[-1])
-            pair = succ[slot]
-            targets.append(target[slot])
-        yield targets
+            repaired += 1
+            if len(stopped) * _REWALK_SHARE > len(starts):
+                # about as many repairs to come: count every position left
+                rewalked += 1
+                every = np.arange(at, room)
+                steps = steps_of[draws[every]]
+                walked = walk(u, every, steps)
+                stopped = walked < steps
+                draws[every[stopped]] = target_at[walked[stopped]]
+        tail = u[at:]
+    logger.debug(
+        "sampler: %d sessions, %d switches, %d uniforms drawn, %d used, "
+        "%d chains repaired after no-mass stops, %d blocks re-walked from "
+        "every position, in %.4f s",
+        n_sessions, lengths.sum(), drawn, drawn - len(tail), repaired, rewalked,
+        time.perf_counter() - clock,
+    )
+    return lengths, targets[:, :lengths.max(initial=0)]
 
 
-def sample_targets(scenario: Scenario, n_sessions: int, seed: int, survival=None):
-    """`sample_sessions` as arrays: each session's number of switches, and
-    its targets in a row of an (n_sessions, longest) array, padded with 0."""
-    paths = list(sample_sessions(scenario, n_sessions, seed, survival))
-    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=n_sessions)
-    targets = np.zeros((n_sessions, lengths.max(initial=0)), dtype=np.intp)
-    taken = np.arange(targets.shape[1]) < lengths[:, None]
-    targets[taken] = list(chain.from_iterable(paths))
-    return lengths, targets
+def _row_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each CSR row's running sums, added one by one from the left as
+    `itertools.accumulate` adds them: one vectorised add per column."""
+    out = values.copy()
+    counts = np.diff(offsets)
+    order = np.argsort(-counts, kind="stable")
+    firsts, longest = offsets[order], -counts[order]
+    for c in range(1, counts.max(initial=0)):
+        at = firsts[:np.searchsorted(longest, -c)] + c  # the rows longer than c
+        out[at] += out[at - 1]
+    return out
+
+
+def _chain(draws: np.ndarray, at: int, room: int, limit: int) -> np.ndarray:
+    """Up to `limit` session starts below `room`, the first at `at` and each
+    next one `draws` after the last."""
+    first, step, starts = at, draws[at:room].tolist(), []
+    while at < room and len(starts) < limit:
+        starts.append(at)
+        at += step[at - first]
+    return np.array(starts, dtype=np.intp)
 
 
 # --- scenario file format ---------------------------------------------------

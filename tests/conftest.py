@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, repeat
+
 import numpy as np
 
 from navstream.costs import SizeTable, Structure, uniform_sizes
@@ -88,3 +91,37 @@ def random_structure(
             if i != j and rng.random() < edge_prob:
                 edges.add((i, j))
     return Structure(i_set=frozenset(i_set), p_edges=frozenset(edges))
+
+
+def reference_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=None):
+    """Yield the targets of `n_sessions` seeded sessions, one list each,
+    drawing one uniform at a time: the per-switch loop that
+    `scenario.sample_targets` must match with `==`.
+
+    A session starts at (START, start) and draws each target from its
+    pair's cumulative probabilities; it ends early at a pair with no
+    outgoing mass.  Its number of switches is drawn from the lifetime pmf
+    renormalised over 0..t_max, unless `survival` is given: then switch t is
+    taken only if a uniform draw falls below survival[t] (None forces it),
+    and a session has at most len(survival) switches.
+    """
+    rng = np.random.default_rng(seed)
+    offsets, succ, target, prob = map(np.ndarray.tolist, scenario.pair_index[1:])
+    cdfs = [list(accumulate(prob[a:b])) for a, b in zip(offsets, offsets[1:])]
+    pmf = np.asarray(scenario.lifetime.pmf)
+    lifetime_cdf = np.cumsum(pmf / pmf.sum()).tolist()
+    for _ in range(n_sessions):
+        schedule = survival
+        if schedule is None:
+            schedule = repeat(None, bisect_left(lifetime_cdf, rng.random()))
+        pair, targets = 0, []
+        for keep in schedule:
+            if keep is not None and rng.random() >= keep:
+                break
+            cdf = cdfs[pair]
+            if not cdf:
+                break
+            slot = offsets[pair] + bisect_left(cdf, rng.random() * cdf[-1])
+            pair = succ[slot]
+            targets.append(target[slot])
+        yield targets

@@ -119,6 +119,34 @@ def test_plan_eval_simulate_round_trip(lf_files, tmp_path, capsys):
     assert all(t["path"][0] == 4 for t in traces)
 
 
+def test_simulate_prints_z_against_the_dp_cost(lf_files, tmp_path, capsys):
+    """In consistency mode `simulate` prints z of its mean against the cost
+    the policy file records; default mode draws the lifetime another way and
+    prints no z."""
+    scenario, sizes = lf_files
+    structure, policy = tmp_path / "structure.json", tmp_path / "policy.json"
+    inputs = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    assert main(["plan", *inputs, "--lambda", "0.5", "--out", str(structure)]) == 0
+    assert main([
+        "eval", *inputs, "--structure", str(structure), "--buffer", "flex",
+        "--policy-out", str(policy),
+    ]) == 0
+    capsys.readouterr()
+    simulate = [
+        "simulate", *inputs, "--structure", str(structure), "--policy", str(policy),
+        "--sessions", "4000", "--seed", "3",
+    ]
+    assert main([*simulate, "--consistency-mode"]) == 0
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    mean, stderr = float(out["mean_bits"]), float(out["stderr_bits"])
+    z = float(out["z_vs_dp"])
+    assert z == (mean - Policy.load(policy).expected_cost) / stderr
+    assert abs(z) < 4
+    assert main(simulate) == 0
+    out = capsys.readouterr().out
+    assert "mean_bits" in out and "z_vs_dp" not in out
+
+
 def test_optimize_and_sweep(lf_files, tmp_path, capsys):
     scenario, sizes = lf_files
     out = tmp_path / "refined.json"

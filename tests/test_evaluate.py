@@ -624,6 +624,12 @@ _REJECTED_BOTH = {
     "2hop missing its predictor": lambda d: _set_first_action(d, ["2hop", 1]),
     "non-integer reference": lambda d: _set_first_action(d, ["1hop", "3"]),
     "action not a list": lambda d: _set_first_action(d, "0hop"),
+    "action an integer": lambda d: _set_first_action(d, 5),
+}
+# the message of a case, where it is pinned beyond "malformed policy"
+_MESSAGES = {
+    "action not a list": "malformed policy: '0hop' is not a flex-buffer action",
+    "action an integer": "malformed policy: 5 is not a flex-buffer action",
 }
 _REJECTED_V1 = {
     "key of the wrong width": _v1_short_key,
@@ -685,8 +691,9 @@ def test_policy_load_rejects_malformed(layout, case, tmp_path):
     _REJECTED[layout][case](data)
     path = tmp_path / "policy.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(InvalidInputError, match="malformed policy"):
+    with pytest.raises(InvalidInputError, match="malformed policy") as err:
         Policy.load(path)
+    assert str(err.value) == _MESSAGES.get(case, str(err.value))
 
 
 def test_policy_keys_far_apart_still_sort():

@@ -10,6 +10,7 @@ from conftest import (
     random_scenario,
     random_sizes,
     random_structure,
+    reference_sessions,
     uniform_sizes,
 )
 from navstream.costs import Structure, all_i_structure
@@ -30,7 +31,6 @@ from navstream.scenario import (
     NavigationModel,
     Scenario,
     build_lifetime_tail,
-    sample_sessions,
 )
 
 ASYM = Structure(i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1)}))
@@ -245,7 +245,7 @@ def test_simulate_names_the_first_gap_of_the_lowest_numbered_session():
     # the sessions walked one after another, each switch by switch, to the
     # depth and message of each one's first gap
     gaps = {}
-    for m, targets in enumerate(sample_sessions(sc, 300, seed=2)):
+    for m, targets in enumerate(reference_sessions(sc, 300, seed=2)):
         k, i, gam = START, sc.graph.start, EMPTY
         for t, j in enumerate(targets):
             if (t, i, gam, j) not in policy.actions:

@@ -1,5 +1,8 @@
 import ast
+import logging
 import math
+import re
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -7,17 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pingpong_scenario, random_scenario
-from navstream.adapters import lifetime_defaults
+import navstream.scenario
+from conftest import pingpong_scenario, random_scenario, reference_sessions
+from navstream.adapters import TrajectoryLog, build_viewport_scenario, lifetime_defaults
 from navstream.errors import InvalidInputError
 from navstream.scenario import (
     START,
     MediaGraph,
     NavigationModel,
+    Scenario,
     aggregate_switch_probabilities,
     build_lifetime_tail,
     left_sum,
     load_scenario,
+    sample_targets,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -303,3 +309,218 @@ def test_numpy_adds_bincount_and_cumsum_from_the_left():
     assert np.sum(values) != 1.0  # the input tells the two orders apart
     assert np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)[0] == 1.0
     assert np.cumsum(values)[-1] == 1.0
+
+
+def test_numpy_draws_a_block_of_uniforms_as_single_draws():
+    """`sample_targets` draws its uniforms in blocks and must read the same
+    stream as one `rng.random()` call per draw, whatever the block sizes."""
+    k = 1000
+    rng = np.random.default_rng(7)
+    single = np.array([rng.random() for _ in range(k)])
+    block = np.random.default_rng(7).random(k)
+    rng = np.random.default_rng(7)
+    halves = np.concatenate([rng.random(k // 2), rng.random(k // 2)])
+    assert (block == single).all() and (halves == single).all()
+
+
+# --- session sampler ----------------------------------------------------------
+
+def _reference_targets(sc, n_sessions, seed, survival=None):
+    """`reference_sessions` as `sample_targets` returns them."""
+    paths = list(reference_sessions(sc, n_sessions, seed, survival))
+    lengths = np.array([len(p) for p in paths], dtype=np.intp)
+    targets = np.zeros((n_sessions, lengths.max(initial=0)), dtype=np.intp)
+    for m, path in enumerate(paths):
+        targets[m, :len(path)] = path
+    return lengths, targets
+
+
+def _schedules(lt):
+    """Default mode, and consistency mode with the first switch forced or
+    taken with probability g(1)."""
+    tail = [lt.g(t) for t in range(1, lt.t_max + 1)]
+    return {"default": None, "forced": [None, *tail], "g1": [lt.g(1), *tail]}
+
+
+def _assert_sampler_matches(sc, n_sessions, seed, survival):
+    got = sample_targets(sc, n_sessions, seed, survival)
+    want = _reference_targets(sc, n_sessions, seed, survival)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert (a == b).all()
+    return got
+
+
+def _sink_scenario(mu=2.0, t_max=4) -> Scenario:
+    """MDU 3 has no neighbours, the (1, 0) row gives target 1 probability 0
+    and the (2, 0) row is all zeros, so sessions stop early at three pairs."""
+    graph = MediaGraph(n=4, neighbors=((1, 2), (0, 3), (0,), ()), start=0)
+    nav = NavigationModel(
+        p_start={1: 0.6, 2: 0.4},
+        p_switch={
+            (0, 1, 0): 0.7, (0, 1, 3): 0.3,
+            (1, 0, 1): 0.0, (1, 0, 2): 1.0,
+            (2, 0, 1): 0.0, (2, 0, 2): 0.0,
+            (0, 2, 0): 1.0,
+        },
+    )
+    return Scenario(graph, nav, build_lifetime_tail(mu, t_max))
+
+
+@pytest.mark.parametrize("mode", ["default", "forced", "g1"])
+@pytest.mark.parametrize("seed", range(12))
+def test_sampler_matches_the_per_switch_loop(seed, mode):
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, int(rng.integers(2, 9)), int(rng.integers(1, 7)))
+    for n_sessions in (1, 2, 500):
+        _assert_sampler_matches(sc, n_sessions, seed, _schedules(sc.lifetime)[mode])
+
+
+@pytest.mark.parametrize("mode", ["default", "forced", "g1"])
+def test_sampler_matches_the_loop_at_sinks_and_zero_rows(mode):
+    sc = _sink_scenario(mu=6.0, t_max=6)
+    lengths, _ = _assert_sampler_matches(sc, 3000, 5, _schedules(sc.lifetime)[mode])
+    # every session stops by its 4th switch, at MDU 3 or at the (2, 0) row
+    assert lengths.max() == 4
+
+
+@pytest.mark.parametrize("mode", ["default", "forced", "g1"])
+def test_sampler_matches_the_loop_on_zero_length_sessions(mode):
+    sc = random_scenario(np.random.default_rng(3), 5, 3, mu=0.3)
+    lengths, _ = _assert_sampler_matches(sc, 400, 1, _schedules(sc.lifetime)[mode])
+    if mode != "forced":
+        assert (lengths == 0).any()
+    # a start with no neighbours: every session is empty
+    graph = MediaGraph(n=2, neighbors=((), (0,)), start=0)
+    sc = Scenario(graph, NavigationModel({}, {}), build_lifetime_tail(2.0, 3))
+    lengths, targets = _assert_sampler_matches(sc, 5, 1, _schedules(sc.lifetime)[mode])
+    assert targets.shape == (5, 0)
+
+
+def test_sampler_with_no_sessions_or_no_schedule():
+    sc = pingpong_scenario(mu=2.0, t_max=4)
+    for survival in (None, []):
+        lengths, targets = _assert_sampler_matches(sc, 0, 1, survival)
+        assert lengths.shape == (0,) and targets.shape == (0, 0)
+    lengths, _ = _assert_sampler_matches(sc, 3, 1, [])
+    assert (lengths == 0).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("mode", ["default", "forced", "g1"])
+def test_sampler_matches_the_loop_across_blocks(monkeypatch, block, mode):
+    """Blocks this small end inside sessions: a session that starts in a
+    block's unused tail reads the rest of its draws from the next block."""
+    monkeypatch.setattr(navstream.scenario, "_SAMPLE_BLOCK", block)
+    sc = random_scenario(np.random.default_rng(8), 6, 5)
+    _assert_sampler_matches(sc, 300, 2, _schedules(sc.lifetime)[mode])
+    sc = _sink_scenario()
+    _assert_sampler_matches(sc, 300, 2, _schedules(sc.lifetime)[mode])
+    for eps in (0.003, 0.05):
+        sc = _ring_with_sink(eps, mu=6.0, t_max=12)
+        _assert_sampler_matches(sc, 100, 2, _schedules(sc.lifetime)[mode])
+
+
+def test_sampler_breaks_ties_as_the_loop():
+    """A target draw u with u·total equal to a cumulative probability takes
+    that slot, and a survival draw equal to survival[t] stops the session."""
+    u = np.random.default_rng(6).random(2)
+    graph = MediaGraph(n=3, neighbors=((1, 2), (0,), (0,)), start=0)
+    nav = NavigationModel({1: u[0], 2: 1.0 - u[0]}, {(0, 1, 0): 1.0, (0, 2, 0): 1.0})
+    sc = Scenario(graph, nav, build_lifetime_tail(1.0, 2))
+    assert sc.pair_index.prob[:2].cumsum()[-1] == 1.0  # so u[0]·total is u[0]
+    lengths, targets = _assert_sampler_matches(sc, 1, 6, [None])
+    assert (lengths[0], targets[0, 0]) == (1, 1)
+    lengths, _ = _assert_sampler_matches(sc, 1, 6, [None, u[1]])
+    assert lengths[0] == 1
+
+
+def _ring_with_sink(eps, n=12, mu=20.0, t_max=40) -> Scenario:
+    """A ring of n MDUs whose every switch leaves for the sink MDU n, which
+    has no neighbours, with probability eps: long sessions that stop at a
+    share of positions set by eps."""
+    ring = [((i - 1) % n, (i + 1) % n, n) for i in range(n)]
+    p_switch = {}
+    for i in range(n):
+        for k in ring[i][:2]:
+            p_switch[(k, i, (i - 1) % n)] = 0.3 * (1 - eps)
+            p_switch[(k, i, (i + 1) % n)] = 0.7 * (1 - eps)
+            p_switch[(k, i, n)] = eps
+    graph = MediaGraph(n=n + 1, neighbors=(*ring, ()), start=0)
+    nav = NavigationModel({1: 0.5, n - 1: 0.5}, p_switch)
+    return Scenario(graph, nav, build_lifetime_tail(mu, t_max))
+
+
+def _sampler_log(caplog, *args):
+    """`sample_targets(*args)` and the numbers of its DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="navstream.scenario"):
+        lengths, _ = sample_targets(*args)
+    (record,) = [r for r in caplog.records if r.name == "navstream.scenario"]
+    found = re.fullmatch(
+        r"sampler: (\d+) sessions, (\d+) switches, (\d+) uniforms drawn, "
+        r"(\d+) used, (\d+) chains repaired after no-mass stops, (\d+) blocks "
+        r"re-walked from every position, in [\d.]+ s",
+        record.getMessage(),
+    )
+    sessions, switches, drawn, used, repaired, rewalked = map(int, found.groups())
+    assert (sessions, switches) == (len(lengths), lengths.sum())
+    assert used <= drawn
+    return lengths, used, repaired, rewalked
+
+
+@pytest.mark.parametrize("mode", ["default", "forced", "g1"])
+@pytest.mark.parametrize("eps", [0.0, 0.003, 0.05, 0.5])
+def test_sampler_matches_the_loop_on_long_sessions_with_sinks(caplog, eps, mode):
+    """Long sessions that seldom or often stop: chains repaired one stop at
+    a time, and blocks whose every position is walked, across blocks."""
+    sc = _ring_with_sink(eps)
+    survival = _schedules(sc.lifetime)[mode]
+    _assert_sampler_matches(sc, 400, 3, survival)
+    _, _, repaired, rewalked = _sampler_log(caplog, sc, 400, 3, survival)
+    if eps == 0.0:
+        assert repaired == rewalked == 0
+    elif eps == 0.003:
+        assert repaired >= 1 and rewalked == 0
+    elif eps == 0.05:
+        assert rewalked >= 1
+    else:
+        # the first walk of the block stops often; once every position is
+        # walked for its true count, no stop is left to repair
+        assert repaired == rewalked == 1
+
+
+def test_sampler_matches_the_loop_on_a_wide_viewport_row():
+    """A viewport seen only as a last step gets a row over all the others
+    (degree 100 here), which the sampler bisects like the short rows."""
+    ring = [[i, (i + 1) % 100, (i + 2) % 100] for i in range(100)]
+    traj = TrajectoryLog(sessions=[*ring, [7, 100]])
+    graph, nav = build_viewport_scenario(traj, 101)
+    sc = Scenario(graph, nav, build_lifetime_tail(8.0, 30))
+    assert len(graph.neighbors[100]) == 100
+    for mode, survival in _schedules(sc.lifetime).items():
+        _, targets = _assert_sampler_matches(sc, 600, 4, survival)
+        assert (targets == 100).any()
+
+
+def test_row_cumsum_adds_each_row_from_the_left():
+    rng = np.random.default_rng(2)
+    lengths = [3, 0, 1, 7, 0, 2, 7]
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.random(offsets[-1])
+    got = navstream.scenario._row_cumsum(values, offsets)
+    want = [
+        x for a, b in zip(offsets, offsets[1:]) for x in accumulate(values[a:b].tolist())
+    ]
+    assert got.tolist() == want
+
+
+def test_sampler_logs_its_draws_at_debug(caplog):
+    sc = _sink_scenario()
+    lengths, used, repaired, rewalked = _sampler_log(caplog, sc, 2000, 4)
+    # default mode draws a lifetime, then one target per switch
+    assert used == len(lengths) + lengths.sum()
+    # one session in five or so stops: chains are repaired, not re-walked
+    assert repaired >= 1 and rewalked == 0
+    sc = _ring_with_sink(0.5)
+    assert _sampler_log(caplog, sc, 2000, 4)[3] >= 1
