@@ -96,7 +96,7 @@ class _Lister:
     rows [pair 0, mask words...], and `root_bits` their bits.
     """
 
-    narrow = False  # mask words use all 64 bits: rows are hashed
+    pack = None  # mask words use all 64 bits: rows are hashed
 
     def __init__(self, scenario: Scenario, sizes: SizeTable, structure: Structure):
         n = scenario.graph.n

@@ -12,18 +12,24 @@ Each buffer model gives one vectorised lister.  For a batch of requests,
 `options` returns every option's immediate bits (+inf where a slot holds no
 option) and action code as (rows, K) arrays, in tie order, and a function
 that gives the next buffer words of any (request, slot).  The forward pass
-collects each level's distinct states, hashing whole rows and confirming
-every hash match word by word, `_CHUNK` states at a time.  A level that
-repeats the one above it is not expanded again, and more than `max_states`
-states raise `OracleRefusalError` as soon as the running count passes it.
-The backward pass values the levels from the last one up.  A request takes
-the first minimum (`argmin`) of imm + g(t+1)·V(next), or just imm once
-g(t+1) = 0, and `np.bincount` adds p times that minimum per state in graph
-order, from 0.0, as a Python loop would.  It reuses the forward pass's
-expansions, up to `_KEPT` bytes of them, and expands a repeated level only
-once.  The fixed and flexible DPs charge every request of
-`Scenario.request_index`, p = 0 ones too; the fixed and flexible rows pack
-into one uint64 each, which serves as their hash.
+collects each level's distinct states, `_CHUNK` halves (below) at a time.
+A level that repeats the one above it is not expanded again, and more than
+`max_states` states raise `OracleRefusalError` as soon as the running count
+passes it.  The backward pass values the levels from the last one up.  A
+request takes the first minimum (`argmin`) of imm + g(t+1)·V(next), or just
+imm once g(t+1) = 0, and `np.bincount` adds p times that minimum per state
+in graph order, from 0.0, as a Python loop would.  It reuses the forward
+pass's expansions, up to `_KEPT` bytes of them, and expands a repeated
+level only once.
+
+The fixed and flexible DPs charge every request of `Scenario.request_index`
+(p = 0 too), where pairs with one cur share one row of targets and a
+request's options, pick and next state do not depend on prev.  So a level
+is listed once per (cur, buffer) half, a run of its rows keyed by (cur,
+buffer word, pair id) in one uint64, and a state adds p(j | prev, cur)·
+Q(cur, buffer, j) over its half's minima Q; without a policy, only from
+`_GROUP_FROM` states on, below which numpy's per-call cost outweighs the
+rows saved.  The infinite buffer hashes its rows, one half per state.
 
 Per-request actions recorded in the policy:
   ("0hop",)                fixed-buffer independent reconstruction
@@ -39,12 +45,11 @@ Tie-breaking is deterministic: fixed prefers 1-hop over 0-hop; flexible
 prefers 1-hop, then 2-hop, then 0-hop, then the lowest candidate indices,
 except that a 2-hop's first hop prefers the buffered MDU to the displayed one.
 
-A request's options depend on (cur, buffered, target) alone and lead to the
-pair (cur, target), so every prev picks the same action: a policy is keyed
-by (t, cur, target), or (t, cur, buffered, target) for the flexible buffer.
-The backward pass packs each request's key into one int64 and keeps the
-first copy of each per level; copies with two actions raise `RuntimeError`.
-`dp_stats["actions"]` still counts the DP's decisions, one per request.
+Every prev picks the same action, so a policy is keyed by (t, cur,
+target), or (t, cur, buffered, target) for the flexible buffer: one key per
+request listed, each half's requests in graph order, the halves of a level
+in (cur, buffered) order.  `dp_stats["actions"]` still counts the DP's
+decisions, one per request of each state.
 
 A `Policy` holds the picks as arrays: `keys[n]` is the n-th key in the DP's
 order (last level first) and `table[index[n]]` its action.  `Policy.actions`
@@ -372,23 +377,25 @@ class _Collision(Exception):
 class _Level:
     """The distinct states of one level as rows [pair id, buffer words...].
 
-    Rows are kept in the order of their hashes, which are distinct.  A hash
-    only finds a candidate: every match is confirmed on the whole row.  A
-    `narrow` level's rows, [pair id] or [pair id, word] with both below
-    2^32, are their own hashes, packed into one uint64, so none collide.
-    """
+    Rows are kept in the order of their keys, which are distinct.  A key is
+    a hash, confirmed on the whole row; with a one-MDU lister's `pack` (cur
+    and pair id by pair id, the pair id's bits, `_GROUP_FROM` or 0) it is
+    the row itself, packed, and from that many rows on a half is a run of
+    one (cur, buffer word).  `bounds`, read once the level is whole, lists
+    where its `halves` start, then the end; None: each row is its own half."""
 
-    def __init__(self, width: int, salt: int, narrow: bool = False):
-        self.salt, self.narrow = salt, narrow
+    def __init__(self, width: int, salt: int, pack: tuple | None = None):
+        self.salt, self.pack = salt, pack
         self.keys = np.empty(0, dtype=np.uint64)
         self.rows = np.empty((0, width), dtype=np.uint64)
 
     def _hashes(self, rows: np.ndarray) -> np.ndarray:
-        if not self.narrow:
+        if self.pack is None:
             return _hashes(rows, self.salt)
-        if rows.shape[1] == 1:
-            return rows[:, 0].copy()
-        return rows[:, 0] << np.uint64(32) | rows[:, 1]
+        key = self.pack[0][rows[:, 0]]
+        for col in rows.T[1:]:  # none or one buffer word
+            key |= col << self.pack[1]
+        return key
 
     def add(self, rows: np.ndarray) -> np.ndarray | None:
         """Add the states `rows`, which may repeat each other or this level's.
@@ -401,7 +408,7 @@ class _Level:
         head = np.ones(len(h), dtype=bool)
         head[1:] = h[1:] != h[:-1]
         h, firsts, rank = h[head], rows[head], np.cumsum(head) - 1
-        if not (rows == firsts[rank]).all():
+        if self.pack is None and not (rows == firsts[rank]).all():
             raise _Collision
         if not len(self.keys):
             self.keys, self.rows = h, firsts
@@ -412,11 +419,21 @@ class _Level:
         hit = np.zeros(len(h), dtype=bool)
         inside = pos < len(self.keys)
         hit[inside] = self.keys[pos[inside]] == h[inside]
-        if not (self.rows[pos[hit]] == firsts[hit]).all():
+        if self.pack is None and not (self.rows[pos[hit]] == firsts[hit]).all():
             raise _Collision
         self.keys = np.insert(self.keys, pos[~hit], h[~hit])
         self.rows = np.insert(self.rows, pos[~hit], firsts[~hit], axis=0)
         return None
+
+    @cached_property
+    def bounds(self) -> np.ndarray | None:
+        if self.pack is None or len(self.keys) < self.pack[2]:
+            return None
+        new = np.ones(len(self.keys) + 1, dtype=bool)  # a half starts, or the end
+        new[1:-1] = np.diff(self.keys >> self.pack[1]) != 0
+        return None if new.all() else np.flatnonzero(new)
+
+    halves = property(lambda self: len(self.keys if self.bounds is None else self.bounds[1:]))
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The positions of the states `rows`, each of which is in this level."""
@@ -427,22 +444,22 @@ class _Level:
         return pos
 
 
-_CHUNK = 4096  # states expanded at once; a refusal stops within a level
+_CHUNK = 4096  # halves expanded at once; a refusal stops within a level
+_GROUP_FROM = 256  # states from which a cost-only level is listed by halves
 _KEPT = 1 << 20  # bytes of expansions the forward pass keeps for the backward one
 
 
 @dataclass
 class _Expansion:
-    """The requests of a chunk of states and where their options lead.
+    """The requests of a chunk of halves and where their options lead.
 
-    Each request's state (a position in the chunk) and index slot, the
-    pair, buffer words and target the lister was asked about, its options'
-    bits and action codes from the lister, the flat position in `bits` of
-    every option, and the row `nxt` of the state each option leads to;
-    `pos` is where those states are in the next level, once known.
-    """
+    Each request's half (a position in the chunk) and index slot, from the
+    half's first row, the pair, buffer words and target the lister was
+    asked about, its options' bits and action codes from the lister, the
+    flat position in `bits` of every option, and the row `nxt` of the state
+    each option leads to; `pos` and `terms` come once the DP needs them."""
 
-    state: np.ndarray
+    half: np.ndarray
     slots: np.ndarray
     pair: np.ndarray
     buf: np.ndarray
@@ -452,24 +469,45 @@ class _Expansion:
     opt: np.ndarray
     nxt: np.ndarray
     pos: np.ndarray | None = None
+    terms: tuple | None = None
 
     def nbytes(self) -> int:
         return left_sum(a.nbytes for a in vars(self).values() if a is not None)
 
 
-def _expand(index: PairIndex, lister, rows: np.ndarray) -> _Expansion:
-    """The `_Expansion` of the states `rows` over the requests of `index`."""
+def _expand(index: PairIndex, lister, level: _Level, lo: int, leads=True) -> _Expansion:
+    """The `_Expansion` of `level`'s halves from half `lo` over the requests of
+    `index`, each listed from its first row; opt and nxt None unless `leads`."""
+    heads = slice(lo, lo + _CHUNK) if level.bounds is None else level.bounds[lo:-1][:_CHUNK]
+    rows = level.rows[heads]
     pair = rows[:, 0].astype(np.intp)
     counts, slots = csr_slots(index.offsets, pair)
-    state = np.repeat(np.arange(len(rows)), counts)
-    asked = pair[state], rows[state, 1:], index.target[slots]
+    half = np.repeat(np.arange(len(rows)), counts)
+    asked = pair[half], rows[half, 1:], index.target[slots]
     bits, act, after = lister.options(*asked)
+    if not leads:
+        return _Expansion(half, slots, *asked, bits, act, None, None)
     opt = np.flatnonzero(bits < math.inf)
     r, k = np.divmod(opt, bits.shape[1])
     nxt = np.empty((len(r), rows.shape[1]), dtype=np.uint64)
     nxt[:, 0] = index.succ[slots[r]]
     nxt[:, 1:] = after(r, k)
-    return _Expansion(state, slots, *asked, bits, act, opt, nxt)
+    return _Expansion(half, slots, *asked, bits, act, opt, nxt)
+
+
+def _terms(index: PairIndex, level: _Level, lo: int, chunk: _Expansion) -> tuple:
+    """The rows s0..s1 - 1 of `chunk`'s states, and their requests in graph order:
+    each one's state (a row of the chunk), p, and place among the listed ones."""
+    if level.bounds is None:  # each state its own half
+        return lo, min(lo + _CHUNK, len(level.keys)), chunk.half, index.prob[chunk.slots], ...
+    s0, s1 = level.bounds[lo], level.bounds[min(lo + _CHUNK, level.halves)]
+    pair = level.rows[s0:s1, 0].astype(np.intp)
+    counts, slots = csr_slots(index.offsets, pair)
+    runs = level.bounds[lo:lo + _CHUNK + 1] - s0
+    listed = counts[runs[:-1]]  # each half's requests, one half after another
+    base = np.repeat(np.cumsum(listed) - listed, np.diff(runs)) - index.offsets[pair]
+    state = np.repeat(np.arange(s1 - s0), counts)
+    return s0, s1, state, index.prob[slots], np.repeat(base, counts) + slots
 
 
 def _levels(index, weights, lister, max_states, salt, log, name) -> tuple[list, dict]:
@@ -477,28 +515,28 @@ def _levels(index, weights, lister, max_states, salt, log, name) -> tuple[list, 
     for `weights` = (w1, g(1), ..., g(T)).
 
     A level equal to the one above it is that same `_Level`.  Also returns
-    the chunk expansions kept for the backward pass, by (level, first row),
-    up to `_KEPT` bytes in all.
+    the chunk expansions kept for the backward pass, by (level, first half),
+    up to `_KEPT` bytes in all, and where the roots are in level 0.
     """
     width = lister.roots.shape[1]
-    levels, kept, room = [_Level(width, salt, lister.narrow)], {}, _KEPT
-    levels[0].add(lister.roots)
+    levels, kept, room = [_Level(width, salt, lister.pack)], {}, _KEPT
+    roots = levels[0].add(lister.roots)
     reached, repeats = len(levels[0].keys), False
     while reached <= max_states and len(levels) < len(weights):
         above = levels[-1]
         if not repeats:
-            nxt = _Level(width, salt, lister.narrow)
-            for lo in range(0, len(above.keys), _CHUNK):
-                chunk = _expand(index, lister, above.rows[lo:lo + _CHUNK])
+            nxt = _Level(width, salt, lister.pack)
+            for lo in range(0, above.halves, _CHUNK):
+                chunk = _expand(index, lister, above, lo)
                 if (size := chunk.nbytes()) <= room:
                     kept[above, lo], room = chunk, room - size
                 successors, chunk = chunk.nxt, None  # the rest is freed unless kept
                 placed = nxt.add(successors)
                 if reached + len(nxt.keys) > max_states:
                     break
-            if len(above.keys) <= _CHUNK and (above, 0) in kept:
+            if above.halves <= _CHUNK and (above, 0) in kept:
                 kept[above, 0].pos = placed  # from the level's only add: final
-            repeats = np.array_equal(nxt.rows, above.rows)
+            repeats = len(nxt.keys) == len(above.keys) and np.array_equal(nxt.rows, above.rows)
         levels.append(above if repeats else nxt)
         reached += len(levels[-1].keys)
     for t, level in enumerate(levels):
@@ -508,17 +546,7 @@ def _levels(index, weights, lister, max_states, salt, log, name) -> tuple[list, 
             f"{name} pass exceeds {max_states} reachable states "
             f"at level {len(levels) - 1}"
         )
-    return levels, kept
-
-
-def _first_copies(keys: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first copy of each distinct key of `keys`, in order, and its code;
-    copies of one key with different codes raise `RuntimeError`."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if not np.array_equal(codes[first][inverse], codes):
-        raise RuntimeError("level pass: copies of a policy key picked two actions")
-    first.sort()
-    return keys[first], codes[first]
+    return levels, kept, roots
 
 
 def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf):
@@ -529,15 +557,16 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
     option (nothing at level T), and the expected cost is the minimum over
     the roots of root_bits + w1·V(root).  Each level's size is logged at
     DEBUG on `log` as "`name` level t: c states" once the forward pass is
-    done.  Returns that cost; the number of states; the number of requests
-    valued; and, for a lister with action codes, (t, keys, codes) per level,
-    last level first, with each distinct packed key (`lister.keys`) once,
-    at its first copy, and its picked action code (for any other lister, no
-    levels).
+    done, and on this module's logger as "`name` level t: h (cur, buffer)
+    halves, r requests listed" as the backward pass values it.  Returns that
+    cost; the number of states; the number of requests valued, one per
+    request of each state; and, for a lister with action codes, (t, keys,
+    codes) per level, last level first, with each listed request's packed
+    key (`lister.keys`) and picked code (for any other lister, no levels).
     """
     for salt in count():
         try:
-            levels, kept = _levels(index, weights, lister, max_states, salt, log, name)
+            levels, kept, roots = _levels(index, weights, lister, max_states, salt, log, name)
             break
         except _Collision:
             continue
@@ -546,11 +575,11 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
     for t in range(len(levels) - 1, -1, -1):
         g_next, level = g_next_of[t], levels[t]
         repeated = t > 0 and levels[t - 1] is level
+        leads = g_next > 0.0 or repeated  # its options' next states are needed
         cur = np.empty(len(level.keys))
-        keys, codes = [], []
-        for lo in range(0, len(level.keys), _CHUNK):
-            rows = level.rows[lo:lo + _CHUNK]
-            chunk = kept.pop((level, lo), None) or _expand(index, lister, rows)
+        keys, codes, asked = [], [], 0
+        for lo in range(0, level.halves, _CHUNK):
+            chunk = kept.pop((level, lo), None) or _expand(index, lister, level, lo, leads)
             if repeated:  # the same chunk, with the same successors, serves t - 1
                 kept[level, lo] = chunk
             bits = chunk.bits
@@ -559,21 +588,25 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
                     chunk.pos = levels[t + 1].index(chunk.nxt)
                 bits = bits.copy()  # a repeated level's chunk is valued again
                 bits.ravel()[chunk.opt] += g_next * values[chunk.pos]
-            # each request's first cheapest option, as a flat position in `bits`
-            pick = np.arange(0, bits.size, bits.shape[1]) + bits.argmin(axis=1)
-            # np.bincount adds each state's terms in turn from 0.0, in graph order
-            cur[lo:lo + len(rows)] = np.bincount(
-                chunk.state, weights=index.prob[chunk.slots] * bits.ravel()[pick],
-                minlength=len(rows),
-            )
-            requests += len(chunk.state)
-            if chunk.act is not None:
+            if chunk.act is None:
+                least = bits.min(axis=1)
+            else:  # each request's first cheapest option, as a flat position in `bits`
+                pick = np.arange(0, bits.size, bits.shape[1]) + bits.argmin(axis=1)
+                least = bits.ravel()[pick]
                 keys.append(lister.keys(chunk.pair, chunk.buf, chunk.j))
                 codes.append(chunk.act.ravel()[pick])
+            chunk.terms = chunk.terms or _terms(index, level, lo, chunk)
+            s0, s1, state, prob, gather = chunk.terms
+            # np.bincount adds each state's terms in turn from 0.0, in graph order
+            cur[s0:s1] = np.bincount(state, weights=prob * least[gather], minlength=s1 - s0)
+            requests += len(state)
+            asked += len(chunk.j)
         if keys:
-            picks.append((t, *_first_copies(np.concatenate(keys), np.concatenate(codes))))
+            picks.append((t, np.concatenate(keys), np.concatenate(codes)))
+        logger.debug("%s level %d: %d (cur, buffer) halves, %d requests listed",
+                     name, t, level.halves, asked)
         values = cur
-    first = zip(lister.root_bits.tolist(), values[levels[0].index(lister.roots)].tolist())
+    first = zip(lister.root_bits.tolist(), values[roots].tolist())
     cost = min(c + weights[0] * v for c, v in first)
     states = left_sum(len(level.keys) for level in levels)
     return cost, states, requests, picks
@@ -598,12 +631,17 @@ class _OneMduLister:
 
     arity: tuple  # the number of arguments of each kind's action
     name: str  # the buffer's name in its DEBUG level lines
-    narrow = True  # a state row's pair id and buffer word are below 2^32
 
     def __init__(self, scenario: Scenario, tables: CostTables, actions: bool):
         self.n, self.actions = scenario.graph.n, actions
-        pairs = np.array(scenario.request_index.pairs, dtype=np.int64).reshape(-1, 2)
-        self.cur = pairs[:, 1]
+        self.cur = scenario.request_index.cur
+        # a `_Level` key: cur, then the buffer word if any, then the pair id
+        word, pair = self.n.bit_length(), (len(self.cur) - 1).bit_length()
+        if 2 * word + pair > 64:
+            raise InvalidInputError(f"{self.n} MDUs are too many to pack a state in 64 bits")
+        table = self.cur.astype(np.uint64) << word * (self.roots.shape[1] - 1) + pair
+        table |= np.arange(len(self.cur), dtype=np.uint64)
+        self.pack = (table, pair, 0 if actions else _GROUP_FROM)  # a policy lists keys once
         self.r_i = np.array(tables.r_i)
         self.r_p = tables.p_bits[:, 1:]
         self.root_bits = np.array([tables.r_i[scenario.graph.start]])

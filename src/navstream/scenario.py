@@ -174,12 +174,13 @@ def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
 class PairIndex(NamedTuple):
     """The (prev, cur) pairs of the navigation chain and their requests.
 
-    Pair a's requests are the slots offsets[a]..offsets[a + 1] - 1, in graph
-    order; slot s requests target[s] with probability prob[s] and moves the
-    chain to the pair succ[s] = (cur, target[s]).
+    Pair a is pairs[a] = (prev, cur[a]); its requests are the slots offsets[a]
+    ..offsets[a + 1] - 1, in graph order; slot s requests target[s] with
+    probability prob[s] and moves the chain to the pair succ[s] = (cur, target[s]).
     """
 
     pairs: tuple[tuple[int, int], ...]
+    cur: np.ndarray
     offsets: np.ndarray
     succ: np.ndarray
     target: np.ndarray
@@ -209,7 +210,8 @@ class Scenario:
         """Every request, p = 0 ones too, for the fixed and flexible DPs
         charge them.  Pair 0 is (START, start), then the edge pairs (k, i) by
         k and by i's place in N(k); a row lists cur's neighbours in graph
-        order, and the START row reads p_start."""
+        order, and the START row reads p_start, so pairs with the same cur
+        have the same row of targets."""
         nb, n = self.graph.neighbors, self.graph.n
         degree = np.fromiter(map(len, nb), dtype=np.intp, count=n)
         prev = np.concatenate([[START], np.repeat(np.arange(n), degree)])
@@ -221,7 +223,7 @@ class Scenario:
         prob = np.fromiter(map(self.nav.prob, k, i, target.tolist()), float, len(k))
         pairs = tuple(zip(prev.tolist(), cur.tolist()))
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        return PairIndex(pairs, offsets, succ, target, prob)
+        return PairIndex(pairs, cur, offsets, succ, target, prob)
 
     @cached_property
     def pair_index(self) -> PairIndex:
@@ -230,7 +232,7 @@ class Scenario:
         index = self.request_index
         kept = index.prob > 0.0
         offsets = np.concatenate([[0], np.cumsum(kept)])[index.offsets]
-        return PairIndex(index.pairs, offsets, *(x[kept] for x in index[2:]))
+        return PairIndex(index.pairs, index.cur, offsets, *(x[kept] for x in index[3:]))
 
     @cached_property
     def switch_probs(self) -> AggregateSwitchProbs:

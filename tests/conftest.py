@@ -106,7 +106,7 @@ def reference_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=
     and a session has at most len(survival) switches.
     """
     rng = np.random.default_rng(seed)
-    offsets, succ, target, prob = map(np.ndarray.tolist, scenario.pair_index[1:])
+    offsets, succ, target, prob = map(np.ndarray.tolist, scenario.pair_index[2:])
     cdfs = [list(accumulate(prob[a:b])) for a, b in zip(offsets, offsets[1:])]
     pmf = np.asarray(scenario.lifetime.pmf)
     lifetime_cdf = np.cumsum(pmf / pmf.sum()).tolist()

@@ -15,7 +15,7 @@ from conftest import (
     random_structure,
     uniform_sizes,
 )
-from navstream.adapters import LfGridSpec, build_lf_scenario
+from navstream.adapters import LfGridSpec, build_lf_scenario, lifetime_defaults
 from navstream.costs import SizeTable, Structure, all_i_structure
 from navstream.errors import InfeasibleStructureError, InvalidInputError
 from navstream.evaluate import (
@@ -352,22 +352,25 @@ def test_levels_past_the_fixed_point_are_pinned(fn, caplog, monkeypatch):
     sc, sz, st = _repeating_levels_instance()
     expanded, expand = [], core._expand
 
-    def counting(index, lister, rows):
-        expanded.append(len(rows))
-        return expand(index, lister, rows)
+    def counting(index, lister, level, lo, *leads):
+        expanded.append(min(core._CHUNK, level.halves - lo))
+        return expand(index, lister, level, lo, *leads)
 
     monkeypatch.setattr(core, "_expand", counting)
     monkeypatch.setattr(core, "_KEPT", 0)  # keep no forward expansions
     with caplog.at_level(logging.DEBUG, logger="navstream.evaluate"):
         res = fn(sc, sz, st)
-    counts = [int(r.getMessage().split(": ")[1].split()[0]) for r in caplog.records]
-    assert len(counts) == 13 and len(set(counts[4:])) == 1
+    lines = [r.getMessage() for r in caplog.records]
+    counts = [int(m.split(": ")[1].split()[0]) for m in lines if m.endswith(" states")]
+    # the halves lines come as the backward pass values the levels, last first
+    halves = [int(m.split(": ")[1].split()[0]) for m in lines if m.endswith(" listed")][::-1]
+    assert len(counts) == len(halves) == 13 and len(set(counts[4:])) == 1
     assert sum(counts) == stats["states"]
-    # the forward pass expands the levels up to the first that repeats the
-    # one above it, and no later one; the backward pass expands each of
-    # those levels once more, and values every level
+    # the forward pass expands the halves of the levels up to the first that
+    # repeats the one above it, and no later one; the backward pass expands
+    # each of those levels once more, and values every level
     repeat = next(t for t in range(1, 13) if counts[t] == counts[t - 1])
-    assert sum(expanded) == 2 * sum(counts[:repeat])
+    assert sum(expanded) == 2 * sum(halves[:repeat])
     assert set(res.policy.keys[:, 0].tolist()) == set(range(13))
     assert res.expected_cost == costs[0]
     assert res.dp_stats == stats
@@ -384,11 +387,83 @@ def test_cost_only_evaluation_builds_no_policy(buffer):
     assert (bare.expected_cost, bare.dp_stats) == (full.expected_cost, full.dp_stats)
 
 
-def test_first_copies_keep_order_and_refuse_two_actions():
-    keys, codes = core._first_copies(np.array([5, 3, 5, 3, 8]), np.array([1, 2, 1, 2, 1]))
-    assert (keys.tolist(), codes.tolist()) == ([5, 3, 8], [1, 2, 1])
-    with pytest.raises(RuntimeError, match="two actions"):
-        core._first_copies(np.array([5, 3, 5]), np.array([1, 2, 7]))
+@pytest.mark.parametrize("seed", range(20))
+def test_listers_ignore_the_previous_mdu(seed):
+    # a request's options, picks and next words depend on (cur, buffer,
+    # target) alone, so the DP lists each (cur, buffer) half once
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    sc = random_scenario(rng, n, 2, max_deg=4)
+    tables = CostTables(random_structure(rng, n), random_sizes(rng, n), n)
+    index = sc.request_index
+    for lister in (core._FixedLister(sc, tables, True), core._FlexLister(sc, tables, True)):
+        words = np.arange(n + 1, dtype=np.uint64)[:, None][:, :lister.roots.shape[1] - 1]
+        for i in set(index.cur.tolist()):
+            a, *others = np.flatnonzero(index.cur == i)
+            j = index.target[index.offsets[a]:index.offsets[a + 1]]
+            buf = np.repeat(words, len(j), axis=0)
+            j = np.tile(j, len(words))
+            want_bits, want_act, want_after = lister.options(np.full(len(j), a), buf, j)
+            r, k = np.nonzero(want_bits < np.inf)
+            for b in others:
+                bits, act, after = lister.options(np.full(len(j), b), buf, j)
+                assert np.array_equal(bits, want_bits)
+                assert np.array_equal(act, want_act)
+                assert np.array_equal(after(r, k), want_after(r, k))
+
+
+def test_level_pass_logs_halves_and_listed_requests(caplog):
+    sc, sz, st = _shared_halves_instance()
+    with caplog.at_level(logging.DEBUG, logger="navstream.evaluate"):
+        res = evaluate(sc, sz, st, "flex")
+    halves = ((1, 8), (16, 64), (50, 248), (90, 400))
+    assert [r.getMessage() for r in caplog.records] == [
+        *(f"flexible-buffer level {t}: {c} states" for t, c in enumerate((1, 16, 96, 280))),
+        *(f"flexible-buffer level {t}: {h} (cur, buffer) halves, {r} requests listed"
+          for t, (h, r) in reversed(list(enumerate(halves)))),
+    ]
+    # each listed request is one key of the policy
+    assert len(res.policy.keys) == sum(r for _, r in halves)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="navstream.evaluate"):
+        bare = evaluate(sc, sz, st, "flex", policy=False)
+    # a cost alone lists a level below `_GROUP_FROM` states state by state
+    assert caplog.records[-3].getMessage() == (
+        "flexible-buffer level 2: 96 (cur, buffer) halves, 504 requests listed"
+    )
+    assert (bare.expected_cost, bare.dp_stats) == (res.expected_cost, res.dp_stats)
+
+
+@pytest.mark.parametrize("group_from, chunk", [(0, 4096), (10**9, 4096), (0, 3)])
+def test_cost_alone_is_the_same_listed_by_halves_or_by_states(group_from, chunk, monkeypatch):
+    cases = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        sc = random_scenario(rng, n, int(rng.integers(1, 5)), max_deg=4)
+        cases.append((sc, random_sizes(rng, n), random_structure(rng, n)))
+    want = [evaluate(*case, buffer) for case in cases for buffer in ("fixed", "flex")]
+    monkeypatch.setattr(core, "_GROUP_FROM", group_from)
+    monkeypatch.setattr(core, "_CHUNK", chunk)  # 3: halves split over chunks
+    got = [evaluate(*case, buffer, policy=p) for case in cases for buffer in ("fixed", "flex")
+           for p in (True, False)]
+    for full, bare, res in zip(got[::2], got[1::2], want):
+        assert full.policy == res.policy
+        assert (bare.expected_cost, bare.dp_stats) == (res.expected_cost, res.dp_stats)
+        assert (full.expected_cost, full.dp_stats) == (res.expected_cost, res.dp_stats)
+
+
+def test_paper_default_lf8x8_flexible_dp_is_pinned():
+    # LF 8x8 at the paper's default lifetime (mu 13.5, t_max 27) with one
+    # landmark, recorded when the DP listed every request once per prev
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=8, cols=8))
+    sc = Scenario(graph=graph, nav=nav, lifetime=build_lifetime_tail(*lifetime_defaults(81)))
+    st = landmark_structure(sc, sizes, 0.5)
+    assert len(st.i_set) == 1
+    res = eval_flexible(sc, sizes, st)
+    assert res.expected_cost == 79.70339495537836
+    assert res.dp_stats == {"states": 568148, "actions": 3987157}
+    assert len(res.policy.keys) == 594615
 
 
 def test_infeasible_structure_raises():
@@ -551,6 +626,28 @@ def test_policy_v2_file_still_loads(fn, name, wfs):
     assert json.loads((V1_FILES / name).read_text())["version"] == 2
     assert back == fn(sc, sz, st, weight_first_switch=wfs).policy
     assert back.structure is None and back.expected_cost is None
+
+
+def _shared_halves_instance():
+    """LF 3x3 over 3 switches: several prevs share each (cur, buffer)."""
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=3, cols=3))
+    sc = Scenario(graph=graph, nav=nav, lifetime=build_lifetime_tail(1.5, 3))
+    return sc, sizes, landmark_structure(sc, sizes, 0.5)
+
+
+@pytest.mark.parametrize("buffer, wfs", [("fixed", False), ("flex", True)])
+def test_policy_v3_file_pins_every_pick(buffer, wfs, tmp_path):
+    # written by a version-3 `Policy.save` whose DP listed and picked every
+    # request once per prev; the DP now picks once per (cur, buffer) half
+    # and lists a level's keys by half, so the same keys come in another order
+    path = V1_FILES / f"policy_v3_{buffer}.json"
+    pinned = Policy.load(path)
+    got = evaluate(*_shared_halves_instance(), buffer, wfs).policy
+    assert pinned == got
+    assert (pinned.structure, pinned.expected_cost) == (got.structure, got.expected_cost)
+    assert pinned.keys[pinned.order].tolist() == got.keys[got.order].tolist()
+    pinned.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def _with_prev(policy, prevs):

@@ -235,10 +235,14 @@ def test_simulate_names_the_first_gap_of_the_lowest_numbered_session():
     rng = np.random.default_rng(18)
     sc = random_scenario(rng, 5, 4)
     sz, st = random_sizes(rng, 5), random_structure(rng, 5)
-    data = eval_flexible(sc, sz, st).policy.to_dict()
+    full = eval_flexible(sc, sz, st).policy
+    data = full.to_dict()
     keys = np.array(data["keys"]).reshape(-1, 4)
-    # drop a tenth of the keys at depth 2 and deeper
-    keep = (rng.random(len(keys)) < 0.9) | (keys[:, 0] < 2)
+    # drop a tenth of the keys at depth 2 and deeper, drawn in sorted key
+    # order, so that the DP's order of its keys does not pick them
+    keep = np.empty(len(keys), dtype=bool)
+    keep[full.order] = np.random.default_rng(11).random(len(keys)) < 0.9
+    keep |= keys[:, 0] < 2
     data["keys"] = keys[keep].ravel().tolist()
     data["index"] = np.array(data["index"])[keep].tolist()
     policy = Policy.from_dict(data)

@@ -244,6 +244,24 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_pairs_with_one_cur_share_one_row_of_targets(seed):
+    # the fixed and flexible DPs list a (cur, buffer) half's requests once,
+    # from any of its pairs, and gather them back per pair
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, int(rng.integers(2, 9)), 2, max_deg=4)
+    index = sc.request_index
+    assert index.cur.tolist() == [i for _, i in index.pairs]
+    assert sc.pair_index.cur is index.cur
+    rows = {}
+    for a, i in enumerate(index.cur.tolist()):
+        slots = slice(index.offsets[a], index.offsets[a + 1])
+        row = index.target[slots].tolist(), index.succ[slots].tolist()
+        assert rows.setdefault(i, row) == row  # whatever the prev
+        assert row[0] == list(sc.graph.neighbors[i])
+        assert [index.pairs[b] for b in row[1]] == [(i, j) for j in row[0]]
+
+
 def test_nav_prob_routes_start_sentinel():
     sc = pingpong_scenario()
     assert sc.nav.prob(START, 0, 1) == 1.0
