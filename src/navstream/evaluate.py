@@ -429,9 +429,11 @@ class _Level:
     def bounds(self) -> np.ndarray | None:
         if self.pack is None or len(self.keys) < self.pack[2]:
             return None
-        new = np.ones(len(self.keys) + 1, dtype=bool)  # a half starts, or the end
-        new[1:-1] = np.diff(self.keys >> self.pack[1]) != 0
-        return None if new.all() else np.flatnonzero(new)
+        half = self.keys >> self.pack[1]
+        new = np.empty(len(half) + 1, dtype=bool)  # a half starts, or the end
+        new[0] = new[-1] = True
+        np.not_equal(half[1:], half[:-1], out=new[1:-1])
+        return None if len(bounds := new.nonzero()[0]) == len(new) else bounds
 
     halves = property(lambda self: len(self.keys if self.bounds is None else self.bounds[1:]))
 
@@ -445,7 +447,7 @@ class _Level:
 
 
 _CHUNK = 4096  # halves expanded at once; a refusal stops within a level
-_GROUP_FROM = 256  # states from which a cost-only level is listed by halves
+_GROUP_FROM = 128  # states from which halves pay for a cost-only level, timed per level
 _KEPT = 1 << 20  # bytes of expansions the forward pass keeps for the backward one
 
 
@@ -500,12 +502,12 @@ def _terms(index: PairIndex, level: _Level, lo: int, chunk: _Expansion) -> tuple
     each one's state (a row of the chunk), p, and place among the listed ones."""
     if level.bounds is None:  # each state its own half
         return lo, min(lo + _CHUNK, len(level.keys)), chunk.half, index.prob[chunk.slots], ...
-    s0, s1 = level.bounds[lo], level.bounds[min(lo + _CHUNK, level.halves)]
+    runs = level.bounds[lo:lo + _CHUNK + 1]
+    s0, s1 = runs[0], runs[-1]
     pair = level.rows[s0:s1, 0].astype(np.intp)
     counts, slots = csr_slots(index.offsets, pair)
-    runs = level.bounds[lo:lo + _CHUNK + 1] - s0
-    listed = counts[runs[:-1]]  # each half's requests, one half after another
-    base = np.repeat(np.cumsum(listed) - listed, np.diff(runs)) - index.offsets[pair]
+    listed = counts[runs[:-1] - s0]  # each half's requests, one half after another
+    base = np.repeat(np.cumsum(listed) - listed, runs[1:] - runs[:-1]) - index.offsets[pair]
     state = np.repeat(np.arange(s1 - s0), counts)
     return s0, s1, state, index.prob[slots], np.repeat(base, counts) + slots
 
@@ -536,7 +538,7 @@ def _levels(index, weights, lister, max_states, salt, log, name) -> tuple[list, 
                     break
             if above.halves <= _CHUNK and (above, 0) in kept:
                 kept[above, 0].pos = placed  # from the level's only add: final
-            repeats = len(nxt.keys) == len(above.keys) and np.array_equal(nxt.rows, above.rows)
+            repeats = np.array_equal(nxt.rows, above.rows)
         levels.append(above if repeats else nxt)
         reached += len(levels[-1].keys)
     for t, level in enumerate(levels):
@@ -686,11 +688,7 @@ class _FixedLister(_OneMduLister):
         if self.actions:
             act = np.zeros((len(j), 2), dtype=np.int64)
             act[:, 0] = (self.n + 2 + i) * (self.n + 1)  # ("1hop", i)
-        return bits, act, self._after
-
-    @staticmethod
-    def _after(r, k):
-        return np.empty((len(r), 0), dtype=np.uint64)
+        return bits, act, lambda r, k: np.empty((len(r), 0), dtype=np.uint64)
 
 
 class _FlexLister(_OneMduLister):
