@@ -151,6 +151,7 @@ def _cmd_optimize(args) -> int:
                     "candidates_total": log.candidates_total,
                     "candidates_pruned": log.candidates_pruned,
                     "candidates_skipped": log.candidates_skipped,
+                    "iterations": log.iterations,
                 },
                 fh,
                 indent=1,

@@ -6,10 +6,14 @@ engine, `greedy_search`, serves the refiner and the baselines, each as one
 call: it runs one or more phases in turn, flex-lm-i an add-edge phase then
 a remove-edge phase.  Each iteration of a phase scans its moves (add an
 edge, add a reverse pair, remove an edge), prunes every move whose DP-free
-lower bound already exceeds the incumbent, exactly evaluates the
-survivors, and commits the best strict improvement.  The bound of a move is
-the incumbent's bound updated at the heads of the move's edges, read from
-the incumbent's `CostTables`, so it costs O(edges in the move).
+bound already exceeds the incumbent, and evaluates the survivors exactly,
+best bound first, until the next bound exceeds the best J found: a
+best-first branch and bound that commits the best strict improvement.  The
+bound is closed-form: under the flexible buffer each request takes its
+cheapest stored option, and the fixed buffer's cost is itself a closed form,
+r_i[start] + sum over pairs (i, j) of W[(i, j)] * min(r_i[j], r_p[(i, j)]).
+A move's bound is the incumbent's, updated at the heads of the move's edges
+from the incumbent's `CostTables`, so it costs O(in-degree of the heads).
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ class RefineLog:
     candidates_pruned: int = 0
     candidates_skipped: int = 0  # edges provably outside every session plan
     expected_cost: float | None = None  # exact c of the returned structure
+    # one record per iteration: phase, iteration, skipped, pruned, evaluated,
+    # t_bound and t_exact (seconds scanning and bounding, and in exact DPs), J
+    iterations: list = field(default_factory=list)
 
     @property
     def pruning_fraction(self) -> float:
@@ -116,66 +123,106 @@ class _EdgeFilter:
         return i in self.bufferable and j in self.hop_heads
 
 
-# Relative slack on the prune test: the bound is often tight, and in 35 of 800
-# random checks it came out above the exact cost, by up to 2.2e-16 relative.
+# Relative slack on the prune and stop tests: the bound is often tight (under
+# the fixed buffer it is the exact cost, summed in another order), and in 35 of
+# 800 random checks it came out above the exact cost, by up to 2.2e-16 relative.
 _BOUND_SLACK = 1e-12
 
 
-def request_weights(scenario: Scenario) -> list[float]:
-    """W[j], the total DP weight of the requests for MDU j.
+def _flow_sums(scenario: Scenario, keys: np.ndarray, size: int) -> np.ndarray:
+    """The total DP weight of the requests by keys[slot], for keys 0..size - 1.
 
     Navigation does not depend on the structure, so a request at depth t
     (t = 0..t_max) weighs its path probability times g(1)...g(t) in c: the
     `pair_masses` levels 0..t_max with factors g(1)..g(t_max), up to the
-    last t with g(t) > 0.  Each level's flows are added by target with one
-    `np.bincount` whose first n entries are the running sums, so every
+    last t with g(t) > 0.  Each level's flows are added by key with one
+    `np.bincount` whose first `size` entries are the running sums, so every
     request adds on in level order and memory stays one level deep.
     """
     start, factors = time.perf_counter(), scenario.lifetime.weights()[1:]
-    n, target = scenario.graph.n, scenario.pair_index.target
-    mdus, weights, levels = np.arange(n), np.zeros(n), 0
+    ids, sums, levels = np.arange(size), np.zeros(size), 0
     for _, _, slots, flow in pair_masses(scenario, factors):
-        weights = np.bincount(
-            np.concatenate([mdus, target[slots]]),
-            weights=np.concatenate([weights, flow]),
-            minlength=n,
+        sums = np.bincount(
+            np.concatenate([ids, keys[slots]]),
+            weights=np.concatenate([sums, flow]),
+            minlength=size,
         )
         levels += 1
     weights_logger.debug(
         "request weights: %d pairs over %d levels in %.4f s",
         len(scenario.pair_index.pairs), levels, time.perf_counter() - start,
     )
-    return weights.tolist()
+    return sums
+
+
+def request_weights(scenario: Scenario) -> list[float]:
+    """W[j], the total DP weight of the requests for MDU j."""
+    return _flow_sums(scenario, scenario.pair_index.target, scenario.graph.n).tolist()
+
+
+def request_groups(scenario: Scenario, buffer: str) -> list[list[tuple]]:
+    """Each MDU j's request groups (w, k) for `_RequestBound`, built once per search.
+
+    The flexible buffer's request for j may take a 2-hop, which costs more
+    than its own second hop, so one group (W[j], None) lets it take any
+    stored predictor.  The fixed buffer's request (cur, j) can take only the
+    1-hop from cur, with the same continuation as its 0-hop, so each pair
+    (k, j) is a group (W[(k, j)], k) and the bound is the exact cost.
+    """
+    if buffer == "flex":
+        return [[(w, None)] for w in request_weights(scenario)]
+    index = scenario.pair_index
+    weights = _flow_sums(scenario, index.succ, len(index.pairs)).tolist()
+    groups = [[] for _ in range(scenario.graph.n)]
+    for (k, j), w in zip(index.pairs[1:], weights[1:]):  # pair 0 ends no request
+        groups[j].append((w, k))
+    return groups
 
 
 class _RequestBound:
     """The request bound of one incumbent, and of each move away from it.
 
-    `lb` is lower_bound_cost of the incumbent.  A move changes only the
-    cheapest options of its edges' heads, and the start MDU's independent
-    reconstruction, so `added` costs O(edges in the move) and `removed`
-    O(in-degree of the edge's head).
+    Each group (w, k) of `request_groups` pays w times the cheapest of j's
+    independent reconstruction and its stored P-edge from k (from any stored
+    predictor when k is None), and the start MDU is sent independently
+    once: `lb` = r_i[start] + the sum over MDUs j of their groups' terms.
+    Under the flexible buffer that is lower_bound_cost, under the fixed one
+    it is c itself, up to the order of the sums.  A move changes only the
+    terms of its edges' heads, so `added` and `removed` cost O(in-degree of
+    the heads).
     """
 
-    def __init__(self, scenario: Scenario, tables: CostTables, weights: list[float]):
-        cheapest = list(tables.r_i)
-        for (l, j), v in tables.r_p.items():
-            cheapest[j] = min(cheapest[j], v)
+    def __init__(self, scenario: Scenario, tables: CostTables, groups: list[list[tuple]]):
         self.start = scenario.graph.start
-        self.weights = weights
+        self.groups = groups
         self.tables = tables
-        self.cheapest = cheapest
-        start_cost = tables.r_i[self.start]
-        self.lb = left_sum((w * c for w, c in zip(weights, cheapest)), start_cost)
+        self.hops = [{l: tables.r_p[(l, j)] for l in ls} for j, ls in enumerate(tables.preds)]
+        self.terms = [self._term(j, tables.r_i[j], hops) for j, hops in enumerate(self.hops)]
+        self.lb = left_sum(self.terms, tables.r_i[self.start])
+
+    def _term(self, j: int, r_i: float, hops: dict) -> float:
+        """What j's groups pay with independent reconstruction r_i and the
+        stored P-edges into j `hops` (predictor: bits)."""
+        any_hop = min(hops.values(), default=math.inf)
+        return left_sum(
+            w * min(r_i, any_hop if k is None else hops.get(k, math.inf))
+            for w, k in self.groups[j]
+        )
+
+    def _moved(self, lb: float, j: int, r_i: float, hops: dict) -> float:
+        lb += self._term(j, r_i, hops) - self.terms[j]
+        if j == self.start:  # the start MDU is sent independently once
+            lb += r_i - self.tables.r_i[j]
+        return lb
 
     def added(self, edges) -> float:
         """Bound of the incumbent with `edges`, whose heads differ, stored too."""
         tables, lb = self.tables, self.lb
         for (l, j) in edges:
-            lb += self.weights[j] * min(0.0, tables.hop(l, j) - self.cheapest[j])
-            if j == self.start and l in tables.structure.i_set:
-                # the start MDU is sent independently once: I_l + P + M may beat it
-                lb += min(0.0, tables.combo(l, j) - tables.r_i[j])
+            r_i = tables.r_i[j]
+            if l in tables.structure.i_set:  # I_l + P + M may beat it
+                r_i = min(r_i, tables.combo(l, j))
+            lb = self._moved(lb, j, r_i, {**self.hops[j], l: tables.hop(l, j)})
         return lb
 
     def removed(self, edge: tuple[int, int]) -> float:
@@ -184,18 +231,12 @@ class _RequestBound:
         Infeasible means the edge's head is left with no independent
         reconstruction.
         """
-        tables = self.tables
         l, j = edge
-        r_i = min((bits for bits, k in tables.sources[j] if k != l), default=math.inf)
-        cheapest = min(
-            (tables.r_p[(k, j)] for k in tables.preds[j] if k != l), default=math.inf
-        )
+        r_i = min((bits for bits, k in self.tables.sources[j] if k != l), default=math.inf)
         if math.isinf(r_i):
             return math.inf
-        lb = self.lb + self.weights[j] * (min(r_i, cheapest) - self.cheapest[j])
-        if j == self.start:
-            lb += r_i - tables.r_i[j]
-        return lb
+        hops = {k: bits for k, bits in self.hops[j].items() if k != l}
+        return self._moved(self.lb, j, r_i, hops)
 
 
 def lower_bound_cost(
@@ -209,7 +250,7 @@ def lower_bound_cost(
     r_i[start] + sum_j W[j] * min(r_i[j], min stored r_p[(l, j)]).
     """
     tables = CostTables(structure, sizes, scenario.graph.n)
-    return _RequestBound(scenario, tables, weights).lb
+    return _RequestBound(scenario, tables, [[(w, None)] for w in weights]).lb
 
 
 def add_edges(structure: Structure, n: int):
@@ -243,52 +284,64 @@ def greedy_search(
 ) -> tuple[Structure, RefineLog]:
     """Run each phase, in turn, to its fixed point from `initial`.
 
-    A phase is a sequence of move generators, scanned in order; each
-    iteration commits the best strictly improving move.  An added move none
-    of whose edges can enter a transmission plan is skipped.  A move whose
-    lower-bound objective (pruning on, either buffer) exceeds the running
-    best is pruned, and so is a removal that leaves an MDU without an
-    independent reconstruction.  The rest are evaluated exactly, for their
-    cost only (no policy); ties keep the earlier move.  `initial` is
-    evaluated once; each phase numbers its iterations from 1 and starts from
+    A phase is a sequence of move generators; each iteration commits the
+    move of least (J, generation index) among those with J below the
+    incumbent's.  An added move none of whose edges can enter a
+    transmission plan is skipped.  A removal that leaves an MDU without an
+    independent reconstruction is pruned, and with pruning on so is a move
+    whose J_low (its `_RequestBound` plus lam times its storage) exceeds the
+    incumbent's J.  The rest are evaluated exactly, for their cost only, by
+    (J_low, generation index); with pruning on the search stops at the
+    first J_low above the best J found, so a move that ties with it is still
+    evaluated, and the moves left count as pruned.  `initial` is evaluated
+    once; each phase numbers its iterations from 1 and starts from
     J = c + lam * storage_cost(structure), recomputed from scratch.  Steps
-    record (iteration, edges, J), counters add up over the phases, and
-    `expected_cost` is the exact c of the returned structure.  Each
-    iteration logs its candidate fates at DEBUG.
+    record (iteration, edges, J), counters add up over the phases,
+    `iterations` holds a record per iteration, also logged at DEBUG, and
+    `expected_cost` is the exact c of the returned structure.
     """
     n = scenario.graph.n
     structure, log = initial, RefineLog()
     lam, prune = params.lam, params.enable_pruning
-    weights = request_weights(scenario)
+    groups = request_groups(scenario, params.buffer)
     c_min = evaluate(scenario, sizes, structure, params.buffer, policy=False).expected_cost
-    for moves in phases:
+    for phase, moves in enumerate(phases, 1):
         j_min = c_min + lam * storage_cost(structure, sizes)
         for iteration in count(1):
-            best = None
-            seen = (log.candidates_skipped, log.candidates_pruned, log.candidates_total)
+            start = time.perf_counter()
+            skipped = pruned = 0
             tables = CostTables(structure, sizes, n)
             usable = _EdgeFilter(scenario, tables)
-            bound = _RequestBound(scenario, tables, weights)
+            bound = _RequestBound(scenario, tables, groups)
             b_base = storage_cost(structure, sizes)
-            for edges in chain.from_iterable(gen(structure, n) for gen in moves):
-                removal = edges[0] in structure.p_edges
-                if removal:
+            survivors = []  # (J_low, generation index, edges, storage)
+            scan = chain.from_iterable(gen(structure, n) for gen in moves)
+            for index, edges in enumerate(scan):
+                if edges[0] in structure.p_edges:
                     # inf (infeasible) is pruned whether or not pruning is on
-                    j_low = bound.removed(edges[0])
+                    c_low = bound.removed(edges[0])
                     b_cand = b_base - sizes.p(*edges[0])
                 elif any(usable.relevant(i, j) for (i, j) in edges):
-                    j_low = bound.added(edges)
+                    c_low = bound.added(edges)
                     b_cand = b_base + left_sum(sizes.p(i, j) for (i, j) in edges)
                 else:
-                    log.candidates_skipped += 1
+                    skipped += 1
                     continue
-                log.candidates_total += 1
-                if math.isinf(j_low) or (
-                    prune and (j_low + lam * b_cand) * (1.0 - _BOUND_SLACK) > j_min
-                ):
-                    log.candidates_pruned += 1
+                j_low = c_low + lam * b_cand
+                if math.isinf(j_low) or (prune and j_low * (1.0 - _BOUND_SLACK) > j_min):
+                    pruned += 1
                     continue
-                if removal:
+                survivors.append((j_low, index, edges, b_cand))
+            survivors.sort()
+            t_bound = time.perf_counter() - start
+            # (J, generation index, edges, structure, c): the incumbent ranks
+            # as index -1, so a move that only ties with it is not committed
+            best, evaluated = (j_min, -1, None, structure, c_min), 0
+            for j_low, index, edges, b_cand in survivors:
+                if prune and j_low * (1.0 - _BOUND_SLACK) > best[0]:
+                    break
+                evaluated += 1
+                if edges[0] in structure.p_edges:
                     cand = structure.without_edge(edges[0])
                     b_cand = storage_cost(cand, sizes)
                 else:
@@ -297,20 +350,29 @@ def greedy_search(
                     scenario, sizes, cand, params.buffer, policy=False
                 ).expected_cost
                 j_cand = c_cand + lam * b_cand
-                if j_cand < j_min:
-                    j_min = j_cand
-                    best = (edges, cand, c_cand)
-            skipped = log.candidates_skipped - seen[0]
-            pruned = log.candidates_pruned - seen[1]
-            evaluated = log.candidates_total - seen[2] - pruned
+                if (j_cand, index) < best[:2]:
+                    best = (j_cand, index, edges, cand, c_cand)
+            pruned += len(survivors) - evaluated
+            t_exact = time.perf_counter() - start - t_bound
+            log.candidates_total += pruned + evaluated
+            log.candidates_pruned += pruned
+            log.candidates_skipped += skipped
+            moved = best[2] is not None
+            j_min, _, edges, structure, c_min = best
+            if moved:
+                log.steps.append((iteration, edges, j_min))
+            log.iterations.append({
+                "phase": phase, "iteration": iteration, "skipped": skipped,
+                "pruned": pruned, "evaluated": evaluated, "t_bound": t_bound,
+                "t_exact": t_exact, "J": j_min,
+            })
             logger.debug(
-                "iteration %d: skipped %d, pruned %d, evaluated %d, J %r",
-                iteration, skipped, pruned, evaluated, j_min,
+                "iteration %d: skipped %d, pruned %d, evaluated %d, J %r, "
+                "bound %.4f s, exact %.4f s",
+                iteration, skipped, pruned, evaluated, j_min, t_bound, t_exact,
             )
-            if best is None:
+            if not moved:
                 break
-            edges, structure, c_min = best
-            log.steps.append((iteration, edges, j_min))
     log.expected_cost = c_min
     return structure, log
 

@@ -135,6 +135,25 @@ def _pruning_cases(count=20):
         yield sc, sz, init, float(rng.uniform(0.02, 0.4))
 
 
+@pytest.mark.parametrize("variant, dps", [
+    ("flex-ga", 80), ("fixed-ga", 6), ("flex-lm-i", 5),
+])
+def test_greedy_baselines_exact_evaluations_pinned(monkeypatch, variant, dps):
+    """Exact DPs per greedy baseline on the benchmark's lf-refine instance
+    (LF 3x4, mu 1, t_max 2, lambda 0.5), the start structure's included: the
+    best-first search evaluates only moves whose bound can still win."""
+    sc, sz = _lf_scenario(rows=3, cols=4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "evaluate", counted)
+    run_baseline(sc, sz, RefinerParams(lam=0.5), variant)
+    assert len(calls) == dps
+
+
 def test_pruning_keeps_greedy_baselines_identical():
     for sc, sz, _, lam in _pruning_cases():
         for variant in ("flex-ga", "fixed-ga", "flex-lm-i"):

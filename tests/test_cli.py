@@ -160,7 +160,12 @@ def test_optimize_and_sweep(lf_files, tmp_path, capsys):
     assert st.validate(9) == []
     log = json.loads(log_out.read_text())
     assert set(log) == {
-        "steps", "candidates_total", "candidates_pruned", "candidates_skipped"
+        "steps", "candidates_total", "candidates_pruned", "candidates_skipped",
+        "iterations",
+    }
+    assert len(log["iterations"]) == len(log["steps"]) + 1
+    assert set(log["iterations"][0]) == {
+        "phase", "iteration", "skipped", "pruned", "evaluated", "t_bound", "t_exact", "J"
     }
 
     sweep_out = tmp_path / "tradeoff.csv"

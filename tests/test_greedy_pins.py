@@ -4,19 +4,25 @@ The refiner, the subtractor and the greedy baselines must reproduce these
 steps, structures, costs and candidate counters bit for bit: the values
 were recorded before the three searches shared one engine, and any change
 to scan order, tie-breaking, storage arithmetic or pruning shows up here.
-The `candidates_pruned` counts are those of the closed-form request bound
-(`refine.lower_bound_cost`), which every search applies to every move,
-added or removed, including the `flex-ga` and `fixed-ga` baselines; the
-bound decides nothing else, so every other value is as first recorded.
+The `candidates_pruned` counts are those of the best-first search: a move
+is pruned when its closed-form bound (`refine._RequestBound`: the request
+bound under the flexible buffer, the exact cost in closed form under the
+fixed one) exceeds the incumbent's J, or when it is left unevaluated after
+the search stops at the first bound above the best J found.  Every search
+applies it to every move, added or removed, including the `flex-ga` and
+`fixed-ga` baselines; the bound decides nothing else, so every other value
+is as first recorded.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_scenario, random_sizes, random_structure
-from navstream.adapters import LfGridSpec, build_lf_scenario
+from navstream import refine
+from navstream.adapters import LfGridSpec, build_lf_scenario, lifetime_defaults
 from navstream.baselines import run_baseline
-from navstream.costs import all_i_structure
+from navstream.costs import all_i_structure, storage_cost
+from navstream.evaluate import evaluate
 from navstream.landmarks import PlannerParams, build_initial_structure, tsvq
 from navstream.refine import RefinerParams, greedy_refine, greedy_subtract
 from navstream.scenario import (
@@ -61,7 +67,7 @@ REFINE_STEPS = [
 
 
 @pytest.mark.parametrize(
-    "prune, counts", [(True, (135, 8, 0)), (False, (135, 0, 0))]
+    "prune, counts", [(True, (135, 12, 0)), (False, (135, 0, 0))]
 )
 def test_refine_from_landmarks_pinned(lf23, prune, counts):
     sc, sizes = lf23
@@ -107,7 +113,7 @@ BASELINES = {
         [(1, 4), (4, 0), (4, 1), (4, 2), (4, 3), (4, 5)],
         18.74504602422865,
         72.0,
-        (235, 106, 0),
+        (235, 166, 0),
     ),
     "fixed-ga": (
         [
@@ -127,7 +133,7 @@ BASELINES = {
          (4, 3), (4, 5), (5, 2)],
         19.68021312410862,
         77.0,
-        (294, 16, 0),
+        (294, 278, 0),
     ),
     "flex-lm-i": (
         [
@@ -145,7 +151,7 @@ BASELINES = {
         [(4, 0), (4, 1), (4, 2), (4, 3), (4, 5)],
         18.97979000959455,
         71.0,
-        (180, 35, 0),
+        (180, 39, 0),
     ),
 }
 
@@ -178,12 +184,66 @@ def test_edge_filter_skips_pinned():
     final, log = greedy_refine(sc, sizes, all_i_structure(12), RefinerParams(lam=LAM))
     assert log.steps == steps
     assert sorted(final.p_edges) == edges
-    assert _counts(log) == (692, 546, 336)
+    assert _counts(log) == (692, 642, 336)
     res = run_baseline(sc, sizes, RefinerParams(lam=LAM), "flex-ga")
     assert res.log.steps == [(it, (edge,), j) for it, edge, j in steps]
     assert sorted(res.structure.p_edges) == edges
     assert res.expected_cost == 17.503775443474293
-    assert _counts(res.log) == (1024, 847, 504)
+    assert _counts(res.log) == (1024, 943, 504)
+
+
+def test_exact_tie_keeps_the_earlier_move_whatever_the_bound_order(monkeypatch):
+    """LF 2x3, t_max 1, fixed buffer: (4, 1), (4, 3) and (4, 5) tie on exact
+    J in iteration 1, and the bound, equal up to its last bits, ranks (4, 5)
+    first; the earliest move in generation order is still committed."""
+    sc, sizes = _lf(2, 3, 1.0, 1)
+    evaluated = []
+
+    def counted(*args, **kwargs):
+        evaluated.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "evaluate", counted)
+    params = RefinerParams(lam=0.5, buffer="fixed")
+    _, log = greedy_refine(sc, sizes, all_i_structure(6), params)
+    moves = evaluated[1:1 + log.iterations[0]["evaluated"]]
+    assert [sorted(st.p_edges) for st in moves] == [[(4, 5)], [(4, 1)], [(4, 3)]]
+    js = {
+        evaluate(sc, sizes, st, "fixed").expected_cost + 0.5 * storage_cost(st, sizes)
+        for st in moves
+    }
+    assert js == {log.steps[0][2]}
+    assert log.steps[0][:2] == (1, (4, 1))
+
+
+def test_paper_default_lf8x8_fixed_ga_pinned(monkeypatch):
+    """LF 8x8 at the paper's default lifetime (mu 13.5, t_max 27), lambda 0.5:
+    the steps recorded when the engine evaluated every move whose bound was
+    below the running best (27,707 exact DPs), here with 13."""
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=8, cols=8))
+    sc = Scenario(graph, nav, build_lifetime_tail(*lifetime_defaults(81)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "evaluate", counted)
+    res = run_baseline(sc, sizes, RefinerParams(lam=0.5), "fixed-ga")
+    assert res.log.steps == [
+        (1, ((36, 35),), 492.51191483451817),
+        (2, ((36, 28),), 491.5759333945774),
+        (3, ((36, 37),), 490.65347767353495),
+        (4, ((36, 44),), 489.7310219524925),
+        (5, ((28, 20),), 489.67279742687566),
+        (6, ((35, 34),), 489.6145729012589),
+        (7, ((44, 52),), 489.5637981969369),
+        (8, ((37, 38),), 489.51302349261493),
+    ]
+    assert res.expected_cost == 133.51302349261496
+    assert res.storage_bits == 712.0
+    assert res.expected_cost + 0.5 * res.storage_bits == 489.51302349261493
+    assert len(calls) == 13
 
 
 def test_storage_arithmetic_pinned():

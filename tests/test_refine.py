@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from navstream.refine import (
     greedy_subtract,
     lower_bound_cost,
     remove_edges,
+    request_groups,
     request_weights,
     sweep,
 )
@@ -114,24 +116,50 @@ def test_lower_bound_never_exceeds_exact(seed, n, t_max, edge_prob, buffer):
     t_max=st.integers(1, 3),
     edge_prob=st.sampled_from([0.0, 0.2, 0.5]),
 )
-@settings(max_examples=60, deadline=None)
-def test_move_bound_matches_full_bound(seed, n, t_max, edge_prob):
-    """The engine's per-move bound is lower_bound_cost of the moved structure."""
+@settings(max_examples=80, deadline=None)
+def test_fixed_bound_is_the_fixed_cost(seed, n, t_max, edge_prob):
+    """The fixed buffer's bound is eval_fixed's cost in closed form."""
     rng = np.random.default_rng(seed)
     sc = random_scenario(rng, n, t_max)
     sz = random_sizes(rng, n)
     structure = random_structure(rng, n, edge_prob=edge_prob)
-    weights = request_weights(sc)
-    bound = _RequestBound(sc, CostTables(structure, sz, n), weights)
-    assert bound.lb == lower_bound_cost(sc, sz, structure, weights)
+    lb = _RequestBound(sc, CostTables(structure, sz, n), request_groups(sc, "fixed")).lb
+    exact = eval_fixed(sc, sz, structure).expected_cost
+    assert lb == pytest.approx(exact, rel=1e-12, abs=0)
+    assert lb <= exact * (1 + 1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    t_max=st.integers(1, 3),
+    edge_prob=st.sampled_from([0.0, 0.2, 0.5]),
+    buffer=st.sampled_from(["fixed", "flex"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_move_bound_matches_full_bound(seed, n, t_max, edge_prob, buffer):
+    """The engine's per-move bound is the from-scratch bound of the moved
+    structure: lower_bound_cost under the flexible buffer."""
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, n, t_max)
+    sz = random_sizes(rng, n)
+    structure = random_structure(rng, n, edge_prob=edge_prob)
+    groups = request_groups(sc, buffer)
+
+    def full(st):
+        return _RequestBound(sc, CostTables(st, sz, n), groups).lb
+
+    bound = _RequestBound(sc, CostTables(structure, sz, n), groups)
+    if buffer == "flex":
+        assert bound.lb == lower_bound_cost(sc, sz, structure, request_weights(sc))
     for gen in (add_edges, add_reverse_pairs):
         for edges in gen(structure, n):
-            want = lower_bound_cost(sc, sz, structure.with_edges(edges), weights)
+            want = full(structure.with_edges(edges))
             assert bound.added(edges) == pytest.approx(want, rel=1e-12, abs=0)
     for (edge,) in remove_edges(structure, n):
         got = bound.removed(edge)
         try:
-            want = lower_bound_cost(sc, sz, structure.without_edge(edge), weights)
+            want = full(structure.without_edge(edge))
         except InfeasibleStructureError:
             assert got == float("inf")
         else:
@@ -144,7 +172,7 @@ def test_move_bound_counts_the_start_combo():
     st = Structure(i_set=frozenset({0, 1}), p_edges=frozenset())
     sz.i_size[0] = 20.0  # start MDU 0: I_1 + P + M = 15.5 beats I_0 = 20
     weights = request_weights(sc)
-    bound = _RequestBound(sc, CostTables(st, sz, 2), weights)
+    bound = _RequestBound(sc, CostTables(st, sz, 2), request_groups(sc, "flex"))
     want = lower_bound_cost(sc, sz, st.with_edges([(1, 0)]), weights)
     assert bound.added([(1, 0)]) == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -152,9 +180,10 @@ def test_move_bound_counts_the_start_combo():
 def test_move_bound_reports_infeasible_removal():
     sc, sz = pingpong_scenario(), pingpong_sizes()
     st = Structure(i_set=frozenset({0}), p_edges=frozenset({(0, 1), (1, 0)}))
-    bound = _RequestBound(sc, CostTables(st, sz, 2), request_weights(sc))
-    assert bound.removed((0, 1)) == float("inf")
-    assert bound.removed((1, 0)) < float("inf")
+    for buffer in ("flex", "fixed"):
+        bound = _RequestBound(sc, CostTables(st, sz, 2), request_groups(sc, buffer))
+        assert bound.removed((0, 1)) == float("inf")
+        assert bound.removed((1, 0)) < float("inf")
 
 
 def test_search_logs_one_debug_line_per_iteration(caplog):
@@ -162,9 +191,16 @@ def test_search_logs_one_debug_line_per_iteration(caplog):
     with caplog.at_level(logging.DEBUG, logger="navstream.refine"):
         _, log = greedy_refine(sc, sz, ASYM, RefinerParams(lam=0.01))
     lines = [r.getMessage() for r in caplog.records if r.name == "navstream.refine"]
-    assert len(lines) == len(log.steps) + 1
+    assert len(lines) == len(log.steps) + 1 == len(log.iterations)
     assert lines[0].startswith("iteration 1: skipped 0, pruned 0, evaluated 1, J ")
-    assert lines[-1].endswith(f"J {log.steps[-1][2]!r}")
+    assert f"J {log.steps[-1][2]!r}, bound " in lines[-1]
+    assert re.fullmatch(r".*, bound [\d.]+ s, exact [\d.]+ s", lines[-1])
+    first, last = log.iterations[0], log.iterations[-1]
+    assert {k: first[k] for k in ("phase", "iteration", "skipped", "pruned", "evaluated")} == {
+        "phase": 1, "iteration": 1, "skipped": 0, "pruned": 0, "evaluated": 1
+    }
+    assert first["t_bound"] >= 0 and first["t_exact"] > 0
+    assert last["J"] == log.steps[-1][2]
 
 
 def test_search_records_the_exact_cost_it_returns():
@@ -193,7 +229,8 @@ def test_two_phase_search_equals_refine_then_subtract(caplog):
         with caplog.at_level(logging.DEBUG, logger="navstream.refine"):
             found = search()
         own = [r for r in caplog.records if r.name == "navstream.refine"]
-        return found, [r.getMessage() for r in own]
+        # all but the seconds, which differ from run to run
+        return found, [r.getMessage().split(", bound ")[0] for r in own]
 
     for _ in range(8):
         n = int(rng.integers(3, 7))
@@ -217,6 +254,10 @@ def test_two_phase_search_equals_refine_then_subtract(caplog):
                 )
                 assert got == want
                 assert lines == add_lines + sub_lines
+                assert [(r["phase"], r["iteration"]) for r in log.iterations] == [
+                    (phase, it) for phase, rs in ((1, log_add), (2, log_sub))
+                    for it in range(1, len(rs.iterations) + 1)
+                ]
                 assert log.steps == [
                     (it, (edge,), j) for it, edge, j in log_add.steps + log_sub.steps
                 ]
