@@ -27,9 +27,9 @@ The fixed and flexible DPs charge every request of `Scenario.request_index`
 request's options, pick and next state do not depend on prev.  So a level
 is listed once per (cur, buffer) half, a run of its rows keyed by (cur,
 buffer word, pair id) in one uint64, and a state adds p(j | prev, cur)·
-Q(cur, buffer, j) over its half's minima Q; without a policy, only from
-`_GROUP_FROM` states on, below which numpy's per-call cost outweighs the
-rows saved.  The infinite buffer hashes its rows, one half per state.
+Q(cur, buffer, j) over its half's minima Q, with or without a policy.  A
+level whose halves are all single rows is listed state by state, as the
+infinite buffer's always is: it hashes its rows, one half per state.
 
 Per-request actions recorded in the policy:
   ("0hop",)                fixed-buffer independent reconstruction
@@ -379,10 +379,10 @@ class _Level:
 
     Rows are kept in the order of their keys, which are distinct.  A key is
     a hash, confirmed on the whole row; with a one-MDU lister's `pack` (cur
-    and pair id by pair id, the pair id's bits, `_GROUP_FROM` or 0) it is
-    the row itself, packed, and from that many rows on a half is a run of
-    one (cur, buffer word).  `bounds`, read once the level is whole, lists
-    where its `halves` start, then the end; None: each row is its own half."""
+    and pair id by pair id, the pair id's bits) it is the row itself,
+    packed, and a half is a run of one (cur, buffer word).  `bounds`, read
+    once the level is whole, lists where its `halves` start, then the end;
+    None: each row is its own half."""
 
     def __init__(self, width: int, salt: int, pack: tuple | None = None):
         self.salt, self.pack = salt, pack
@@ -427,7 +427,7 @@ class _Level:
 
     @cached_property
     def bounds(self) -> np.ndarray | None:
-        if self.pack is None or len(self.keys) < self.pack[2]:
+        if self.pack is None:
             return None
         half = self.keys >> self.pack[1]
         new = np.empty(len(half) + 1, dtype=bool)  # a half starts, or the end
@@ -447,7 +447,6 @@ class _Level:
 
 
 _CHUNK = 4096  # halves expanded at once; a refusal stops within a level
-_GROUP_FROM = 128  # states from which halves pay for a cost-only level, timed per level
 _KEPT = 1 << 20  # bytes of expansions the forward pass keeps for the backward one
 
 
@@ -643,7 +642,7 @@ class _OneMduLister:
             raise InvalidInputError(f"{self.n} MDUs are too many to pack a state in 64 bits")
         table = self.cur.astype(np.uint64) << word * (self.roots.shape[1] - 1) + pair
         table |= np.arange(len(self.cur), dtype=np.uint64)
-        self.pack = (table, pair, 0 if actions else _GROUP_FROM)  # a policy lists keys once
+        self.pack = (table, pair)  # a pair id's key, and the bits below its half's
         self.r_i = np.array(tables.r_i)
         self.r_p = tables.p_bits[:, 1:]
         self.root_bits = np.array([tables.r_i[scenario.graph.start]])

@@ -186,10 +186,10 @@ class _RequestBound:
     independent reconstruction and its stored P-edge from k (from any stored
     predictor when k is None), and the start MDU is sent independently
     once: `lb` = r_i[start] + the sum over MDUs j of their groups' terms.
-    Under the flexible buffer that is lower_bound_cost, under the fixed one
-    it is c itself, up to the order of the sums.  A move changes only the
-    terms of its edges' heads, so `added` and `removed` cost O(in-degree of
-    the heads).
+    Under the flexible buffer that bounds c, since a 2-hop costs more than
+    its own second hop; under the fixed one it is c itself, up to the order
+    of the sums.  A move changes only the terms of its edges' heads, so
+    `added` and `removed` cost O(in-degree of the heads).
     """
 
     def __init__(self, scenario: Scenario, tables: CostTables, groups: list[list[tuple]]):
@@ -237,20 +237,6 @@ class _RequestBound:
             return math.inf
         hops = {k: bits for k, bits in self.hops[j].items() if k != l}
         return self._moved(self.lb, j, r_i, hops)
-
-
-def lower_bound_cost(
-    scenario: Scenario, sizes: SizeTable, structure: Structure, weights: list[float]
-) -> float:
-    """Expected cost of `structure` if each request took its cheapest option.
-
-    The options are independent reconstruction or any stored P-edge into
-    the target.  A 2-hop costs more than its own second hop and the fixed
-    buffer's options are a subset, so this bounds c under both buffers:
-    r_i[start] + sum_j W[j] * min(r_i[j], min stored r_p[(l, j)]).
-    """
-    tables = CostTables(structure, sizes, scenario.graph.n)
-    return _RequestBound(scenario, tables, [[(w, None)] for w in weights]).lb
 
 
 def add_edges(structure: Structure, n: int):

@@ -424,30 +424,33 @@ def test_level_pass_logs_halves_and_listed_requests(caplog):
     ]
     # each listed request is one key of the policy
     assert len(res.policy.keys) == sum(r for _, r in halves)
+
+
+def _logged(caplog, case, buffer, policy):
+    """`evaluate(*case, buffer, policy=policy)` and the DEBUG lines it logs."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="navstream.evaluate"):
-        bare = evaluate(sc, sz, st, "flex", policy=False)
-    # a cost alone lists a level below `_GROUP_FROM` states state by state
-    assert caplog.records[-3].getMessage() == (
-        "flexible-buffer level 2: 96 (cur, buffer) halves, 504 requests listed"
-    )
-    assert (bare.expected_cost, bare.dp_stats) == (res.expected_cost, res.dp_stats)
+        res = evaluate(*case, buffer, policy=policy)
+    return res, [r.getMessage() for r in caplog.records]
 
 
-@pytest.mark.parametrize("group_from, chunk", [(0, 4096), (10**9, 4096), (0, 3)])
-def test_cost_alone_is_the_same_listed_by_halves_or_by_states(group_from, chunk, monkeypatch):
-    cases = []
+@pytest.mark.parametrize("chunk", [4096, 3])
+def test_cost_only_dp_lists_as_the_policy_dp(chunk, caplog, monkeypatch):
+    # with or without a policy, a level is listed by the same halves
+    cases = [_shared_halves_instance()]
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         sc = random_scenario(rng, n, int(rng.integers(1, 5)), max_deg=4)
         cases.append((sc, random_sizes(rng, n), random_structure(rng, n)))
-    want = [evaluate(*case, buffer) for case in cases for buffer in ("fixed", "flex")]
-    monkeypatch.setattr(core, "_GROUP_FROM", group_from)
+    runs = [(case, buffer) for case in cases for buffer in ("fixed", "flex")]
+    want = [evaluate(*case, buffer) for case, buffer in runs]
     monkeypatch.setattr(core, "_CHUNK", chunk)  # 3: halves split over chunks
-    got = [evaluate(*case, buffer, policy=p) for case in cases for buffer in ("fixed", "flex")
-           for p in (True, False)]
-    for full, bare, res in zip(got[::2], got[1::2], want):
+    for (case, buffer), res in zip(runs, want):
+        full, full_lines = _logged(caplog, case, buffer, True)
+        bare, bare_lines = _logged(caplog, case, buffer, False)
+        assert any(m.endswith(" requests listed") for m in full_lines)
+        assert bare_lines == full_lines
         assert full.policy == res.policy
         assert (bare.expected_cost, bare.dp_stats) == (res.expected_cost, res.dp_stats)
         assert (full.expected_cost, full.dp_stats) == (res.expected_cost, res.dp_stats)

@@ -25,7 +25,6 @@ from navstream.refine import (
     greedy_refine,
     greedy_search,
     greedy_subtract,
-    lower_bound_cost,
     remove_edges,
     request_groups,
     request_weights,
@@ -92,6 +91,11 @@ def test_pruning_does_not_change_result():
         assert log_on.steps == log_off.steps
 
 
+def _flex_bound(sc, sz, structure):
+    """The flexible buffer's request bound of `structure`, from scratch."""
+    return _RequestBound(sc, CostTables(structure, sz, sc.graph.n), request_groups(sc, "flex")).lb
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 7),
@@ -105,7 +109,7 @@ def test_lower_bound_never_exceeds_exact(seed, n, t_max, edge_prob, buffer):
     sc = random_scenario(rng, n, t_max)
     sz = random_sizes(rng, n)
     structure = random_structure(rng, n, edge_prob=edge_prob)
-    lb = lower_bound_cost(sc, sz, structure, request_weights(sc))
+    lb = _flex_bound(sc, sz, structure)
     exact = evaluate(sc, sz, structure, buffer).expected_cost
     assert lb <= exact * (1 + 1e-12)
 
@@ -139,7 +143,7 @@ def test_fixed_bound_is_the_fixed_cost(seed, n, t_max, edge_prob):
 @settings(max_examples=60, deadline=None)
 def test_move_bound_matches_full_bound(seed, n, t_max, edge_prob, buffer):
     """The engine's per-move bound is the from-scratch bound of the moved
-    structure: lower_bound_cost under the flexible buffer."""
+    structure."""
     rng = np.random.default_rng(seed)
     sc = random_scenario(rng, n, t_max)
     sz = random_sizes(rng, n)
@@ -150,8 +154,6 @@ def test_move_bound_matches_full_bound(seed, n, t_max, edge_prob, buffer):
         return _RequestBound(sc, CostTables(st, sz, n), groups).lb
 
     bound = _RequestBound(sc, CostTables(structure, sz, n), groups)
-    if buffer == "flex":
-        assert bound.lb == lower_bound_cost(sc, sz, structure, request_weights(sc))
     for gen in (add_edges, add_reverse_pairs):
         for edges in gen(structure, n):
             want = full(structure.with_edges(edges))
@@ -171,9 +173,8 @@ def test_move_bound_counts_the_start_combo():
     sc, sz = pingpong_scenario(), pingpong_sizes()
     st = Structure(i_set=frozenset({0, 1}), p_edges=frozenset())
     sz.i_size[0] = 20.0  # start MDU 0: I_1 + P + M = 15.5 beats I_0 = 20
-    weights = request_weights(sc)
     bound = _RequestBound(sc, CostTables(st, sz, 2), request_groups(sc, "flex"))
-    want = lower_bound_cost(sc, sz, st.with_edges([(1, 0)]), weights)
+    want = _flex_bound(sc, sz, st.with_edges([(1, 0)]))
     assert bound.added([(1, 0)]) == pytest.approx(want, rel=1e-12, abs=0)
 
 
