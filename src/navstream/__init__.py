@@ -32,11 +32,12 @@ from .errors import (
     OracleRefusalError,
     PolicyGapError,
 )
-from .evaluate import EvalResult, Policy, eval_fixed, eval_flexible, evaluate
+from .evaluate import EvalResult, eval_fixed, eval_flexible, evaluate
 from .landmarks import (
     Partition, PlannerParams, build_initial_structure, landmark_structure, tsvq,
 )
 from .merge import PwcParams, pwc_eval, select_merge_params
+from .policy import Policy
 from .refine import RefinerParams, greedy_refine, greedy_subtract, sweep
 from .scenario import (
     LifetimeModel,

@@ -30,7 +30,8 @@ from .errors import (
     open_output,
     open_outputs,
 )
-from .evaluate import Policy, evaluate
+from .evaluate import evaluate
+from .policy import Policy
 from .landmarks import PlannerParams, landmark_structure
 from .oracle import simulate_sessions
 from .refine import RefinerParams, greedy_refine, sweep

@@ -47,39 +47,24 @@ except that a 2-hop's first hop prefers the buffered MDU to the displayed one.
 
 Every prev picks the same action, so a policy is keyed by (t, cur,
 target), or (t, cur, buffered, target) for the flexible buffer: one key per
-request listed, each half's requests in graph order, the halves of a level
-in (cur, buffered) order.  `dp_stats["actions"]` still counts the DP's
-decisions, one per request of each state.
+request listed.  `dp_stats["actions"]` still counts the DP's decisions, one
+per request of each state.
 
-A `Policy` holds the picks as arrays: `keys[n]` is the n-th key in the DP's
-order (last level first) and `table[index[n]]` its action.  `Policy.actions`
-is a read-only mapping over them, of length the number of keys, that builds
-its dict only when first read.  `evaluate` also records the structure's
-`fingerprint` and its cost, and `oracle.simulate_sessions` refuses a policy
-recorded for another structure.
-
-A policy file (version 3) is one JSON object {"version": 3, "buffer",
-"weight_first_switch", "structure", "expected_cost", "actions", "keys",
-"index"}: `structure` is {"i_set", "p_edges"}, sorted, or null; `actions`
-lists each distinct action once, first seen first; `keys` holds every key's
-integers flattened in DP order (width 3 fixed, 4 flexible); and `index[n]`
-is the position in `actions` of key n's action.  json's C codec writes and
-reads it with no per-key Python loop.  Version-2 files (keys with prev, of
-width 4 and 5, and no structure or cost) and version-1 files (no `version`,
-`actions` keyed "t,k,...,j") load through one reader, which drops prev once
-every copy of a key has the same action.  Loading rejects, with
-`InvalidInputError`, an unknown buffer, a non-boolean `weight_first_switch`,
-an action the buffer cannot take, keys of the wrong width, out-of-range
-indices, a key listed twice or with two actions, and a malformed structure
-or cost.
+`evaluate` returns the picks as a `navstream.policy.Policy` of runs over
+t: each run is one context (cur[, buffered], target), an inclusive range
+t_first..t_last and one action, and a t at which the context is not
+listed, or picks another action, starts a new run.  It builds the runs
+from `level_pass`'s picks, where a level that repeats the one above it
+lists only the picks that change, with one stable sort of the packed keys,
+and records the structure's `fingerprint` and the cost.  The version-4
+policy file holds the sorted contexts (`keys`), the run `offsets`,
+`t_first`, `t_last` and each run's action `index` (see `navstream.policy`).
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -87,262 +72,13 @@ from itertools import count
 import numpy as np
 
 from .costs import CostTables, SizeTable, Structure
-from .errors import InvalidInputError, OracleRefusalError, open_output
+from .errors import InvalidInputError, OracleRefusalError
+from .policy import Policy, fingerprint, merge_runs
 from .scenario import PairIndex, Scenario, csr_slots, left_sum
 
 logger = logging.getLogger(__name__)
 
 EMPTY = -2  # flexible-buffer sentinel for "nothing buffered yet"
-
-
-# Per buffer model: the key width, and the (kind, length) of each action.
-_KEY_WIDTH = {"fixed": 3, "flex": 4}
-_ACTION_SHAPES = {
-    "fixed": {("0hop", 1), ("1hop", 2)},
-    "flex": {("0hop", 2), ("1hop", 2), ("2hop", 3)},
-}
-
-
-def fingerprint(structure: Structure) -> dict:
-    """The sorted I-MDUs and P-edges of `structure`, as a policy records them."""
-    return {
-        "i_set": sorted(map(int, structure.i_set)),
-        "p_edges": sorted([int(i), int(j)] for i, j in structure.p_edges),
-    }
-
-
-def _malformed(why: str) -> InvalidInputError:
-    return InvalidInputError(f"malformed policy: {why}")
-
-
-def _checked_action(act, buffer: str) -> tuple:
-    """`act` as a tuple if it is an action of the `buffer` model, else raise."""
-    if (
-        isinstance(act, (list, tuple))
-        and act
-        and (act[0], len(act)) in _ACTION_SHAPES[buffer]
-        and all(type(x) is int and -(2**63) <= x < 2**63 for x in act[1:])
-    ):
-        return tuple(act)
-    raise _malformed(f"{act!r} is not a {buffer}-buffer action")
-
-
-def _checked_fingerprint(value) -> dict | None:
-    """A file's {"i_set", "p_edges"} as a `fingerprint`, or None for null."""
-    if value is None:
-        return None
-    i_set, p_edges = value["i_set"], value["p_edges"]
-    if not (
-        isinstance(i_set, list) and isinstance(p_edges, list)
-        and all(type(x) is int for x in i_set)
-        and all(isinstance(e, list) and len(e) == 2 for e in p_edges)
-        and all(type(x) is int for e in p_edges for x in e)
-    ):
-        raise _malformed("structure needs integer i_set and [i, j] p_edges")
-    return {"i_set": sorted(i_set), "p_edges": sorted(p_edges)}
-
-
-def _v1_layout(actions, width: int, buffer: str) -> tuple[list, list, list]:
-    """A version-1 {"t,k,...,j": action} dict as version-2 (actions, keys,
-    index); each action is checked before it is used as a key."""
-    if not isinstance(actions, dict):
-        raise _malformed("version-1 actions must be an object")
-    keys, acts = [], []
-    for key, act in actions.items():
-        parts = key.split(",")
-        if len(parts) != width:
-            raise _malformed(f"key {key!r} does not have {width} fields")
-        keys += map(int, parts)
-        acts.append(_checked_action(act, buffer))
-    table = list(dict.fromkeys(acts))
-    pos = {act: n for n, act in enumerate(table)}
-    return table, keys, [pos[act] for act in acts]
-
-
-def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct `codes` in first-seen order, and where each code is among them."""
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return distinct[order], rank[inverse]
-
-
-class _Actions(Mapping):
-    """A policy's {key: action}, read-only, over its arrays and in key order.
-
-    Its length is the number of keys; the dict behind it is built on the
-    first lookup or iteration.
-    """
-
-    def __init__(self, keys: np.ndarray, index: np.ndarray, table: tuple):
-        self._keys, self._index, self._table = keys, index, table
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __eq__(self, other):
-        if isinstance(other, _Actions) and np.array_equal(self._keys, other._keys):
-            return self._actions() == other._actions()  # no dict for the same keys
-        return self._dict == other if isinstance(other, Mapping) else NotImplemented
-
-    def _actions(self) -> list:
-        return list(map(self._table.__getitem__, self._index.tolist()))
-
-    @cached_property
-    def _dict(self) -> dict:
-        return dict(zip(map(tuple, self._keys.tolist()), self._actions()))
-
-
-@dataclass(eq=False)
-class Policy:
-    """Deterministic per-request action table extracted from a DP run.
-
-    `keys` is an (N, width) int64 array of the module docstring's keys in
-    the DP's order, and `table[index[n]]` is key n's action.  `structure`
-    is the `fingerprint` of the structure the DP ran on and `expected_cost`
-    its cost, both None for a policy loaded from a version-1 or -2 file.
-    Two policies are equal when their buffers, first-switch weighting and
-    `actions` mappings are.  `save` and `load` use the version-3 file of
-    the module docstring; a reloaded policy is equal to the saved one, in
-    the same order, with the same structure and cost.
-    """
-
-    buffer: str  # "fixed" or "flex"
-    weight_first_switch: bool
-    keys: np.ndarray | None = None
-    index: np.ndarray | None = None
-    table: tuple = ()
-    structure: dict | None = None
-    expected_cost: float | None = None
-
-    def __post_init__(self):
-        if self.keys is None:
-            self.keys = np.empty((0, _KEY_WIDTH[self.buffer]), dtype=np.int64)
-            self.index = np.empty(0, dtype=np.intp)
-
-    @cached_property
-    def actions(self) -> Mapping:
-        return _Actions(self.keys, self.index, self.table)
-
-    def __eq__(self, other):
-        if not isinstance(other, Policy):
-            return NotImplemented
-        return (
-            self.buffer == other.buffer
-            and self.weight_first_switch == other.weight_first_switch
-            and self.actions == other.actions
-        )
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """The positions of `keys` in lexicographic order; a key listed twice
-        raises `InvalidInputError`."""
-        order = np.lexsort(self.keys.T[::-1])
-        ranked = self.keys[order]
-        same = (ranked[1:] == ranked[:-1]).all(axis=1)
-        if same.any():
-            raise _malformed(f"key {tuple(ranked[same.argmax()].tolist())} repeats")
-        return order
-
-    def _without_prev(self) -> "Policy":
-        """This policy of (t, prev, ...) keys keyed without prev, each key at
-        its first copy; copies with two different actions raise
-        `InvalidInputError`."""
-        keys = np.delete(self.keys, 1, axis=1)
-        seen: dict = {}  # one number per action, even one listed twice
-        acts = np.array([seen.setdefault(a, len(seen)) for a in self.table], dtype=np.intp)
-        acts = acts[self.index]
-        order = np.lexsort(keys.T[::-1])  # stable: copies stay in file order
-        ranked, acts = keys[order], acts[order]
-        same = (ranked[1:] == ranked[:-1]).all(axis=1)
-        clash = same & (acts[1:] != acts[:-1])
-        if clash.any():
-            key = tuple(ranked[1:][clash.argmax()].tolist())
-            raise _malformed(f"key {key} has two actions")
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = ~same
-        first = np.sort(order[first])
-        return Policy(self.buffer, self.weight_first_switch, keys[first],
-                      self.index[first], self.table)
-
-    def to_dict(self) -> dict:
-        used, index = _first_seen(self.index)
-        return {
-            "version": 3,
-            "buffer": self.buffer,
-            "weight_first_switch": self.weight_first_switch,
-            "structure": self.structure,
-            "expected_cost": self.expected_cost,
-            "actions": [self.table[a] for a in used.tolist()],
-            "keys": self.keys.ravel().tolist(),
-            "index": index.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Policy":
-        """Read any file version; raise `InvalidInputError` if it is malformed."""
-        try:
-            buffer, wfs = data["buffer"], data["weight_first_switch"]
-            if buffer not in _KEY_WIDTH:
-                raise _malformed(f"unknown buffer model {buffer!r}")
-            if type(wfs) is not bool:
-                raise _malformed(f"weight_first_switch {wfs!r} is not a boolean")
-            version, structure, cost = data.get("version"), None, None
-            width = _KEY_WIDTH[buffer] + (version != 3)  # older keys hold prev
-            if version is None:
-                table, keys, index = _v1_layout(data["actions"], width, buffer)
-            elif type(version) is int and version in (2, 3):
-                table, keys, index = data["actions"], data["keys"], data["index"]
-                if version == 3:
-                    structure = _checked_fingerprint(data["structure"])
-                    cost = data["expected_cost"]
-                    if cost is not None and type(cost) not in (int, float):
-                        raise _malformed(f"expected_cost {cost!r} is not a number")
-            else:
-                raise _malformed(f"unsupported version {version!r}")
-            if not all(isinstance(x, list) for x in (table, keys, index)):
-                raise _malformed("actions, keys and index must be lists")
-            table = tuple(_checked_action(act, buffer) for act in table)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise _malformed(str(exc)) from exc
-        if not set(map(type, keys)) <= {int} or not set(map(type, index)) <= {int}:
-            raise _malformed("keys and index must hold integers")
-        if len(keys) != width * len(index):
-            raise _malformed(
-                f"{len(keys)} key fields for {len(index)} keys of width {width}"
-            )
-        if index and not (0 <= min(index) and max(index) < len(table)):
-            raise _malformed(f"an action index is outside [0, {len(table)})")
-        try:
-            keys = np.array(keys, dtype=np.int64).reshape(-1, width)
-        except OverflowError as exc:
-            raise _malformed(f"a key field is outside the int64 range: {exc}") from exc
-        cost = None if cost is None else float(cost)
-        policy = cls(buffer, wfs, keys, np.array(index, dtype=np.intp), table,
-                     structure, cost)
-        policy.order  # refuses a repeated key
-        return policy if version == 3 else policy._without_prev()
-
-    def save(self, path) -> None:
-        # json.dumps without indent runs the C encoder; json.dump never does
-        text = json.dumps(self.to_dict(), separators=(",", ":"))
-        with open_output("policy", path) as fh:
-            fh.write(text)
-
-    @classmethod
-    def load(cls, path) -> "Policy":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-            raise InvalidInputError(f"cannot read policy {path}: {exc}") from exc
 
 
 @dataclass
@@ -561,9 +297,14 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
     done, and on this module's logger as "`name` level t: h (cur, buffer)
     halves, r requests listed" as the backward pass values it.  Returns that
     cost; the number of states; the number of requests valued, one per
-    request of each state; and, for a lister with action codes, (t, keys,
-    codes) per level, last level first, with each listed request's packed
-    key (`lister.keys`) and picked code (for any other lister, no levels).
+    request of each state; and, for a lister with action codes, (t, low,
+    keys, codes) per level, last level first (for any other lister, no
+    levels): listed requests' packed keys (`lister.keys`) and picked codes.
+    A pick holds from level t down to level `low`, or to the next level
+    below that lists its key.  The levels that are one `_Level` list the
+    same keys in the same order, and `low` is the first of them; below the
+    last, such a level lists only the keys whose codes differ from level
+    t + 1.  Any other level's `low` is t.
     """
     for salt in count():
         try:
@@ -573,10 +314,12 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
             continue
     values, picks, requests = None, [], 0
     g_next_of = (*weights[1:], 0.0)  # g(t + 1) at level t
+    low = next(t for t, level in enumerate(levels) if level is levels[-1])
     for t in range(len(levels) - 1, -1, -1):
         g_next, level = g_next_of[t], levels[t]
         repeated = t > 0 and levels[t - 1] is level
         leads = g_next > 0.0 or repeated  # its options' next states are needed
+        relisted = low <= t < len(levels) - 1  # level t + 1's keys, in its order
         cur = np.empty(len(level.keys))
         keys, codes, asked = [], [], 0
         for lo in range(0, level.halves, _CHUNK):
@@ -594,7 +337,8 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
             else:  # each request's first cheapest option, as a flat position in `bits`
                 pick = np.arange(0, bits.size, bits.shape[1]) + bits.argmin(axis=1)
                 least = bits.ravel()[pick]
-                keys.append(lister.keys(chunk.pair, chunk.buf, chunk.j))
+                if not relisted:
+                    keys.append(lister.keys(chunk.pair, chunk.buf, chunk.j))
                 codes.append(chunk.act.ravel()[pick])
             chunk.terms = chunk.terms or _terms(index, level, lo, chunk)
             s0, s1, state, prob, gather = chunk.terms
@@ -602,8 +346,15 @@ def level_pass(index: PairIndex, weights, lister, log, name, max_states=math.inf
             cur[s0:s1] = np.bincount(state, weights=prob * least[gather], minlength=s1 - s0)
             requests += len(state)
             asked += len(chunk.j)
-        if keys:
-            picks.append((t, np.concatenate(keys), np.concatenate(codes)))
+        if codes:
+            code = np.concatenate(codes)
+            if relisted:
+                moved = np.flatnonzero(code != listed[1])
+                picks.append((t, low, listed[0][moved], code[moved]))
+                listed = listed[0], code
+            else:
+                listed = np.concatenate(keys), code
+                picks.append((t, min(low, t), *listed))
         logger.debug("%s level %d: %d (cur, buffer) halves, %d requests listed",
                      name, t, level.halves, asked)
         values = cur
@@ -660,15 +411,14 @@ class _OneMduLister:
             code = code * (self.n + 1) + word.astype(np.int64)
         return code * (self.n + 1) + j
 
-    def key_rows(self, t: int, code: np.ndarray) -> np.ndarray:
-        """The policy keys (t, cur[, buffered], target) of `keys`' codes at depth t."""
-        out = np.empty((len(code), self.roots.shape[1] + 2), dtype=np.int64)
-        out[:, 0] = t
-        for f in range(out.shape[1] - 1, 0, -1):
+    def contexts(self, code: np.ndarray) -> np.ndarray:
+        """The policy contexts (cur[, buffered], target) of `keys`' codes."""
+        out = np.empty((len(code), self.roots.shape[1] + 1), dtype=np.int64)
+        for f in range(out.shape[1] - 1, -1, -1):
             code, out[:, f] = np.divmod(code, self.n + 1)
-        if out.shape[1] == 4:  # a buffer word as the buffered MDU
-            out[:, 2] -= 1
-            out[out[:, 2] < 0, 2] = EMPTY
+        if out.shape[1] == 3:  # a buffer word as the buffered MDU
+            out[:, 1] -= 1
+            out[out[:, 1] < 0, 1] = EMPTY
         return out
 
 
@@ -756,12 +506,31 @@ def evaluate(
     stats = {"states": states, "actions": requests}
     if not policy:
         return EvalResult(cost, None, stats)
-    keys = np.concatenate([lister.key_rows(t, code) for t, code, _ in picks])
-    table, index = np.unique(np.concatenate([c for *_, c in picks]), return_inverse=True)
-    actions = tuple(map(lister.action, table.tolist()))
-    found = Policy(buffer, weight_first_switch, keys, index, actions,
-                   fingerprint(structure), cost)
+    runs = _runs(picks, lister)
+    found = Policy(buffer, weight_first_switch, *runs, fingerprint(structure), cost)
     return EvalResult(cost, found, stats)
+
+
+def _runs(picks, lister) -> tuple:
+    """`level_pass`'s picks as a `Policy`'s contexts, offsets, t_first,
+    t_last, index and table: one stable sort of the packed keys, taken in
+    rising t, puts each context's picks in rising t."""
+    picks = picks[::-1]
+    keys = np.concatenate([k for *_, k, _ in picks])
+    order = np.argsort(keys, kind="stable")
+    keys, code = keys[order], np.concatenate([c for *_, c in picks])[order]
+    counts = [len(k) for *_, k, _ in picks]
+    t = np.repeat([t for t, *_ in picks], counts)[order]
+    low = np.repeat([low for _, low, *_ in picks], counts)[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    # a pick holds down to its `low`, or to just above its key's pick below
+    t_lo = low.copy()
+    t_lo[1:] = np.where(new[1:], low[1:], np.maximum(low[1:], t[:-1] + 1))
+    offsets, t_first, t_last, code = merge_runs(new, t_lo, t, code)
+    table, index = np.unique(code, return_inverse=True)
+    actions = tuple(map(lister.action, table.tolist()))
+    return lister.contexts(keys[new]), offsets, t_first, t_last, index, actions
 
 
 def eval_fixed(

@@ -5,10 +5,11 @@ Monte-Carlo session simulation driven by an extracted policy, a plain
 (table-free) recursive evaluator for tiny instances, and brute-force
 enumeration of every deterministic policy on even tinier ones.  Only the
 simulator reads the scenario's switch rows, through `sample_targets`,
-which draws every session on arrays.  It reads the policy as arrays too:
-it advances all sessions one switch at a time and finds each switch's key,
-(t, cur[, buffered], target), among the policy's sorted keys with
-`np.searchsorted`, so no Python dict of the policy is built.
+which draws every session on arrays.  It reads the policy's runs over t
+as arrays too: it advances all sessions one switch at a time and finds
+each switch's run, the one of its context (cur[, buffered], target) that
+holds its t, with one `np.searchsorted`, so no Python dict of the policy
+is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .costs import CostTables, SizeTable, Structure, zero_hop_overhead
 from .errors import InvalidInputError, OracleRefusalError, PolicyGapError
-from .evaluate import EMPTY, Policy, fingerprint
+from .evaluate import EMPTY
+from .policy import Policy, fingerprint
 from .scenario import START, Scenario, sample_targets
 
 _UNMEMO_MAX_N = 8
@@ -48,13 +50,14 @@ class SimResult:
     traces: list[SessionTrace] = field(default_factory=list)
 
 
-def _pack_keys(keys: np.ndarray, lo, spans) -> np.ndarray:
-    """Each int64 row of `keys` as one mixed-radix integer, field f counted
-    from lo[f] in base spans[f]: one-to-one on rows inside those ranges, and
-    in their lexicographic order."""
-    code = keys[:, 0] - lo[0]
-    for f in range(1, keys.shape[1]):
-        code = code * spans[f] + (keys[:, f] - lo[f])
+def _pack(rows: np.ndarray, lo, hi) -> np.ndarray:
+    """Each int64 row of `rows` that lies in the ranges lo[f]..hi[f] as one
+    mixed-radix integer, field f counted from lo[f], and any other row as
+    -1: one to one on the rows inside, and in their lexicographic order."""
+    code = rows[:, 0] - lo[0]
+    for f in range(1, rows.shape[1]):  # wraps on a row outside, which is dropped
+        code = code * (hi[f] - lo[f] + 1) + (rows[:, f] - lo[f])
+    code[~((rows >= lo) & (rows <= hi)).all(axis=1)] = -1
     return code
 
 
@@ -76,10 +79,12 @@ def simulate_sessions(
     was built with first-switch weighting).
 
     All sessions are drawn first, then advanced one switch at a time
-    together.  Each switch's key is looked up with `np.searchsorted` among
-    the policy's keys that lie in this scenario's ranges (t up to t_max,
-    MDUs below n), packed in lexicographic order by `_pack_keys`; a key
-    outside those ranges matches nothing.  A session adds r_i[start], then
+    together.  The policy's runs whose context lies in this scenario's
+    ranges (MDUs below n) and that start by t_max are packed as (context,
+    t_first) in lexicographic order by `_pack`; a context outside those
+    ranges matches nothing.  A switch at depth t finds the last run at or
+    before its (context, t) with `np.searchsorted`, and takes it if the run
+    is of its context and t <= t_last.  A session adds r_i[start], then
     each switch's bits in turn, as a Python loop would.  The first gap of the
     lowest-numbered session that has one raises `PolicyGapError`, naming the
     full state (t, prev, cur[, buffered], target).  Without a gap, a policy
@@ -93,22 +98,18 @@ def simulate_sessions(
     tables = CostTables(structure, sizes, n)
     r_i = np.array(tables.r_i)
     flex = policy.buffer == "flex"
-    survival = None
-    if consistency_mode:
-        first = lt.g(1) if policy.weight_first_switch else None
-        survival = [first] + [lt.g(t) for t in range(1, lt.t_max + 1)]
+    survival = lt.schedule(True, policy.weight_first_switch) if consistency_mode else None
     lengths, targets = sample_targets(scenario, n_sessions, seed, survival)
 
-    # (t, cur[, buffered], target) ranges, and the policy's keys in them
-    lo = [0, 0, *[EMPTY] * flex, 0]
-    hi = [lt.t_max, *[n - 1] * (2 + flex)]
-    spans = [h - l + 1 for h, l in zip(hi, lo)]
-    if math.prod(spans) >= 2**63:
+    # (t, cur[, buffered], target) ranges, and the runs in them by (context, t_first)
+    lo = np.array([0, 0, *[EMPTY] * flex, 0])
+    hi = np.array([lt.t_max, *[n - 1] * (2 + flex)])
+    if math.prod((hi - lo + 1).tolist()) >= 2**63:
         raise InvalidInputError(f"a scenario of {n} MDUs is too large to simulate")
-    ranked = policy.keys[policy.order]
-    inside = ((ranked >= lo) & (ranked <= hi)).all(axis=1)
-    codes = _pack_keys(ranked[inside], lo, spans)
-    picks = policy.index[policy.order][inside]
+    run_ctx = np.repeat(_pack(policy.contexts, lo[1:], hi[1:]), np.diff(policy.offsets))
+    runs = (run_ctx >= 0) & (policy.t_first <= lt.t_max)
+    run_ctx, t_last, picks = run_ctx[runs], policy.t_last[runs], policy.index[runs]
+    codes = run_ctx * (lt.t_max + 1) + policy.t_first[runs]
     kind = np.array([("0hop", "1hop", "2hop").index(a[0]) for a in policy.table], dtype=int)
     arg = np.array([[*a[1:], 0, 0][:2] for a in policy.table], dtype=np.int64)
     arg = arg.reshape(-1, 2)  # an empty table too
@@ -129,11 +130,11 @@ def simulate_sessions(
         at = np.flatnonzero(live & (lengths > t))
         full = state[at]
         full[:, 0], full[:, -1] = t, targets[at, t]
-        key = np.delete(full, 1, axis=1)
-        code = _pack_keys(key, lo, spans)
-        pos = np.searchsorted(codes, code)
-        hit = ((key >= lo) & (key <= hi)).all(axis=1) & (pos < len(codes))
-        hit[hit] = codes[pos[hit]] == code[hit]
+        ctx = _pack(full[:, 2:], lo[1:], hi[1:])
+        # the last run at or before (ctx, t), if it is of ctx and holds t
+        pos = np.searchsorted(codes, ctx * (lt.t_max + 1) + t, side="right") - 1
+        hit = (ctx >= 0) & (pos >= 0)
+        hit[hit] = (run_ctx[pos[hit]] == ctx[hit]) & (t_last[pos[hit]] >= t)
         for m in np.flatnonzero(~hit).tolist():
             gaps[at[m]] = PolicyGapError(
                 f"policy does not cover state {tuple(full[m].tolist())}"

@@ -113,9 +113,9 @@ class LifetimeModel:
        `unmemoized_eval` and `enumerate_policies` restate it with their own g;
     2. q (`Scenario.switch_probs`) weighs switch t + 1 by g(t) alone;
     3. `simulate_sessions` and `inf_buffer_estimate` draw the number of
-       switches from `pmf` renormalised over 0..t_max;
+       switches from `pmf` renormalised over 0..t_max, from `schedule`;
     4. `simulate_sessions` in consistency mode takes switch t + 1 with
-       probability g(t), the DPs' products.
+       probability g(t), the DPs' products, from `schedule(True, ...)`.
     So `inf-lm`'s exact cost (1) and the estimate it falls back to (3) are
     on different scales.
     """
@@ -138,6 +138,17 @@ class LifetimeModel:
         first switch weighs w1 = g(1) if `weight_first_switch` else 1.0."""
         tail = takewhile(lambda g: g > 0.0, self._tail[1:])
         return (self._tail[1] if weight_first_switch else 1.0, *tail)
+
+    def schedule(self, consistency: bool = False, weight_first_switch: bool = False):
+        """What `sample_targets` draws a session's switches from: the pmf
+        renormalised over 0..t_max, as its running sums (convention 3); or
+        in `consistency` mode the survival list [w, g(1), ..., g(t_max)],
+        switch t + 1 taken with probability g(t) and the first with w =
+        g(1) if `weight_first_switch`, else None: always (convention 4)."""
+        if consistency:
+            return [self._tail[1] if weight_first_switch else None, *self._tail[1:]]
+        pmf = np.asarray(self.pmf)
+        return np.cumsum(pmf / pmf.sum())
 
 
 def build_lifetime_tail(mu: float, t_max: int) -> LifetimeModel:
@@ -409,8 +420,7 @@ def sample_targets(scenario: Scenario, n_sessions: int, seed: int, survival=None
     cdf = _row_cumsum(index.prob, index.offsets)
     last = index.offsets[1:] - 1  # each row's last slot, which holds its total
     if survival is None:
-        pmf = np.asarray(scenario.lifetime.pmf)
-        lifetime_cdf = np.cumsum(pmf / pmf.sum())
+        lifetime_cdf = scenario.lifetime.schedule()
         # the lifetime draw, then a target draw per switch
         target_at = np.arange(1, len(lifetime_cdf) + 1)
         steps_of = np.arange(-1, len(lifetime_cdf) + 1)

@@ -125,3 +125,22 @@ def reference_sessions(scenario: Scenario, n_sessions: int, seed: int, survival=
             pair = succ[slot]
             targets.append(target[slot])
         yield targets
+
+
+def v3_dict(policy) -> dict:
+    """`policy` as a version-3 file's dict, which tests edit: every key
+    (t, cur[, buffered], target) flattened in sorted order, each distinct
+    action once, first seen first, and each key's index among them."""
+    items = sorted(policy.actions.items())
+    table = list(dict.fromkeys(act for _, act in items))
+    pos = {act: n for n, act in enumerate(table)}
+    return {
+        "version": 3,
+        "buffer": policy.buffer,
+        "weight_first_switch": policy.weight_first_switch,
+        "structure": policy.structure,
+        "expected_cost": policy.expected_cost,
+        "actions": table,
+        "keys": [x for key, _ in items for x in key],
+        "index": [pos[act] for _, act in items],
+    }

@@ -16,7 +16,11 @@ from navstream.costs import (
     save_structure,
     uniform_sizes,
 )
-from navstream.errors import InfeasibleStructureError, OracleRefusalError
+from navstream.errors import (
+    InfeasibleStructureError,
+    InvalidInputError,
+    OracleRefusalError,
+)
 from navstream.evaluate import Policy
 from navstream.scenario import load_scenario
 
@@ -290,6 +294,64 @@ def test_simulate_rejects_a_malformed_array_policy(
         "--structure", str(structure), "--policy", str(policy), "--sessions", "10",
     ]) == 2
     assert f"malformed policy: {why}" in capsys.readouterr().err
+
+
+def _v4_policy():
+    """A version-4 flexible policy on LF 3x3: context (4, EMPTY, 1) with runs
+    over t 0 and 2..3, and (4, EMPTY, 3) with one over t 0..1."""
+    return {
+        "version": 4, "buffer": "flex", "weight_first_switch": False,
+        "structure": None, "expected_cost": None,
+        "actions": [["0hop", -2], ["1hop", 4]],
+        "keys": [4, -2, 1, 4, -2, 3], "offsets": [0, 2, 3],
+        "t_first": [0, 2, 0], "t_last": [0, 3, 1], "index": [0, 1, 1],
+    }
+
+
+def _put(field, at, value):
+    return lambda d: d[field].__setitem__(at, value)
+
+
+_MALFORMED_V4 = {
+    "unsorted contexts": _put("keys", slice(0, 6), [4, -2, 3, 4, -2, 1]),
+    "repeated context": _put("keys", slice(3, 6), [4, -2, 1]),
+    "overlapping runs": _put("t_first", 1, 0),
+    "out-of-order runs": lambda d: d.update(t_first=[2, 0, 0], t_last=[3, 0, 1]),
+    "t_first above t_last": _put("t_first", 2, 2),
+    "negative t": _put("t_first", 0, -1),
+    "action index past the actions": _put("index", 0, 2),
+    "negative action index": _put("index", 0, -1),
+    "t_last short": lambda d: d["t_last"].pop(),
+    "index long": lambda d: d["index"].append(0),
+    "keys short": lambda d: d["keys"].pop(),
+    "offsets past the runs": _put("offsets", 2, 4),
+    "offsets not from 0": _put("offsets", 0, 1),
+    "context without runs": lambda d: d.update(offsets=[0, 0, 3]),
+    "float t_first": _put("t_first", 1, 2.0),
+    "boolean offset": _put("offsets", 0, False),
+    "string key": _put("keys", 0, "4"),
+    "t_last past int64": _put("t_last", 0, 2**63),
+    "offsets not a list": lambda d: d.update(offsets={}),
+    "no t_last": lambda d: d.pop("t_last"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_V4)
+def test_malformed_version_4_policy_is_refused(case, lf_files, tmp_path, capsys):
+    scenario, sizes = lf_files
+    structure, policy = tmp_path / "structure.json", tmp_path / "policy.json"
+    save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
+    data = _v4_policy()
+    assert len(Policy.from_dict(data).actions) == 5  # the unbroken policy loads
+    _MALFORMED_V4[case](data)
+    with pytest.raises(InvalidInputError, match="^malformed policy: "):
+        Policy.from_dict(data)
+    policy.write_text(json.dumps(data))
+    assert main([
+        "simulate", "--scenario", str(scenario), "--sizes", str(sizes),
+        "--structure", str(structure), "--policy", str(policy), "--sessions", "10",
+    ]) == 2
+    assert "malformed policy" in capsys.readouterr().err
 
 
 def test_simulate_refuses_a_policy_over_an_unstored_edge(tmp_path, capsys):

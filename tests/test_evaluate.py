@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import logging
+from copy import copy
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     random_sizes,
     random_structure,
     uniform_sizes,
+    v3_dict,
 )
 from navstream.adapters import LfGridSpec, build_lf_scenario, lifetime_defaults
 from navstream.costs import SizeTable, Structure, all_i_structure
@@ -371,7 +373,7 @@ def test_levels_past_the_fixed_point_are_pinned(fn, caplog, monkeypatch):
     # each of those levels once more, and values every level
     repeat = next(t for t in range(1, 13) if counts[t] == counts[t - 1])
     assert sum(expanded) == 2 * sum(halves[:repeat])
-    assert set(res.policy.keys[:, 0].tolist()) == set(range(13))
+    assert {key[0] for key in res.policy.actions} == set(range(13))
     assert res.expected_cost == costs[0]
     assert res.dp_stats == stats
     assert _actions_digest(res.policy.actions) == digest
@@ -423,7 +425,7 @@ def test_level_pass_logs_halves_and_listed_requests(caplog):
           for t, (h, r) in reversed(list(enumerate(halves)))),
     ]
     # each listed request is one key of the policy
-    assert len(res.policy.keys) == sum(r for _, r in halves)
+    assert len(res.policy.actions) == sum(r for _, r in halves)
 
 
 def _logged(caplog, case, buffer, policy):
@@ -456,6 +458,82 @@ def test_cost_only_dp_lists_as_the_policy_dp(chunk, caplog, monkeypatch):
         assert (full.expected_cost, full.dp_stats) == (res.expected_cost, res.dp_stats)
 
 
+def _picked(picks, buffer, n):
+    """{(t, cur[, buffered], target): code} read from `level_pass`'s (t, low,
+    keys, codes) per level, last level first: a key's code holds from t
+    down to low, unless a lower level lists the key again."""
+    out = {}
+    for t, low, keys, codes in picks:
+        for key, code in zip(keys.tolist(), codes.tolist()):
+            fields = []
+            for _ in range(3 if buffer == "flex" else 2):
+                key, field = divmod(key, n + 1)
+                fields.insert(0, field)
+            if buffer == "flex":  # a buffer word as the buffered MDU
+                fields[1] = fields[1] - 1 if fields[1] else EMPTY
+            out.update(((u, *fields), code) for u in range(low, t + 1))
+    return out
+
+
+def _runs_cases():
+    # long enough lifetimes that most reach a repeated level
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        sc = random_scenario(rng, n, int(rng.integers(6, 14)), max_deg=3)
+        yield sc, random_sizes(rng, n), random_structure(rng, n)
+    yield _repeating_levels_instance()
+    yield pingpong_scenario(mu=300.0, t_max=5000), pingpong_sizes(), ASYM
+
+
+@pytest.mark.parametrize("buffer", ["fixed", "flex"])
+@pytest.mark.parametrize("wfs", [False, True])
+def test_policy_runs_expand_to_the_dps_picks(buffer, wfs, monkeypatch):
+    # the runs over t give exactly the picks `level_pass` lists per level,
+    # also where a repeated level lists only the codes that change; and
+    # those are the picks of a pass whose levels are all distinct objects,
+    # each listed in full
+    passes, level_pass, levels_of = [], core.level_pass, core._levels
+    shared = [True]
+
+    def recorded(*args, **kw):
+        passes.append(level_pass(*args, **kw))
+        return passes[-1]
+
+    def levels(*args):
+        found, kept, roots = levels_of(*args)
+        return (found, kept, roots) if shared[0] else ([copy(v) for v in found], {}, roots)
+
+    monkeypatch.setattr(core, "level_pass", recorded)
+    monkeypatch.setattr(core, "_levels", levels)
+    changed = 0
+    for sc, sz, st in _runs_cases():
+        lister = core._LISTERS[buffer](sc, CostTables(st, sz, sc.graph.n), True)
+        got = []
+        for shared[0] in (True, False):
+            policy = evaluate(sc, sz, st, buffer, wfs).policy
+            picks = passes.pop()[3]
+            want = {key: lister.action(code) for key, code in
+                    _picked(picks, buffer, sc.graph.n).items()}
+            assert dict(policy.actions) == want
+            assert len(policy.actions) == len(want)
+            got.append((policy, want))
+            changed += shared[0] and any(
+                low < t < picks[0][0] and len(keys) for t, low, keys, _ in picks
+            )
+        assert got[0] == got[1]
+        # each run is maximal: the next run of its context starts after a gap
+        # or with another action
+        later = np.ones(len(policy.t_first), dtype=bool)
+        later[policy.offsets[:-1]] = False
+        r = np.flatnonzero(later)
+        assert ((policy.t_first[r] > policy.t_last[r - 1] + 1)
+                | (policy.index[r] != policy.index[r - 1])).all()
+    # under the flexible buffer, some picks change within repeated levels;
+    # the fixed buffer's never do, as its next state is the target
+    assert (changed > 0) == (buffer == "flex")
+
+
 def test_paper_default_lf8x8_flexible_dp_is_pinned():
     # LF 8x8 at the paper's default lifetime (mu 13.5, t_max 27) with one
     # landmark, recorded when the DP listed every request once per prev
@@ -466,7 +544,8 @@ def test_paper_default_lf8x8_flexible_dp_is_pinned():
     res = eval_flexible(sc, sizes, st)
     assert res.expected_cost == 79.70339495537836
     assert res.dp_stats == {"states": 568148, "actions": 3987157}
-    assert len(res.policy.keys) == 594615
+    assert len(res.policy.actions) == 594615
+    assert len(res.policy.t_first) == 27308  # runs over t, of 27,300 contexts
 
 
 def test_infeasible_structure_raises():
@@ -561,8 +640,10 @@ def test_policy_round_trip_keeps_actions_and_order(fn, tmp_path):
     path = tmp_path / "policy.json"
     policy.save(path)
     data = json.loads(path.read_text())
-    assert data["version"] == 3
-    assert len(data["keys"]) == len(next(iter(policy.actions))) * len(data["index"])
+    assert data["version"] == 4
+    width = len(next(iter(policy.actions))) - 1  # a key is (t, *context)
+    assert len(data["keys"]) == width * (len(data["offsets"]) - 1)
+    assert len(data["t_first"]) == len(data["t_last"]) == len(data["index"])
     assert len(data["actions"]) == len(set(policy.actions.values()))
     assert data["structure"] == {
         "i_set": sorted(st.i_set), "p_edges": sorted(map(list, st.p_edges)),
@@ -648,7 +729,21 @@ def test_policy_v3_file_pins_every_pick(buffer, wfs, tmp_path):
     got = evaluate(*_shared_halves_instance(), buffer, wfs).policy
     assert pinned == got
     assert (pinned.structure, pinned.expected_cost) == (got.structure, got.expected_cost)
-    assert pinned.keys[pinned.order].tolist() == got.keys[got.order].tolist()
+    assert sorted(pinned.actions.items()) == sorted(got.actions.items())
+
+
+@pytest.mark.parametrize("buffer, wfs", [("fixed", False), ("flex", True)])
+def test_policy_v4_file_pins_every_pick(buffer, wfs, tmp_path):
+    # written by the version-4 `Policy.save`: the same picks as the
+    # version-3 files, as runs over t
+    path = V1_FILES / f"policy_v4_{buffer}.json"
+    pinned = Policy.load(path)
+    assert json.loads(path.read_text())["version"] == 4
+    got = evaluate(*_shared_halves_instance(), buffer, wfs).policy
+    assert pinned == got
+    assert (pinned.structure, pinned.expected_cost) == (got.structure, got.expected_cost)
+    assert sorted(pinned.actions.items()) == sorted(got.actions.items())
+    assert pinned == Policy.load(V1_FILES / f"policy_v3_{buffer}.json")
     pinned.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -656,9 +751,10 @@ def test_policy_v3_file_pins_every_pick(buffer, wfs, tmp_path):
 def _with_prev(policy, prevs):
     """`policy` as a version-2 dict that lists each key once per prev in
     `prevs`, in turn, each copy with the key's action."""
-    data = policy.to_dict()
+    data = v3_dict(policy)
     del data["structure"], data["expected_cost"]
-    rows = policy.keys.tolist()
+    width = len(next(iter(policy.actions)))
+    rows = [data["keys"][m:m + width] for m in range(0, len(data["keys"]), width)]
     data.update(
         version=2,
         keys=[x for k in prevs for t, *rest in rows for x in (t, k, *rest)],
@@ -676,7 +772,7 @@ def test_policy_v2_copies_of_a_key_load_as_one(fn):
     data = _with_prev(policy, [START, 0])
     data["actions"].append(["1hop", 99])
     data["index"][-1] = len(data["actions"]) - 1
-    key = tuple(policy.keys[-1].tolist())
+    key = max(policy.actions)  # `v3_dict` lists the keys sorted
     with pytest.raises(InvalidInputError) as refused:
         Policy.from_dict(data)
     assert str(refused.value) == f"malformed policy: key {key} has two actions"
@@ -745,41 +841,45 @@ _REJECTED_ARRAYS = {
     "non-integer key": lambda d: d["keys"].__setitem__(0, "0"),
     "boolean key": lambda d: d["keys"].__setitem__(0, False),
     "float index": lambda d: d["index"].__setitem__(0, 0.0),
-    "unknown version": lambda d: d.update(version=4),
+    "unknown version": lambda d: d.update(version=5),
     "string version": lambda d: d.update(version="2"),
     "keys not a list": lambda d: d.update(keys={}),
     "repeated key": lambda d: (
         d["keys"].extend(d["keys"][:_width(d)]), d["index"].append(0)
     ),
     "action argument past int64": lambda d: d["actions"].__setitem__(0, ["0hop", 2**64]),
+    "negative t": lambda d: d["keys"].__setitem__(0, -1),
 }
 _REJECTED_V2 = {
     **_REJECTED_ARRAYS,
     "two actions for one compact key": _second_action,
 }
-_REJECTED_V3 = {
-    **_REJECTED_ARRAYS,
+_REJECTED_RECORD = {
     "structure without p_edges": lambda d: d["structure"].pop("p_edges"),
     "structure with a float MDU": lambda d: d["structure"]["i_set"].append(1.0),
     "string expected_cost": lambda d: d.update(expected_cost="20.5"),
     "no expected_cost": lambda d: d.pop("expected_cost"),
 }
+_REJECTED_V3 = {**_REJECTED_ARRAYS, **_REJECTED_RECORD}
+# the version-4 runs' own faults are in test_cli.py, through `simulate` too
+_REJECTED_V4 = {**_REJECTED_RECORD, "unknown version": lambda d: d.update(version=5)}
 
 
 _REJECTED = {
     "v1": {**_REJECTED_BOTH, **_REJECTED_V1},
     "v2": {**_REJECTED_BOTH, **_REJECTED_V2},
     "v3": {**_REJECTED_BOTH, **_REJECTED_V3},
+    "v4": {**_REJECTED_BOTH, **_REJECTED_V4},
 }
 
 
 def _unbroken(layout):
-    """A flexible policy file of the layout: the version-1 and -2 files, or
-    version 3 as `Policy.save` writes it."""
-    if layout == "v3":
-        sc, sz, st = _v1_instance()
-        return eval_flexible(sc, sz, st, weight_first_switch=True).policy.to_dict()
-    return json.loads((V1_FILES / f"policy_{layout}_flex.json").read_text())
+    """A flexible policy file of the layout: the version-1 and -2 files,
+    version 3 as `v3_dict` writes it, or version 4 as `Policy.save` does."""
+    if layout in ("v1", "v2"):
+        return json.loads((V1_FILES / f"policy_{layout}_flex.json").read_text())
+    policy = eval_flexible(*_v1_instance(), weight_first_switch=True).policy
+    return v3_dict(policy) if layout == "v3" else policy.to_dict()
 
 
 @pytest.mark.parametrize(
@@ -803,7 +903,7 @@ def test_policy_keys_far_apart_still_sort():
         "version": 2, "buffer": "flex", "weight_first_switch": False,
         "actions": [["0hop", -2]], "keys": [*far, 0, -1, 0, -2, 1], "index": [0, 0],
     }
-    assert Policy.from_dict(data).order.tolist() == [1, 0]
+    assert list(Policy.from_dict(data).actions) == [(0, 0, -2, 1), (2**62, 0, 5, 1)]
     data["keys"] += far
     data["index"].append(0)
     repeats = rf"key \({2**62}, {-(2**62)}, 0, 5, 1\) repeats"

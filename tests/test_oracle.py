@@ -12,6 +12,7 @@ from conftest import (
     random_structure,
     reference_sessions,
     uniform_sizes,
+    v3_dict,
 )
 from navstream.costs import Structure, all_i_structure
 from navstream.errors import (
@@ -211,7 +212,7 @@ def test_simulate_ignores_keys_outside_the_scenario():
     policy = eval_flexible(sc, sz, SYM).policy
     first, alias = (0, 0, -2, 1), (0, -1, 2, 1)
     assert _naive_code(alias, sc) == _naive_code(first, sc)
-    data = policy.to_dict()
+    data = v3_dict(policy)
     keys = [tuple(data["keys"][4 * m:4 * m + 4]) for m in range(len(data["index"]))]
     row = keys.index(first)
     other = ["0hop", 0]  # not the action the policy takes at `first`
@@ -236,12 +237,11 @@ def test_simulate_names_the_first_gap_of_the_lowest_numbered_session():
     sc = random_scenario(rng, 5, 4)
     sz, st = random_sizes(rng, 5), random_structure(rng, 5)
     full = eval_flexible(sc, sz, st).policy
-    data = full.to_dict()
+    data = v3_dict(full)
     keys = np.array(data["keys"]).reshape(-1, 4)
     # drop a tenth of the keys at depth 2 and deeper, drawn in sorted key
-    # order, so that the DP's order of its keys does not pick them
-    keep = np.empty(len(keys), dtype=bool)
-    keep[full.order] = np.random.default_rng(11).random(len(keys)) < 0.9
+    # order, as `v3_dict` lists them
+    keep = np.random.default_rng(11).random(len(keys)) < 0.9
     keep |= keys[:, 0] < 2
     data["keys"] = keys[keep].ravel().tolist()
     data["index"] = np.array(data["index"])[keep].tolist()
