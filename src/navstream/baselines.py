@@ -47,14 +47,14 @@ from .errors import InvalidInputError, OracleRefusalError, open_output
 from .evaluate import level_pass
 from .landmarks import landmark_structure
 from .refine import (
+    ADD_EDGE,
+    ADD_PAIR,
+    REMOVE_EDGE,
     RefinerParams,
     RefineLog,
     TradeoffRow,
-    add_edges,
-    add_reverse_pairs,
     greedy_search,
     one_edge_steps,
-    remove_edges,
 )
 from .scenario import Scenario, left_sum, sample_targets
 
@@ -245,11 +245,11 @@ def run_baseline(
         lm = landmark_structure(scenario, sizes, params.lam)
         init = replace(lm, i_set=frozenset(range(n)))
         final, log = greedy_search(
-            scenario, sizes, init, run, (add_edges,), (remove_edges,)
+            scenario, sizes, init, run, (ADD_EDGE,), (REMOVE_EDGE,)
         )
         one_edge_steps(log)
     else:
-        moves = (add_edges, add_reverse_pairs) if buffer == "flex" else (add_edges,)
+        moves = (ADD_EDGE, ADD_PAIR) if buffer == "flex" else (ADD_EDGE,)
         final, log = greedy_search(scenario, sizes, all_i_structure(n), run, moves)
     return BaselineResult(
         variant=variant,

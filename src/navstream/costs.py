@@ -3,6 +3,11 @@
 Size conventions: p(i, j) is the bitrate of the P representation of target
 j predicted from i.  M representations exist for every MDU by default and
 are therefore excluded from storage cost.
+
+The price of a hop, P + M, and of a combo, (I + P) + M, does not depend on
+the structure, so each `SizeTable` holds them as (n, n) matrices, computed
+once; a `CostTables` reads them at the structure's stored edges instead of
+pricing MDU by MDU.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +38,9 @@ class SizeTable:
     first bad entry raises `CorruptTableError`.  The diagonal of `p_size` may
     hold anything (`grid_sizes` writes NaN there), since nothing predicts an
     MDU from itself.  The arrays are the caller's (no copy is made) and must
-    not be rewritten afterwards, so every read is a plain lookup.
+    not be rewritten afterwards, so every read is a plain lookup, and the
+    (n, n) `hop_bits` and `combo_bits` that every `CostTables` over this
+    table masks are computed once, on first use.
     """
 
     def __init__(self, i_size, m_size, p_size):
@@ -54,6 +62,16 @@ class SizeTable:
                 where = tuple(int(k) for k in bad[0])
                 what = f"pair {where}" if kind == "P" else f"MDU {where[0]}"
                 raise CorruptTableError(f"bad {kind} size for {what}: {values[where]}")
+
+    @cached_property
+    def hop_bits(self) -> np.ndarray:
+        """P_j(l) + M_j at (l, j): j predicted from l, then merged."""
+        return self.p_size + self.m_size[None, :]
+
+    @cached_property
+    def combo_bits(self) -> np.ndarray:
+        """I_l + P_j(l) + M_j at (l, j): j reconstructed from the I-MDU of l."""
+        return self.i_size[:, None] + self.p_size + self.m_size[None, :]
 
     def i(self, j: int) -> float:
         return float(self.i_size[j])
@@ -192,10 +210,13 @@ def all_i_structure(n: int) -> Structure:
 def _refuse_outside(structure: Structure, n: int) -> None:
     """Raise `InvalidInputError` naming the least I-MDU, else the least
     P-edge, of `structure` with an end outside [0, n)."""
-    if outside := [j for j in structure.i_set if not 0 <= j < n]:
-        raise InvalidInputError(f"I-MDU {min(outside)} is outside [0, {n})")
-    if outside := [e for e in structure.p_edges if not (0 <= min(e) and max(e) < n)]:
-        l, j = min(outside)
+    i_set, p_edges = structure.i_set, structure.p_edges
+    if i_set and not (0 <= min(i_set) and max(i_set) < n):
+        outside = min(j for j in i_set if not 0 <= j < n)
+        raise InvalidInputError(f"I-MDU {outside} is outside [0, {n})")
+    ends = list(chain.from_iterable(p_edges))
+    if ends and not (0 <= min(ends) and max(ends) < n):
+        l, j = min(e for e in p_edges if not (0 <= min(e) and max(e) < n))
         raise InvalidInputError(f"P-edge ({l}, {j}) is outside [0, {n})")
 
 
@@ -214,17 +235,24 @@ def storage_cost(structure: Structure, sizes: SizeTable) -> float:
 class CostTables:
     """The one place that prices a request under (structure, sizes).
 
-    `sources[j]` lists j's independent reconstructions as (bits, l): the bare
-    I-MDU first, with l = j, then `combo(l, j)` for each stored I-MDU l with
-    a stored edge (l, j), by ascending l; `r_i[j]` is the cheapest.
-    `r_p[(l, j)]` is `hop(l, j)` for every stored edge, and `preds[j]` lists
-    j's stored predictors in ascending order; `p_bits` and `pred_table` hold
-    `r_p` and `preds` as matrices for the array code.  One
-    O(|i_set| + |p_edges|) pass builds them all: the refiner's candidate
-    scans build many tables.  A size table that does not cover exactly `n`
-    MDUs, or an I-MDU or P-edge end outside [0, n), raises
-    `InvalidInputError`, an MDU with no independent reconstruction
-    `InfeasibleStructureError`.
+    The prices come from the size table's `hop_bits` and `combo_bits`
+    matrices at the structure's stored edges; `i_mask` marks the stored
+    I-MDUs and `stored` the stored edges.  `source_bits[l, j]` is what
+    reconstructing j independently via l costs: its diagonal holds the bare
+    I-MDUs, and entry (l, j) `combo_bits[l, j]` for a stored I-MDU l with a
+    stored edge (l, j); +inf elsewhere.  `r_i[j]` is its column minimum, the
+    cheapest independent reconstruction of j (`r_i_bits` as an array).
+    `p_bits` holds `hop_bits` at the stored edges and `pred_table` each
+    MDU's stored predictors, as matrices for the array code.  The same
+    prices as lists and a dict, for the code that walks them one request at
+    a time: `sources[j]` lists j's independent reconstructions as (bits, l),
+    the bare I-MDU first with l = j, then the combos by ascending l;
+    `preds[j]` lists j's stored predictors in ascending order; `r_p[(l, j)]`
+    is the hop of every stored edge, in `p_edges` order.  A size table that
+    does not cover exactly `n` MDUs, or an I-MDU or P-edge end outside
+    [0, n), raises `InvalidInputError`, an MDU with no independent
+    reconstruction `InfeasibleStructureError`.  Only `r_i` is built up
+    front; the rest when first read, from the edges' ends.
     """
 
     def __init__(self, structure: Structure, sizes: SizeTable, n: int):
@@ -234,55 +262,95 @@ class CostTables:
             )
         self.structure = structure
         self.sizes = sizes
-        i_set = structure.i_set
+        self.n = n
         _refuse_outside(structure, n)
-        self.sources = [[(sizes.i(j), j)] if j in i_set else [] for j in range(n)]
-        self.preds = [[] for _ in range(n)]
-        for (l, j) in sorted(structure.p_edges):
-            self.preds[j].append(l)
-            if l in i_set:
-                self.sources[j].append((self.combo(l, j), l))
-        bad = [j for j in range(n) if not self.sources[j]]
-        if bad:
+        i_set, p_edges = structure.i_set, structure.p_edges
+        self.i_mask = np.zeros(n, dtype=bool)
+        self.i_mask[np.fromiter(i_set, np.intp, len(i_set))] = True
+        ends = np.fromiter(chain.from_iterable(p_edges), np.intp, 2 * len(p_edges))
+        self._tail, self._head = ends.reshape(-1, 2).T  # in `p_edges` order
+        r_i = np.where(self.i_mask, sizes.i_size, math.inf)
+        l, j = self._combos
+        np.minimum.at(r_i, j, sizes.combo_bits[l, j])
+        (bad,) = np.nonzero(r_i == math.inf)
+        if len(bad):
             raise InfeasibleStructureError(
                 f"MDU {bad[0]} has no independent reconstruction"
             )
-        self.r_i = [min(src)[0] for src in self.sources]
-        self.n = n
-        self.r_p = {(l, j): self.hop(l, j) for (l, j) in structure.p_edges}
+        self.r_i_bits = r_i
+        self.r_i = r_i.tolist()
+
+    @cached_property
+    def _by_head(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored edges' (tail, head), by head, then ascending tail."""
+        order = np.lexsort((self._tail, self._head))
+        return self._tail[order], self._head[order]
+
+    @property
+    def _combos(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored edges (l, j) from a stored I-MDU l, by j, then l."""
+        l, j = self._by_head
+        combo = self.i_mask[l]
+        return l[combo], j[combo]
+
+    @cached_property
+    def stored(self) -> np.ndarray:
+        stored = np.zeros((self.n, self.n), dtype=bool)
+        stored[self._tail, self._head] = True
+        return stored
+
+    @cached_property
+    def source_bits(self) -> np.ndarray:
+        bits = np.full((self.n, self.n), math.inf)
+        l, j = self._combos
+        bits[l, j] = self.sizes.combo_bits[l, j]
+        np.fill_diagonal(bits, np.where(self.i_mask, self.sizes.i_size, math.inf))
+        return bits
 
     @cached_property
     def p_bits(self) -> np.ndarray:
-        """`r_p` as an (n + 1, n + 1) matrix indexed by MDU + 1 on both axes,
-        +inf where no edge is stored.  Row and column 0 stand for no MDU (the
-        empty buffer, or an index out of range) and are +inf throughout."""
+        """The stored edges' hop bits as an (n + 1, n + 1) matrix indexed by
+        MDU + 1 on both axes, +inf where no edge is stored.  Row and column 0
+        stand for no MDU (the empty buffer, or an index out of range) and are
+        +inf throughout."""
         bits = np.full((self.n + 1, self.n + 1), math.inf)
-        if self.r_p:
-            l, j = np.array(list(self.r_p)).T
-            bits[l + 1, j + 1] = list(self.r_p.values())
+        l, j = self._tail, self._head
+        bits[l + 1, j + 1] = self.sizes.hop_bits[l, j]
         return bits
 
     @cached_property
     def pred_table(self) -> tuple[np.ndarray, np.ndarray]:
         """`preds` as an (n, D) matrix, D the most predictors of any MDU, and
-        each predictor's `r_p` bits: row j lists j's stored predictors in
+        each predictor's hop bits: row j lists j's stored predictors in
         ascending order, padded with MDU 0 at +inf bits."""
-        counts = np.fromiter(map(len, self.preds), dtype=np.intp, count=self.n)
-        j = np.repeat(np.arange(self.n), counts)
+        l, j = self._by_head
+        counts = np.bincount(j, minlength=self.n)
         rank = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
         pred = np.zeros((self.n, counts.max(initial=0)), dtype=np.intp)
         bits = np.full(pred.shape, math.inf)
-        pred[j, rank] = [l for ls in self.preds for l in ls]
-        bits[j, rank] = self.p_bits[pred[j, rank] + 1, j + 1]
+        pred[j, rank] = l
+        bits[j, rank] = self.sizes.hop_bits[l, j]
         return pred, bits
 
-    def hop(self, l: int, j: int) -> float:
-        """P_j(l) + M_j: j predicted from l, then merged."""
-        return self.sizes.p(l, j) + self.sizes.m(j)
+    @cached_property
+    def sources(self) -> list[list[tuple[float, int]]]:
+        out = [[(self.sizes.i(j), j)] if held else [] for j, held in enumerate(self.i_mask)]
+        l, j = self._combos
+        for ll, jj, bits in zip(l.tolist(), j.tolist(), self.sizes.combo_bits[l, j].tolist()):
+            out[jj].append((bits, ll))
+        return out
 
-    def combo(self, l: int, j: int) -> float:
-        """I_l + P_j(l) + M_j: j reconstructed from the stored I-MDU of l."""
-        return self.sizes.i(l) + self.sizes.p(l, j) + self.sizes.m(j)
+    @cached_property
+    def preds(self) -> list[list[int]]:
+        out = [[] for _ in range(self.n)]
+        for l, j in zip(*(ends.tolist() for ends in self._by_head)):
+            out[j].append(l)
+        return out
+
+    @cached_property
+    def r_p(self) -> dict[tuple[int, int], float]:
+        bits = self.sizes.hop_bits[self._tail, self._head].tolist()
+        return dict(zip(self.structure.p_edges, bits))
 
 
 def zero_hop_overhead(structure: Structure, sizes: SizeTable, target: int) -> float:

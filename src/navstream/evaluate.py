@@ -394,9 +394,9 @@ class _OneMduLister:
         table = self.cur.astype(np.uint64) << word * (self.roots.shape[1] - 1) + pair
         table |= np.arange(len(self.cur), dtype=np.uint64)
         self.pack = (table, pair)  # a pair id's key, and the bits below its half's
-        self.r_i = np.array(tables.r_i)
+        self.r_i = tables.r_i_bits
         self.r_p = tables.p_bits[:, 1:]
-        self.root_bits = np.array([tables.r_i[scenario.graph.start]])
+        self.root_bits = self.r_i[[scenario.graph.start]]
 
     def action(self, code: int) -> tuple:
         kind, ab = divmod(code, (self.n + 1) ** 2)

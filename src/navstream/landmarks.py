@@ -65,6 +65,11 @@ class PlannerParams:
     def __post_init__(self):
         if not 0.0 <= self.w < math.inf:
             raise InvalidInputError("storage weight must be finite and non-negative")
+        lloyd = self.max_lloyd_iters
+        if not isinstance(lloyd, (int, np.integer)) or lloyd < 0:
+            raise InvalidInputError(
+                f"max Lloyd iterations must be a non-negative integer, got {lloyd!r}"
+            )
 
 
 def _inside(members, n: int) -> np.ndarray:

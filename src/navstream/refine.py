@@ -13,7 +13,16 @@ bound is closed-form: under the flexible buffer each request takes its
 cheapest stored option, and the fixed buffer's cost is itself a closed form,
 r_i[start] + sum over pairs (i, j) of W[(i, j)] * min(r_i[j], r_p[(i, j)]).
 A move's bound is the incumbent's, updated at the heads of the move's edges
-from the incumbent's `CostTables`, so it costs O(in-degree of the heads).
+from the incumbent's `CostTables`.
+
+Each iteration's scan is one array pass, `scan_moves`: every move is a row
+of integer arrays (tail, head, kind) in generation order, and the skip
+test, the bound, the storage term, J_low and the prune test are computed
+for all rows at once, then the survivors are ordered by one `np.lexsort`
+on (J_low, generation index).  Each J_low is the double that pricing the
+move alone gives: lb + (term' - term[j]), then the start MDU's I + P + M
+term, a fixed buffer's groups added from the left with no padding term, a
+pair move's two edges applied one after the other.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -68,8 +77,8 @@ class RefineLog:
         return self.candidates_pruned / self.candidates_total
 
 
-def _reachable_targets(scenario: Scenario) -> set[int]:
-    """MDUs requestable within the charged switch horizon (t_max + 1)."""
+def _reachable_targets(scenario: Scenario) -> np.ndarray:
+    """Mask of the MDUs requestable within the charged switch horizon (t_max + 1)."""
     graph = scenario.graph
     frontier = {graph.start}
     targets: set[int] = set()
@@ -79,48 +88,9 @@ def _reachable_targets(scenario: Scenario) -> set[int]:
         targets |= frontier
         if not new:
             break
-    return targets
-
-
-class _EdgeFilter:
-    """Exact test of whether an absent edge can enter any transmission plan.
-
-    An edge that can't be used leaves the expected cost untouched and only
-    adds storage, so it can never improve the objective and is skipped
-    without an evaluation.  Usage cases for a new edge (i, j):
-      1-hop             i can sit in the reference buffer
-      2-hop second hop  i is reachable as an intermediate (some bufferable
-                        predecessor has a stored edge into i)
-      2-hop first hop   i bufferable and j already predicts some
-                        requestable target
-      0-hop combo       i has a stored I-MDU and the I+P+M combo beats the
-                        current independent reconstruction of j
-    Rebuild per committed edge: all sets depend on the incumbent, whose
-    CostTables it takes.
-    """
-
-    def __init__(self, scenario: Scenario, tables: CostTables):
-        edges = tables.structure.p_edges
-        self.start = scenario.graph.start
-        self.targets = _reachable_targets(scenario)
-        self.hop_heads = {m for (m, j2) in edges if j2 in self.targets}
-        self.bufferable = {self.start} | self.targets | self.hop_heads
-        self.mid_ok = {m for (ref, m) in edges if ref in self.bufferable}
-        self.tables = tables
-
-    def _improves_0hop(self, i: int, j: int) -> bool:
-        tables = self.tables
-        return i in tables.structure.i_set and tables.combo(i, j) < tables.r_i[j]
-
-    def relevant(self, i: int, j: int) -> bool:
-        if j in self.targets:
-            if i in self.bufferable or i in self.mid_ok:
-                return True
-            return self._improves_0hop(i, j)
-        # the start MDU is always transmitted independently once
-        if j == self.start and self._improves_0hop(i, j):
-            return True
-        return i in self.bufferable and j in self.hop_heads
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[list(targets)] = True
+    return mask
 
 
 # Relative slack on the prune and stop tests: the bound is often tight (under
@@ -160,105 +130,253 @@ def request_weights(scenario: Scenario) -> list[float]:
     return _flow_sums(scenario, scenario.pair_index.target, scenario.graph.n).tolist()
 
 
-def request_groups(scenario: Scenario, buffer: str) -> list[list[tuple]]:
+@dataclass(frozen=True)
+class RequestGroups:
+    """Each MDU j's request groups (w, k) for `_RequestBound`.
+
+    With `key` None, j has one group (weight[j], any stored predictor).
+    Otherwise row j of the (n, G) `weight` and `key` holds j's `count[j]`
+    groups, then padding of weight 0 and key 0.
+    """
+
+    weight: np.ndarray
+    key: np.ndarray | None = None
+    count: np.ndarray | None = None
+
+
+def request_groups(scenario: Scenario, buffer: str) -> RequestGroups:
     """Each MDU j's request groups (w, k) for `_RequestBound`, built once per search.
 
     The flexible buffer's request for j may take a 2-hop, which costs more
-    than its own second hop, so one group (W[j], None) lets it take any
+    than its own second hop, so one group (W[j], any) lets it take any
     stored predictor.  The fixed buffer's request (cur, j) can take only the
     1-hop from cur, with the same continuation as its 0-hop, so each pair
-    (k, j) is a group (W[(k, j)], k) and the bound is the exact cost.
+    (k, j) is a group (W[(k, j)], k), in `pair_index` order, and the bound
+    is the exact cost.
     """
     if buffer == "flex":
-        return [[(w, None)] for w in request_weights(scenario)]
+        return RequestGroups(np.array(request_weights(scenario)))
     index = scenario.pair_index
-    weights = _flow_sums(scenario, index.succ, len(index.pairs)).tolist()
-    groups = [[] for _ in range(scenario.graph.n)]
-    for (k, j), w in zip(index.pairs[1:], weights[1:]):  # pair 0 ends no request
-        groups[j].append((w, k))
-    return groups
+    weights = _flow_sums(scenario, index.succ, len(index.pairs))[1:]  # pair 0 ends no request
+    k, j = np.array(index.pairs[1:], dtype=np.intp).reshape(-1, 2).T
+    order = np.argsort(j, kind="stable")
+    count = np.bincount(j, minlength=scenario.graph.n)
+    rank = np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
+    weight = np.zeros((len(count), count.max(initial=0)))
+    key = np.zeros(weight.shape, dtype=np.intp)
+    weight[j[order], rank], key[j[order], rank] = weights[order], k[order]
+    return RequestGroups(weight, key, count)
+
+
+# The move kinds a phase of `greedy_search` scans: store one absent P-edge
+# (i, j); store both edges of a pair i < j of which neither is stored; drop
+# one stored edge.  Each kind lists its moves in ascending (i, j) order.
+ADD_EDGE, ADD_PAIR, REMOVE_EDGE = range(3)
+
+
+def _list_moves(stored: np.ndarray, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every move of `kinds`, in generation order, as (tail, head, kind)
+    arrays: a pair move stores (tail, head) and (head, tail)."""
+    absent = ~stored
+    np.fill_diagonal(absent, False)
+    found = []
+    for kind in kinds:
+        if kind == ADD_PAIR:
+            found.append(np.nonzero(np.triu(absent & absent.T, 1)))
+        else:
+            found.append(np.nonzero(stored if kind == REMOVE_EDGE else absent))
+    tail, head = (np.concatenate(ends) for ends in zip(*found))
+    return tail, head, np.repeat(kinds, [len(l) for l, _ in found])
+
+
+def _least_without(bits: np.ndarray, least: np.ndarray, l: np.ndarray, j: np.ndarray):
+    """The least of column j[m] of `bits`, whose column minima are `least`,
+    with its row l[m] left out."""
+    out = least[j]
+    (hit,) = np.nonzero(bits[l, j] == out)  # l holds the column's minimum
+    if len(hit):
+        cols = bits[:, j[hit]]
+        cols[l[hit], np.arange(len(hit))] = math.inf
+        out[hit] = cols.min(axis=0)
+    return out
+
+
+class _EdgeFilter:
+    """Exact test of whether absent edges can enter any transmission plan.
+
+    An edge that can't be used leaves the expected cost untouched and only
+    adds storage, so it can never improve the objective and is skipped
+    without an evaluation.  Usage cases for a new edge (i, j):
+      1-hop             i can sit in the reference buffer
+      2-hop second hop  i is reachable as an intermediate (some bufferable
+                        predecessor has a stored edge into i)
+      2-hop first hop   i bufferable and j already predicts some
+                        requestable target
+      0-hop combo       i has a stored I-MDU and the I+P+M combo beats the
+                        current independent reconstruction of j
+    Rebuild per committed edge: all masks depend on the incumbent, whose
+    CostTables it takes; `targets` is `_reachable_targets`' mask.
+    """
+
+    def __init__(self, start: int, targets: np.ndarray, tables: CostTables):
+        stored = tables.stored
+        self.start, self.targets, self.tables = start, targets, tables
+        self.hop_heads = stored[:, targets].any(axis=1)
+        self.bufferable = targets | self.hop_heads
+        self.bufferable[start] = True
+        self.mid_ok = stored[self.bufferable].any(axis=0)
+
+    def relevant(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each edge (i[m], j[m]) can enter a transmission plan."""
+        tables = self.tables
+        improves_0hop = tables.i_mask[i] & (tables.sizes.combo_bits[i, j] < tables.r_i_bits[j])
+        buffered = self.bufferable[i]
+        return np.where(
+            self.targets[j],
+            buffered | self.mid_ok[i] | improves_0hop,
+            # the start MDU is always transmitted independently once
+            ((j == self.start) & improves_0hop) | (buffered & self.hop_heads[j]),
+        )
 
 
 class _RequestBound:
-    """The request bound of one incumbent, and of each move away from it.
+    """The request bound of one incumbent, and of many moves away from it at once.
 
     Each group (w, k) of `request_groups` pays w times the cheapest of j's
     independent reconstruction and its stored P-edge from k (from any stored
-    predictor when k is None), and the start MDU is sent independently
-    once: `lb` = r_i[start] + the sum over MDUs j of their groups' terms.
-    Under the flexible buffer that bounds c, since a 2-hop costs more than
-    its own second hop; under the fixed one it is c itself, up to the order
-    of the sums.  A move changes only the terms of its edges' heads, so
-    `added` and `removed` cost O(in-degree of the heads).
+    predictor in the flexible buffer's one group), and the start MDU is
+    sent independently once: `lb` = r_i[start] + the sum over MDUs j of
+    their groups' terms, each added from the left.  Under the flexible
+    buffer that bounds c, since a 2-hop costs more than its own second hop;
+    under the fixed one it is c itself, up to the order of the sums.  A move
+    changes only the terms of its edges' heads, so `moves` prices each move
+    from the incumbent's `terms` by the same operations, in the same order,
+    as a move priced alone.
     """
 
-    def __init__(self, scenario: Scenario, tables: CostTables, groups: list[list[tuple]]):
-        self.start = scenario.graph.start
-        self.groups = groups
-        self.tables = tables
-        self.hops = [{l: tables.r_p[(l, j)] for l in ls} for j, ls in enumerate(tables.preds)]
-        self.terms = [self._term(j, tables.r_i[j], hops) for j, hops in enumerate(self.hops)]
-        self.lb = left_sum(self.terms, tables.r_i[self.start])
+    def __init__(self, start: int, tables: CostTables, groups: RequestGroups):
+        self.start, self.groups, self.tables = start, groups, tables
+        self.hops = tables.p_bits[1:, 1:]
+        self.any_hop = self.hops.min(axis=0, initial=math.inf)
+        heads, nowhere = np.arange(tables.n), np.full(tables.n, -1)
+        self.terms = self._terms(heads, tables.r_i_bits, self._bits(nowhere, heads, self.any_hop))
+        self.lb = left_sum(self.terms.tolist(), tables.r_i[start])
 
-    def _term(self, j: int, r_i: float, hops: dict) -> float:
-        """What j's groups pay with independent reconstruction r_i and the
-        stored P-edges into j `hops` (predictor: bits)."""
-        any_hop = min(hops.values(), default=math.inf)
-        return left_sum(
-            w * min(r_i, any_hop if k is None else hops.get(k, math.inf))
-            for w, k in self.groups[j]
-        )
+    def _bits(self, l, j, hop):
+        """The bits of each group of j[m] with edge (l[m], j[m]) at hop[m]:
+        for the one flexible group, hop[m] is already the least stored one."""
+        key = self.groups.key
+        if key is None:
+            return hop
+        key = key[j]
+        return np.where(key == l[:, None], hop[:, None], self.hops[key, j[:, None]])
 
-    def _moved(self, lb: float, j: int, r_i: float, hops: dict) -> float:
-        lb += self._term(j, r_i, hops) - self.terms[j]
-        if j == self.start:  # the start MDU is sent independently once
-            lb += r_i - self.tables.r_i[j]
+    def _terms(self, j, r_i, bits) -> np.ndarray:
+        """What the groups of each j[m] pay with independent reconstruction
+        r_i[m] and bits[m] from `_bits`, added from the left."""
+        groups = self.groups
+        if groups.key is None:
+            return groups.weight[j] * np.minimum(r_i, bits)
+        paid = np.cumsum(groups.weight[j] * np.minimum(r_i[:, None], bits), axis=1)
+        count = groups.count[j]
+        return np.where(count > 0, paid[np.arange(len(j)), count - 1], 0.0)
+
+    def moves(self, tail: np.ndarray, head: np.ndarray, kind: np.ndarray) -> np.ndarray:
+        """The bound after each move m: +inf for a removal that leaves its
+        head without an independent reconstruction.  A pair move's edges
+        are applied one at a time, (tail, head) first."""
+        lb = self._moved(np.full(len(tail), self.lb), tail, head, kind != REMOVE_EDGE)
+        (pair,) = np.nonzero(kind == ADD_PAIR)
+        if len(pair):
+            lb[pair] = self._moved(lb[pair], head[pair], tail[pair], np.ones(len(pair), bool))
         return lb
 
-    def added(self, edges) -> float:
-        """Bound of the incumbent with `edges`, whose heads differ, stored too."""
-        tables, lb = self.tables, self.lb
-        for (l, j) in edges:
-            r_i = tables.r_i[j]
-            if l in tables.structure.i_set:  # I_l + P + M may beat it
-                r_i = min(r_i, tables.combo(l, j))
-            lb = self._moved(lb, j, r_i, {**self.hops[j], l: tables.hop(l, j)})
+    def _moved(self, lb, l: np.ndarray, j: np.ndarray, added: np.ndarray) -> np.ndarray:
+        """`lb` after edge (l[m], j[m]) is stored where added[m], else dropped."""
+        tables = self.tables
+        hop = np.where(added, tables.sizes.hop_bits[l, j], math.inf)
+        source = np.where(added & tables.i_mask[l], tables.sizes.combo_bits[l, j], math.inf)
+        r_i = np.minimum(source, _least_without(tables.source_bits, tables.r_i_bits, l, j))
+        ok = r_i < math.inf
+        if not ok.all():
+            lb[~ok] = math.inf
+            l, j, hop, r_i = l[ok], j[ok], hop[ok], r_i[ok]
+        if self.groups.key is None:
+            hop = np.minimum(hop, _least_without(self.hops, self.any_hop, l, j))
+        moved = lb[ok] + (self._terms(j, r_i, self._bits(l, j, hop)) - self.terms[j])
+        # the start MDU is sent independently once
+        at = j == self.start
+        moved[at] += r_i[at] - tables.r_i_bits[self.start]
+        lb[ok] = moved
         return lb
 
-    def removed(self, edge: tuple[int, int]) -> float:
-        """Bound of the incumbent without `edge`; inf if that is infeasible.
 
-        Infeasible means the edge's head is left with no independent
-        reconstruction.
-        """
-        l, j = edge
-        r_i = min((bits for bits, k in self.tables.sources[j] if k != l), default=math.inf)
-        if math.isinf(r_i):
-            return math.inf
-        hops = {k: bits for k, bits in self.hops[j].items() if k != l}
-        return self._moved(self.lb, j, r_i, hops)
+@dataclass
+class _Scan:
+    """One iteration's moves in generation order, with each move's verdict.
 
+    A move stores (tail, head), and for a pair (head, tail) too, or drops
+    (tail, head).  `skipped` marks added moves none of whose edges can
+    enter a transmission plan; the others have their `storage` and `j_low`
+    (+inf for a removal that leaves its head without an independent
+    reconstruction), NaN for the skipped.  `order` holds the survivors of
+    the prune test by (J_low, generation index), and `pruned` counts the
+    rest.
+    """
 
-def add_edges(structure: Structure, n: int):
-    """Moves that store one absent P-edge, in ascending (i, j) order."""
-    for i in range(n):
-        for j in range(n):
-            if i != j and (i, j) not in structure.p_edges:
-                yield ((i, j),)
+    tail: np.ndarray
+    head: np.ndarray
+    kind: np.ndarray
+    skipped: np.ndarray
+    storage: np.ndarray
+    j_low: np.ndarray
+    order: np.ndarray
+    pruned: int
 
-
-def add_reverse_pairs(structure: Structure, n: int):
-    """Moves that store both directions of a pair where neither is stored."""
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in structure.p_edges and (j, i) not in structure.p_edges:
-                yield ((i, j), (j, i))
+    def edges(self, m: int) -> tuple:
+        l, j = int(self.tail[m]), int(self.head[m])
+        return ((l, j), (j, l)) if self.kind[m] == ADD_PAIR else ((l, j),)
 
 
-def remove_edges(structure: Structure, n: int):
-    """Moves that drop one stored P-edge, in ascending (i, j) order."""
-    for edge in sorted(structure.p_edges):
-        yield (edge,)
+def scan_moves(
+    start: int,
+    targets: np.ndarray,
+    groups: RequestGroups,
+    tables: CostTables,
+    kinds,
+    lam: float,
+    j_min: float,
+    prune: bool,
+) -> _Scan:
+    """Every move of `kinds` away from `tables`' structure, bounded at once.
+
+    A move's J_low is its `_RequestBound` plus lam times its storage: the
+    incumbent's storage plus the edge's P bits, plus the pair's two summed,
+    or less the dropped edge's.  An infinite J_low is pruned, and with
+    `prune` so is one whose J_low * (1 - _BOUND_SLACK) exceeds `j_min`.
+    """
+    sizes = tables.sizes
+    tail, head, kind = _list_moves(tables.stored, kinds)
+    usable = _EdgeFilter(start, targets, tables)
+    skipped = (kind != REMOVE_EDGE) & ~usable.relevant(tail, head)
+    (pair,) = np.nonzero(skipped & (kind == ADD_PAIR))
+    skipped[pair] = ~usable.relevant(head[pair], tail[pair])
+    (kept,) = np.nonzero(~skipped)
+    l, j, k = tail[kept], head[kept], kind[kept]
+    p_bits = sizes.p_size[l, j]
+    (pair,) = np.nonzero(k == ADD_PAIR)
+    p_bits[pair] += sizes.p_size[j[pair], l[pair]]
+    b_base = storage_cost(tables.structure, sizes)
+    storage = np.full(len(tail), math.nan)
+    storage[kept] = np.where(k == REMOVE_EDGE, b_base - p_bits, b_base + p_bits)
+    j_low = np.full(len(tail), math.nan)
+    j_low[kept] = _RequestBound(start, tables, groups).moves(l, j, k) + lam * storage[kept]
+    cut = np.isinf(j_low[kept])
+    if prune:
+        cut |= j_low[kept] * (1.0 - _BOUND_SLACK) > j_min
+    survivors = kept[~cut]
+    order = survivors[np.lexsort((survivors, j_low[survivors]))]
+    return _Scan(tail, head, kind, skipped, storage, j_low, order, int(cut.sum()))
 
 
 def greedy_search(
@@ -270,76 +388,60 @@ def greedy_search(
 ) -> tuple[Structure, RefineLog]:
     """Run each phase, in turn, to its fixed point from `initial`.
 
-    A phase is a sequence of move generators; each iteration commits the
-    move of least (J, generation index) among those with J below the
-    incumbent's.  An added move none of whose edges can enter a
-    transmission plan is skipped.  A removal that leaves an MDU without an
-    independent reconstruction is pruned, and with pruning on so is a move
-    whose J_low (its `_RequestBound` plus lam times its storage) exceeds the
-    incumbent's J.  The rest are evaluated exactly, for their cost only, by
-    (J_low, generation index); with pruning on the search stops at the
-    first J_low above the best J found, so a move that ties with it is still
-    evaluated, and the moves left count as pruned.  `initial` is evaluated
-    once; each phase numbers its iterations from 1 and starts from
-    J = c + lam * storage_cost(structure), recomputed from scratch.  Steps
-    record (iteration, edges, J), counters add up over the phases,
-    `iterations` holds a record per iteration, also logged at DEBUG, and
-    `expected_cost` is the exact c of the returned structure.
+    A phase is a sequence of move kinds (`ADD_EDGE`, `ADD_PAIR`,
+    `REMOVE_EDGE`), whose moves are generated kind after kind; each
+    iteration commits the move of least (J, generation index) among those
+    with J below the incumbent's.  An added move none of whose edges can
+    enter a transmission plan is skipped.  A removal that leaves an MDU
+    without an independent reconstruction is pruned, and with pruning on so
+    is a move whose J_low (its `_RequestBound` plus lam times its storage)
+    exceeds the incumbent's J.  `scan_moves` lists and bounds all of an
+    iteration's moves at once.  The rest are evaluated exactly, for their
+    cost only, by (J_low, generation index); with pruning on the search
+    stops at the first J_low above the best J found, so a move that ties
+    with it is still evaluated, and the moves left count as pruned.
+    `initial` is evaluated once; each phase numbers its iterations from 1
+    and starts from J = c + lam * storage_cost(structure), recomputed from
+    scratch.  Steps record (iteration, edges, J), counters add up over the
+    phases, `iterations` holds a record per iteration, also logged at
+    DEBUG, and `expected_cost` is the exact c of the returned structure.
     """
-    n = scenario.graph.n
+    n, start = scenario.graph.n, scenario.graph.start
     structure, log = initial, RefineLog()
     lam, prune = params.lam, params.enable_pruning
     groups = request_groups(scenario, params.buffer)
+    targets = _reachable_targets(scenario)
     c_min = evaluate(scenario, sizes, structure, params.buffer, policy=False).expected_cost
-    for phase, moves in enumerate(phases, 1):
+    for phase, kinds in enumerate(phases, 1):
         j_min = c_min + lam * storage_cost(structure, sizes)
         for iteration in count(1):
-            start = time.perf_counter()
-            skipped = pruned = 0
+            clock = time.perf_counter()
             tables = CostTables(structure, sizes, n)
-            usable = _EdgeFilter(scenario, tables)
-            bound = _RequestBound(scenario, tables, groups)
-            b_base = storage_cost(structure, sizes)
-            survivors = []  # (J_low, generation index, edges, storage)
-            scan = chain.from_iterable(gen(structure, n) for gen in moves)
-            for index, edges in enumerate(scan):
-                if edges[0] in structure.p_edges:
-                    # inf (infeasible) is pruned whether or not pruning is on
-                    c_low = bound.removed(edges[0])
-                    b_cand = b_base - sizes.p(*edges[0])
-                elif any(usable.relevant(i, j) for (i, j) in edges):
-                    c_low = bound.added(edges)
-                    b_cand = b_base + left_sum(sizes.p(i, j) for (i, j) in edges)
-                else:
-                    skipped += 1
-                    continue
-                j_low = c_low + lam * b_cand
-                if math.isinf(j_low) or (prune and j_low * (1.0 - _BOUND_SLACK) > j_min):
-                    pruned += 1
-                    continue
-                survivors.append((j_low, index, edges, b_cand))
-            survivors.sort()
-            t_bound = time.perf_counter() - start
+            scan = scan_moves(start, targets, groups, tables, kinds, lam, j_min, prune)
+            j_lows, storage = scan.j_low.tolist(), scan.storage.tolist()
+            t_bound = time.perf_counter() - clock
             # (J, generation index, edges, structure, c): the incumbent ranks
             # as index -1, so a move that only ties with it is not committed
             best, evaluated = (j_min, -1, None, structure, c_min), 0
-            for j_low, index, edges, b_cand in survivors:
-                if prune and j_low * (1.0 - _BOUND_SLACK) > best[0]:
+            for index in scan.order.tolist():
+                if prune and j_lows[index] * (1.0 - _BOUND_SLACK) > best[0]:
                     break
                 evaluated += 1
-                if edges[0] in structure.p_edges:
+                edges = scan.edges(index)
+                if scan.kind[index] == REMOVE_EDGE:
                     cand = structure.without_edge(edges[0])
                     b_cand = storage_cost(cand, sizes)
                 else:
-                    cand = structure.with_edges(edges)
+                    cand, b_cand = structure.with_edges(edges), storage[index]
                 c_cand = evaluate(
                     scenario, sizes, cand, params.buffer, policy=False
                 ).expected_cost
                 j_cand = c_cand + lam * b_cand
                 if (j_cand, index) < best[:2]:
                     best = (j_cand, index, edges, cand, c_cand)
-            pruned += len(survivors) - evaluated
-            t_exact = time.perf_counter() - start - t_bound
+            skipped = int(scan.skipped.sum())
+            pruned = scan.pruned + len(scan.order) - evaluated
+            t_exact = time.perf_counter() - clock - t_bound
             log.candidates_total += pruned + evaluated
             log.candidates_pruned += pruned
             log.candidates_skipped += skipped
@@ -385,7 +487,7 @@ def greedy_refine(
     problems = initial.validate(scenario.graph.n)
     if problems:
         raise InvalidInputError("; ".join(problems))
-    structure, log = greedy_search(scenario, sizes, initial, params, (add_edges,))
+    structure, log = greedy_search(scenario, sizes, initial, params, (ADD_EDGE,))
     return structure, one_edge_steps(log)
 
 
@@ -402,7 +504,7 @@ def greedy_subtract(
     removals whose lower bound exceeds the best J so far.  Steps record
     (iteration, edge, J).
     """
-    structure, log = greedy_search(scenario, sizes, initial, params, (remove_edges,))
+    structure, log = greedy_search(scenario, sizes, initial, params, (REMOVE_EDGE,))
     return structure, one_edge_steps(log)
 
 

@@ -412,6 +412,46 @@ def test_simulate_refuses_a_policy_built_for_another_structure(tmp_path, capsys)
     assert "not for the simulated one" in err
 
 
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    """A negative seed is invalid input (exit 2), not numpy's ValueError;
+    seed 0 still simulates."""
+    scenario, sizes = str(tmp_path / "sc.json"), str(tmp_path / "sz.csv")
+    structure, policy = str(tmp_path / "lm.json"), str(tmp_path / "pol.json")
+    assert main([
+        "gen", "lf", "--rows", "2", "--cols", "3", "--mu", "1.0", "--t-max", "2",
+        "--out-scenario", scenario, "--out-sizes", sizes,
+    ]) == 0
+    files = ["--scenario", scenario, "--sizes", sizes]
+    assert main(["plan", *files, "--lambda", "0.5", "--out", structure]) == 0
+    assert main([
+        "eval", *files, "--structure", structure, "--buffer", "flex",
+        "--policy-out", policy,
+    ]) == 0
+    capsys.readouterr()
+    simulate = [
+        "simulate", *files, "--structure", structure, "--policy", policy,
+        "--sessions", "100",
+    ]
+    assert main([*simulate, "--seed", "-1"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert main([*simulate, "--seed", "0"]) == 0
+
+
+def test_plan_refuses_negative_max_lloyd(lf_files, tmp_path, capsys):
+    """--max-lloyd -1 once ran zero Lloyd iterations with exit 0; 0 keeps
+    its meaning, the furthest-point split alone."""
+    scenario, sizes = lf_files
+    plan = ["plan", "--scenario", str(scenario), "--sizes", str(sizes), "--lambda", "0.5"]
+    out = tmp_path / "bad.json"
+    assert main([*plan, "--max-lloyd", "-1", "--out", str(out)]) == 2
+    assert "max Lloyd iterations must be a non-negative integer, got -1" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+    assert main([*plan, "--max-lloyd", "0", "--out", str(tmp_path / "zero.json")]) == 0
+    assert load_structure(tmp_path / "zero.json").landmarks is not None
+
+
 def test_merge_demo(tmp_path, capsys):
     path = tmp_path / "rows.csv"
     path.write_text("10,9,11\n7,5\n")

@@ -103,6 +103,13 @@ def test_planner_params_rejects_bad_weight():
             _params(w)
 
 
+def test_planner_params_rejects_bad_lloyd_iterations():
+    for iters in (-1, 1.5, "3", None):
+        with pytest.raises(InvalidInputError, match="max Lloyd iterations"):
+            _params(0.1, max_lloyd_iters=iters)
+    assert _params(0.1, max_lloyd_iters=0).max_lloyd_iters == 0
+
+
 def test_partition_validates():
     with pytest.raises(InvalidInputError):
         Partition(members=frozenset(), landmark=0)

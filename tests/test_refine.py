@@ -18,14 +18,15 @@ from navstream.costs import Structure, all_i_structure, storage_cost
 from navstream.errors import InfeasibleStructureError, InvalidInputError
 from navstream.evaluate import CostTables, eval_fixed, eval_flexible, evaluate
 from navstream.refine import (
+    ADD_EDGE,
+    ADD_PAIR,
+    REMOVE_EDGE,
     RefinerParams,
+    _list_moves,
     _RequestBound,
-    add_edges,
-    add_reverse_pairs,
     greedy_refine,
     greedy_search,
     greedy_subtract,
-    remove_edges,
     request_groups,
     request_weights,
     sweep,
@@ -93,7 +94,8 @@ def test_pruning_does_not_change_result():
 
 def _flex_bound(sc, sz, structure):
     """The flexible buffer's request bound of `structure`, from scratch."""
-    return _RequestBound(sc, CostTables(structure, sz, sc.graph.n), request_groups(sc, "flex")).lb
+    tables = CostTables(structure, sz, sc.graph.n)
+    return _RequestBound(sc.graph.start, tables, request_groups(sc, "flex")).lb
 
 
 @given(
@@ -127,7 +129,8 @@ def test_fixed_bound_is_the_fixed_cost(seed, n, t_max, edge_prob):
     sc = random_scenario(rng, n, t_max)
     sz = random_sizes(rng, n)
     structure = random_structure(rng, n, edge_prob=edge_prob)
-    lb = _RequestBound(sc, CostTables(structure, sz, n), request_groups(sc, "fixed")).lb
+    tables = CostTables(structure, sz, n)
+    lb = _RequestBound(sc.graph.start, tables, request_groups(sc, "fixed")).lb
     exact = eval_fixed(sc, sz, structure).expected_cost
     assert lb == pytest.approx(exact, rel=1e-12, abs=0)
     assert lb <= exact * (1 + 1e-12)
@@ -151,21 +154,22 @@ def test_move_bound_matches_full_bound(seed, n, t_max, edge_prob, buffer):
     groups = request_groups(sc, buffer)
 
     def full(st):
-        return _RequestBound(sc, CostTables(st, sz, n), groups).lb
+        return _RequestBound(sc.graph.start, CostTables(st, sz, n), groups).lb
 
-    bound = _RequestBound(sc, CostTables(structure, sz, n), groups)
-    for gen in (add_edges, add_reverse_pairs):
-        for edges in gen(structure, n):
-            want = full(structure.with_edges(edges))
-            assert bound.added(edges) == pytest.approx(want, rel=1e-12, abs=0)
-    for (edge,) in remove_edges(structure, n):
-        got = bound.removed(edge)
-        try:
-            want = full(structure.without_edge(edge))
-        except InfeasibleStructureError:
-            assert got == float("inf")
+    tables = CostTables(structure, sz, n)
+    bound = _RequestBound(sc.graph.start, tables, groups)
+    moves = _list_moves(tables.stored, (ADD_EDGE, ADD_PAIR, REMOVE_EDGE))
+    for tail, head, kind, got in zip(*(m.tolist() for m in moves), bound.moves(*moves)):
+        if kind == REMOVE_EDGE:
+            try:
+                want = full(structure.without_edge((tail, head)))
+            except InfeasibleStructureError:
+                assert got == float("inf")
+                continue
         else:
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            edges = [(tail, head), (head, tail)][: 1 + (kind == ADD_PAIR)]
+            want = full(structure.with_edges(edges))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_move_bound_counts_the_start_combo():
@@ -173,18 +177,20 @@ def test_move_bound_counts_the_start_combo():
     sc, sz = pingpong_scenario(), pingpong_sizes()
     st = Structure(i_set=frozenset({0, 1}), p_edges=frozenset())
     sz.i_size[0] = 20.0  # start MDU 0: I_1 + P + M = 15.5 beats I_0 = 20
-    bound = _RequestBound(sc, CostTables(st, sz, 2), request_groups(sc, "flex"))
+    bound = _RequestBound(0, CostTables(st, sz, 2), request_groups(sc, "flex"))
     want = _flex_bound(sc, sz, st.with_edges([(1, 0)]))
-    assert bound.added([(1, 0)]) == pytest.approx(want, rel=1e-12, abs=0)
+    (got,) = bound.moves(np.array([1]), np.array([0]), np.array([ADD_EDGE]))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_move_bound_reports_infeasible_removal():
     sc, sz = pingpong_scenario(), pingpong_sizes()
     st = Structure(i_set=frozenset({0}), p_edges=frozenset({(0, 1), (1, 0)}))
     for buffer in ("flex", "fixed"):
-        bound = _RequestBound(sc, CostTables(st, sz, 2), request_groups(sc, buffer))
-        assert bound.removed((0, 1)) == float("inf")
-        assert bound.removed((1, 0)) < float("inf")
+        bound = _RequestBound(0, CostTables(st, sz, 2), request_groups(sc, buffer))
+        dropped = bound.moves(np.array([0, 1]), np.array([1, 0]), np.full(2, REMOVE_EDGE))
+        assert dropped[0] == float("inf")
+        assert dropped[1] < float("inf")
 
 
 def test_search_logs_one_debug_line_per_iteration(caplog):
@@ -244,7 +250,7 @@ def test_two_phase_search_equals_refine_then_subtract(caplog):
                 params = RefinerParams(lam, buffer, prune)
                 (got, log), lines = iteration_lines(
                     lambda: greedy_search(
-                        sc, sz, init, params, (add_edges,), (remove_edges,)
+                        sc, sz, init, params, (ADD_EDGE,), (REMOVE_EDGE,)
                     )
                 )
                 (added, log_add), add_lines = iteration_lines(
