@@ -87,7 +87,8 @@ class _Lister:
     slots are in the tie order of both infinite-buffer paths:
 
     - a held target: 0 bits, and it sends nothing; then no other option;
-    - each of j's zero-hop sources, `CostTables.sources[j]`;
+    - each of j's zero-hop sources in `CostTables.source_bits`' column j:
+      the bare I-MDU first, then the combos by ascending l;
     - the cheapest 1-hop from a held predictor of j;
     - per stored predictor `mid` of j, ascending, that is not held but has a
       held predictor: the cheapest such 2-hop through `mid`.
@@ -101,20 +102,23 @@ class _Lister:
     def __init__(self, scenario: Scenario, sizes: SizeTable, structure: Structure):
         n = scenario.graph.n
         tables = CostTables(structure, sizes, n)
-        n_src = max(map(len, tables.sources))
+        # the zero-hop sources (l, j), by j: the bare I-MDU l = j, then by l
+        j, l = np.nonzero(tables.source_bits.T < math.inf)
+        order = np.lexsort((l != j, j))
+        j, l = j[order], l[order]
+        slot = np.arange(len(j)) - np.searchsorted(j, j)
+        n_src = slot.max() + 1
         self.pred, self.pred_bits = tables.pred_table
         self.words = -(-n // 64)
         m = np.arange(n)
         onehot = np.zeros((n, self.words), dtype=np.uint64)
         onehot[m, m // 64] = np.uint64(1) << (m % 64).astype(np.uint64)
         self.src_bits = np.full((n, n_src), math.inf)
+        self.src_bits[j, slot] = tables.source_bits[l, j]
         # slots: held target, sources, 1-hop, one 2-hop per stored predictor
         n_slots = 2 + n_src + self.pred.shape[1]
         self.add = np.zeros((n, n_slots, self.words), dtype=np.uint64)
-        for j in range(n):
-            for s, (c, l) in enumerate(tables.sources[j]):
-                self.src_bits[j, s] = c
-                self.add[j, 1 + s] = onehot[l] | onehot[j]
+        self.add[j, 1 + slot] = onehot[l] | onehot[j]
         self.add[:, 1 + n_src:] = onehot[:, None]
         self.add[:, 2 + n_src:] |= onehot[self.pred]  # a padding slot is never sent
         empty = np.zeros((1, self.words), dtype=np.uint64)

@@ -84,21 +84,6 @@ class SizeTable:
             raise InvalidInputError(f"self-prediction P_{j}({i}) is undefined")
         return float(self.p_size[i, j])
 
-    def gather(self, kind: str, rows, cols=None) -> np.ndarray:
-        """Sizes at index arrays: `i`, `m` and `p` over many entries at once.
-
-        kind "I" or "M" reads the MDUs `rows`; kind "P" reads the pairs
-        (rows, cols), broadcast, where a self-pair i == j reads as 0 bits
-        (nothing is sent to predict an MDU from itself).
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        if kind != "P":
-            return {"I": self.i_size, "M": self.m_size}[kind][rows]
-        cols = np.asarray(cols, dtype=np.intp)
-        values = self.p_size[rows, cols]
-        values[rows == cols] = 0.0
-        return values
-
 
 def grid_sizes(rows: int, cols: int, p_unit: float = 1.0) -> SizeTable:
     """Synthetic sizes on a rows x cols MDU grid.
@@ -209,7 +194,8 @@ def all_i_structure(n: int) -> Structure:
 
 def _refuse_outside(structure: Structure, n: int) -> None:
     """Raise `InvalidInputError` naming the least I-MDU, else the least
-    P-edge, of `structure` with an end outside [0, n)."""
+    P-edge, of `structure` with an end outside [0, n), else its least
+    self-edge (l, l): nothing predicts an MDU from itself."""
     i_set, p_edges = structure.i_set, structure.p_edges
     if i_set and not (0 <= min(i_set) and max(i_set) < n):
         outside = min(j for j in i_set if not 0 <= j < n)
@@ -218,6 +204,9 @@ def _refuse_outside(structure: Structure, n: int) -> None:
     if ends and not (0 <= min(ends) and max(ends) < n):
         l, j = min(e for e in p_edges if not (0 <= min(e) and max(e) < n))
         raise InvalidInputError(f"P-edge ({l}, {j}) is outside [0, {n})")
+    loops = [l for (l, j) in p_edges if l == j]
+    if loops:
+        raise InvalidInputError(f"P-edge ({min(loops)}, {min(loops)}) is a self-edge")
 
 
 def storage_cost(structure: Structure, sizes: SizeTable) -> float:
@@ -235,22 +224,17 @@ def storage_cost(structure: Structure, sizes: SizeTable) -> float:
 class CostTables:
     """The one place that prices a request under (structure, sizes).
 
-    The prices come from the size table's `hop_bits` and `combo_bits`
-    matrices at the structure's stored edges; `i_mask` marks the stored
-    I-MDUs and `stored` the stored edges.  `source_bits[l, j]` is what
-    reconstructing j independently via l costs: its diagonal holds the bare
-    I-MDUs, and entry (l, j) `combo_bits[l, j]` for a stored I-MDU l with a
-    stored edge (l, j); +inf elsewhere.  `r_i[j]` is its column minimum, the
-    cheapest independent reconstruction of j (`r_i_bits` as an array).
-    `p_bits` holds `hop_bits` at the stored edges and `pred_table` each
-    MDU's stored predictors, as matrices for the array code.  The same
-    prices as lists and a dict, for the code that walks them one request at
-    a time: `sources[j]` lists j's independent reconstructions as (bits, l),
-    the bare I-MDU first with l = j, then the combos by ascending l;
-    `preds[j]` lists j's stored predictors in ascending order; `r_p[(l, j)]`
-    is the hop of every stored edge, in `p_edges` order.  A size table that
-    does not cover exactly `n` MDUs, or an I-MDU or P-edge end outside
-    [0, n), raises `InvalidInputError`, an MDU with no independent
+    Every price is an array, read from the size table's `hop_bits` and
+    `combo_bits` matrices at the structure's stored edges; `i_mask` marks
+    the stored I-MDUs and `stored` the stored edges.  `source_bits[l, j]`
+    is what reconstructing j independently via l costs: its diagonal holds
+    the bare I-MDUs, and entry (l, j) `combo_bits[l, j]` for a stored I-MDU
+    l with a stored edge (l, j); +inf elsewhere.  `r_i[j]` is its column
+    minimum, the cheapest independent reconstruction of j.  `p_bits` holds
+    `hop_bits` at the stored edges and `pred_table` each MDU's stored
+    predictors in ascending order.  A size table that does not cover
+    exactly `n` MDUs, or an I-MDU or P-edge end outside [0, n), or a
+    self-edge, raises `InvalidInputError`, an MDU with no independent
     reconstruction `InfeasibleStructureError`.  Only `r_i` is built up
     front; the rest when first read, from the edges' ends.
     """
@@ -277,21 +261,13 @@ class CostTables:
             raise InfeasibleStructureError(
                 f"MDU {bad[0]} has no independent reconstruction"
             )
-        self.r_i_bits = r_i
-        self.r_i = r_i.tolist()
-
-    @cached_property
-    def _by_head(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored edges' (tail, head), by head, then ascending tail."""
-        order = np.lexsort((self._tail, self._head))
-        return self._tail[order], self._head[order]
+        self.r_i = r_i
 
     @property
     def _combos(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored edges (l, j) from a stored I-MDU l, by j, then l."""
-        l, j = self._by_head
-        combo = self.i_mask[l]
-        return l[combo], j[combo]
+        """The stored edges (l, j) from a stored I-MDU l."""
+        combo = self.i_mask[self._tail]
+        return self._tail[combo], self._head[combo]
 
     @cached_property
     def stored(self) -> np.ndarray:
@@ -320,37 +296,17 @@ class CostTables:
 
     @cached_property
     def pred_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """`preds` as an (n, D) matrix, D the most predictors of any MDU, and
-        each predictor's hop bits: row j lists j's stored predictors in
-        ascending order, padded with MDU 0 at +inf bits."""
-        l, j = self._by_head
-        counts = np.bincount(j, minlength=self.n)
-        rank = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
-        pred = np.zeros((self.n, counts.max(initial=0)), dtype=np.intp)
+        """Each MDU's stored predictors as an (n, D) matrix, D the most
+        predictors of any MDU, and each predictor's hop bits: row j lists j's
+        stored predictors in ascending order, padded with MDU 0 at +inf bits."""
+        order = np.lexsort((self._tail, self._head))
+        l, j = self._tail[order], self._head[order]
+        rank = np.arange(len(j)) - np.searchsorted(j, j)
+        pred = np.zeros((self.n, rank.max(initial=-1) + 1), dtype=np.intp)
         bits = np.full(pred.shape, math.inf)
         pred[j, rank] = l
         bits[j, rank] = self.sizes.hop_bits[l, j]
         return pred, bits
-
-    @cached_property
-    def sources(self) -> list[list[tuple[float, int]]]:
-        out = [[(self.sizes.i(j), j)] if held else [] for j, held in enumerate(self.i_mask)]
-        l, j = self._combos
-        for ll, jj, bits in zip(l.tolist(), j.tolist(), self.sizes.combo_bits[l, j].tolist()):
-            out[jj].append((bits, ll))
-        return out
-
-    @cached_property
-    def preds(self) -> list[list[int]]:
-        out = [[] for _ in range(self.n)]
-        for l, j in zip(*(ends.tolist() for ends in self._by_head)):
-            out[j].append(l)
-        return out
-
-    @cached_property
-    def r_p(self) -> dict[tuple[int, int], float]:
-        bits = self.sizes.hop_bits[self._tail, self._head].tolist()
-        return dict(zip(self.structure.p_edges, bits))
 
 
 def zero_hop_overhead(structure: Structure, sizes: SizeTable, target: int) -> float:

@@ -394,7 +394,7 @@ class _OneMduLister:
         table = self.cur.astype(np.uint64) << word * (self.roots.shape[1] - 1) + pair
         table |= np.arange(len(self.cur), dtype=np.uint64)
         self.pack = (table, pair)  # a pair id's key, and the bits below its half's
-        self.r_i = tables.r_i_bits
+        self.r_i = tables.r_i
         self.r_p = tables.p_bits[:, 1:]
         self.root_bits = self.r_i[[scenario.graph.start]]
 
@@ -442,8 +442,8 @@ class _FixedLister(_OneMduLister):
 
 class _FlexLister(_OneMduLister):
     """The flexible buffer's options, in tie order: the 1-hops by ascending
-    reference, the 2-hops in `CostTables.preds` order, then the 0-hops by
-    ascending keep (EMPTY first).  The references and keeps are the buffered
+    reference, the 2-hops by ascending predictor, as `CostTables.pred_table`
+    lists them, then the 0-hops by ascending keep (EMPTY first).  The references and keeps are the buffered
     and the displayed MDU, or the displayed one alone when it is buffered;
     a 2-hop's first hop is the first cheapest of (buffered, displayed)."""
 

@@ -10,8 +10,10 @@ case.
 Every cost term reads q through one array view, `AggregateSwitchProbs.arrays`
 (q's sources, targets and values in q's key order, built once per q), and
 picks a partition's switches with one membership mask, `in[i] & in[j]`.
-Sizes are gathered a row at a time through `SizeTable.gather`, a plain
-lookup: the table checked every entry when it was built.  The array code
+Sizes are indexed straight from `SizeTable`'s `i_size`, `m_size` and
+`p_size`, a row at a time: the table checked every entry when it was built,
+except the P diagonal, which may hold anything, so no term reads it (the
+one submatrix that spans it, in `_phi_all`, zeroes it first).  The array code
 adds its floats in the order the per-switch loops it replaced did, so every
 `phi`, `delta` and `furthest_init` score, and so every split decision, is
 the same float:
@@ -97,7 +99,7 @@ def _hops(sizes: SizeTable, l: int, js: np.ndarray) -> np.ndarray:
     free where the target is l."""
     cost = np.zeros(len(js))
     far = js != l
-    cost[far] = sizes.gather("P", l, js[far]) + sizes.gather("M", js[far])
+    cost[far] = sizes.p_size[l, js[far]] + sizes.m_size[js[far]]
     return cost
 
 
@@ -108,7 +110,7 @@ def phi(partition: Partition, sizes: SizeTable, params: PlannerParams) -> float:
     inside = _inside(partition.members, sizes.n)
     _, js, ps = _switches(params.q, inside, inside)
     spokes = [i for i in partition.members if i != l]
-    store = sizes.i(l) + _in_order_sum(sizes.gather("P", l, spokes))
+    store = sizes.i(l) + _in_order_sum(sizes.p_size[l, spokes])
     return _in_order_sum(ps * _hops(sizes, l, js)) + params.w * store
 
 
@@ -122,11 +124,12 @@ def _phi_all(members, sizes: SizeTable, params: PlannerParams) -> np.ndarray:
     # total inbound switch mass per target, within the partition
     _, js, ps = _switches(params.q, inside, inside)
     wq = np.bincount(pos[js], weights=ps, minlength=k)
-    p_sub = sizes.gather("P", mem[:, None], mem[None, :])  # 0 on the diagonal
-    reach = p_sub + sizes.gather("M", mem)[None, :]
+    p_sub = sizes.p_size[np.ix_(mem, mem)]
+    np.fill_diagonal(p_sub, 0.0)  # a landmark sends no spoke to itself
+    reach = p_sub + sizes.m_size[mem][None, :]
     np.fill_diagonal(reach, 0.0)  # switching onto the landmark itself is free
     trans = reach @ wq
-    store = sizes.gather("I", mem) + p_sub.sum(axis=1)
+    store = sizes.i_size[mem] + p_sub.sum(axis=1)
     return trans + params.w * store
 
 
@@ -164,8 +167,8 @@ def furthest_init(
     others = np.flatnonzero(inside)
     scores = (
         out_cost[others]
-        + params.w * sizes.gather("P", l, others)
-        - params.w * sizes.gather("I", others)
+        + params.w * sizes.p_size[l, others]
+        - params.w * sizes.i_size[others]
     )
     return int(others[np.argmax(scores)])
 
@@ -187,7 +190,7 @@ def lloyd_split(
     for iterations in range(1, params.max_lloyd_iters + 1):
         rest = mem[(mem != l1) & (mem != l2)]
         # ties stay with landmark 1
-        to2 = sizes.gather("P", l2, rest) < sizes.gather("P", l1, rest)
+        to2 = sizes.p_size[l2, rest] < sizes.p_size[l1, rest]
         # each side's set is built in the same insertion order every time,
         # so its frozenset iterates, and phi sums its spokes, the same way
         new1, new2 = {l1}, {l2}

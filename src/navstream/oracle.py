@@ -91,12 +91,10 @@ def simulate_sessions(
     recorded for another structure than `structure` raises
     `InvalidInputError`; a gap is reported first, as it names the state.
     """
-    if n_sessions < 1:
-        raise InvalidInputError("n_sessions must be positive")
     graph, lt = scenario.graph, scenario.lifetime
     n, s = graph.n, graph.start
     tables = CostTables(structure, sizes, n)
-    r_i = np.array(tables.r_i)
+    r_i = tables.r_i
     flex = policy.buffer == "flex"
     survival = lt.schedule(True, policy.weight_first_switch) if consistency_mode else None
     lengths, targets = sample_targets(scenario, n_sessions, seed, survival)
@@ -115,7 +113,7 @@ def simulate_sessions(
     arg = arg.reshape(-1, 2)  # an empty table too
 
     def stored(x, y):
-        """r_p[(x, y)], +inf where (x, y) is no stored P-edge."""
+        """The hop bits of P-edge (x, y), +inf where none is stored."""
         x, y = (np.where((0 <= m) & (m < n), m + 1, 0) for m in (x, y))
         return tables.p_bits[x, y]
 
@@ -184,6 +182,12 @@ def simulate_sessions(
 
 # --- table-free recursive evaluator ----------------------------------------
 
+def _stored_hop(structure: Structure, sizes: SizeTable):
+    """P_j(i) + M_j for a stored P-edge (i, j), +inf for any other pair."""
+    edges = structure.p_edges
+    return lambda i, j: sizes.p(i, j) + sizes.m(j) if (i, j) in edges else math.inf
+
+
 def unmemoized_eval(
     scenario: Scenario,
     sizes: SizeTable,
@@ -208,10 +212,7 @@ def unmemoized_eval(
     def indep(j: int) -> float:
         return zero_hop_overhead(structure, sizes, j)
 
-    def pred(i: int, j: int) -> float:
-        if (i, j) in structure.p_edges:
-            return sizes.p(i, j) + sizes.m(j)
-        return math.inf
+    pred = _stored_hop(structure, sizes)
 
     def fixed_cost(t: int, k: int, i: int) -> float:
         g_next = lt.g(t + 1)
@@ -279,36 +280,23 @@ def enumerate_policies(
     if buffer not in ("fixed", "flex"):
         raise InvalidInputError(f"unknown buffer model {buffer!r}")
     flex = buffer == "flex"
-    tables = CostTables(structure, sizes, graph.n)
-    r_i, r_p, preds = tables.r_i, tables.r_p, tables.preds
+    r_i = CostTables(structure, sizes, graph.n).r_i.tolist()
+    hop = _stored_hop(structure, sizes)
 
     def feasible(i: int, gam: int, j: int):
         """(action, bits, next buffer) triples for one request."""
-        refs = [gam, i] if (flex and gam != i) else [i]
-        out = []
-        for ref in refs:
-            if ref == EMPTY:
-                continue
-            v = r_p.get((ref, j))
-            if v is not None:
-                out.append((("1hop", ref), v, ref if flex else j))
+        keeps = [gam, i] if (flex and gam != i) else [i]
+        refs = [ref for ref in keeps if ref != EMPTY]
+        out = [(("1hop", ref), hop(ref, j), ref if flex else j) for ref in refs]
         if flex:
-            for mid in preds[j]:
-                if mid == j:
-                    continue
-                for ref in refs:
-                    if ref == EMPTY or ref == mid:
-                        continue
-                    v = r_p.get((ref, mid))
-                    if v is not None:
-                        out.append(
-                            (("2hop", mid, ref), v + r_p[(mid, j)], mid)
-                        )
-            for keep in refs:
-                out.append((("0hop", keep), r_i[j], keep))
+            out += [
+                (("2hop", mid, ref), hop(ref, mid) + hop(mid, j), mid)
+                for mid in range(graph.n) for ref in refs if ref != mid
+            ]
+            out += [(("0hop", keep), r_i[j], keep) for keep in keeps]
         else:
             out.append((("0hop",), r_i[j], j))
-        return out
+        return [opt for opt in out if opt[1] < math.inf]
 
     # closure over reachable (t, k, i, buffer) under any action choice
     slots: dict[tuple, list] = {}

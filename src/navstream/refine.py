@@ -11,7 +11,8 @@ best bound first, until the next bound exceeds the best J found: a
 best-first branch and bound that commits the best strict improvement.  The
 bound is closed-form: under the flexible buffer each request takes its
 cheapest stored option, and the fixed buffer's cost is itself a closed form,
-r_i[start] + sum over pairs (i, j) of W[(i, j)] * min(r_i[j], r_p[(i, j)]).
+r_i[start] + sum over pairs (i, j) of W[(i, j)] * min(r_i[j], P_j(i) + M_j),
+the hop +inf where (i, j) is not stored.
 A move's bound is the incumbent's, updated at the heads of the move's edges
 from the incumbent's `CostTables`.
 
@@ -229,7 +230,7 @@ class _EdgeFilter:
     def relevant(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether each edge (i[m], j[m]) can enter a transmission plan."""
         tables = self.tables
-        improves_0hop = tables.i_mask[i] & (tables.sizes.combo_bits[i, j] < tables.r_i_bits[j])
+        improves_0hop = tables.i_mask[i] & (tables.sizes.combo_bits[i, j] < tables.r_i[j])
         buffered = self.bufferable[i]
         return np.where(
             self.targets[j],
@@ -259,8 +260,8 @@ class _RequestBound:
         self.hops = tables.p_bits[1:, 1:]
         self.any_hop = self.hops.min(axis=0, initial=math.inf)
         heads, nowhere = np.arange(tables.n), np.full(tables.n, -1)
-        self.terms = self._terms(heads, tables.r_i_bits, self._bits(nowhere, heads, self.any_hop))
-        self.lb = left_sum(self.terms.tolist(), tables.r_i[start])
+        self.terms = self._terms(heads, tables.r_i, self._bits(nowhere, heads, self.any_hop))
+        self.lb = left_sum(self.terms.tolist(), float(tables.r_i[start]))
 
     def _bits(self, l, j, hop):
         """The bits of each group of j[m] with edge (l[m], j[m]) at hop[m]:
@@ -296,7 +297,7 @@ class _RequestBound:
         tables = self.tables
         hop = np.where(added, tables.sizes.hop_bits[l, j], math.inf)
         source = np.where(added & tables.i_mask[l], tables.sizes.combo_bits[l, j], math.inf)
-        r_i = np.minimum(source, _least_without(tables.source_bits, tables.r_i_bits, l, j))
+        r_i = np.minimum(source, _least_without(tables.source_bits, tables.r_i, l, j))
         ok = r_i < math.inf
         if not ok.all():
             lb[~ok] = math.inf
@@ -306,7 +307,7 @@ class _RequestBound:
         moved = lb[ok] + (self._terms(j, r_i, self._bits(l, j, hop)) - self.terms[j])
         # the start MDU is sent independently once
         at = j == self.start
-        moved[at] += r_i[at] - tables.r_i_bits[self.start]
+        moved[at] += r_i[at] - tables.r_i[self.start]
         lb[ok] = moved
         return lb
 

@@ -412,9 +412,11 @@ def sample_targets(scenario: Scenario, n_sessions: int, seed: int, survival=None
     kept, every stop's count is corrected, and the chain is walked again
     from the stop's true end.  When more than one walked session in
     `_REWALK_SHARE` stopped, every position left in the block is first
-    walked for its true count, so that chain walk is the block's last.  A
-    negative seed raises `InvalidInputError`.
+    walked for its true count, so that chain walk is the block's last.  No
+    session, or a negative seed, raises `InvalidInputError`.
     """
+    if n_sessions < 1:
+        raise InvalidInputError(f"n_sessions must be positive, got {n_sessions}")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
     clock = time.perf_counter()

@@ -37,6 +37,7 @@ from navstream.costs import (
 from navstream.errors import InvalidInputError, OracleRefusalError
 from navstream.evaluate import eval_flexible, evaluate
 from navstream.landmarks import landmark_structure
+from navstream.oracle import simulate_sessions
 from navstream.refine import (
     RefinerParams,
     TradeoffRow,
@@ -299,6 +300,21 @@ def test_inf_buffer_estimate_pins_tie_order():
     sc = random_scenario(rng, 8, 5, max_deg=4)
     st = random_structure(rng, 8, edge_prob=0.5)
     assert inf_buffer_estimate(sc, uniform_sizes(8), st, n_sessions=500, seed=3) == 28.822
+
+
+@pytest.mark.parametrize("n_sessions", [0, -1])
+def test_both_session_samplers_refuse_no_sessions(n_sessions):
+    """The estimate and the simulator share one refusal of a session count
+    below 1, not a ZeroDivisionError or numpy's ValueError."""
+    sc, sz = pingpong_scenario(), pingpong_sizes()
+    policy = eval_flexible(sc, sz, SYM).policy
+    for sample in (
+        lambda: inf_buffer_estimate(sc, sz, SYM, n_sessions=n_sessions),
+        lambda: simulate_sessions(sc, sz, SYM, policy, n_sessions, seed=0),
+    ):
+        with pytest.raises(InvalidInputError) as refused:
+            sample()
+        assert str(refused.value) == f"n_sessions must be positive, got {n_sessions}"
 
 
 def _reachable_states(sc, sz, st):

@@ -1,12 +1,13 @@
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_sizes, random_structure, uniform_sizes
-from navstream.adapters import LfGridSpec, build_lf_scenario
-from navstream.baselines import inf_buffer_cost
+from conftest import random_scenario, random_sizes, random_structure, uniform_sizes
+from navstream.adapters import LfGridSpec, build_lf_scenario, lifetime_defaults
+from navstream.baselines import _Lister, inf_buffer_cost
 from navstream.costs import (
     CostTables,
     SizeTable,
@@ -26,6 +27,7 @@ from navstream.errors import (
     InvalidInputError,
 )
 from navstream.evaluate import eval_fixed, eval_flexible
+from navstream.landmarks import landmark_structure
 from navstream.oracle import simulate_sessions
 from navstream.scenario import Scenario, build_lifetime_tail
 
@@ -61,14 +63,28 @@ def test_size_table_refuses_corrupt_entries_when_built(kind, index, what, bad):
         SizeTable(tables["I"], tables["M"], tables["P"])
 
 
+def _with_diagonal(sizes, diagonal):
+    p = sizes.p_size.copy()
+    np.fill_diagonal(p, diagonal)
+    return SizeTable(sizes.i_size, sizes.m_size, p)
+
+
 @pytest.mark.parametrize("diagonal", [np.nan, 0.0, -1.0])
 def test_size_table_diagonal_may_hold_anything(diagonal):
+    """The table accepts any P diagonal, and landmark planning, whose
+    vectorised phi spans it, gives the same partitions whatever it holds."""
     p = np.ones((2, 2))
     np.fill_diagonal(p, diagonal)
     sz = SizeTable([11.0, 11.0], [3.5, 3.5], p)
     with pytest.raises(InvalidInputError):
         sz.p(1, 1)
-    assert sz.gather("P", [0, 1], [0, 1]).tolist() == [0.0, 0.0]
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=8, cols=8))
+    sc = Scenario(graph, nav, build_lifetime_tail(*lifetime_defaults(81)))
+    filled = _with_diagonal(sizes, diagonal)
+    for lam, landmarks in ((2.0, 1), (5.0, 3)):
+        want = landmark_structure(sc, sizes, lam)
+        assert len(want.landmarks) == landmarks
+        assert landmark_structure(sc, filled, lam) == want
 
 
 def test_size_table_shape_mismatch():
@@ -149,7 +165,12 @@ def test_cost_tables_sources_list_all_routes():
     st = Structure(
         i_set=frozenset({0, 2}), p_edges=frozenset({(0, 1), (2, 1)})
     )
-    assert CostTables(st, sz, 3).sources[1] == [(15.5, 0), (15.5, 2)]
+    assert CostTables(st, sz, 3).source_bits[:, 1].tolist() == [15.5, math.inf, 15.5]
+    # the infinite buffer's source slots for MDU 1, by ascending l, each
+    # sending l and 1
+    lister = _Lister(random_scenario(np.random.default_rng(3), 3, 2), sz, st)
+    assert lister.src_bits[1].tolist() == [15.5, 15.5]
+    assert lister.add[1, 1:3, 0].tolist() == [0b011, 0b110]
 
 
 @pytest.mark.parametrize(
@@ -177,6 +198,27 @@ def test_requests_are_not_priced_on_an_out_of_range_structure(i_set, p_edges, na
         with pytest.raises(InvalidInputError) as refused:
             price()
         assert str(refused.value) == f"{named} is outside [0, 6)"
+
+
+@pytest.mark.parametrize("diagonal", [np.nan, -20.0])
+def test_requests_are_not_priced_on_a_self_edge(diagonal):
+    """A self-edge is refused, naming the least one, by storage and by the
+    fixed, flexible and infinite buffers, whatever the P diagonal holds:
+    nothing predicts an MDU from itself.  It was once priced from the
+    diagonal, as nan bits, or as -27.08 under the flexible buffer."""
+    graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=2, cols=3))
+    sc = Scenario(graph, nav, build_lifetime_tail(1.0, 2))
+    sizes = _with_diagonal(sizes, diagonal)
+    bad = landmark_structure(sc, sizes, 0.5).with_edges({(5, 5), (4, 4)})
+    for price in (
+        lambda: storage_cost(bad, sizes),
+        lambda: eval_fixed(sc, sizes, bad),
+        lambda: eval_flexible(sc, sizes, bad),
+        lambda: inf_buffer_cost(sc, sizes, bad),
+    ):
+        with pytest.raises(InvalidInputError) as refused:
+            price()
+        assert str(refused.value) == "P-edge (4, 4) is a self-edge"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import logging
+import math
 from copy import copy
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from conftest import (
     v3_dict,
 )
 from navstream.adapters import LfGridSpec, build_lf_scenario, lifetime_defaults
+from navstream.baselines import _Lister
 from navstream.costs import SizeTable, Structure, all_i_structure
 from navstream.errors import InfeasibleStructureError, InvalidInputError
 from navstream.evaluate import (
@@ -313,7 +315,8 @@ def test_long_lifetime_has_no_recursion_limit():
     sc, sz = pingpong_scenario(mu=300.0, t_max=5000), pingpong_sizes()
     tables = CostTables(ASYM, sz, 2)
     w = request_weights(sc)
-    want = tables.r_i[0] + w[0] * tables.r_i[0] + w[1] * tables.r_p[(0, 1)]
+    # p_bits is indexed by MDU + 1: (1, 2) is the hop over P-edge (0, 1)
+    want = tables.r_i[0] + w[0] * tables.r_i[0] + w[1] * tables.p_bits[1, 2]
     for fn in (eval_fixed, eval_flexible):
         assert fn(sc, sz, ASYM).expected_cost == pytest.approx(want, rel=1e-12)
 
@@ -570,21 +573,27 @@ def test_cost_tables_match_zero_hop_overhead():
     from navstream.costs import zero_hop_overhead
 
     rng = np.random.default_rng(31)
+    sc = random_scenario(np.random.default_rng(32), 6, 2)
     for _ in range(10):
         n = 6
         sz = random_sizes(rng, n)
         st = random_structure(rng, n)
         tables = CostTables(st, sz, n)
+        lister = _Lister(sc, sz, st)
         for j in range(n):
             assert tables.r_i[j] == pytest.approx(
                 zero_hop_overhead(st, sz, j), rel=1e-12
             )
-            # the bare I-MDU first, then the stored I-MDUs predicting j, ascending
+            # the infinite buffer's source slots: the bare I-MDU first, then
+            # the stored I-MDUs predicting j, ascending; slot l sends l and j
             order = [j] * (j in st.i_set) + sorted(
                 l for l in st.i_set if (l, j) in st.p_edges
             )
-            assert [l for _, l in tables.sources[j]] == order
-            assert tables.r_i[j] == min(tables.sources[j])[0]
+            slots = lister.src_bits[j] < math.inf
+            sent = lister.add[j, 1:1 + len(slots), 0][slots].tolist()
+            assert sent == [(1 << l) | (1 << j) for l in order]
+            assert lister.src_bits[j, slots].tolist() == tables.source_bits[order, j].tolist()
+            assert tables.r_i[j] == tables.source_bits[:, j].min()
 
 
 def test_expected_cost_at_least_start_transmission():

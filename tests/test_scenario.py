@@ -416,10 +416,14 @@ def test_sampler_matches_the_loop_on_zero_length_sessions(mode):
 
 
 def test_sampler_with_no_sessions_or_no_schedule():
+    """Fewer than one session is refused, in both lifetime modes, for every
+    caller of the sampler; an empty survival schedule draws sessions with
+    no switch."""
     sc = pingpong_scenario(mu=2.0, t_max=4)
     for survival in (None, []):
-        lengths, targets = _assert_sampler_matches(sc, 0, 1, survival)
-        assert lengths.shape == (0,) and targets.shape == (0, 0)
+        for n_sessions in (0, -1):
+            with pytest.raises(InvalidInputError, match="n_sessions must be positive"):
+                sample_targets(sc, n_sessions, 1, survival)
     lengths, _ = _assert_sampler_matches(sc, 3, 1, [])
     assert (lengths == 0).all()
 
