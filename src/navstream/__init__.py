@@ -13,7 +13,7 @@ from .adapters import (
     build_viewport_scenario,
     lifetime_defaults,
 )
-from .baselines import run_baseline
+from .baselines import run_baseline, sweep
 from .costs import (
     SizeTable,
     Structure,
@@ -38,7 +38,7 @@ from .landmarks import (
 )
 from .merge import PwcParams, pwc_eval, select_merge_params
 from .policy import Policy
-from .refine import RefinerParams, greedy_refine, greedy_subtract, sweep
+from .refine import RefinerParams, greedy_refine, greedy_subtract
 from .scenario import (
     LifetimeModel,
     MediaGraph,

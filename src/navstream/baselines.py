@@ -1,24 +1,12 @@
-"""Reference optimizers and the infinite-buffer cost model.
+"""How each method builds its structure, and the infinite-buffer cost model.
 
-Variants:
-  flex-ga / fixed-ga  all-I start, greedy addition of single P-edges (plus
-                      symmetric reverse pairs for the flexible buffer)
-  flex-lm-i           all-I start plus the landmark P-edges, greedy add
-                      then greedy subtract
-  inf-lm              landmark structure costed under an infinite buffer
-                      where every previously transmitted MDU is a free
-                      predictor and revisits are free
-
-flex-ga, fixed-ga and flex-lm-i are each one call of refine's greedy engine
-(`greedy_search`): flex-ga scans add-edge then add-pair moves, fixed-ga
-add-edge moves, and flex-lm-i runs an add-edge phase and then a remove-edge
-phase, so its added structure is evaluated once.  All three honour
-`enable_pruning`, so the engine's request bound prunes their moves, and
-each takes its final exact cost from the engine's log instead of evaluating
-the result again.
-
-flex-lm-i and inf-lm plan their landmarks with `landmarks.landmark_structure`
-on the caller's Scenario, so they read the q its `switch_probs` caches.
+`METHODS` is the one table from a method's name to how its structure is
+built: the refiner's two starts and the four reference optimizers of
+`VARIANTS`.  `run_baseline` builds any of them, each search as one call of
+refine's greedy engine (`greedy_search`), which honours `enable_pruning`
+and gives the final exact cost in its log; `sweep` runs `landmark` once per
+lambda.  Landmark starts are planned by `landmarks.landmark_structure` on
+the caller's Scenario, so they read the q its `switch_probs` caches.
 
 inf-lm's exact cost runs `evaluate.level_pass`, the level core of the fixed
 and flexible buffers, over states (prev, cur, avail) held as uint64 rows:
@@ -52,7 +40,6 @@ from .refine import (
     REMOVE_EDGE,
     RefinerParams,
     RefineLog,
-    TradeoffRow,
     greedy_search,
     one_edge_steps,
 )
@@ -213,55 +200,109 @@ def inf_buffer_estimate(
     return left_sum(bits.tolist()) / n_sessions
 
 
+def _all_i(scenario: Scenario, sizes: SizeTable, lam: float) -> Structure:
+    return all_i_structure(scenario.graph.n)
+
+
+def _landmarks_all_i(scenario: Scenario, sizes: SizeTable, lam: float) -> Structure:
+    lm = landmark_structure(scenario, sizes, lam)
+    return replace(lm, i_set=frozenset(range(scenario.graph.n)))
+
+
+# Each method's start, from (scenario, sizes, lam); the phases of its greedy
+# search, each a tuple of move kinds; its buffer, None for the caller's; and
+# whether its steps hold one edge, (iteration, edge, J), or the engine's edges.
+#   landmark, all-i    the refiner (`sweep`, `optimize --init`) from TSVQ's
+#                      landmark structure or from every MDU intra-coded
+#   flex-ga, fixed-ga  all-I, adding P-edges, and reverse pairs for flex
+#   flex-lm-i          the landmark P-edges with every MDU intra-coded, greedy
+#                      add then greedy subtract, so the added structure is
+#                      evaluated once
+#   inf-lm             no search: the landmark structure costed under an
+#                      infinite buffer, where every MDU sent earlier is a free
+#                      predictor and a free revisit, exactly, else estimated
+METHODS = {
+    "landmark": (landmark_structure, ((ADD_EDGE,),), None, True),
+    "all-i": (_all_i, ((ADD_EDGE,),), None, True),
+    "flex-ga": (_all_i, ((ADD_EDGE, ADD_PAIR),), "flex", False),
+    "fixed-ga": (_all_i, ((ADD_EDGE,),), "fixed", False),
+    "flex-lm-i": (_landmarks_all_i, ((ADD_EDGE,), (REMOVE_EDGE,)), "flex", True),
+    "inf-lm": (landmark_structure, (), "inf", False),
+}
+
+
+def _inf_cost(scenario: Scenario, sizes: SizeTable, structure: Structure) -> float:
+    """The exact infinite-buffer cost, else its estimate; INFO says which."""
+    try:
+        cost = inf_buffer_cost(scenario, sizes, structure)
+    except OracleRefusalError as exc:
+        cost = inf_buffer_estimate(scenario, sizes, structure)
+        logger.info(
+            "inf-lm cost: Monte-Carlo estimate %r over %d sessions after "
+            "the exact pass refused: %s",
+            cost, _INF_ESTIMATE_SESSIONS, exc,
+        )
+    else:
+        logger.info("inf-lm cost: exact infinite-buffer cost %r", cost)
+    return cost
+
+
 def run_baseline(
     scenario: Scenario,
     sizes: SizeTable,
     params: RefinerParams,
     variant: str,
 ) -> BaselineResult:
-    if variant not in VARIANTS:
+    """Build the structure of method `variant`, a name of `METHODS`, at
+    params.lam, with `log` the engine's; inf-lm runs no search and has none."""
+    if variant not in METHODS:
         raise InvalidInputError(
-            f"unknown baseline variant {variant!r}; pick one of {VARIANTS}"
+            f"unknown baseline variant {variant!r}; pick one of {tuple(METHODS)}"
         )
-    n = scenario.graph.n
-    if variant == "inf-lm":
-        lm = landmark_structure(scenario, sizes, params.lam)
-        try:
-            cost = inf_buffer_cost(scenario, sizes, lm)
-        except OracleRefusalError as exc:
-            cost = inf_buffer_estimate(scenario, sizes, lm)
-            logger.info(
-                "inf-lm cost: Monte-Carlo estimate %r over %d sessions after "
-                "the exact pass refused: %s",
-                cost, _INF_ESTIMATE_SESSIONS, exc,
-            )
-        else:
-            logger.info("inf-lm cost: exact infinite-buffer cost %r", cost)
-        return BaselineResult(
-            variant=variant,
-            structure=lm,
-            expected_cost=cost,
-            storage_bits=storage_cost(lm, sizes),
-        )
-    buffer = "fixed" if variant == "fixed-ga" else "flex"
-    run = replace(params, buffer=buffer)
-    if variant == "flex-lm-i":
-        lm = landmark_structure(scenario, sizes, params.lam)
-        init = replace(lm, i_set=frozenset(range(n)))
-        final, log = greedy_search(
-            scenario, sizes, init, run, (ADD_EDGE,), (REMOVE_EDGE,)
-        )
+    start, phases, buffer, one_edge = METHODS[variant]
+    structure = start(scenario, sizes, params.lam)
+    if buffer == "inf":
+        cost = _inf_cost(scenario, sizes, structure)
+        return BaselineResult(variant, structure, cost, storage_cost(structure, sizes))
+    run = replace(params, buffer=buffer or params.buffer)
+    final, log = greedy_search(scenario, sizes, structure, run, *phases)
+    if one_edge:
         one_edge_steps(log)
-    else:
-        moves = (ADD_EDGE, ADD_PAIR) if buffer == "flex" else (ADD_EDGE,)
-        final, log = greedy_search(scenario, sizes, all_i_structure(n), run, moves)
     return BaselineResult(
-        variant=variant,
-        structure=final,
-        expected_cost=log.expected_cost,
-        storage_bits=storage_cost(final, sizes),
-        log=log,
+        variant, final, log.expected_cost, storage_cost(final, sizes), log
     )
+
+
+@dataclass
+class TradeoffRow:
+    lam: float
+    storage_bits: float
+    expected_bits: float
+    landmarks: int
+    p_edges: int
+
+
+def sweep(
+    scenario: Scenario,
+    sizes: SizeTable,
+    lambdas: list[float],
+    params: RefinerParams,
+) -> list[TradeoffRow]:
+    """The `landmark` method once per lambda; rows come back sorted by lambda."""
+    if not lambdas:
+        raise InvalidInputError("sweep needs at least one lambda")
+    rows = []
+    for lam in sorted(lambdas):
+        try:
+            result = run_baseline(scenario, sizes, replace(params, lam=lam), "landmark")
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"sweep failed at lambda={lam}: {exc}") from exc
+        final = result.structure
+        rows.append(TradeoffRow(
+            lam, result.storage_bits, result.expected_cost,
+            len(final.landmarks or ()), len(final.p_edges),
+        ))
+    return rows
 
 
 def emit_tradeoff_csv(rows: list[tuple[str, TradeoffRow]], path) -> None:

@@ -15,7 +15,6 @@ import sys
 
 from . import adapters, baselines, merge
 from .costs import (
-    all_i_structure,
     load_sizes,
     load_structure,
     save_structure,
@@ -34,7 +33,7 @@ from .evaluate import evaluate
 from .policy import Policy
 from .landmarks import PlannerParams, landmark_structure
 from .oracle import simulate_sessions
-from .refine import RefinerParams, greedy_refine, sweep
+from .refine import RefinerParams
 from .scenario import (
     Scenario,
     build_lifetime_tail,
@@ -132,12 +131,9 @@ def _cmd_optimize(args) -> int:
     params = RefinerParams(
         lam=args.lam, buffer=args.buffer, enable_pruning=not args.no_prune
     )
-    if args.init == "landmark":
-        initial = landmark_structure(scenario, sizes, args.lam)
-    else:
-        initial = all_i_structure(scenario.graph.n)
-    final, log = greedy_refine(scenario, sizes, initial, params)
-    save_structure(final, args.out)
+    result = baselines.run_baseline(scenario, sizes, params, args.init)
+    log = result.log
+    save_structure(result.structure, args.out)
     print(f"edges_added {len(log.steps)}")
     print(f"pruning_fraction {log.pruning_fraction:.3f}")
     print(f"structure: {args.out}")
@@ -171,7 +167,7 @@ def _cmd_sweep(args) -> int:
         buffer=args.buffer,
         enable_pruning=not args.no_prune,
     )
-    rows = sweep(scenario, sizes, lambdas, params)
+    rows = baselines.sweep(scenario, sizes, lambdas, params)
     baselines.emit_tradeoff_csv([("landmark", row) for row in rows], args.out)
     print(f"tradeoff: {args.out} ({len(rows)} rows)")
     return 0

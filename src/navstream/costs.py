@@ -163,15 +163,7 @@ class Structure:
         return not landmark_edges(self.landmarks or ()) <= self.p_edges
 
     def validate(self, n: int) -> list[str]:
-        problems = []
-        for j in self.i_set:
-            if not (0 <= j < n):
-                problems.append(f"i_set MDU {j} out of range")
-        for (i, j) in self.p_edges:
-            if i == j:
-                problems.append(f"self-edge ({i}, {j})")
-            if not (0 <= i < n and 0 <= j < n):
-                problems.append(f"p_edge ({i}, {j}) out of range")
+        problems = _end_problems(self, n)
         if self.landmarks is not None:
             seen: set[int] = set()
             for grp in self.landmarks:
@@ -192,21 +184,29 @@ def all_i_structure(n: int) -> Structure:
     return Structure(i_set=frozenset(range(n)), p_edges=frozenset())
 
 
-def _refuse_outside(structure: Structure, n: int) -> None:
-    """Raise `InvalidInputError` naming the least I-MDU, else the least
-    P-edge, of `structure` with an end outside [0, n), else its least
-    self-edge (l, l): nothing predicts an MDU from itself."""
-    i_set, p_edges = structure.i_set, structure.p_edges
+def _end_problems(structure: Structure, n: int) -> list[str]:
+    """The least I-MDU and the least P-edge of `structure` with an end
+    outside [0, n), and its least self-edge (l, l): nothing predicts an MDU
+    from itself.  One min/max pass finds a structure with none."""
+    problems, i_set, p_edges = [], structure.i_set, structure.p_edges
     if i_set and not (0 <= min(i_set) and max(i_set) < n):
         outside = min(j for j in i_set if not 0 <= j < n)
-        raise InvalidInputError(f"I-MDU {outside} is outside [0, {n})")
+        problems.append(f"I-MDU {outside} is outside [0, {n})")
     ends = list(chain.from_iterable(p_edges))
     if ends and not (0 <= min(ends) and max(ends) < n):
         l, j = min(e for e in p_edges if not (0 <= min(e) and max(e) < n))
-        raise InvalidInputError(f"P-edge ({l}, {j}) is outside [0, {n})")
+        problems.append(f"P-edge ({l}, {j}) is outside [0, {n})")
     loops = [l for (l, j) in p_edges if l == j]
     if loops:
-        raise InvalidInputError(f"P-edge ({min(loops)}, {min(loops)}) is a self-edge")
+        problems.append(f"P-edge ({min(loops)}, {min(loops)}) is a self-edge")
+    return problems
+
+
+def _refuse_outside(structure: Structure, n: int) -> None:
+    """Raise `InvalidInputError` with the first of `_end_problems`."""
+    problems = _end_problems(structure, n)
+    if problems:
+        raise InvalidInputError(problems[0])
 
 
 def storage_cost(structure: Structure, sizes: SizeTable) -> float:

@@ -1,20 +1,20 @@
 """Greedy structure refinement under the storage/transmission objective.
 
 The objective is J = c + lam * b where c is the expected session
-transmission cost of the current structure and b its stored bits.  One
-engine, `greedy_search`, serves the refiner and the baselines, each as one
-call: it runs one or more phases in turn, flex-lm-i an add-edge phase then
-a remove-edge phase.  Each iteration of a phase scans its moves (add an
-edge, add a reverse pair, remove an edge), prunes every move whose DP-free
-bound already exceeds the incumbent, and evaluates the survivors exactly,
-best bound first, until the next bound exceeds the best J found: a
-best-first branch and bound that commits the best strict improvement.  The
-bound is closed-form: under the flexible buffer each request takes its
-cheapest stored option, and the fixed buffer's cost is itself a closed form,
-r_i[start] + sum over pairs (i, j) of W[(i, j)] * min(r_i[j], P_j(i) + M_j),
-the hop +inf where (i, j) is not stored.
-A move's bound is the incumbent's, updated at the heads of the move's edges
-from the incumbent's `CostTables`.
+transmission cost of the current structure and b its stored bits.  This
+module is the engine only: `greedy_search` runs one or more phases in turn
+from a given structure, and `baselines.METHODS` says with which start,
+phases and buffer each method calls it.  Each iteration of a phase scans
+its moves (add an edge, add a reverse pair, remove an edge), prunes every
+move whose DP-free bound already exceeds the incumbent, and evaluates the
+survivors exactly, best bound first, until the next bound exceeds the best
+J found: a best-first branch and bound that commits the best strict
+improvement.  The bound is closed-form: under the flexible buffer each
+request takes its cheapest stored option, and the fixed buffer's cost is
+itself a closed form, r_i[start] + sum over pairs (i, j) of
+W[(i, j)] * min(r_i[j], P_j(i) + M_j), the hop +inf where (i, j) is not
+stored.  A move's bound is the incumbent's, updated at the heads of the
+move's edges from the incumbent's `CostTables`.
 
 Each iteration's scan is one array pass, `scan_moves`: every move is a row
 of integer arrays (tail, head, kind) in generation order, and the skip
@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
@@ -39,7 +39,6 @@ import numpy as np
 from .costs import CostTables, SizeTable, Structure, storage_cost
 from .errors import InvalidInputError
 from .evaluate import evaluate
-from .landmarks import landmark_structure
 from .scenario import Scenario, left_sum, pair_masses
 
 logger = logging.getLogger(__name__)
@@ -507,40 +506,3 @@ def greedy_subtract(
     """
     structure, log = greedy_search(scenario, sizes, initial, params, (REMOVE_EDGE,))
     return structure, one_edge_steps(log)
-
-
-@dataclass
-class TradeoffRow:
-    lam: float
-    storage_bits: float
-    expected_bits: float
-    landmarks: int
-    p_edges: int
-
-
-def sweep(
-    scenario: Scenario,
-    sizes: SizeTable,
-    lambdas: list[float],
-    params: RefinerParams,
-) -> list[TradeoffRow]:
-    """Plan + refine once per lambda; rows come back sorted by lambda."""
-    if not lambdas:
-        raise InvalidInputError("sweep needs at least one lambda")
-    rows = []
-    for lam in sorted(lambdas):
-        try:
-            init = landmark_structure(scenario, sizes, lam)
-            final, log = greedy_refine(scenario, sizes, init, replace(params, lam=lam))
-            rows.append(
-                TradeoffRow(
-                    lam=lam,
-                    storage_bits=storage_cost(final, sizes),
-                    expected_bits=log.expected_cost,
-                    landmarks=len(final.landmarks or ()),
-                    p_edges=len(final.p_edges),
-                )
-            )
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"sweep failed at lambda={lam}: {exc}") from exc
-    return rows

@@ -3,6 +3,7 @@ import importlib
 import logging
 from dataclasses import replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from navstream.adapters import (
 from navstream import baselines, refine
 from navstream.baselines import (
     VARIANTS,
+    TradeoffRow,
     emit_tradeoff_csv,
     inf_buffer_cost,
     inf_buffer_estimate,
     run_baseline,
+    sweep,
 )
 from navstream.costs import (
     Structure,
@@ -40,10 +43,8 @@ from navstream.landmarks import landmark_structure
 from navstream.oracle import simulate_sessions
 from navstream.refine import (
     RefinerParams,
-    TradeoffRow,
     greedy_refine,
     greedy_subtract,
-    sweep,
 )
 from navstream.scenario import START, Scenario, build_lifetime_tail
 
@@ -166,6 +167,30 @@ def test_pruning_keeps_greedy_baselines_identical():
             assert on.structure == off.structure
             assert on.expected_cost == off.expected_cost
             assert on.storage_bits == off.storage_bits
+
+
+def test_refiner_rows_equal_greedy_refine():
+    """The `landmark` and `all-i` methods are `greedy_refine` from
+    `landmark_structure` and from `all_i_structure`, with pruning on and off,
+    on the first 10 pruning cases."""
+    starts = {
+        "landmark": landmark_structure,
+        "all-i": lambda sc, sz, lam: all_i_structure(sc.graph.n),
+    }
+    for sc, sz, _, lam in _pruning_cases(10):
+        for (method, start), buffer, prune in product(
+            starts.items(), ("flex", "fixed"), (True, False)
+        ):
+            params = RefinerParams(lam, buffer, prune)
+            got = run_baseline(sc, sz, params, method)
+            final, log = greedy_refine(sc, sz, start(sc, sz, lam), params)
+            assert got.structure == final
+            assert got.log.steps == log.steps
+            assert (
+                got.log.candidates_total, got.log.candidates_pruned,
+                got.log.candidates_skipped,
+            ) == (log.candidates_total, log.candidates_pruned, log.candidates_skipped)
+            assert got.expected_cost == log.expected_cost
 
 
 def test_pruning_keeps_subtract_identical():

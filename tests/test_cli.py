@@ -195,6 +195,55 @@ def test_optimize_all_i_init(lf_files, tmp_path):
     assert st.i_set == frozenset(range(9))
 
 
+METHOD_PINS = Path(__file__).with_name("method_pins.json")
+
+
+def _method_outputs(scenario, sizes, tmp_path, capsys) -> dict:
+    """Every method's output on LF 3x3, by run: `sweep`'s CSV text,
+    `optimize`'s structure and `--log-out` JSON without its seconds, and
+    `baseline`'s structure, each beside its stdout, `tmp_path` written <tmp>."""
+    files = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    runs = {
+        "sweep-flex": ["sweep", "--lambdas", "0.5,0.2,2"],
+        "sweep-fixed-no-prune": [
+            "sweep", "--lambdas", "0.5,0.2,2", "--buffer", "fixed", "--no-prune",
+        ],
+        **{
+            f"optimize-{init}": [
+                "optimize", "--lambda", "0.3", "--init", init,
+                "--log-out", str(tmp_path / "log.json"),
+            ]
+            for init in ("landmark", "all-i")
+        },
+        **{
+            f"baseline-{variant}": ["baseline", "--lambda", "0.5", "--variant", variant]
+            for variant in baselines.VARIANTS
+        },
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, *files, "--out", str(out)]) == 0
+        outputs[name] = {
+            "stdout": capsys.readouterr().out.replace(str(tmp_path), "<tmp>"),
+            "out": out.read_text(),
+        }
+        if name.startswith("optimize"):
+            log = json.loads((tmp_path / "log.json").read_text())
+            for record in log["iterations"]:
+                del record["t_bound"], record["t_exact"]
+            outputs[name]["log"] = log
+    return outputs
+
+
+def test_method_outputs_pinned(lf_files, tmp_path, capsys):
+    """`sweep`, `optimize` and `baseline` write, byte for byte, the outputs
+    pinned in method_pins.json, whichever code builds their structures."""
+    pins = json.loads(METHOD_PINS.read_text())
+    assert _method_outputs(*lf_files, tmp_path, capsys) == pins
+
+
 def test_baseline_command(lf_files, tmp_path, capsys):
     scenario, sizes = lf_files
     out = tmp_path / "baseline.json"
@@ -611,7 +660,7 @@ def test_sweep_keeps_infeasible_exit_code(lf_files, tmp_path, monkeypatch):
     def infeasible(*args, **kwargs):
         raise InfeasibleStructureError("MDU 0 has no independent reconstruction")
 
-    monkeypatch.setattr("navstream.refine.greedy_refine", infeasible)
+    monkeypatch.setattr("navstream.baselines.greedy_search", infeasible)
     scenario, sizes = lf_files
     rc = main([
         "sweep", "--scenario", str(scenario), "--sizes", str(sizes),
@@ -752,8 +801,8 @@ def test_sizes_must_cover_the_scenarios_mdus(tmp_path, capsys, command, table):
 @pytest.mark.parametrize(
     "content, message",
     [
-        ({"i_set": [*range(9), 99], "p_edges": []}, "i_set MDU 99 out of range"),
-        ({"i_set": [*range(9)], "p_edges": [[-1, 0]]}, "p_edge (-1, 0) out of range"),
+        ({"i_set": [*range(9), 99], "p_edges": []}, "I-MDU 99 is outside [0, 9)"),
+        ({"i_set": [*range(9)], "p_edges": [[-1, 0]]}, "P-edge (-1, 0) is outside [0, 9)"),
         (5, "structure file must hold a JSON object"),
         (None, "structure file must hold a JSON object"),
         (

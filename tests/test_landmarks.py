@@ -13,7 +13,7 @@ from navstream.adapters import (
     build_viewport_scenario,
     lifetime_defaults,
 )
-from navstream.baselines import run_baseline
+from navstream.baselines import run_baseline, sweep
 from navstream.costs import grid_sizes
 from navstream.errors import InvalidInputError
 from navstream.landmarks import (
@@ -28,7 +28,7 @@ from navstream.landmarks import (
     phi,
     tsvq,
 )
-from navstream.refine import RefinerParams, sweep
+from navstream.refine import RefinerParams
 from navstream.scenario import (
     AggregateSwitchProbs,
     Scenario,

@@ -14,6 +14,7 @@ from conftest import (
     random_structure,
 )
 from navstream.adapters import LfGridSpec, build_lf_scenario
+from navstream.baselines import sweep
 from navstream.costs import Structure, all_i_structure, storage_cost
 from navstream.errors import InfeasibleStructureError, InvalidInputError
 from navstream.evaluate import CostTables, eval_fixed, eval_flexible, evaluate
@@ -29,7 +30,6 @@ from navstream.refine import (
     greedy_subtract,
     request_groups,
     request_weights,
-    sweep,
 )
 from navstream.scenario import Scenario, build_lifetime_tail
 
