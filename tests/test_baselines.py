@@ -1,9 +1,11 @@
 import csv
 import importlib
+import json
 import logging
 from dataclasses import replace
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,46 @@ def test_pruning_keeps_subtract_identical():
             assert log_on.steps == log_off.steps
             assert on == off
             assert log_on.expected_cost == log_off.expected_cost
+
+
+FATE_PINS = Path(__file__).with_name("fate_pins.json")
+
+
+def _fates(count=8) -> dict:
+    """Every iteration's record without its seconds, the three counters and
+    the steps, as JSON, of each search on the first `count` pruning cases,
+    with pruning on and off: `greedy_refine` and `greedy_subtract` from the
+    case's start under both buffers, and the three greedy baselines."""
+    out = {}
+    for case, (sc, sz, init, lam) in enumerate(_pruning_cases(count)):
+        for prune in (True, False):
+            params, logs = RefinerParams(lam, enable_pruning=prune), {}
+            for name, search in (("refine", greedy_refine), ("subtract", greedy_subtract)):
+                for buffer in ("flex", "fixed"):
+                    run = replace(params, buffer=buffer)
+                    logs[f"{name}-{buffer}"] = search(sc, sz, init, run)[1]
+            for variant in ("flex-ga", "fixed-ga", "flex-lm-i"):
+                logs[variant] = run_baseline(sc, sz, params, variant).log
+            for name, log in logs.items():
+                out[f"case {case} {name} {'prune' if prune else 'no-prune'}"] = {
+                    "steps": log.steps,
+                    "candidates_total": log.candidates_total,
+                    "candidates_pruned": log.candidates_pruned,
+                    "candidates_skipped": log.candidates_skipped,
+                    "iterations": [
+                        {k: v for k, v in record.items() if k not in ("t_bound", "t_exact")}
+                        for record in log.iterations
+                    ],
+                }
+    return json.loads(json.dumps(out))
+
+
+def test_every_iteration_fate_pinned():
+    """Each iteration's skipped, pruned and evaluated counts and J, the
+    counters and the steps of every greedy search, bit for bit as pinned in
+    fate_pins.json, on random instances, under both buffers, with pruning on
+    and off."""
+    assert _fates() == json.loads(FATE_PINS.read_text())
 
 
 _MISMATCHED_SIZE_CALLS = {
