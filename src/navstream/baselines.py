@@ -288,18 +288,22 @@ def sweep(
     lambdas: list[float],
     params: RefinerParams,
 ) -> list[TradeoffRow]:
-    """The `landmark` method once per lambda; rows come back sorted by lambda."""
+    """The `landmark` method once per lambda, at `params` with its lam
+    replaced; rows come back sorted by lambda.  Every lambda is checked
+    before any search runs."""
     if not lambdas:
         raise InvalidInputError("sweep needs at least one lambda")
-    rows = []
+    runs, rows = [], []
     for lam in sorted(lambdas):
         try:
-            result = run_baseline(scenario, sizes, replace(params, lam=lam), "landmark")
+            runs.append(replace(params, lam=lam))
         except InvalidInputError as exc:
             raise InvalidInputError(f"sweep failed at lambda={lam}: {exc}") from exc
+    for run in runs:
+        result = run_baseline(scenario, sizes, run, "landmark")
         final = result.structure
         rows.append(TradeoffRow(
-            lam, result.storage_bits, result.expected_cost,
+            run.lam, result.storage_bits, result.expected_cost,
             len(final.landmarks or ()), len(final.p_edges),
         ))
     return rows

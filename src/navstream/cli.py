@@ -162,11 +162,8 @@ def _cmd_sweep(args) -> int:
         lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
     except ValueError as exc:
         raise InvalidInputError(f"malformed --lambdas: {exc}") from exc
-    params = RefinerParams(
-        lam=lambdas[0] if lambdas else 0.0,
-        buffer=args.buffer,
-        enable_pruning=not args.no_prune,
-    )
+    # `sweep` checks each lambda and sets lam per run
+    params = RefinerParams(lam=0.0, buffer=args.buffer, enable_pruning=not args.no_prune)
     rows = baselines.sweep(scenario, sizes, lambdas, params)
     baselines.emit_tradeoff_csv([("landmark", row) for row in rows], args.out)
     print(f"tradeoff: {args.out} ({len(rows)} rows)")

@@ -5,22 +5,21 @@ transmission cost of the current structure and b its stored bits.  This
 module is the engine only: `greedy_search` runs one or more phases in turn
 from a given structure, and `baselines.METHODS` says with which start,
 phases and buffer each method calls it.  Each iteration of a phase scans
-its moves (add an edge, add a reverse pair, remove an edge), prunes every
-move whose DP-free bound already exceeds the incumbent, and evaluates the
-survivors exactly, best bound first, until the next bound exceeds the best
-J found: a best-first branch and bound that commits the best strict
-improvement.  The bound is closed-form: under the flexible buffer each
-request takes its cheapest stored option, and the fixed buffer's cost is
-itself a closed form, r_i[start] + sum over pairs (i, j) of
-W[(i, j)] * min(r_i[j], P_j(i) + M_j), the hop +inf where (i, j) is not
+its moves (add an edge, add a reverse pair, remove an edge), bounds each
+without a DP, and evaluates them exactly, best bound first, until the next
+bound exceeds the best J found: a best-first branch and bound that commits
+the best strict improvement.  The bound is closed-form: under the flexible
+buffer each request takes its cheapest stored option, and the fixed
+buffer's cost is itself a closed form, r_i[start] + sum over pairs (i, j)
+of W[(i, j)] * min(r_i[j], P_j(i) + M_j), the hop +inf where (i, j) is not
 stored.  A move's bound is the incumbent's, updated at the heads of the
 move's edges from the incumbent's `CostTables`.
 
 Each iteration's scan is one array pass, `scan_moves`: every move is a row
 of integer arrays (tail, head, kind) in generation order, and the skip
-test, the bound, the storage term, J_low and the prune test are computed
-for all rows at once, then the survivors are ordered by one `np.lexsort`
-on (J_low, generation index).  Each J_low is the double that pricing the
+test, the bound, the storage term and J_low are computed for all rows at
+once, then the moves not skipped are ordered by one `np.lexsort` on
+(J_low, generation index).  Each J_low is the double that pricing the
 move alone gives: lb + (term' - term[j]), then the start MDU's I + P + M
 term, a fixed buffer's groups added from the left with no padding term, a
 pair move's two edges applied one after the other.
@@ -61,20 +60,27 @@ class RefinerParams:
 
 @dataclass
 class RefineLog:
+    """What a search did.  `iterations` is the one record of each move's fate:
+    per iteration its phase, iteration, the moves skipped (none of whose
+    edges can enter a transmission plan), pruned and evaluated, t_bound and
+    t_exact (seconds scanning and bounding, and in exact DPs) and J.  The
+    candidate counters are sums over these records."""
+
     steps: list = field(default_factory=list)  # (iteration, edge, J)
-    candidates_total: int = 0
-    candidates_pruned: int = 0
-    candidates_skipped: int = 0  # edges provably outside every session plan
     expected_cost: float | None = None  # exact c of the returned structure
-    # one record per iteration: phase, iteration, skipped, pruned, evaluated,
-    # t_bound and t_exact (seconds scanning and bounding, and in exact DPs), J
     iterations: list = field(default_factory=list)
+
+    def _sum(self, key: str) -> int:
+        return sum(record[key] for record in self.iterations)
+
+    candidates_skipped = property(lambda self: self._sum("skipped"))
+    candidates_pruned = property(lambda self: self._sum("pruned"))
+    candidates_total = property(lambda self: self._sum("pruned") + self._sum("evaluated"))
 
     @property
     def pruning_fraction(self) -> float:
-        if self.candidates_total == 0:
-            return 0.0
-        return self.candidates_pruned / self.candidates_total
+        total = self.candidates_total
+        return self.candidates_pruned / total if total else 0.0
 
 
 def _reachable_targets(scenario: Scenario) -> np.ndarray:
@@ -93,7 +99,7 @@ def _reachable_targets(scenario: Scenario) -> np.ndarray:
     return mask
 
 
-# Relative slack on the prune and stop tests: the bound is often tight (under
+# Relative slack on the stop test: the bound is often tight (under
 # the fixed buffer it is the exact cost, summed in another order), and in 35 of
 # 800 random checks it came out above the exact cost, by up to 2.2e-16 relative.
 _BOUND_SLACK = 1e-12
@@ -319,9 +325,8 @@ class _Scan:
     (tail, head).  `skipped` marks added moves none of whose edges can
     enter a transmission plan; the others have their `storage` and `j_low`
     (+inf for a removal that leaves its head without an independent
-    reconstruction), NaN for the skipped.  `order` holds the survivors of
-    the prune test by (J_low, generation index), and `pruned` counts the
-    rest.
+    reconstruction), NaN for the skipped.  `order` holds every move not
+    skipped by (J_low, generation index), so the +inf ones come last.
     """
 
     tail: np.ndarray
@@ -331,7 +336,6 @@ class _Scan:
     storage: np.ndarray
     j_low: np.ndarray
     order: np.ndarray
-    pruned: int
 
     def edges(self, m: int) -> tuple:
         l, j = int(self.tail[m]), int(self.head[m])
@@ -345,15 +349,13 @@ def scan_moves(
     tables: CostTables,
     kinds,
     lam: float,
-    j_min: float,
-    prune: bool,
 ) -> _Scan:
-    """Every move of `kinds` away from `tables`' structure, bounded at once.
+    """Every move of `kinds` away from `tables`' structure, listed, skipped
+    and bounded at once; it prunes none.
 
     A move's J_low is its `_RequestBound` plus lam times its storage: the
     incumbent's storage plus the edge's P bits, plus the pair's two summed,
-    or less the dropped edge's.  An infinite J_low is pruned, and with
-    `prune` so is one whose J_low * (1 - _BOUND_SLACK) exceeds `j_min`.
+    or less the dropped edge's.
     """
     sizes = tables.sizes
     tail, head, kind = _list_moves(tables.stored, kinds)
@@ -371,12 +373,8 @@ def scan_moves(
     storage[kept] = np.where(k == REMOVE_EDGE, b_base - p_bits, b_base + p_bits)
     j_low = np.full(len(tail), math.nan)
     j_low[kept] = _RequestBound(start, tables, groups).moves(l, j, k) + lam * storage[kept]
-    cut = np.isinf(j_low[kept])
-    if prune:
-        cut |= j_low[kept] * (1.0 - _BOUND_SLACK) > j_min
-    survivors = kept[~cut]
-    order = survivors[np.lexsort((survivors, j_low[survivors]))]
-    return _Scan(tail, head, kind, skipped, storage, j_low, order, int(cut.sum()))
+    order = kept[np.lexsort((kept, j_low[kept]))]
+    return _Scan(tail, head, kind, skipped, storage, j_low, order)
 
 
 def greedy_search(
@@ -391,22 +389,26 @@ def greedy_search(
     A phase is a sequence of move kinds (`ADD_EDGE`, `ADD_PAIR`,
     `REMOVE_EDGE`), whose moves are generated kind after kind; each
     iteration commits the move of least (J, generation index) among those
-    with J below the incumbent's.  An added move none of whose edges can
-    enter a transmission plan is skipped.  A removal that leaves an MDU
-    without an independent reconstruction is pruned, and with pruning on so
-    is a move whose J_low (its `_RequestBound` plus lam times its storage)
-    exceeds the incumbent's J.  `scan_moves` lists and bounds all of an
-    iteration's moves at once.  The rest are evaluated exactly, for their
-    cost only, by (J_low, generation index); with pruning on the search
-    stops at the first J_low above the best J found, so a move that ties
-    with it is still evaluated, and the moves left count as pruned.
-    `initial` is evaluated once; each phase numbers its iterations from 1
-    and starts from J = c + lam * storage_cost(structure), recomputed from
-    scratch.  Steps record (iteration, edges, J), counters add up over the
-    phases, `iterations` holds a record per iteration, also logged at
-    DEBUG, and `expected_cost` is the exact c of the returned structure.
+    with J below the incumbent's.  `scan_moves` lists all of an iteration's
+    moves at once, skips each added move none of whose edges can enter a
+    transmission plan, and gives the others their J_low (their
+    `_RequestBound` plus lam times their storage).  This loop is the only
+    code that prunes: it evaluates the moves exactly, for their cost only,
+    by (J_low, generation index), and stops at the first infinite J_low (a
+    removal that leaves an MDU without an independent reconstruction) and,
+    with pruning on, at the first J_low above the best J found, so a move
+    that ties with it is still evaluated.  The moves left count as pruned.
+    `initial` must pass `Structure.validate` and is evaluated once; each
+    phase numbers its iterations from 1 and starts from
+    J = c + lam * storage_cost(structure), recomputed from scratch.  Steps
+    record (iteration, edges, J), `iterations` holds a record per
+    iteration, also logged at DEBUG, and `expected_cost` is the exact c of
+    the returned structure.
     """
     n, start = scenario.graph.n, scenario.graph.start
+    problems = initial.validate(n)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     structure, log = initial, RefineLog()
     lam, prune = params.lam, params.enable_pruning
     groups = request_groups(scenario, params.buffer)
@@ -417,14 +419,15 @@ def greedy_search(
         for iteration in count(1):
             clock = time.perf_counter()
             tables = CostTables(structure, sizes, n)
-            scan = scan_moves(start, targets, groups, tables, kinds, lam, j_min, prune)
+            scan = scan_moves(start, targets, groups, tables, kinds, lam)
             j_lows, storage = scan.j_low.tolist(), scan.storage.tolist()
             t_bound = time.perf_counter() - clock
             # (J, generation index, edges, structure, c): the incumbent ranks
             # as index -1, so a move that only ties with it is not committed
             best, evaluated = (j_min, -1, None, structure, c_min), 0
             for index in scan.order.tolist():
-                if prune and j_lows[index] * (1.0 - _BOUND_SLACK) > best[0]:
+                j_low = j_lows[index]
+                if j_low == math.inf or (prune and j_low * (1.0 - _BOUND_SLACK) > best[0]):
                     break
                 evaluated += 1
                 edges = scan.edges(index)
@@ -439,12 +442,8 @@ def greedy_search(
                 j_cand = c_cand + lam * b_cand
                 if (j_cand, index) < best[:2]:
                     best = (j_cand, index, edges, cand, c_cand)
-            skipped = int(scan.skipped.sum())
-            pruned = scan.pruned + len(scan.order) - evaluated
+            skipped, pruned = int(scan.skipped.sum()), len(scan.order) - evaluated
             t_exact = time.perf_counter() - clock - t_bound
-            log.candidates_total += pruned + evaluated
-            log.candidates_pruned += pruned
-            log.candidates_skipped += skipped
             moved = best[2] is not None
             j_min, _, edges, structure, c_min = best
             if moved:
@@ -484,9 +483,6 @@ def greedy_refine(
     either buffer, candidates whose lower bound exceeds the best J so far.
     Steps record (iteration, edge, J).
     """
-    problems = initial.validate(scenario.graph.n)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
     structure, log = greedy_search(scenario, sizes, initial, params, (ADD_EDGE,))
     return structure, one_edge_steps(log)
 

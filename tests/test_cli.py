@@ -678,6 +678,31 @@ def test_sweep_rejects_malformed_lambdas(lf_files, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("lambdas, bad", [
+    ("--lambdas=inf", "inf"),
+    ("--lambdas=2,inf", "inf"),
+    ("--lambdas=-1", "-1.0"),
+    ("--lambdas=0.5,nan", "nan"),
+])
+def test_sweep_checks_every_lambda_before_any_search(
+    lf_files, tmp_path, capsys, monkeypatch, lambdas, bad
+):
+    def searched(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr("navstream.baselines.run_baseline", searched)
+    scenario, sizes = lf_files
+    out = tmp_path / "tradeoff.csv"
+    rc = main([
+        "sweep", "--scenario", str(scenario), "--sizes", str(sizes),
+        lambdas, "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: sweep failed at lambda={bad}: lambda must be finite and non-negative" in err
+    assert not out.exists()
+
+
 def test_optimize_rejects_nan_lambda(lf_files, tmp_path, capsys):
     scenario, sizes = lf_files
     rc = main([

@@ -173,15 +173,15 @@ _GENERATORS = {
 }
 
 
-def _scalar_scan(scenario, sizes, structure, groups, kinds, lam, j_min, prune):
-    """Each move's (edges, skipped, J_low, storage), the survivors in
-    (J_low, generation index) order, and the count pruned by the scan."""
+def _scalar_scan(scenario, sizes, structure, groups, kinds, lam):
+    """Each move's (edges, skipped, J_low, storage), and every move not
+    skipped in (J_low, generation index) order, the +inf ones last."""
     n = scenario.graph.n
     tables = _ScalarTables(structure, sizes, n)
     usable = _ScalarFilter(scenario, tables)
     bound = _ScalarBound(scenario, tables, groups)
     b_base = storage_cost(structure, sizes)
-    moves, survivors, pruned = [], [], 0
+    moves, kept = [], []
     scan = chain.from_iterable(_GENERATORS[kind](structure, n) for kind in kinds)
     for index, edges in enumerate(scan):
         if edges[0] in structure.p_edges:
@@ -195,12 +195,9 @@ def _scalar_scan(scenario, sizes, structure, groups, kinds, lam, j_min, prune):
             continue
         j_low = c_low + lam * b_cand
         moves.append((edges, False, j_low, b_cand))
-        if math.isinf(j_low) or (prune and j_low * (1.0 - _BOUND_SLACK) > j_min):
-            pruned += 1
-            continue
-        survivors.append((j_low, index))
-    survivors.sort()
-    return moves, [index for _, index in survivors], pruned
+        kept.append((j_low, index))
+    kept.sort()
+    return moves, [index for _, index in kept]
 
 
 def _with_self_switches(rng, n, t_max):
@@ -233,10 +230,12 @@ def _with_costly_start(rng, sizes, start):
 
 
 def test_array_scan_matches_the_scalar_scan():
-    """Skip verdicts, J_low, storage, survivor order and the pruned count are
-    `==` to the scalar scan's, on 48 seeded instances: n 2-9, both buffers,
-    pruning on and off, every move kind, start MDUs that an I + P + M combo
-    beats, and scenarios with self-switches."""
+    """Skip verdicts, J_low, storage and the order of the moves not skipped
+    are `==` to the scalar scan's, on 48 seeded instances: n 2-9, both
+    buffers, every move kind, start MDUs that an I + P + M combo beats, and
+    scenarios with self-switches.  The instances include finite moves that
+    the search's stop rule prunes: J_low * (1 - slack) above the incumbent's
+    J."""
     rng = np.random.default_rng(2024)
     phases = [(ADD_EDGE,), (ADD_EDGE, ADD_PAIR), (REMOVE_EDGE,), (ADD_PAIR, REMOVE_EDGE, ADD_EDGE)]
     seen = {"skipped": 0, "pruned": 0, "infeasible": 0, "start_combo": 0, "pair": 0}
@@ -248,7 +247,7 @@ def test_array_scan_matches_the_scalar_scan():
         if case % 3 == 0:
             sizes = _with_costly_start(rng, sizes, sc.graph.start)
         structure = random_structure(rng, n, edge_prob=float(rng.choice([0.0, 0.2, 0.5])))
-        buffer, prune = ("flex", "fixed")[case % 2], case % 4 < 2
+        buffer = ("flex", "fixed")[case % 2]
         kinds = phases[case % len(phases)]
         lam = float(rng.uniform(0.0, 0.5))
         j_min = evaluate(sc, sizes, structure, buffer, policy=False).expected_cost
@@ -256,10 +255,10 @@ def test_array_scan_matches_the_scalar_scan():
         tables = CostTables(structure, sizes, n)
         got = scan_moves(
             sc.graph.start, _reachable_targets(sc), request_groups(sc, buffer),
-            tables, kinds, lam, j_min, prune,
+            tables, kinds, lam,
         )
-        moves, order, pruned = _scalar_scan(
-            sc, sizes, structure, _scalar_groups(sc, buffer), kinds, lam, j_min, prune
+        moves, order = _scalar_scan(
+            sc, sizes, structure, _scalar_groups(sc, buffer), kinds, lam
         )
         assert [got.edges(m) for m in range(len(got.kind))] == [m[0] for m in moves]
         assert got.skipped.tolist() == [m[1] for m in moves]
@@ -267,9 +266,11 @@ def test_array_scan_matches_the_scalar_scan():
         assert got.j_low[kept].tolist() == [m[2] for m in moves if not m[1]]
         assert got.storage[kept].tolist() == [m[3] for m in moves if not m[1]]
         assert got.order.tolist() == order
-        assert got.pruned == pruned
         seen["skipped"] += int(got.skipped.sum())
-        seen["pruned"] += pruned
+        seen["pruned"] += sum(
+            not skip and j_low < math.inf and j_low * (1.0 - _BOUND_SLACK) > j_min
+            for _, skip, j_low, _ in moves
+        )
         seen["infeasible"] += sum(m[2] == math.inf for m in moves)
         seen["pair"] += sum(len(m[0]) == 2 and not m[1] for m in moves)
         start = sc.graph.start
@@ -284,8 +285,8 @@ def test_array_scan_matches_the_scalar_scan():
 
 @pytest.mark.parametrize("buffer", ["flex", "fixed"])
 def test_array_scan_keeps_generation_order_among_ties(buffer):
-    """On LF grids many moves tie on J_low, and the survivors must still
-    come in generation order among equals."""
+    """On LF grids many moves tie on J_low, and the moves not skipped must
+    still come in generation order among equals."""
     ties = 0
     for rows, cols in ((3, 3), (3, 4), (4, 4)):
         graph, nav, sizes = build_lf_scenario(LfGridSpec(rows=rows, cols=cols))
@@ -296,10 +297,10 @@ def test_array_scan_keeps_generation_order_among_ties(buffer):
             kinds = (ADD_EDGE, ADD_PAIR, REMOVE_EDGE)
             got = scan_moves(
                 graph.start, _reachable_targets(sc), request_groups(sc, buffer),
-                CostTables(structure, sizes, n), kinds, 0.5, math.inf, True,
+                CostTables(structure, sizes, n), kinds, 0.5,
             )
-            _, order, _ = _scalar_scan(
-                sc, sizes, structure, _scalar_groups(sc, buffer), kinds, 0.5, math.inf, True
+            _, order = _scalar_scan(
+                sc, sizes, structure, _scalar_groups(sc, buffer), kinds, 0.5
             )
             assert got.order.tolist() == order
             j_low = got.j_low[got.order]

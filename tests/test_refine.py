@@ -1,5 +1,6 @@
 import logging
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
 )
 from navstream.adapters import LfGridSpec, build_lf_scenario
 from navstream.baselines import sweep
-from navstream.costs import Structure, all_i_structure, storage_cost
+from navstream.costs import LandmarkGroup, Structure, all_i_structure, storage_cost
 from navstream.errors import InfeasibleStructureError, InvalidInputError
 from navstream.evaluate import CostTables, eval_fixed, eval_flexible, evaluate
 from navstream.refine import (
@@ -296,10 +297,25 @@ def test_request_weights_reproduce_all_i_cost():
 
 
 def test_refine_rejects_invalid_initial():
+    """Every search refuses a start that fails `Structure.validate`: an
+    I-MDU outside the graph, or one landmark group {0} that leaves MDU 1
+    uncovered, which a search that removes edges would hand back as it is."""
     sc, sz = pingpong_scenario(), pingpong_sizes()
-    bad = Structure(i_set=frozenset({5}), p_edges=frozenset())
-    with pytest.raises(InvalidInputError):
-        greedy_refine(sc, sz, bad, RefinerParams(lam=0.1))
+    starts = {
+        "I-MDU 5 is outside": Structure(i_set=frozenset({5}), p_edges=frozenset()),
+        "landmark partitions do not cover": Structure(
+            i_set=frozenset({0, 1}), p_edges=frozenset({(0, 1)}),
+            landmarks=(LandmarkGroup(0, frozenset({0})),),
+        ),
+    }
+    searches = (
+        greedy_refine,
+        greedy_subtract,
+        lambda *args: greedy_search(*args, (ADD_EDGE,), (REMOVE_EDGE,)),
+    )
+    for (problem, bad), search in product(starts.items(), searches):
+        with pytest.raises(InvalidInputError, match=problem):
+            search(sc, sz, bad, RefinerParams(lam=0.1))
 
 
 def test_subtract_drops_useless_edges_keeps_feasible():

@@ -274,6 +274,7 @@ def test_nav_prob_routes_start_sentinel():
 # Builtin sum() calls over ints, whose result cannot depend on the order.
 _INTEGER_SUMS = {
     ("landmarks.py", "sum(iterations)"),
+    ("refine.py", "sum(record[key] for record in self.iterations)"),
 }
 
 
