@@ -244,6 +244,70 @@ def test_method_outputs_pinned(lf_files, tmp_path, capsys):
     assert _method_outputs(*lf_files, tmp_path, capsys) == pins
 
 
+CLI_PINS = Path(__file__).with_name("cli_pins.json")
+
+
+def _cli_outputs(scenario, sizes, tmp_path, capsys) -> dict:
+    """The stdout and every written file of `gen lf` on LF 3x3, `gen
+    viewport` on a 3-line trajectory log, `plan`, `eval --policy-out` on
+    plan's structure, `simulate --trace-out` under eval's flexible policy
+    and `merge-demo`, by run, `tmp_path` written <tmp>.  Each output flag
+    writes <tmp>/<run><flag>."""
+    traj, rows = tmp_path / "traj.txt", tmp_path / "rows.csv"
+    traj.write_text("0 1 2 3 0\n1 3 2 0\n2 1 0 3\n")
+    rows.write_text("10,9,11\n7,5\n")
+    files = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    gen = ["--out-scenario", "--out-sizes"]
+    lf = ["gen", "lf", "--rows", "3", "--cols", "3"]
+    viewport = ["gen", "viewport", "--log", str(traj), "--n", "4"]
+    structure, policy = str(tmp_path / "plan--out"), str(tmp_path / "eval-flex--policy-out")
+    runs = {
+        "gen-lf": ([*lf], gen),
+        "gen-lf-mu": ([*lf, "--mu", "1.5"], gen),
+        "gen-lf-t-max": ([*lf, "--t-max", "3"], gen),
+        "gen-lf-mu-t-max": ([*lf, "--mu", "1.5", "--t-max", "3"], gen),
+        "gen-viewport": ([*viewport], gen),
+        "gen-viewport-mu-t-max": ([*viewport, "--mu", "2.0", "--t-max", "5"], gen),
+        "plan": (["plan", *files, "--lambda", "0.5"], ["--out"]),
+        **{
+            f"eval-{buffer}{wfs}": (
+                ["eval", *files, "--structure", structure, "--buffer", buffer]
+                + ["--weight-first-switch"] * bool(wfs),
+                ["--policy-out"],
+            )
+            for buffer in ("fixed", "flex")
+            for wfs in ("", "-wfs")
+        },
+        **{
+            f"simulate{mode}": (
+                ["simulate", *files, "--structure", structure, "--policy", policy]
+                + ["--sessions", "20", "--seed", "3"]
+                + ["--consistency-mode"] * bool(mode),
+                ["--trace-out"],
+            )
+            for mode in ("", "-consistency")
+        },
+        "merge-demo": (["merge-demo", str(rows)], []),
+    }
+    outputs = {}
+    for name, (argv, flags) in runs.items():
+        written = {flag: tmp_path / f"{name}{flag}" for flag in flags}
+        capsys.readouterr()
+        assert main([*argv, *(arg for f, p in written.items() for arg in (f, str(p)))]) == 0
+        outputs[name] = {
+            "stdout": capsys.readouterr().out.replace(str(tmp_path), "<tmp>"),
+            **{flag: path.read_bytes().decode() for flag, path in written.items()},
+        }
+    return outputs
+
+
+def test_cli_outputs_pinned(lf_files, tmp_path, capsys):
+    """`gen`, `plan`, `eval`, `simulate` and `merge-demo` print and write,
+    byte for byte, the outputs pinned in cli_pins.json."""
+    pins = json.loads(CLI_PINS.read_text())
+    assert _cli_outputs(*lf_files, tmp_path, capsys) == pins
+
+
 def test_baseline_command(lf_files, tmp_path, capsys):
     scenario, sizes = lf_files
     out = tmp_path / "baseline.json"
