@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .costs import SizeTable, grid_sizes
-from .errors import InvalidInputError, open_output
+from .errors import InvalidInputError, open_input, open_output
 from .scenario import MediaGraph, NavigationModel, csr_slots, left_sum
 
 log = logging.getLogger(__name__)
@@ -172,16 +172,8 @@ class TrajectoryLog:
 
     @classmethod
     def load(cls, path) -> "TrajectoryLog":
-        sessions = []
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    sessions.append([int(tok) for tok in line.split()])
-        except (OSError, ValueError) as exc:
-            raise InvalidInputError(f"cannot read trajectory log {path}: {exc}") from exc
+        with open_input("trajectory log", path) as fh:
+            sessions = [[int(tok) for tok in line.split()] for line in fh if line.strip()]
         return cls(sessions=sessions)
 
     def save(self, path) -> None:

@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 
 from . import adapters, baselines, merge
 from .costs import (
@@ -26,6 +27,7 @@ from .errors import (
     InvalidInputError,
     NavstreamError,
     OracleRefusalError,
+    open_input,
     open_output,
     open_outputs,
 )
@@ -53,24 +55,15 @@ def _cmd_gen(args) -> int:
             quad_samples=args.quad_samples,
         )
         graph, nav, sizes = adapters.build_lf_scenario(spec)
-        if args.t_max is not None:
-            mu = args.mu if args.mu is not None else 0.5 * args.t_max
-            t_max = args.t_max
-        else:
-            anchors = (args.rows + 1) * (args.cols + 1)
-            mu, t_max = adapters.lifetime_defaults(anchors)
-            if args.mu is not None:
-                mu = args.mu
-        lifetime = build_lifetime_tail(mu, t_max)
+        anchors = (args.rows + 1) * (args.cols + 1)
+        t_max = adapters.lifetime_defaults(anchors)[1] if args.t_max is None else args.t_max
+        mu = 0.5 * t_max if args.mu is None else args.mu
     else:  # viewport
         traj = adapters.TrajectoryLog.load(args.log)
         graph, nav = adapters.build_viewport_scenario(traj, args.n)
         sizes = uniform_sizes(graph.n, args.p_unit)
-        lifetime = build_lifetime_tail(
-            args.mu if args.mu is not None else 3.0,
-            args.t_max if args.t_max is not None else 8,
-        )
-    scenario = Scenario(graph=graph, nav=nav, lifetime=lifetime)
+        mu, t_max = args.mu, args.t_max
+    scenario = Scenario(graph=graph, nav=nav, lifetime=build_lifetime_tail(mu, t_max))
     report = validate_navigation_model(graph, nav)
     if report:
         raise InvalidInputError("; ".join(report))
@@ -84,7 +77,8 @@ def _cmd_gen(args) -> int:
 
 
 def _load_inputs(args):
-    """The --scenario and --sizes files, checked to cover the same MDUs."""
+    """The --scenario and --sizes files, checked to cover the same MDUs;
+    `main` passes them to every command that takes them."""
     scenario = load_scenario(args.scenario)
     sizes = load_sizes(args.sizes)
     if sizes.n != scenario.graph.n:
@@ -104,8 +98,7 @@ def _checked_structure(args, scenario):
     return structure
 
 
-def _cmd_eval(args) -> int:
-    scenario, sizes = _load_inputs(args)
+def _cmd_eval(args, scenario, sizes) -> int:
     structure = _checked_structure(args, scenario)
     result = evaluate(
         scenario, sizes, structure, args.buffer, args.weight_first_switch
@@ -117,8 +110,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_plan(args) -> int:
-    scenario, sizes = _load_inputs(args)
+def _cmd_plan(args, scenario, sizes) -> int:
     structure = landmark_structure(scenario, sizes, args.lam, args.max_lloyd)
     save_structure(structure, args.out)
     print(f"landmarks {len(structure.landmarks)}")
@@ -126,8 +118,7 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    scenario, sizes = _load_inputs(args)
+def _cmd_optimize(args, scenario, sizes) -> int:
     params = RefinerParams(
         lam=args.lam, buffer=args.buffer, enable_pruning=not args.no_prune
     )
@@ -156,8 +147,7 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    scenario, sizes = _load_inputs(args)
+def _cmd_sweep(args, scenario, sizes) -> int:
     try:
         lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
     except ValueError as exc:
@@ -170,8 +160,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    scenario, sizes = _load_inputs(args)
+def _cmd_simulate(args, scenario, sizes) -> int:
     structure = _checked_structure(args, scenario)
     policy = Policy.load(args.policy)
     result = simulate_sessions(
@@ -191,27 +180,14 @@ def _cmd_simulate(args) -> int:
         print(f"z_vs_dp {gap / result.stderr if result.stderr else math.nan!r}")
     if args.trace_out:
         with open_output("trace", args.trace_out) as fh:
-            for tr in result.traces:
-                fh.write(
-                    json.dumps(
-                        {
-                            "path": tr.path,
-                            "lifetime": tr.lifetime,
-                            "actions": [list(a) for a in tr.actions],
-                            "bits": tr.bits,
-                        }
-                    )
-                    + "\n"
-                )
+            for trace in result.traces:
+                fh.write(json.dumps(asdict(trace)) + "\n")
     return 0
 
 
 def _cmd_merge_demo(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
-        raise InvalidInputError(f"cannot read {args.input}: {exc}") from exc
+    with open_input("merge rows", args.input, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
     for row in rows:
         try:
             target = int(row[0])
@@ -228,8 +204,7 @@ def _cmd_merge_demo(args) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    scenario, sizes = _load_inputs(args)
+def _cmd_baseline(args, scenario, sizes) -> int:
     params = RefinerParams(lam=args.lam, buffer="flex")
     result = baselines.run_baseline(scenario, sizes, params, args.variant)
     print(f"variant {result.variant}")
@@ -257,34 +232,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="log to stderr: -v at INFO (such as which cost inf-lm reports), "
         "-vv at DEBUG",
     )
-    inputs = argparse.ArgumentParser(add_help=False)  # commands that read both files
+    gen = argparse.ArgumentParser(add_help=False)  # both `gen` media
+    gen.add_argument("--p-unit", type=float, default=1.0)
+    gen.add_argument("--out-scenario", required=True)
+    gen.add_argument("--out-sizes", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)  # loaded by `main`
     inputs.add_argument("--scenario", required=True)
     inputs.add_argument("--sizes", required=True)
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", type=float, required=True)
+    search = argparse.ArgumentParser(add_help=False)  # `optimize` and `sweep`
+    search.add_argument("--buffer", choices=["fixed", "flex"], default="flex")
+    search.add_argument("--no-prune", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a scenario and size table")
     gsub = p.add_subparsers(dest="media", required=True)
-    lf = gsub.add_parser("lf", parents=[common], help="light-field view-area grid")
+    lf = gsub.add_parser("lf", parents=[common, gen], help="light-field view-area grid")
     lf.add_argument("--rows", type=int, required=True)
     lf.add_argument("--cols", type=int, required=True)
     lf.add_argument("--sigma", type=float, default=0.5)
-    lf.add_argument("--p-unit", type=float, default=1.0)
     lf.add_argument("--quad-samples", type=int, default=4)
     lf.add_argument("--mu", type=float, default=None)
     lf.add_argument("--t-max", type=int, default=None)
-    lf.add_argument("--out-scenario", required=True)
-    lf.add_argument("--out-sizes", required=True)
     lf.set_defaults(func=_cmd_gen)
     vp = gsub.add_parser(
-        "viewport", parents=[common], help="viewport chain from trajectories"
+        "viewport", parents=[common, gen], help="viewport chain from trajectories"
     )
     vp.add_argument("--log", required=True)
     vp.add_argument("--n", type=int, required=True)
-    vp.add_argument("--p-unit", type=float, default=1.0)
-    vp.add_argument("--mu", type=float, default=None)
-    vp.add_argument("--t-max", type=int, default=None)
-    vp.add_argument("--out-scenario", required=True)
-    vp.add_argument("--out-sizes", required=True)
+    vp.add_argument("--mu", type=float, default=3.0)
+    vp.add_argument("--t-max", type=int, default=8)
     vp.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
@@ -296,29 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy-out", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("plan", parents=[common, inputs], help="landmark partitioning")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = sub.add_parser("plan", parents=[common, inputs, lam], help="landmark partitioning")
     p.add_argument("--max-lloyd", type=int, default=PlannerParams.max_lloyd_iters)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser(
-        "optimize", parents=[common, inputs], help="greedy refinement of a structure"
+        "optimize", parents=[common, inputs, lam, search],
+        help="greedy refinement of a structure",
     )
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--init", choices=["landmark", "all-i"], required=True)
-    p.add_argument("--buffer", choices=["fixed", "flex"], default="flex")
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--log-out", default=None)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser(
-        "sweep", parents=[common, inputs], help="tradeoff curve over several lambdas"
+        "sweep", parents=[common, inputs, search], help="tradeoff curve over several lambdas"
     )
     p.add_argument("--lambdas", required=True, help="comma-separated values")
-    p.add_argument("--buffer", choices=["fixed", "flex"], default="flex")
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
@@ -339,15 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="CSV rows: target,v1,v2,...")
     p.set_defaults(func=_cmd_merge_demo)
 
-    p = sub.add_parser(
-        "baseline", parents=[common, inputs], help="reference optimizers"
-    )
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = sub.add_parser("baseline", parents=[common, inputs, lam], help="reference optimizers")
     p.add_argument("--variant", choices=list(baselines.VARIANTS), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_baseline)
 
     return parser
+
+
+_EXIT_CODES = (  # (class, exit code, stderr prefix): the first class that matches
+    (InfeasibleStructureError, 3, "infeasible structure"),
+    (OracleRefusalError, 4, "refused"),
+    (NavstreamError, 2, "error"),  # InvalidInputError among them
+)
 
 
 def main(argv=None) -> int:
@@ -360,19 +337,12 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
         log.addHandler(handler)
     try:
-        return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleStructureError as exc:
-        print(f"infeasible structure: {exc}", file=sys.stderr)
-        return 3
-    except OracleRefusalError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 4
+        inputs = _load_inputs(args) if hasattr(args, "scenario") else ()
+        return args.func(args, *inputs)
     except NavstreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, prefix = next((c, p) for cls, c, p in _EXIT_CODES if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     finally:
         log.removeHandler(handler)
         log.setLevel(level)

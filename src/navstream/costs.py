@@ -25,6 +25,7 @@ from .errors import (
     CorruptTableError,
     InfeasibleStructureError,
     InvalidInputError,
+    open_input,
     open_output,
 )
 from .scenario import json_int
@@ -209,6 +210,12 @@ def _refuse_outside(structure: Structure, n: int) -> None:
         raise InvalidInputError(problems[0])
 
 
+def refuse_other_n(sizes: SizeTable, n: int) -> None:
+    """Raise `InvalidInputError` unless the size table covers exactly `n` MDUs."""
+    if sizes.n != n:
+        raise InvalidInputError(f"size table covers {sizes.n} MDUs, the scenario has {n}")
+
+
 def storage_cost(structure: Structure, sizes: SizeTable) -> float:
     """Total bits of stored I-MDUs and P-MDUs (M-MDUs are implicit); a
     structure outside the size table's MDUs raises `InvalidInputError`."""
@@ -240,10 +247,7 @@ class CostTables:
     """
 
     def __init__(self, structure: Structure, sizes: SizeTable, n: int):
-        if sizes.n != n:
-            raise InvalidInputError(
-                f"size table covers {sizes.n} MDUs, the scenario has {n}"
-            )
+        refuse_other_n(sizes, n)
         self.structure = structure
         self.sizes = sizes
         self.n = n
@@ -346,11 +350,8 @@ def save_structure(structure: Structure, path) -> None:
 
 
 def load_structure(path) -> Structure:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise InvalidInputError(f"cannot read structure {path}: {exc}") from exc
+    with open_input("structure", path) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise InvalidInputError("structure file must hold a JSON object")
     unknown = set(data) - {"i_set", "p_edges", "landmarks"}
@@ -395,17 +396,11 @@ def save_sizes(sizes: SizeTable, path) -> None:
 
 
 def load_sizes(path) -> SizeTable:
-    rows = []
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["kind", "i", "j", "bits"]:
-                raise InvalidInputError(
-                    f"sizes CSV must have header kind,i,j,bits, got {reader.fieldnames}"
-                )
-            rows = list(reader)
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
-        raise InvalidInputError(f"cannot read sizes {path}: {exc}") from exc
+    with open_input("sizes", path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    if header != ["kind", "i", "j", "bits"]:
+        raise InvalidInputError(f"sizes CSV must have header kind,i,j,bits, got {header}")
     try:
         n = 1 + max(
             max((int(r["i"]) for r in rows), default=-1),

@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one way in and out
+of its files.
 
 Exit-code mapping used by the CLI: InvalidInputError -> 2,
-InfeasibleStructureError -> 3, OracleRefusalError -> 4.
+InfeasibleStructureError -> 3, OracleRefusalError -> 4, any other
+NavstreamError -> 2.  Every input file is read through `open_input` and
+every output written through `open_output` or `open_outputs`, so a file
+that cannot be read, decoded or written raises `InvalidInputError`
+("cannot read/write <what> <path>: <reason>") and exits 2.
 """
 
+import csv
 import errno
 import io
 import os
@@ -33,6 +39,20 @@ class OracleRefusalError(NavstreamError):
 
 class PolicyGapError(NavstreamError):
     """The simulator reached a state the policy does not cover."""
+
+
+@contextmanager
+def open_input(what: str, path, newline=None):
+    """`path` opened for reading UTF-8 text, as `with open(...)` does.  An
+    error while opening it or in the block, which should only read and
+    decode it, raises `InvalidInputError` naming `what` and `path`: an
+    OSError, a ValueError (bad UTF-8 or JSON), a `csv.Error` (a field over
+    `csv.field_size_limit()`) or a RecursionError (JSON nested too deep)."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except (OSError, ValueError, csv.Error, RecursionError) as exc:
+        raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _cannot_write(what: str, path, exc: OSError) -> InvalidInputError:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import LandmarkGroup, SizeTable, Structure, landmark_edges
+from .costs import LandmarkGroup, SizeTable, Structure, landmark_edges, refuse_other_n
 from .errors import InvalidInputError
 from .scenario import AggregateSwitchProbs, MediaGraph, Scenario
 
@@ -289,10 +289,7 @@ def landmark_structure(
     A size table that does not cover exactly the scenario's MDUs raises
     `InvalidInputError`.
     """
-    if sizes.n != scenario.graph.n:
-        raise InvalidInputError(
-            f"size table covers {sizes.n} MDUs, the scenario has {scenario.graph.n}"
-        )
+    refuse_other_n(sizes, scenario.graph.n)
     params = PlannerParams(
         w=lam / scenario.lifetime.mu,
         q=scenario.switch_probs,

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .costs import Structure
-from .errors import InvalidInputError, open_output
+from .errors import InvalidInputError, open_input, open_output
 from .scenario import left_sum
 
 # Per buffer model: the context width, (cur, target) or (cur, buffered,
@@ -361,11 +361,9 @@ class Policy:
 
     @classmethod
     def load(cls, path) -> "Policy":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-            raise InvalidInputError(f"cannot read policy {path}: {exc}") from exc
+        with open_input("policy", path) as fh:
+            data = json.load(fh)
+        return cls.from_dict(data)
 
 
 def _check_runs(contexts, offsets, t_first, t_last) -> None:

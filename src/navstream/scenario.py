@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, open_output
+from .errors import InvalidInputError, open_input, open_output
 
 logger = logging.getLogger(__name__)
 
@@ -627,9 +627,6 @@ def save_scenario(sc: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise InvalidInputError(f"cannot read scenario {path}: {exc}") from exc
+    with open_input("scenario", path) as fh:
+        data = json.load(fh)
     return scenario_from_dict(data)

@@ -584,24 +584,65 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("kind", ["scenario", "sizes", "structure", "merge-demo"])
-def test_utf16_input_file_exits_2(lf_files, tmp_path, capsys, kind):
-    scenario, sizes = lf_files
-    structure = tmp_path / "all_i.json"
-    save_structure(Structure(i_set=frozenset(range(9)), p_edges=frozenset()), structure)
-    rows = tmp_path / "rows.csv"
-    rows.write_text("10,9,11\n")
-    path = {"scenario": scenario, "sizes": sizes, "structure": structure}.get(kind, rows)
-    path.write_bytes(path.read_text().encode("utf-16"))  # starts with ff fe
+def _utf16(path):
+    path.write_bytes(path.read_text().encode("utf-16"))
     assert path.read_bytes()[:2] == b"\xff\xfe"
-    argv = [
-        "eval", "--scenario", str(scenario), "--sizes", str(sizes),
-        "--structure", str(structure), "--buffer", "fixed",
-    ]
-    rc = main(["merge-demo", str(rows)] if kind == "merge-demo" else argv)
-    assert rc == 2
-    what = rows if kind == "merge-demo" else kind
-    assert f"cannot read {what}" in capsys.readouterr().err
+
+
+def _long_csv_field(path):
+    with path.open("a") as fh:
+        fh.write('"' + "x" * (csv.field_size_limit() + 1) + '"\n')
+
+
+_UNREADABLE = {
+    "utf-16": _utf16,
+    "missing": Path.unlink,
+    "directory": lambda path: path.unlink() or path.mkdir(),
+    "deep-json": lambda path: path.write_text("[" * 1000 + "]" * 1000),
+    "long-field": _long_csv_field,
+}
+_INPUT_KINDS = {  # each kind's crash input: JSON nested too deep, or a CSV field too long
+    "scenario": "deep-json",
+    "sizes": "long-field",
+    "structure": "deep-json",
+    "merge-demo": "long-field",
+    "policy": "deep-json",
+    "trajectory-log": None,
+}
+
+
+@pytest.mark.parametrize("kind, content", [
+    pytest.param(kind, content, id=kind if content == "utf-16" else f"{kind}-{content}")
+    for kind, crash in _INPUT_KINDS.items()
+    for content in ("utf-16", "missing", "directory", crash)
+    if content
+])
+def test_utf16_input_file_exits_2(lf_files, tmp_path, capsys, kind, content):
+    """Every input file that cannot be opened, read or decoded exits 2,
+    naming what it is and its path: UTF-16 bytes, a missing path, a
+    directory, a CSV field over `csv.field_size_limit()` and JSON nested
+    past the recursion limit."""
+    scenario, sizes = lf_files
+    argv = _files_for_every_command(tmp_path, scenario, sizes)
+    files = ["--scenario", str(scenario), "--sizes", str(sizes)]
+    rows, traj = tmp_path / "rows.csv", tmp_path / "traj.txt"
+    rows.write_text("10,9,11\n")
+    traj.write_text("0 1 2 1\n1 2 1 0\n")
+    gen = ["--out-scenario", str(tmp_path / "s.json"), "--out-sizes", str(tmp_path / "z.csv")]
+    what, path, command = {
+        "scenario": ("scenario", scenario, [*argv["eval"], *files]),
+        "sizes": ("sizes", sizes, [*argv["eval"], *files]),
+        "structure": ("structure", tmp_path / "all_i.json", [*argv["eval"], *files]),
+        "merge-demo": ("merge rows", rows, ["merge-demo", str(rows)]),
+        "policy": ("policy", tmp_path / "policy.json", [*argv["simulate"], *files]),
+        "trajectory-log": (
+            "trajectory log", traj, ["gen", "viewport", "--log", str(traj), "--n", "3", *gen]
+        ),
+    }[kind]
+    _UNREADABLE[content](path)
+    capsys.readouterr()
+    assert main(command) == 2
+    assert f"error: cannot read {what} {path}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
